@@ -86,6 +86,8 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
             overrides["duration"] = parse_duration(args.duration)
         except ValueError as exc:
             raise UsageError(f"bad --duration: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"bad --duration: {exc}") from exc
     if getattr(args, "forwarder_selection", None) is not None:
         overrides["forwarder_selection"] = args.forwarder_selection == "1"
     if overrides:

@@ -8,6 +8,7 @@ accept the suffixes s, ms and us; a bare number means seconds.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -80,6 +81,11 @@ class SimConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+                problems.append(f"{f.name.upper()} must be finite")
         if self.ipi < self.minimum_lwb_round:
             problems.append(
                 f"IPI ({format_duration(self.ipi)}) must be at least "
@@ -230,6 +236,11 @@ def parse_config(text: str) -> SimConfig:
         key_raw, _, val_raw = line.partition("=")
         key = key_raw.strip().upper()
         value = val_raw.strip()
+        if key not in VALID_KEYS:
+            raise ConfigError(
+                f"line {lineno}: unknown key {key!r}; valid keys: "
+                + ", ".join(VALID_KEYS)
+            )
         try:
             if key in _DURATION_KEYS:
                 values[_DURATION_KEYS[key]] = parse_duration(value)
@@ -246,14 +257,7 @@ def parse_config(text: str) -> SimConfig:
                 values["loss_probability"] = float(value)
             elif key == "DRIFT_PPM_RANGE":
                 values["drift_ppm_range"] = _parse_drift(value)
-            else:
-                raise ConfigError(
-                    f"line {lineno}: unknown key {key!r}; valid keys: "
-                    + ", ".join(VALID_KEYS)
-                )
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
     if not explicit_sync:

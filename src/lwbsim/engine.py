@@ -223,8 +223,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 topo, winner, b"", active, cfg.loss_probability, rng, cfg.max_payload_len
             )
             # a node whose radio is off can sit next to a transmitter and
-            # still hear nothing; traces only list awake receivers
-            received = [n for n in fo.received_nodes() if n in active]
+            # still hear nothing; traces only list awake receivers, which
+            # in every slot after sync are exactly the flood's participants
+            received = fo.heard
             if fo.received(sink):
                 heard = winner
         request_outcomes.append(heard)
@@ -262,9 +263,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 )
                 if fs_mode:
                     refresh_sink_distances(nodes, active, fo)
-                reply_trace.received = [
-                    n for n in fo.received_nodes() if n in active
-                ]
+                reply_trace.received = fo.heard
                 reply_trace.initiator = sink
                 reply_trace.requester = reply.requester
                 reply_trace.assigned_slot = reply.assigned_slot
@@ -302,9 +301,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                             nodes[node_id], announce, fo.hops.get(node_id)
                         )
                     world.announced_slots[announce.slot] = announce.distance
-                    ann_trace.received = [
-                        n for n in fo.received_nodes() if n in active
-                    ]
+                    ann_trace.received = fo.heard
                     ann_trace.initiator = announce_source
                     ann_trace.source = announce_source
                     ann_trace.announced_distance = announce.distance
@@ -331,6 +328,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             fs_mode,
             slot_id in world.announced_slots,
         )
+        if members == awake:
+            # one shared list per round instead of one copy per slot
+            members = awake
         data_trace = SlotTrace(
             t=t, kind="data", awake=members, received=[], slot_id=slot_id, owner=owner
         )
@@ -349,7 +349,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 rng,
                 cfg.max_payload_len,
             )
-            data_trace.received = [n for n in fo.received_nodes() if n in members]
+            data_trace.received = fo.heard
             data_trace.initiator = owner
             data_trace.payload_len = len(packet.payload)
             data_trace.gen_round = gen_round

@@ -1,48 +1,44 @@
 """Glossy-style network floods and per-node clock bookkeeping.
 
 A flood is modeled as a synchronous wave process instead of a per-bit radio
-simulation. The initiator transmits with relay counter 1 in wave 0. In wave
-k every node that has not received yet and is adjacent to a wave k-1
-transmitter receives, subject to one independent loss draw per node per
-wave, and records the counter value as its hop distance. A receiver
-retransmits in the next wave only if it is in the participant set. With a
-loss probability of zero this reproduces breadth-first hop distances
-through the participant set exactly, which is what the test oracles check.
+simulation, and every wave is computed on node bitmasks: bit n of an int
+stands for node n, and the topology holds one neighbour mask per node.
+
+The initiator transmits with relay counter 1 in wave 0. The candidates of
+wave k are the OR of the neighbour masks of the wave k-1 transmitters, minus
+every node that has already received. Each candidate receives subject to
+one independent loss draw and records the counter value as its hop
+distance. Loss draws go low bit first, which is ascending node id, and only
+happen when the loss probability is nonzero; the engine and the run driver
+rely on this draw order for determinism. The receivers AND the participant
+mask transmit in wave k+1. With a loss probability of zero the waves are a
+breadth-first search through the participant set, and
+topology.bfs_distances is exactly that path of the same kernel.
+
+A zero-loss flood depends on nothing but its initiator and participant
+mask, so flood memoizes its outcome per topology under that key. The memo
+holds at most MEMO_CAP entries and drops its oldest entry first. A memo hit
+returns the shared outcome object: callers must treat every FloodOutcome,
+its hops and its receiver list as read-only. Argument checks run on every
+call, hit or miss.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .topology import Topology
 from .units import US_PER_MS
+
+if TYPE_CHECKING:
+    from .topology import Topology
 
 DEFAULT_GUARD_US = 2 * US_PER_MS
 DEFAULT_MAX_PAYLOAD = 40
 
-# Roles a node can play during one slot.
-ROLE_INITIATOR = "initiator"
-ROLE_RELAY = "relay"
-ROLE_LISTENER = "listener"
-ROLE_BOOTSTRAP = "bootstrap"
-ROLE_ASLEEP = "asleep"
-
-_AWAKE_ROLES = {ROLE_INITIATOR, ROLE_RELAY, ROLE_LISTENER, ROLE_BOOTSTRAP}
-
-
-def slot_radio_cost(role: str, slot_length: int) -> int:
-    """Radio-on time a node pays for one slot.
-
-    Any node that is awake for the slot pays the full slot length whether it
-    transmits, relays or only listens. A node that skips the slot pays
-    nothing.
-    """
-    if role in _AWAKE_ROLES:
-        return slot_length
-    if role == ROLE_ASLEEP:
-        return 0
-    raise ValueError(f"unknown radio role {role!r}")
+# Zero-loss outcomes kept per topology.
+MEMO_CAP = 1024
 
 
 @dataclass
@@ -50,17 +46,62 @@ class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
     hops maps node id to hop distance; the initiator is present with hop 0.
-    Nodes absent from hops did not receive.
+    Nodes absent from hops did not receive. heard lists the receivers that
+    are also participants, in ascending order; the engine's participants
+    are the nodes awake in a slot, so heard is the slot's received list.
+    Outcomes may be shared between floods, so neither hops nor heard may be
+    mutated.
     """
 
     initiator: int
-    hops: dict[int, int] = field(default_factory=dict)
+    hops: dict[int, int]
+    heard: list[int]
 
     def received(self, node: int) -> bool:
         return node in self.hops
 
     def received_nodes(self) -> list[int]:
         return sorted(self.hops)
+
+
+def waves(
+    masks: dict[int, int],
+    initiator: int,
+    relays: int,
+    loss_probability: float = 0.0,
+    rng: random.Random | None = None,
+) -> tuple[dict[int, int], list[int]]:
+    """The wave kernel.
+
+    masks maps every node to its neighbour mask and relays is the mask of
+    the nodes that retransmit after receiving; the initiator always
+    transmits. Returns the hop count of every receiver, and the receivers
+    that retransmitted, in the order they received.
+    """
+    hops = {initiator: 0}
+    received = 1 << initiator
+    relayed: list[int] = []
+    transmitters = [initiator]
+    counter = 1
+    while transmitters:
+        candidates = 0
+        for tx in transmitters:
+            candidates |= masks[tx]
+        candidates &= ~received
+        transmitters = []
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            if loss_probability and rng.random() < loss_probability:
+                continue
+            node = low.bit_length() - 1
+            hops[node] = counter
+            received |= low
+            if relays & low:
+                transmitters.append(node)
+        relayed += transmitters
+        counter += 1
+    return hops, relayed
 
 
 def flood(
@@ -86,7 +127,8 @@ def flood(
         max_payload_len: upper bound on payload size.
 
     Returns:
-        FloodOutcome with hop counts for every node that received.
+        FloodOutcome with hop counts for every node that received. At loss
+        zero the outcome may be shared with earlier and later floods.
     """
     if initiator not in topology:
         raise ValueError(f"flood initiator {initiator} not in topology")
@@ -99,24 +141,33 @@ def flood(
     if loss_probability > 0.0 and rng is None:
         raise ValueError("an rng is required when loss_probability > 0")
 
-    hops: dict[int, int] = {initiator: 0}
-    transmitters: list[int] = [initiator]
-    counter = 1
-    while transmitters:
-        candidates: set[int] = set()
-        for tx in transmitters:
-            for nb in topology.neighbors(tx):
-                if nb not in hops:
-                    candidates.add(nb)
-        receivers: list[int] = []
-        for nb in sorted(candidates):
-            if loss_probability > 0.0 and rng.random() < loss_probability:
-                continue
-            hops[nb] = counter
-            receivers.append(nb)
-        transmitters = [r for r in receivers if r in participants]
-        counter += 1
-    return FloodOutcome(initiator=initiator, hops=hops)
+    relays = topology.mask_of(participants)
+    if loss_probability > 0.0:
+        return _outcome(topology, initiator, relays, loss_probability, rng)
+    memo = topology.flood_memo
+    key = (initiator, relays)
+    outcome = memo.get(key)
+    if outcome is None:
+        if len(memo) >= MEMO_CAP:
+            del memo[next(iter(memo))]
+        outcome = memo[key] = _outcome(topology, initiator, relays, 0.0, None)
+    return outcome
+
+
+def _outcome(
+    topology: Topology,
+    initiator: int,
+    relays: int,
+    loss_probability: float,
+    rng: random.Random | None,
+) -> FloodOutcome:
+    hops, relayed = waves(
+        topology.neighbor_masks, initiator, relays, loss_probability, rng
+    )
+    if relays >> initiator & 1:
+        relayed.append(initiator)
+    # sorted() copies into a list of exact size, which traces keep
+    return FloodOutcome(initiator, hops, sorted(relayed))
 
 
 @dataclass

@@ -1,16 +1,17 @@
 """Connectivity graphs and the hop-distance oracle used by the simulator.
 
 Graphs are undirected, unweighted and immutable. Node identifiers are small
-positive integers so they can double as radio addresses.
+positive integers so they can double as radio addresses and as bit
+positions in node masks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import TopologyError
+from .glossy import waves
 
 DEFAULT_MAX_NODE = 150
 
@@ -29,10 +30,20 @@ class Topology:
     _adj: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
+    # Bit n of a node's mask is set when node n is its neighbour.
+    neighbor_masks: dict[int, int] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
+    # Zero-loss flood outcomes, filled and bounded by glossy.flood.
+    flood_memo: dict = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise TopologyError("topology has no nodes")
+        if min(self.nodes) < 0:
+            raise TopologyError(f"negative node id {min(self.nodes)}")
         adj: dict[int, list[int]] = {n: [] for n in self.nodes}
         for u, v in self.edges:
             if u == v:
@@ -43,6 +54,9 @@ class Topology:
             adj[v].append(u)
         object.__setattr__(
             self, "_adj", {n: tuple(sorted(set(adj[n]))) for n in self.nodes}
+        )
+        object.__setattr__(
+            self, "neighbor_masks", {n: self.mask_of(adj[n]) for n in self.nodes}
         )
 
     @classmethod
@@ -65,6 +79,14 @@ class Topology:
             return self._adj[node]
         except KeyError:
             raise TopologyError(f"node {node} not in topology") from None
+
+    @staticmethod
+    def mask_of(nodes: Iterable[int]) -> int:
+        """Node mask with the bit of every given node set."""
+        mask = 0
+        for node in nodes:
+            mask |= 1 << node
+        return mask
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
@@ -123,7 +145,9 @@ def bfs_distances(
 
     A path may end anywhere, but every interior vertex must be in
     allowed_relays. The root always relays. Unreachable nodes map to None.
-    allowed_relays of None means every node may relay.
+    allowed_relays of None means every node may relay. This is a lossless
+    flood from root with allowed_relays as participants, computed by the
+    same wave kernel.
 
     Args:
         topology: the graph.
@@ -135,18 +159,11 @@ def bfs_distances(
     """
     if root not in topology:
         raise TopologyError(f"root {root} not in topology")
-    relays = topology.nodes if allowed_relays is None else set(allowed_relays)
-    dist: dict[int, int | None] = {n: None for n in topology.nodes}
-    dist[root] = 0
-    queue: deque[int] = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in topology.neighbors(u):
-            if dist[v] is None:
-                dist[v] = dist[u] + 1  # type: ignore[operator]
-                if v in relays:
-                    queue.append(v)
-    return dist
+    relays = topology.mask_of(
+        topology.nodes if allowed_relays is None else allowed_relays
+    )
+    hops, _ = waves(topology.neighbor_masks, root, relays)
+    return {n: hops.get(n) for n in topology.nodes}
 
 
 def is_connected(topology: Topology) -> bool:

@@ -18,11 +18,13 @@ from pathlib import Path
 from lwbsim.config import SimConfig
 from lwbsim.glossy import ClockState, flood
 from lwbsim.sim import render_trace, run_simulation
-from lwbsim.topology import Topology, bfs_distances
+from lwbsim.topology import Topology
 
 from _support import (
+    bfs_oracle,
     line_topology,
     random_connected_topology,
+    reachable_hops,
     shortest_path_forwarders,
 )
 
@@ -60,8 +62,7 @@ def test_criterion_1_flood_hops_match_bfs():
                 participants = {n for n in nodes if rng.random() < keep}
                 participants.add(initiator)
             got = flood(topo, initiator, b"", participants).hops
-            dist = bfs_distances(topo, initiator, participants)
-            want = {n: d for n, d in dist.items() if d is not None}
+            want = reachable_hops(bfs_oracle(topo, initiator, participants))
             if got != want:
                 mismatches.append((graph_no, initiator, sorted(participants)))
     elapsed = time.monotonic() - start

@@ -108,6 +108,25 @@ class TestExitCodes:
         assert code == 1
         assert "bad --duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_duration_flag_is_input_error(self, line_file, capsys, value):
+        code = main(["run", "--topology", line_file, "--duration", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bad --duration" in err and "not finite" in err
+
+    @pytest.mark.parametrize(
+        "line", ["DURATION = inf", "IPI = 1e400", "DRIFT_PPM_RANGE = nan", "DRIFT_PPM_RANGE = nan:nan"]
+    )
+    def test_non_finite_config_value_is_input_error(self, tmp_path, line_file, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code = main(["run", "--topology", line_file, "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+
     def test_invalid_config_content(self, tmp_path, line_file, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("IPI = 1s\n", encoding="utf-8")

@@ -108,6 +108,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("SEED = 3\nIPI = soon\n")
 
+    @pytest.mark.parametrize(
+        "line", ["DURATION = inf", "IPI = 1e400", "DURATION = nan", "SLOT_LENGTH = -infms"]
+    )
+    def test_non_finite_duration_rejected(self, line):
+        with pytest.raises(ConfigError, match="line 1: .*not finite"):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "nan:nan", "-inf:0", "0:nan"])
+    def test_non_finite_drift_rejected(self, value):
+        with pytest.raises(ConfigError, match="DRIFT_PPM_RANGE must be finite"):
+            parse_config(f"DRIFT_PPM_RANGE = {value}\n")
+
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="expected KEY = value"):
             parse_config("IPI 10s\n")
@@ -128,6 +140,15 @@ class TestValidate:
         with pytest.raises(ConfigError, match="LOSS_PROBABILITY"):
             SimConfig(loss_probability=-0.1).validate()
         SimConfig(loss_probability=0.99).validate()
+
+    def test_non_finite_numbers_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ConfigError, match="DRIFT_PPM_RANGE must be finite"):
+            SimConfig(drift_ppm_range=(-inf, inf)).validate()
+        with pytest.raises(ConfigError, match="LOSS_PROBABILITY must be finite"):
+            SimConfig(loss_probability=nan).validate()
+        with pytest.raises(ConfigError, match="DURATION must be finite"):
+            SimConfig(duration=inf).validate()
 
     def test_drift_range_order(self):
         with pytest.raises(ConfigError, match="DRIFT_PPM_RANGE"):

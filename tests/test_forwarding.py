@@ -11,9 +11,9 @@ from lwbsim.forwarding import (
     refresh_sink_distances,
 )
 from lwbsim.glossy import ClockState, flood
-from lwbsim.topology import bfs_distances
 
 from _support import (
+    bfs_oracle,
     diamond_pendant,
     random_connected_topology,
     shortest_path_forwarders,
@@ -149,8 +149,8 @@ class TestAgainstGeometricOracle:
     def test_forwarders_sit_on_shortest_paths(self):
         rng = random.Random(64)
         topo = random_connected_topology(rng, 20)
-        dist_sink = bfs_distances(topo, 1)
+        dist_sink = bfs_oracle(topo, 1)
         for source in sorted(topo.nodes - {1}):
-            dist_src = bfs_distances(topo, source)
+            dist_src = bfs_oracle(topo, source)
             for u in shortest_path_forwarders(topo, 1, source):
                 assert dist_sink[u] + dist_src[u] == dist_sink[source]

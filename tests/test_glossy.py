@@ -1,22 +1,20 @@
-"""Flood wave mechanics, clock guard arithmetic and the radio cost rule."""
+"""Flood wave mechanics, the bitmask kernel against the set-based wave
+loop it replaced, the zero-loss memo, and clock guard arithmetic."""
 
 import random
 
 import pytest
 
-from lwbsim.glossy import (
-    ClockState,
-    ROLE_ASLEEP,
-    ROLE_BOOTSTRAP,
-    ROLE_INITIATOR,
-    ROLE_LISTENER,
-    ROLE_RELAY,
-    flood,
-    slot_radio_cost,
-)
-from lwbsim.topology import Topology, bfs_distances
+from lwbsim import glossy
+from lwbsim.glossy import ClockState, flood, waves
+from lwbsim.topology import Topology
 
-from _support import random_connected_topology
+from _support import (
+    bfs_oracle,
+    reachable_hops,
+    random_connected_topology,
+    reference_flood_hops,
+)
 
 
 def test_flood_line_all_participate():
@@ -48,8 +46,7 @@ def test_flood_initiator_transmits_even_outside_participants():
 def test_flood_diamond_hops_match_bfs():
     topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
     out = flood(topo, 1, b"", set(topo.nodes))
-    dist = bfs_distances(topo, 1)
-    assert out.hops == {n: d for n, d in dist.items() if d is not None}
+    assert out.hops == reachable_hops(bfs_oracle(topo, 1))
 
 
 def test_flood_equals_bfs_for_random_participant_sets():
@@ -60,8 +57,7 @@ def test_flood_equals_bfs_for_random_participant_sets():
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.7} | {initiator}
         out = flood(topo, initiator, b"", participants)
-        dist = bfs_distances(topo, initiator, participants)
-        assert out.hops == {n: d for n, d in dist.items() if d is not None}
+        assert out.hops == reachable_hops(bfs_oracle(topo, initiator, participants))
 
 
 def test_flood_participation_monotone():
@@ -138,6 +134,81 @@ def test_flood_argument_errors():
         flood(topo, 1, b"", {1, 2}, 0.5, None)
 
 
+def _random_floods(seed, count, max_nodes=40):
+    """(topology, initiator, participants) triples on random graphs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        topo = random_connected_topology(rng, rng.randint(2, max_nodes))
+        nodes = sorted(topo.nodes)
+        initiator = rng.choice(nodes)
+        keep = rng.choice((1.0, 0.7, 0.3))
+        participants = {n for n in nodes if rng.random() < keep}
+        if rng.random() < 0.8:
+            participants.add(initiator)
+        yield topo, initiator, participants
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.5])
+def test_kernel_matches_reference_wave_loop(loss):
+    for topo, initiator, participants in _random_floods(5150, 60):
+        ours, theirs = random.Random(77), random.Random(77)
+        out = flood(topo, initiator, b"", participants, loss, ours)
+        want = reference_flood_hops(topo, initiator, participants, loss, theirs)
+        assert out.hops == want
+        # equal rng states pin down the number and order of loss draws
+        assert ours.getstate() == theirs.getstate()
+        assert out.heard == sorted(n for n in want if n in participants)
+
+
+def test_kernel_reports_relaying_receivers():
+    topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
+    hops, relayed = waves(topo.neighbor_masks, 1, Topology.mask_of({2, 5}))
+    assert hops == {1: 0, 2: 1, 5: 1, 3: 2}
+    assert relayed == [2, 5]
+
+
+def test_memo_hit_equals_fresh_computation():
+    for topo, initiator, participants in _random_floods(6160, 30):
+        first = flood(topo, initiator, b"", participants)
+        again = flood(topo, initiator, b"", set(participants))
+        assert again is first
+        topo.flood_memo.clear()
+        fresh = flood(topo, initiator, b"", participants)
+        assert fresh is not first
+        assert fresh.hops == first.hops
+        assert fresh.heard == first.heard
+
+
+def test_lossy_floods_bypass_the_memo():
+    topo = Topology.from_edges([(1, 2), (2, 3)])
+    flood(topo, 1, b"", {1, 2, 3}, 0.5, random.Random(3))
+    assert not topo.flood_memo
+
+
+def test_memo_hit_still_checks_arguments():
+    topo = Topology.from_edges([(1, 2)])
+    outcome = flood(topo, 1, b"", {1, 2})
+    assert flood(topo, 1, b"", {1, 2}) is outcome
+    with pytest.raises(ValueError, match="exceeds"):
+        flood(topo, 1, b"x" * 41, {1, 2})
+    # plant an entry for a node the topology does not have
+    topo.flood_memo[(7, Topology.mask_of({1, 2}))] = outcome
+    with pytest.raises(ValueError, match="not in topology"):
+        flood(topo, 7, b"", {1, 2})
+
+
+def test_memo_size_is_bounded():
+    topo = random_connected_topology(random.Random(8), 12)
+    others = sorted(topo.nodes - {1})
+    for i in range(glossy.MEMO_CAP + 50):
+        participants = {1} | {n for bit, n in enumerate(others) if i >> bit & 1}
+        flood(topo, 1, b"", participants)
+        assert len(topo.flood_memo) <= glossy.MEMO_CAP
+    assert len(topo.flood_memo) == glossy.MEMO_CAP
+    # the oldest entries went first
+    assert (1, Topology.mask_of({1})) not in topo.flood_memo
+
+
 class TestClockState:
     def test_apply_sync_sets_state(self):
         clock = ClockState(drift_ppm=50.0)
@@ -193,18 +264,3 @@ class TestClockState:
         assert not clock.check_guard(30_000_000)
         clock.apply_sync(30_000_000)
         assert clock.check_guard(40_000_000)
-
-
-class TestSlotRadioCost:
-    @pytest.mark.parametrize(
-        "role", [ROLE_INITIATOR, ROLE_RELAY, ROLE_LISTENER, ROLE_BOOTSTRAP]
-    )
-    def test_awake_roles_pay_full_slot(self, role):
-        assert slot_radio_cost(role, 15_000) == 15_000
-
-    def test_asleep_pays_nothing(self):
-        assert slot_radio_cost(ROLE_ASLEEP, 15_000) == 0
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError):
-            slot_radio_cost("zombie", 15_000)

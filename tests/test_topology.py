@@ -6,9 +6,10 @@ import networkx as nx
 import pytest
 
 from lwbsim.errors import TopologyError
+from lwbsim.glossy import flood
 from lwbsim.topology import Topology, bfs_distances, is_connected, load_topology
 
-from _support import random_connected_topology
+from _support import bfs_oracle, random_connected_topology
 
 
 class TestLoadTopology:
@@ -67,6 +68,25 @@ class TestTopologyType:
         with pytest.raises(TopologyError):
             topo.neighbors(42)
 
+    def test_neighbor_masks_match_neighbors(self):
+        topo = random_connected_topology(random.Random(12), 30)
+        for node in topo.nodes:
+            mask = topo.neighbor_masks[node]
+            assert [n for n in range(mask.bit_length()) if mask >> n & 1] == list(
+                topo.neighbors(node)
+            )
+
+    def test_negative_node_id_rejected(self):
+        with pytest.raises(TopologyError, match="negative"):
+            Topology.from_edges([(-1, 2)])
+
+    def test_flood_memo_does_not_affect_equality(self):
+        a = Topology.from_edges([(1, 2), (2, 3)])
+        b = Topology.from_edges([(1, 2), (2, 3)])
+        flood(a, 1, b"", {1, 2, 3})
+        assert a.flood_memo and not b.flood_memo
+        assert a == b and hash(a) == hash(b)
+
 
 class TestBfsDistances:
     def test_line_all_relays(self):
@@ -110,6 +130,16 @@ class TestBfsDistances:
             want = nx.single_source_shortest_path_length(g, root)
             got = bfs_distances(topo, root)
             assert {n: d for n, d in got.items() if d is not None} == dict(want)
+
+    def test_restricted_relays_match_plain_bfs(self):
+        rng = random.Random(4711)
+        for _ in range(25):
+            topo = random_connected_topology(rng, rng.randint(2, 40))
+            nodes = sorted(topo.nodes)
+            keep = rng.choice((0.3, 0.7))
+            relays = {n for n in nodes if rng.random() < keep}
+            root = rng.choice(nodes)
+            assert bfs_distances(topo, root, relays) == bfs_oracle(topo, root, relays)
 
     def test_triangle_inequality_on_random_graphs(self):
         rng = random.Random(5150)
