@@ -265,7 +265,3 @@ def parse_config(text: str) -> SimConfig:
     config = SimConfig(**values)  # type: ignore[arg-type]
     config.validate()
     return config
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(SimConfig)]

@@ -46,11 +46,6 @@ class SyncHeader:
 
 
 @dataclass(frozen=True)
-class RequestPacket:
-    requester: int
-
-
-@dataclass(frozen=True)
 class ReplyPacket:
     requester: int
     assigned_slot: int
@@ -96,7 +91,6 @@ class NodeState:
     bootstrap: bool = True
     my_slot: int | None = None
     sink_distance: int | None = None
-    known_round: SyncHeader | None = None
     queue: deque = field(default_factory=deque)
     next_sequence: int = 0
     next_generation_time: int = 0

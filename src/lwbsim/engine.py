@@ -8,7 +8,13 @@ Radio accounting is slot granular. A node awake for a slot pays the full
 slot length whether it initiates, relays or just listens; a node that skips
 a slot pays nothing. A node in bootstrap keeps its radio on for the whole
 round, except in the round where it catches the sync flood, from which
-point on it is charged like any synced node.
+point on it is charged like any synced node. The charge is folded once per
+round from the finished slots: slots that wake the same nodes share one
+awake list object, charged slot length times the slots it was awake for.
+
+Participant state is computed once per round: the sync flood's mask, one
+awake list and mask for the request block and every data slot that wakes
+all active nodes, and a slot -> forwarders index for forwarder selection.
 
 Determinism: all iteration over node sets happens in sorted node id order,
 and a single rng instance drives first the contention draw of a request
@@ -19,6 +25,7 @@ slot's flood (only when the loss probability is nonzero).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import SimConfig
@@ -34,7 +41,8 @@ from .core import (
     sink_assign,
 )
 from .errors import SimulationError, SlotCapacityError
-from .forwarding import apply_announce, build_announce, data_participants, refresh_sink_distances
+from .forwarding import apply_announce, build_announce, data_participants
+from .forwarding import forwarder_index, refresh_sink_distances
 from .glossy import flood
 from .topology import Topology
 
@@ -129,6 +137,26 @@ def _generate_packets(world: World, trace_generated, trace_dropped) -> None:
             state.next_generation_time += cfg.ipi
 
 
+def _radio_on(
+    topology: Topology,
+    config: SimConfig,
+    slots: list[SlotTrace],
+    bootstrap: list[int],
+    round_period: int,
+) -> dict[int, int]:
+    """Radio-on time per node for one finished round; slots[0] is sync."""
+    sync, *rest = slots
+    lists = {id(slot.awake): slot.awake for slot in rest}
+    charges = [(sync.awake, config.sync_slot_length), (bootstrap, round_period)]
+    for key, count in Counter(id(slot.awake) for slot in rest).items():
+        charges.append((lists[key], count * config.slot_length))
+    radio = dict.fromkeys(topology.nodes, 0)
+    for awake, cost in charges:
+        for node_id in awake:
+            radio[node_id] += cost
+    return radio
+
+
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     """Run one full round and return its trace.
 
@@ -149,7 +177,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         )
 
     t = world.now
-    radio: dict[int, int] = {n: 0 for n in topo.nodes}
+    channel = (cfg.loss_probability, rng, cfg.max_payload_len)
     generated: list[tuple[int, int]] = []
     dropped: list[int] = []
     _generate_packets(world, generated, dropped)
@@ -170,12 +198,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # Sync slot. Synced nodes relay; bootstrap nodes have their radio on
     # anyway, so they receive (without relaying) and join on success.
     synced_ids = [n for n in world.node_order() if not nodes[n].bootstrap or n == sink]
-    outcome = flood(
-        topo, sink, b"", set(synced_ids), cfg.loss_probability, rng, cfg.max_payload_len
-    )
+    outcome = flood(topo, sink, b"", topo.mask_of(synced_ids), *channel)
     active: set[int] = {sink}
     joined: list[int] = []
-    nodes[sink].known_round = header
     for node_id in world.node_order():
         if node_id == sink:
             continue
@@ -186,11 +211,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             state.bootstrap = False
             joined.append(node_id)
         state.clock.apply_sync(t)
-        state.known_round = header
         active.add(node_id)
     sync_awake = sorted(set(synced_ids) | set(joined))
-    for node_id in sync_awake:
-        radio[node_id] += cfg.sync_slot_length
     slots.append(
         SlotTrace(
             t=t,
@@ -204,11 +226,12 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
 
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
-    # have to relay them.
+    # have to relay them. All these slots share one awake list and mask.
     request_outcomes: list[int | None] = []
     new_assignments: list[tuple[int, int]] = []
     capacity_events = 0
     awake = sorted(active)
+    awake_mask = topo.mask_of(awake)
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
         # request slot
@@ -219,9 +242,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         heard: int | None = None
         received: list[int] = []
         if winner is not None:
-            fo = flood(
-                topo, winner, b"", active, cfg.loss_probability, rng, cfg.max_payload_len
-            )
+            fo = flood(topo, winner, b"", awake_mask, *channel)
             # a node whose radio is off can sit next to a transmitter and
             # still hear nothing; traces only list awake receivers, which
             # in every slot after sync are exactly the flood's participants
@@ -229,8 +250,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             if fo.received(sink):
                 heard = winner
         request_outcomes.append(heard)
-        for node_id in awake:
-            radio[node_id] += cfg.slot_length
         slots.append(
             SlotTrace(
                 t=t,
@@ -258,9 +277,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 reply_trace.capacity_exceeded = True
                 reply_trace.requester = heard
             if reply is not None:
-                fo = flood(
-                    topo, sink, b"", active, cfg.loss_probability, rng, cfg.max_payload_len
-                )
+                fo = flood(topo, sink, b"", awake_mask, *channel)
                 if fs_mode:
                     refresh_sink_distances(nodes, active, fo)
                 reply_trace.received = fo.heard
@@ -275,8 +292,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     reply_trace.delivered = True
                     if fs_mode:
                         announce_source = reply.requester
-        for node_id in awake:
-            radio[node_id] += cfg.slot_length
         slots.append(reply_trace)
         t += cfg.slot_length
 
@@ -287,16 +302,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 state = nodes[announce_source]
                 announce = build_announce(state, state.my_slot)
                 if announce is not None:
-                    fo = flood(
-                        topo,
-                        announce_source,
-                        b"",
-                        active,
-                        cfg.loss_probability,
-                        rng,
-                        cfg.max_payload_len,
-                    )
-                    for node_id in sorted(active):
+                    fo = flood(topo, announce_source, b"", awake_mask, *channel)
+                    for node_id in awake:
                         apply_announce(
                             nodes[node_id], announce, fo.hops.get(node_id)
                         )
@@ -306,8 +313,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     ann_trace.source = announce_source
                     ann_trace.announced_distance = announce.distance
                     ann_trace.slot_id = announce.slot
-            for node_id in awake:
-                radio[node_id] += cfg.slot_length
             slots.append(ann_trace)
             t += cfg.slot_length
 
@@ -315,22 +320,12 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # an owner; the owner floods the oldest queued packet, or an empty
     # keepalive when its queue is dry. An absent owner leaves the slot
     # silent but its members still listened.
+    forwarders = forwarder_index(awake, nodes, world.announced_slots) if header.n_data else {}
     for slot_id in range(header.n_data):
         owner = sched.slot_owner.get(slot_id)
         if owner is None:
             raise SimulationError(f"data slot {slot_id} has no owner")
-        members = data_participants(
-            active,
-            nodes,
-            slot_id,
-            owner,
-            sink,
-            fs_mode,
-            slot_id in world.announced_slots,
-        )
-        if members == awake:
-            # one shared list per round instead of one copy per slot
-            members = awake
+        members = data_participants(awake, forwarders, slot_id, owner, sink)
         data_trace = SlotTrace(
             t=t, kind="data", awake=members, received=[], slot_id=slot_id, owner=owner
         )
@@ -340,22 +335,13 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 gen_round, packet = owner_state.queue.popleft()
             else:
                 gen_round, packet = None, DataPacket(owner, None, b"")
-            fo = flood(
-                topo,
-                owner,
-                packet.payload,
-                set(members),
-                cfg.loss_probability,
-                rng,
-                cfg.max_payload_len,
-            )
+            mask = awake_mask if members is awake else topo.mask_of(members)
+            fo = flood(topo, owner, packet.payload, mask, *channel)
             data_trace.received = fo.heard
             data_trace.initiator = owner
             data_trace.payload_len = len(packet.payload)
             data_trace.gen_round = gen_round
             data_trace.delivered = fo.received(sink) and gen_round is not None
-        for node_id in members:
-            radio[node_id] += cfg.slot_length
         slots.append(data_trace)
         t += cfg.slot_length
 
@@ -370,8 +356,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     still_bootstrap = [
         n for n in world.node_order() if nodes[n].bootstrap and n != sink
     ]
-    for node_id in still_bootstrap:
-        radio[node_id] += header.round_period
 
     sched.assert_injective()
     trace = RoundTrace(
@@ -383,7 +367,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         n_rr=header.n_rr,
         n_data=header.n_data,
         slots=slots,
-        radio_on=radio,
+        radio_on=_radio_on(topo, cfg, slots, still_bootstrap, header.round_period),
         request_outcomes=request_outcomes,
         new_assignments=new_assignments,
         joined=joined,

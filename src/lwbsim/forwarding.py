@@ -11,6 +11,7 @@ which means the node sits on a shortest path between sink and source.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import NodeState
 from .glossy import FloodOutcome
@@ -69,26 +70,45 @@ def apply_announce(
         state.forwarder_slots.discard(announce.slot)
 
 
+def forwarder_index(
+    awake: list[int], nodes: dict[int, NodeState], announced: Iterable[int]
+) -> dict[int, list[int]]:
+    """Map every announced slot to its forwarders among the awake nodes.
+
+    awake is sorted, so every forwarder list comes out sorted too. A slot
+    that was never announced has no entry.
+    """
+    index: dict[int, list[int]] = {slot: [] for slot in announced}
+    for node_id in awake:
+        for slot in nodes[node_id].forwarder_slots:
+            index[slot].append(node_id)
+    return index
+
+
 def data_participants(
-    active: set[int],
-    nodes: dict[int, NodeState],
+    awake: list[int],
+    forwarders: dict[int, list[int]],
     slot_id: int,
-    owner: int | None,
+    owner: int,
     sink: int,
-    fs_mode: bool,
-    announced: bool,
 ) -> list[int]:
     """Nodes awake for one data slot, sorted.
 
-    Without forwarder selection every active node takes part. With it, the
-    slot's forwarders plus the owner and the sink stay awake; a slot whose
-    owner never announced falls back to everyone so packets are not lost to
-    missing metadata.
+    awake is the sorted list of active nodes and forwarders the round's
+    forwarder_index. Without forwarder selection nothing is announced and
+    every active node takes part; so does everyone in a slot whose owner
+    never announced, so packets are not lost to missing metadata. Both cases
+    return the awake list object itself. An announced slot wakes its
+    forwarders plus the owner, when active, and the sink, which is always
+    active; a selection that covers every active node is awake itself too.
     """
-    if not fs_mode or not announced:
-        return sorted(active)
-    members = {n for n in active if slot_id in nodes[n].forwarder_slots}
-    if owner is not None and owner in active:
+    selected = forwarders.get(slot_id)
+    if selected is None:
+        return awake
+    members = set(selected)
+    if owner in awake:
         members.add(owner)
     members.add(sink)
+    if len(members) == len(awake):
+        return awake
     return sorted(members)

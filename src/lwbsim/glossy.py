@@ -108,7 +108,7 @@ def flood(
     topology: Topology,
     initiator: int,
     payload: bytes,
-    participants: set[int],
+    participants: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
     max_payload_len: int = DEFAULT_MAX_PAYLOAD,
@@ -120,7 +120,9 @@ def flood(
         initiator: node that starts the flood, transmits regardless of the
             participant set.
         payload: application bytes carried by the flood.
-        participants: nodes allowed to retransmit after receiving.
+        participants: mask of the nodes allowed to retransmit after
+            receiving (bit n = node n, as built by Topology.mask_of).
+            Callers compute it once per distinct participant set.
         loss_probability: per node, per wave reception failure probability.
         rng: required when loss_probability > 0; draws happen in node id
             order within each wave.
@@ -141,16 +143,15 @@ def flood(
     if loss_probability > 0.0 and rng is None:
         raise ValueError("an rng is required when loss_probability > 0")
 
-    relays = topology.mask_of(participants)
     if loss_probability > 0.0:
-        return _outcome(topology, initiator, relays, loss_probability, rng)
+        return _outcome(topology, initiator, participants, loss_probability, rng)
     memo = topology.flood_memo
-    key = (initiator, relays)
+    key = (initiator, participants)
     outcome = memo.get(key)
     if outcome is None:
         if len(memo) >= MEMO_CAP:
             del memo[next(iter(memo))]
-        outcome = memo[key] = _outcome(topology, initiator, relays, 0.0, None)
+        outcome = memo[key] = _outcome(topology, initiator, participants, 0.0, None)
     return outcome
 
 

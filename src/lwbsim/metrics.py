@@ -9,7 +9,7 @@ the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import RoundTrace
 from .errors import ComparabilityError, SimulationError
@@ -233,15 +233,17 @@ class ComparisonReport:
 def compare(run_a, run_b) -> ComparisonReport:
     """Compare two finished runs of the same scenario.
 
-    Both runs must use the same topology, seed and duration; anything else
-    would compare apples with oranges and raises ComparabilityError.
+    Both runs must use the same topology and agree on every config field
+    except forwarder_selection, the one difference a comparison is for;
+    anything else would compare apples with oranges and raises
+    ComparabilityError.
     """
     if run_a.topology != run_b.topology:
         raise ComparabilityError("runs used different topologies")
-    if run_a.config.seed != run_b.config.seed:
-        raise ComparabilityError("runs used different seeds")
-    if run_a.config.duration != run_b.config.duration:
-        raise ComparabilityError("runs used different durations")
+    for f in fields(run_a.config):
+        a, b = getattr(run_a.config, f.name), getattr(run_b.config, f.name)
+        if f.name != "forwarder_selection" and a != b:
+            raise ComparabilityError(f"runs used different {f.name}: {a!r} vs {b!r}")
     ma, mb = run_a.metrics, run_b.metrics
     rows = []
     for n in ma.node_ids:

@@ -190,31 +190,23 @@ def write_trace(path: str | Path, traces: list[RoundTrace]) -> None:
 
 def forwarder_table(result: RunResult) -> list[dict]:
     """Forwarder sets per assigned slot, from the final node states."""
-    from .forwarding import data_participants
+    from .forwarding import data_participants, forwarder_index
 
     world = result.world
-    cfg = result.config
-    active = {
-        n for n in world.node_order() if not world.nodes[n].bootstrap
-    }
+    sink = result.config.sink_node_id
+    active = [n for n in world.node_order() if not world.nodes[n].bootstrap]
+    forwarders = forwarder_index(active, world.nodes, world.announced_slots)
     table = []
     for slot_id in range(world.schedule.next_free_slot):
         owner = world.schedule.slot_owner[slot_id]
-        members = data_participants(
-            active,
-            world.nodes,
-            slot_id,
-            owner,
-            cfg.sink_node_id,
-            cfg.forwarder_selection,
-            slot_id in world.announced_slots,
-        )
         table.append(
             {
                 "slot": slot_id,
                 "owner": owner,
                 "distance": world.announced_slots.get(slot_id),
-                "forwarders": members,
+                "forwarders": data_participants(
+                    active, forwarders, slot_id, owner, sink
+                ),
             }
         )
     return table

@@ -56,7 +56,6 @@ class TestBootstrapAndSync:
         assert trace.joined == [2]
         sync_slot = trace.slots[0]
         assert sync_slot.received == [1, 2]
-        assert world.nodes[3].known_round is None
         assert trace.radio_on[3] == US_SLOT
         for slot in trace.slots[1:]:
             assert 3 not in slot.awake

@@ -8,9 +8,11 @@ from lwbsim.forwarding import (
     apply_announce,
     build_announce,
     data_participants,
+    forwarder_index,
     refresh_sink_distances,
 )
 from lwbsim.glossy import ClockState, flood
+from lwbsim.topology import Topology
 
 from _support import (
     bfs_oracle,
@@ -30,7 +32,7 @@ class TestRefreshSinkDistances:
     def test_records_hops_for_listeners(self):
         topo = diamond_pendant()
         nodes = {n: _node(n) for n in topo.nodes}
-        outcome = flood(topo, 1, b"", set(topo.nodes))
+        outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
         refresh_sink_distances(nodes, set(topo.nodes), outcome)
         assert {n: nodes[n].sink_distance for n in sorted(nodes)} == {
             1: 0,
@@ -43,7 +45,7 @@ class TestRefreshSinkDistances:
     def test_non_listeners_keep_previous_value(self):
         topo = diamond_pendant()
         nodes = {n: _node(n, sink_distance=9) for n in topo.nodes}
-        outcome = flood(topo, 1, b"", set(topo.nodes))
+        outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
         refresh_sink_distances(nodes, {2, 3}, outcome)
         assert nodes[2].sink_distance == 1
         assert nodes[4].sink_distance == 9
@@ -94,35 +96,51 @@ class TestApplyAnnounce:
 
 
 class TestDataParticipants:
-    def _nodes(self, topo, forwarders, slot_id):
+    def _index(self, topo, awake, forwarders, slot_id):
         nodes = {n: _node(n) for n in topo.nodes}
         for n in forwarders:
             nodes[n].forwarder_slots.add(slot_id)
-        return nodes
+        return forwarder_index(awake, nodes, [slot_id])
 
     def test_plain_bus_wakes_everyone_active(self):
-        topo = diamond_pendant()
-        nodes = self._nodes(topo, {2}, 0)
-        got = data_participants({1, 2, 4}, nodes, 0, 4, 1, False, True)
+        # nothing is announced without forwarder selection
+        awake = [1, 2, 4]
+        got = data_participants(awake, {}, 0, 4, 1)
         assert got == [1, 2, 4]
 
     def test_fs_slot_wakes_forwarders_owner_sink(self):
         topo = diamond_pendant()
-        nodes = self._nodes(topo, {2, 3}, 0)
-        got = data_participants(set(topo.nodes), nodes, 0, 4, 1, True, True)
+        awake = sorted(topo.nodes)
+        index = self._index(topo, awake, {2, 3}, 0)
+        got = data_participants(awake, index, 0, 4, 1)
         assert got == [1, 2, 3, 4]
 
     def test_unannounced_fs_slot_falls_back_to_everyone(self):
         topo = diamond_pendant()
-        nodes = self._nodes(topo, set(), 0)
-        got = data_participants(set(topo.nodes), nodes, 0, 4, 1, True, False)
+        awake = sorted(topo.nodes)
+        index = self._index(topo, awake, set(), 1)
+        got = data_participants(awake, index, 0, 4, 1)
         assert got == [1, 2, 3, 4, 5]
 
     def test_inactive_owner_is_not_woken(self):
         topo = diamond_pendant()
-        nodes = self._nodes(topo, {2}, 0)
-        got = data_participants({1, 2, 3}, nodes, 0, 4, 1, True, True)
+        awake = [1, 2, 3]
+        index = self._index(topo, awake, {2}, 0)
+        got = data_participants(awake, index, 0, 4, 1)
         assert got == [1, 2]
+
+    def test_nothing_to_select_returns_the_awake_list_itself(self):
+        topo = diamond_pendant()
+        awake = sorted(topo.nodes)
+        assert data_participants(awake, {}, 0, 4, 1) is awake
+        # every awake node forwards: the selection is the whole list
+        index = self._index(topo, awake, topo.nodes, 0)
+        assert data_participants(awake, index, 0, 4, 1) is awake
+
+    def test_index_keeps_awake_forwarders_in_order(self):
+        topo = diamond_pendant()
+        index = self._index(topo, [1, 3, 5], {5, 3, 4}, 0)
+        assert index == {0: [3, 5]}
 
 
 class TestAgainstGeometricOracle:
@@ -135,12 +153,12 @@ class TestAgainstGeometricOracle:
             nodes = {n: _node(n) for n in topo.nodes}
             everyone = set(topo.nodes)
             sink = 1
-            reply = flood(topo, sink, b"", everyone)
+            reply = flood(topo, sink, b"", Topology.mask_of(everyone))
             refresh_sink_distances(nodes, everyone, reply)
             source = max(topo.nodes)
             announce = build_announce(nodes[source], 0)
             assert announce is not None
-            outcome = flood(topo, source, b"", everyone)
+            outcome = flood(topo, source, b"", Topology.mask_of(everyone))
             for n in sorted(everyone):
                 apply_announce(nodes[n], announce, outcome.hops.get(n))
             got = {n for n in everyone if 0 in nodes[n].forwarder_slots}

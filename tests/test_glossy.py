@@ -19,33 +19,33 @@ from _support import (
 
 def test_flood_line_all_participate():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
-    out = flood(topo, 1, b"", {1, 2, 3, 4})
+    out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}))
     assert out.hops == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 def test_flood_listener_does_not_relay():
     # node 2 hears the flood but is not a participant, so node 3 starves
     topo = Topology.from_edges([(1, 2), (2, 3)])
-    out = flood(topo, 1, b"", {1, 3})
+    out = flood(topo, 1, b"", Topology.mask_of({1, 3}))
     assert out.hops == {1: 0, 2: 1}
     assert not out.received(3)
 
 
 def test_flood_single_node_topology():
     topo = Topology(frozenset({1}), frozenset())
-    out = flood(topo, 1, b"", {1})
+    out = flood(topo, 1, b"", Topology.mask_of({1}))
     assert out.hops == {1: 0}
 
 
 def test_flood_initiator_transmits_even_outside_participants():
     topo = Topology.from_edges([(1, 2)])
-    out = flood(topo, 1, b"", set())
+    out = flood(topo, 1, b"", Topology.mask_of(set()))
     assert out.hops == {1: 0, 2: 1}
 
 
 def test_flood_diamond_hops_match_bfs():
     topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
-    out = flood(topo, 1, b"", set(topo.nodes))
+    out = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
     assert out.hops == reachable_hops(bfs_oracle(topo, 1))
 
 
@@ -56,7 +56,7 @@ def test_flood_equals_bfs_for_random_participant_sets():
         nodes = sorted(topo.nodes)
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.7} | {initiator}
-        out = flood(topo, initiator, b"", participants)
+        out = flood(topo, initiator, b"", Topology.mask_of(participants))
         assert out.hops == reachable_hops(bfs_oracle(topo, initiator, participants))
 
 
@@ -69,8 +69,8 @@ def test_flood_participation_monotone():
         initiator = rng.choice(nodes)
         small = {n for n in nodes if rng.random() < 0.4} | {initiator}
         big = small | {n for n in nodes if rng.random() < 0.5}
-        got_small = set(flood(topo, initiator, b"", small).hops)
-        got_big = set(flood(topo, initiator, b"", big).hops)
+        got_small = set(flood(topo, initiator, b"", Topology.mask_of(small)).hops)
+        got_big = set(flood(topo, initiator, b"", Topology.mask_of(big)).hops)
         assert got_small <= got_big
 
 
@@ -81,7 +81,7 @@ def test_flood_hop_is_one_more_than_some_transmitting_neighbor():
         nodes = sorted(topo.nodes)
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.6} | {initiator}
-        out = flood(topo, initiator, b"", participants)
+        out = flood(topo, initiator, b"", Topology.mask_of(participants))
         transmitters = {n for n in out.hops if n in participants or n == initiator}
         for node, hop in out.hops.items():
             if node == initiator:
@@ -94,8 +94,8 @@ def test_flood_hop_is_one_more_than_some_transmitting_neighbor():
 
 def test_flood_loss_deterministic_per_seed():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)])
-    a = flood(topo, 1, b"", set(topo.nodes), 0.5, random.Random(9))
-    b = flood(topo, 1, b"", set(topo.nodes), 0.5, random.Random(9))
+    a = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
+    b = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
     assert a.hops == b.hops
 
 
@@ -103,7 +103,7 @@ def test_flood_loss_can_strand_nodes():
     # with heavy loss on a line some suffix of the line is cut off
     topo = Topology.from_edges([(i, i + 1) for i in range(1, 10)])
     rng = random.Random(2)
-    out = flood(topo, 1, b"", set(topo.nodes), 0.9, rng)
+    out = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.9, rng)
     got = set(out.hops)
     assert 1 in got
     # receivers form a prefix of the line: each received node's predecessor
@@ -119,19 +119,19 @@ def test_flood_zero_loss_never_draws_from_rng():
             raise AssertionError("rng consulted with loss 0")
 
     topo = Topology.from_edges([(1, 2)])
-    flood(topo, 1, b"", {1, 2}, 0.0, Boom())
+    flood(topo, 1, b"", Topology.mask_of({1, 2}), 0.0, Boom())
 
 
 def test_flood_argument_errors():
     topo = Topology.from_edges([(1, 2)])
     with pytest.raises(ValueError, match="not in topology"):
-        flood(topo, 7, b"", {1, 2})
+        flood(topo, 7, b"", Topology.mask_of({1, 2}))
     with pytest.raises(ValueError, match="exceeds"):
-        flood(topo, 1, b"x" * 41, {1, 2})
+        flood(topo, 1, b"x" * 41, Topology.mask_of({1, 2}))
     with pytest.raises(ValueError, match="loss probability"):
-        flood(topo, 1, b"", {1, 2}, 1.0, random.Random(0))
+        flood(topo, 1, b"", Topology.mask_of({1, 2}), 1.0, random.Random(0))
     with pytest.raises(ValueError, match="rng"):
-        flood(topo, 1, b"", {1, 2}, 0.5, None)
+        flood(topo, 1, b"", Topology.mask_of({1, 2}), 0.5, None)
 
 
 def _random_floods(seed, count, max_nodes=40):
@@ -152,7 +152,7 @@ def _random_floods(seed, count, max_nodes=40):
 def test_kernel_matches_reference_wave_loop(loss):
     for topo, initiator, participants in _random_floods(5150, 60):
         ours, theirs = random.Random(77), random.Random(77)
-        out = flood(topo, initiator, b"", participants, loss, ours)
+        out = flood(topo, initiator, b"", Topology.mask_of(participants), loss, ours)
         want = reference_flood_hops(topo, initiator, participants, loss, theirs)
         assert out.hops == want
         # equal rng states pin down the number and order of loss draws
@@ -169,11 +169,11 @@ def test_kernel_reports_relaying_receivers():
 
 def test_memo_hit_equals_fresh_computation():
     for topo, initiator, participants in _random_floods(6160, 30):
-        first = flood(topo, initiator, b"", participants)
-        again = flood(topo, initiator, b"", set(participants))
+        first = flood(topo, initiator, b"", Topology.mask_of(participants))
+        again = flood(topo, initiator, b"", Topology.mask_of(set(participants)))
         assert again is first
         topo.flood_memo.clear()
-        fresh = flood(topo, initiator, b"", participants)
+        fresh = flood(topo, initiator, b"", Topology.mask_of(participants))
         assert fresh is not first
         assert fresh.hops == first.hops
         assert fresh.heard == first.heard
@@ -181,20 +181,20 @@ def test_memo_hit_equals_fresh_computation():
 
 def test_lossy_floods_bypass_the_memo():
     topo = Topology.from_edges([(1, 2), (2, 3)])
-    flood(topo, 1, b"", {1, 2, 3}, 0.5, random.Random(3))
+    flood(topo, 1, b"", Topology.mask_of({1, 2, 3}), 0.5, random.Random(3))
     assert not topo.flood_memo
 
 
 def test_memo_hit_still_checks_arguments():
     topo = Topology.from_edges([(1, 2)])
-    outcome = flood(topo, 1, b"", {1, 2})
-    assert flood(topo, 1, b"", {1, 2}) is outcome
+    outcome = flood(topo, 1, b"", Topology.mask_of({1, 2}))
+    assert flood(topo, 1, b"", Topology.mask_of({1, 2})) is outcome
     with pytest.raises(ValueError, match="exceeds"):
-        flood(topo, 1, b"x" * 41, {1, 2})
+        flood(topo, 1, b"x" * 41, Topology.mask_of({1, 2}))
     # plant an entry for a node the topology does not have
     topo.flood_memo[(7, Topology.mask_of({1, 2}))] = outcome
     with pytest.raises(ValueError, match="not in topology"):
-        flood(topo, 7, b"", {1, 2})
+        flood(topo, 7, b"", Topology.mask_of({1, 2}))
 
 
 def test_memo_size_is_bounded():
@@ -202,7 +202,7 @@ def test_memo_size_is_bounded():
     others = sorted(topo.nodes - {1})
     for i in range(glossy.MEMO_CAP + 50):
         participants = {1} | {n for bit, n in enumerate(others) if i >> bit & 1}
-        flood(topo, 1, b"", participants)
+        flood(topo, 1, b"", Topology.mask_of(participants))
         assert len(topo.flood_memo) <= glossy.MEMO_CAP
     assert len(topo.flood_memo) == glossy.MEMO_CAP
     # the oldest entries went first

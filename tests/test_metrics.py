@@ -225,3 +225,18 @@ class TestCompare:
         b = run_simulation(SimConfig(duration=40 * US_SECOND), line_topology(3))
         with pytest.raises(ComparabilityError, match="duration"):
             compare(a, b)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loss_probability", 0.1),
+            ("ipi", 20 * US_SECOND),
+            ("slot_length", 10_000),
+        ],
+    )
+    def test_any_other_config_mismatch_rejected(self, field, value):
+        cfg = SimConfig(duration=30 * US_SECOND)
+        a = run_simulation(cfg, line_topology(3))
+        b = run_simulation(dataclasses.replace(cfg, **{field: value}), line_topology(3))
+        with pytest.raises(ComparabilityError, match=field):
+            compare(a, b)

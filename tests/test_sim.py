@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from _support import (
 )
 
 US_SECOND = 1_000_000
+DATA_DIR = Path(__file__).parent / "data"
 
 
 class TestPhaseSchedule:
@@ -270,3 +273,99 @@ class TestForwarderTable:
         for row in forwarder_table(result):
             assert row["forwarders"] == [1, 2, 3, 4]
             assert row["distance"] is None
+
+
+def _radio_rounds(text, slot_length, sync_slot_length):
+    """Per round, (radio_on as rendered, radio_on re-derived from the slot
+    and round records alone): every awake slot costs slot_length, a sync
+    slot sync_slot_length, and bootstrap costs the whole round period."""
+    rounds = []
+    expected = Counter()
+    for line in text.splitlines():
+        rec = json.loads(line)
+        if rec["kind"] == "slot":
+            cost = sync_slot_length if rec["type"] == "sync" else slot_length
+            for n in rec["awake"]:
+                expected[n] += cost
+            continue
+        for n in rec["bootstrap"]:
+            expected[n] += rec["period"]
+        got = {int(n): us for n, us in rec["radio_on"].items()}
+        assert set(expected) <= set(got)
+        rounds.append((got, {n: expected[n] for n in got}))
+        expected = Counter()
+    return rounds
+
+
+class TestRadioAccounting:
+    @pytest.mark.parametrize("name", ["golden_lwb.jsonl", "golden_fs.jsonl"])
+    def test_golden_radio_on_matches_awake_slots(self, name):
+        cfg = SimConfig()
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        rounds = _radio_rounds(text, cfg.slot_length, cfg.sync_slot_length)
+        assert rounds
+        for index, (got, want) in enumerate(rounds):
+            assert got == want, f"round {index}"
+
+    def test_lossy_drifting_run_radio_on_matches_awake_slots(self):
+        # distinct sync and data slot lengths keep the two terms apart
+        cfg = SimConfig(
+            duration=120 * US_SECOND,
+            forwarder_selection=True,
+            loss_probability=0.2,
+            drift_ppm_range=(50.0, 300.0),
+            slot_length=10_000,
+            sync_slot_length=20_000,
+            seed=5,
+        )
+        topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
+        result = run_simulation(cfg, topo)
+        assert any(t.desynced for t in result.traces)
+        assert any(t.bootstrap for t in result.traces)
+        text = render_trace(result.traces)
+        rounds = _radio_rounds(text, cfg.slot_length, cfg.sync_slot_length)
+        assert len(rounds) == len(result.traces)
+        for index, (got, want) in enumerate(rounds):
+            assert got == want, f"round {index}"
+
+
+class TestDataSlotMembership:
+    @pytest.mark.parametrize("fs", [True, False])
+    def test_awake_lists_match_membership_oracle(self, fs):
+        rng = random.Random(903)
+        selected = 0
+        for run in range(4):
+            topo = random_connected_topology(rng, rng.randint(8, 25), max_ecc=5)
+            cfg = SimConfig(
+                duration=90 * US_SECOND,
+                forwarder_selection=fs,
+                loss_probability=0.1,
+                seed=run,
+            )
+            sink = cfg.sink_node_id
+
+            def check(world, trace):
+                nonlocal selected
+                active = set(trace.slots[0].received)
+                requests = [s for s in trace.slots if s.kind == "request"]
+                for slot in requests:
+                    assert slot.awake == sorted(active)
+                    assert slot.awake is requests[0].awake
+                for slot in trace.slots:
+                    if slot.kind != "data":
+                        continue
+                    if fs and slot.slot_id in world.announced_slots:
+                        want = {
+                            n
+                            for n in active
+                            if slot.slot_id in world.nodes[n].forwarder_slots
+                        }
+                        want |= {slot.owner} & active
+                        want.add(sink)
+                        assert slot.awake == sorted(want)
+                        selected += slot.awake is not requests[0].awake
+                    else:
+                        assert slot.awake is requests[0].awake
+
+            run_simulation(cfg, topo, on_round=check)
+        assert (selected > 0) == fs

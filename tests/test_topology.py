@@ -83,7 +83,7 @@ class TestTopologyType:
     def test_flood_memo_does_not_affect_equality(self):
         a = Topology.from_edges([(1, 2), (2, 3)])
         b = Topology.from_edges([(1, 2), (2, 3)])
-        flood(a, 1, b"", {1, 2, 3})
+        flood(a, 1, b"", Topology.mask_of({1, 2, 3}))
         assert a.flood_memo and not b.flood_memo
         assert a == b and hash(a) == hash(b)
 
