@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage problems (bad flags, missing files),
-2 invalid input content (topology or config), 3 runtime failure.
+Exit codes: 0 success, 1 usage problems (bad flags, missing input files,
+unwritable output paths), 2 invalid input content (topology or config),
+3 runtime failure.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
+def _write_json(path: str, doc) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def _load_inputs(args) -> tuple[SimConfig, Topology]:
     config = parse_config(_read_file(args.config)) if args.config else SimConfig()
     overrides = {}
@@ -108,9 +114,7 @@ def _cmd_run(args) -> int:
         doc = result.metrics.to_dict()
         doc["mode"] = config.mode
         doc["seed"] = config.seed
-        Path(args.summary).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.summary, doc)
     return EXIT_OK
 
 
@@ -125,10 +129,7 @@ def _cmd_compare(args) -> int:
     report = compare(run_plain, run_fs)
     sys.stdout.write(report.render())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(args.out, report.to_dict())
     return EXIT_OK
 
 
@@ -153,9 +154,7 @@ def _cmd_forwarders(args) -> int:
     if not table:
         sys.stdout.write("no slots assigned\n")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(args.out, table)
     return EXIT_OK
 
 
@@ -171,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # OSError: an input or output path the file system refuses.
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, TopologyError) as exc:

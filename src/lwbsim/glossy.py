@@ -29,13 +29,10 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .units import US_PER_MS
+from .config import SimConfig
 
 if TYPE_CHECKING:
     from .topology import Topology
-
-DEFAULT_GUARD_US = 2 * US_PER_MS
-DEFAULT_MAX_PAYLOAD = 40
 
 # Zero-loss outcomes kept per topology.
 MEMO_CAP = 1024
@@ -111,7 +108,7 @@ def flood(
     participants: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
-    max_payload_len: int = DEFAULT_MAX_PAYLOAD,
+    max_payload_len: int = SimConfig.max_payload_len,
 ) -> FloodOutcome:
     """Run one flood and report reception per node.
 
@@ -182,7 +179,7 @@ class ClockState:
     """
 
     drift_ppm: float = 0.0
-    guard: int = DEFAULT_GUARD_US
+    guard: int = SimConfig.glossy_guard_time
     synced: bool = False
     last_sync_time: int = 0
 

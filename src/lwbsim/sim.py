@@ -5,6 +5,11 @@ produces byte-identical trace output. All randomness flows through one rng
 seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
+
+Trace records keep the key order render_trace lists. Slots share awake
+and received lists (one per round for the request block and full data
+slots, one per zero-loss memo entry for receivers), so trace lists are
+read-only: the renderer encodes each distinct list object once.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .config import SimConfig
 from .core import (
@@ -103,39 +108,14 @@ def run_simulation(
     return RunResult(config, topology, traces, metrics, world)
 
 
-def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
-    rec: dict = {
-        "kind": "slot",
-        "round": trace.index,
-        "t": slot.t,
-        "phase": trace.phase,
-        "type": slot.kind,
-        "initiator": slot.initiator,
-        "awake": slot.awake,
-        "received": slot.received,
-    }
-    if slot.kind == "request":
-        rec["contenders"] = slot.contender_count
-        rec["winner"] = slot.winner
-        rec["delivered"] = slot.delivered
-    elif slot.kind == "reply":
-        rec["requester"] = slot.requester
-        rec["assigned_slot"] = slot.assigned_slot
-        rec["new_assignment"] = slot.new_assignment
-        rec["delivered"] = slot.delivered
-        if slot.capacity_exceeded:
-            rec["capacity_exceeded"] = True
-    elif slot.kind == "announce":
-        rec["source"] = slot.source
-        rec["distance"] = slot.announced_distance
-        rec["slot_id"] = slot.slot_id
-    elif slot.kind == "data":
-        rec["slot_id"] = slot.slot_id
-        rec["owner"] = slot.owner
-        rec["payload_len"] = slot.payload_len
-        rec["gen_round"] = slot.gen_round
-        rec["delivered"] = slot.delivered
-    return rec
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _scalar(value):
+    """A trace field as JSON: None and bools spelled out, ints unchanged."""
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    return value
 
 
 def _round_record(trace: RoundTrace) -> dict:
@@ -159,33 +139,97 @@ def _round_record(trace: RoundTrace) -> dict:
     }
 
 
-def trace_records(traces: list[RoundTrace]) -> Iterator[dict]:
-    """Flat record stream: slot records in time order, then the round
-    summary, for each round. A global seq field gives a total order."""
+# Slot kinds are the engine's fixed lowercase names, written unescaped.
+_SLOT_HEAD = (
+    '{"kind":"slot","round":%s,"t":%s,"phase":%s,"type":"%s","initiator":%s,"awake":'
+)
+
+
+def _slot_tail(slot: SlotTrace, seq: int) -> str:
+    """The kind-specific fields of a slot record, its seq and newline."""
+    s, kind = _scalar, slot.kind
+    if kind == "data":
+        return (
+            ',"slot_id":%s,"owner":%s,"payload_len":%s,"gen_round":%s,'
+            '"delivered":%s,"seq":%d}\n'
+        ) % (
+            s(slot.slot_id), s(slot.owner), s(slot.payload_len), s(slot.gen_round),
+            s(slot.delivered), seq,
+        )
+    if kind == "request":
+        return ',"contenders":%s,"winner":%s,"delivered":%s,"seq":%d}\n' % (
+            slot.contender_count, s(slot.winner), s(slot.delivered), seq,
+        )
+    if kind == "reply":
+        capacity = ',"capacity_exceeded":true' if slot.capacity_exceeded else ""
+        return (
+            ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,'
+            '"delivered":%s%s,"seq":%d}\n'
+        ) % (
+            s(slot.requester), s(slot.assigned_slot), s(slot.new_assignment),
+            s(slot.delivered), capacity, seq,
+        )
+    if kind == "announce":
+        return ',"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n' % (
+            s(slot.source), s(slot.announced_distance), s(slot.slot_id), seq,
+        )
+    return ',"seq":%d}\n' % seq
+
+
+def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
+    """The JSONL text in pieces: five per slot record (head, awake list,
+    ',"received":', received list, tail), one per round record.
+
+    Each distinct list object is encoded once per call. The cache pins
+    every list it has encoded, so no id is reused while the call lasts,
+    even when a generator frees its rounds. The pins sit in a list beside
+    the dict, 48 bytes per list less than (list, text) tuples would take.
+    """
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    cache: dict[int, str] = {}
+    pinned: list[list[int]] = []
+
+    def text(items: list[int]) -> str:
+        out = cache.get(id(items))
+        if out is None:
+            out = cache[id(items)] = encode(items)
+            pinned.append(items)
+        return out
+
     seq = 0
     for trace in traces:
+        phase = encode(trace.phase)
         for slot in trace.slots:
-            rec = _slot_record(trace, slot)
-            rec["seq"] = seq
+            initiator = _scalar(slot.initiator)
+            yield _SLOT_HEAD % (trace.index, slot.t, phase, slot.kind, initiator)
+            yield text(slot.awake)
+            yield ',"received":'
+            yield text(slot.received)
+            yield _slot_tail(slot, seq)
             seq += 1
-            yield rec
         rec = _round_record(trace)
         rec["seq"] = seq
         seq += 1
-        yield rec
+        yield encode(rec) + "\n"
 
 
-def render_trace(traces: list[RoundTrace]) -> str:
-    """Line-delimited JSON, stable byte-for-byte for identical runs."""
-    lines = [
-        json.dumps(rec, separators=(",", ":"), sort_keys=False)
-        for rec in trace_records(traces)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def render_trace(traces: Iterable[RoundTrace]) -> str:
+    """Line-delimited JSON, stable byte-for-byte for identical runs.
+
+    Each round gives its slot records in time order, then its round record;
+    a global seq gives a total order. Key order is fixed: a slot record has
+    kind, round, t, phase, type, initiator, awake, received, the fields of
+    its type in _slot_tail's order, seq; a round record has the keys of
+    _round_record, then seq. Each distinct list object is encoded once per
+    call, which relies on trace lists being read-only. traces may be any
+    iterable of rounds, a generator included.
+    """
+    return "".join(_trace_pieces(traces))
 
 
-def write_trace(path: str | Path, traces: list[RoundTrace]) -> None:
-    Path(path).write_text(render_trace(traces), encoding="utf-8")
+def write_trace(path: str | Path, traces: Iterable[RoundTrace]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_trace_pieces(traces))
 
 
 def forwarder_table(result: RunResult) -> list[dict]:

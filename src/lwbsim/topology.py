@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .config import SimConfig
 from .errors import TopologyError
 from .glossy import waves
-
-DEFAULT_MAX_NODE = 150
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class Topology:
         return len(self.nodes)
 
 
-def load_topology(text: str, max_node: int = DEFAULT_MAX_NODE) -> Topology:
+def load_topology(text: str, max_node: int = SimConfig.max_node_number) -> Topology:
     """Parse the edge-list format.
 
     One edge per line as "u v", or a single "u" for an isolated node.

@@ -1,13 +1,17 @@
 """Shared helpers for the test suite: canned graphs, random graph
 generation, and oracles that share no code with the simulator: a plain
-breadth-first search, the shortest-path forwarder set, and the set-based
-flood wave loop the bitmask kernel replaced."""
+breadth-first search, the shortest-path forwarder set, the set-based
+flood wave loop the bitmask kernel replaced, and the dict-per-record
+JSONL renderer the list-caching one replaced."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
+from typing import Iterator
 
+from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.topology import Topology
 
 
@@ -117,3 +121,88 @@ def shortest_path_forwarders(topo: Topology, sink: int, source: int) -> set[int]
         and from_source[u] is not None
         and from_sink[u] + from_source[u] == total
     }
+
+
+# The dict-per-record renderer the list-caching sim.render_trace replaced,
+# kept verbatim as its reference: same records, same bytes.
+
+
+def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
+    rec: dict = {
+        "kind": "slot",
+        "round": trace.index,
+        "t": slot.t,
+        "phase": trace.phase,
+        "type": slot.kind,
+        "initiator": slot.initiator,
+        "awake": slot.awake,
+        "received": slot.received,
+    }
+    if slot.kind == "request":
+        rec["contenders"] = slot.contender_count
+        rec["winner"] = slot.winner
+        rec["delivered"] = slot.delivered
+    elif slot.kind == "reply":
+        rec["requester"] = slot.requester
+        rec["assigned_slot"] = slot.assigned_slot
+        rec["new_assignment"] = slot.new_assignment
+        rec["delivered"] = slot.delivered
+        if slot.capacity_exceeded:
+            rec["capacity_exceeded"] = True
+    elif slot.kind == "announce":
+        rec["source"] = slot.source
+        rec["distance"] = slot.announced_distance
+        rec["slot_id"] = slot.slot_id
+    elif slot.kind == "data":
+        rec["slot_id"] = slot.slot_id
+        rec["owner"] = slot.owner
+        rec["payload_len"] = slot.payload_len
+        rec["gen_round"] = slot.gen_round
+        rec["delivered"] = slot.delivered
+    return rec
+
+
+def _round_record(trace: RoundTrace) -> dict:
+    return {
+        "kind": "round",
+        "round": trace.index,
+        "t": trace.t_start,
+        "phase": trace.phase,
+        "mode": trace.mode,
+        "period": trace.round_period,
+        "n_rr": trace.n_rr,
+        "n_data": trace.n_data,
+        "radio_on": {str(n): us for n, us in sorted(trace.radio_on.items())},
+        "new_assignments": [list(pair) for pair in trace.new_assignments],
+        "joined": trace.joined,
+        "desynced": trace.desynced,
+        "bootstrap": trace.bootstrap,
+        "generated": [list(pair) for pair in trace.generated],
+        "dropped": trace.dropped,
+        "capacity_events": trace.capacity_events,
+    }
+
+
+def trace_records(traces: list[RoundTrace]) -> Iterator[dict]:
+    """Flat record stream: slot records in time order, then the round
+    summary, for each round. A global seq field gives a total order."""
+    seq = 0
+    for trace in traces:
+        for slot in trace.slots:
+            rec = _slot_record(trace, slot)
+            rec["seq"] = seq
+            seq += 1
+            yield rec
+        rec = _round_record(trace)
+        rec["seq"] = seq
+        seq += 1
+        yield rec
+
+
+def reference_render_trace(traces: list[RoundTrace]) -> str:
+    """Line-delimited JSON, stable byte-for-byte for identical runs."""
+    lines = [
+        json.dumps(rec, separators=(",", ":"), sort_keys=False)
+        for rec in trace_records(traces)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

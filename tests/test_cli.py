@@ -144,6 +144,25 @@ class TestExitCodes:
         code = main(["run", "--topology", line_file, "--duration", "0s"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("run", "--trace"),
+            ("run", "--summary"),
+            ("compare", "--out"),
+            ("forwarders", "--out"),
+        ],
+    )
+    def test_unwritable_output_path_is_usage_error(
+        self, tmp_path, line_file, capsys, command, flag
+    ):
+        out = str(tmp_path / "no" / "such" / "dir" / "out")
+        code = main([command, "--topology", line_file, "--duration", "12s", flag, out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("usage error:") and out in err
+
 
 class TestCompareCommand:
     def test_pendant_node_saves_energy_with_forwarder_selection(

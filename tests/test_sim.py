@@ -1,5 +1,6 @@
 """Whole-run behavior: phase schedule, determinism, trace output."""
 
+import copy
 import json
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from _support import (
     diamond_pendant,
     line_topology,
     random_connected_topology,
+    reference_render_trace,
     shortest_path_forwarders,
 )
 
@@ -169,6 +171,44 @@ class TestTraceOutput:
 
     def test_empty_trace_renders_empty_string(self):
         assert render_trace([]) == ""
+
+
+class TestRenderOracle:
+    """render_trace against the dict-per-record reference renderer."""
+
+    @staticmethod
+    def _run(seed, fs):
+        # 125 ms rounds hold 5 data slots (4 with forwarder selection), too
+        # few for most of these graphs, so replies overflow the capacity
+        rng = random.Random(seed)
+        topo = random_connected_topology(rng, rng.randint(8, 40), max_ecc=6)
+        cfg = SimConfig(
+            minimum_lwb_round=125_000,
+            ipi=2 * US_SECOND,
+            duration=60 * US_SECOND,
+            forwarder_selection=fs,
+            loss_probability=0.1,
+            drift_ppm_range=(200.0, 2000.0),
+            seed=seed,
+        )
+        return run_simulation(cfg, topo)
+
+    @pytest.mark.parametrize("fs", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_matches_reference_renderer(self, seed, fs):
+        result = self._run(seed, fs)
+        slots = [s for t in result.traces for s in t.slots]
+        kinds = {"sync", "request", "reply", "data"} | ({"announce"} if fs else set())
+        assert {s.kind for s in slots} == kinds
+        assert any(s.capacity_exceeded for s in slots)
+        assert render_trace(result.traces) == reference_render_trace(result.traces)
+
+    def test_cache_survives_rounds_freed_by_a_generator(self):
+        # each copy is dropped once rendered, so its lists' ids come free
+        # for the next copy's lists unless the cache keeps them alive
+        result = self._run(3, True)
+        copies = (copy.deepcopy(t) for t in result.traces)
+        assert render_trace(copies) == render_trace(result.traces)
 
 
 class TestWorldConstruction:
