@@ -19,7 +19,7 @@ from .errors import (
 from .glossy import ClockState, FloodOutcome, flood
 from .metrics import RunMetrics, compare, render_summary
 from .sim import RunResult, forwarder_table, render_trace, run_simulation, write_trace
-from .topology import Topology, bfs_distances, is_connected, load_topology
+from .topology import Topology, load_topology
 
 __version__ = "0.1.0"
 
@@ -39,12 +39,10 @@ __all__ = [
     "Topology",
     "TopologyError",
     "World",
-    "bfs_distances",
     "compare",
     "execute_round",
     "flood",
     "forwarder_table",
-    "is_connected",
     "load_topology",
     "parse_config",
     "render_summary",

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .config import SimConfig, parse_config
@@ -77,9 +78,14 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _write_json(path: str, doc) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+def _create(stack: ExitStack, path: str | None):
+    """Open an output file, or give None for no path. Called before the run,
+    so an unwritable path fails at once instead of after the simulation."""
+    return stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+
+
+def _write_json(f, doc) -> None:
+    f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_inputs(args) -> tuple[SimConfig, Topology]:
@@ -103,23 +109,25 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
     return config, topology
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
+    trace_f, summary_f = _create(stack, args.trace), _create(stack, args.summary)
     result = run_simulation(config, topology)
-    if args.trace:
-        write_trace(args.trace, result.traces)
+    if trace_f:
+        write_trace(trace_f, result.traces)
     summary = render_summary(result.metrics, config.mode, config.seed)
     sys.stdout.write(summary)
-    if args.summary:
+    if summary_f:
         doc = result.metrics.to_dict()
         doc["mode"] = config.mode
         doc["seed"] = config.seed
-        _write_json(args.summary, doc)
+        _write_json(summary_f, doc)
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
+    out = _create(stack, args.out)
     run_plain = run_simulation(
         dataclasses.replace(config, forwarder_selection=False), topology
     )
@@ -128,12 +136,12 @@ def _cmd_compare(args) -> int:
     )
     report = compare(run_plain, run_fs)
     sys.stdout.write(report.render())
-    if args.out:
-        _write_json(args.out, report.to_dict())
+    if out:
+        _write_json(out, report.to_dict())
     return EXIT_OK
 
 
-def _cmd_forwarders(args) -> int:
+def _cmd_forwarders(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
     # Forwarder sets only exist with forwarder selection on; run exactly
     # through cool-off and stabilization so the dump shows the converged
@@ -144,6 +152,7 @@ def _cmd_forwarders(args) -> int:
         duration=config.cooloff_period + config.stabilization_period,
     )
     config.validate()
+    out = _create(stack, args.out)
     result = run_simulation(config, topology)
     table = forwarder_table(result)
     for row in table:
@@ -153,8 +162,8 @@ def _cmd_forwarders(args) -> int:
         )
     if not table:
         sys.stdout.write("no slots assigned\n")
-    if args.out:
-        _write_json(args.out, table)
+    if out:
+        _write_json(out, table)
     return EXIT_OK
 
 
@@ -169,7 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with ExitStack() as stack:
+            return _COMMANDS[args.command](args, stack)
     except (UsageError, OSError) as exc:
         # OSError: an input or output path the file system refuses.
         print(f"usage error: {exc}", file=sys.stderr)

@@ -150,26 +150,9 @@ class SimConfig:
 
     def to_text(self) -> str:
         """Serialize so that parse_config() reproduces this config."""
-        lo, hi = self.drift_ppm_range
         lines = [
-            f"IPI = {format_duration(self.ipi)}",
-            f"MINIMUM_LWB_ROUND = {format_duration(self.minimum_lwb_round)}",
-            f"COOLOFF_PERIOD = {format_duration(self.cooloff_period)}",
-            f"STABILIZATION_PERIOD = {format_duration(self.stabilization_period)}",
-            f"MAX_PAYLOAD_LEN = {self.max_payload_len}",
-            f"SINK_NODE_ID = {self.sink_node_id}",
-            f"MAX_NODE_NUMBER = {self.max_node_number}",
-            f"FORWARDER_SELECTION = {1 if self.forwarder_selection else 0}",
-            f"GLOSSY_GUARD_TIME = {format_duration(self.glossy_guard_time)}",
-            f"SLOT_LENGTH = {format_duration(self.slot_length)}",
-            f"SYNC_SLOT_LENGTH = {format_duration(self.sync_slot_length)}",
-            f"LOSS_PROBABILITY = {self.loss_probability!r}",
-            f"DRIFT_PPM_RANGE = {lo!r}:{hi!r}",
-            f"CONTENTION_POLICY = {self.contention_policy}",
-            f"RR_REDUCTION_TRIGGER = {self.rr_reduction_trigger}",
-            f"QUEUE_CAPACITY = {self.queue_capacity}",
-            f"SEED = {self.seed}",
-            f"DURATION = {format_duration(self.duration)}",
+            f"{key} = {fmt(getattr(self, name))}"
+            for key, (name, _, fmt) in CONFIG_KEYS.items()
         ]
         return "\n".join(lines) + "\n"
 
@@ -191,42 +174,43 @@ def _parse_drift(value: str) -> tuple[float, float]:
     return (-r, r)
 
 
-_DURATION_KEYS = {
-    "IPI": "ipi",
-    "MINIMUM_LWB_ROUND": "minimum_lwb_round",
-    "COOLOFF_PERIOD": "cooloff_period",
-    "STABILIZATION_PERIOD": "stabilization_period",
-    "GLOSSY_GUARD_TIME": "glossy_guard_time",
-    "SLOT_LENGTH": "slot_length",
-    "SYNC_SLOT_LENGTH": "sync_slot_length",
-    "DURATION": "duration",
+def _format_drift(value: tuple[float, float]) -> str:
+    lo, hi = value
+    return f"{lo!r}:{hi!r}"
+
+
+_DURATION = (parse_duration, format_duration)
+_INT = (int, str)
+_WORD = (str.lower, str)
+
+# KEY -> (SimConfig field, parse, format), in to_text() order.
+CONFIG_KEYS = {
+    "IPI": ("ipi", *_DURATION),
+    "MINIMUM_LWB_ROUND": ("minimum_lwb_round", *_DURATION),
+    "COOLOFF_PERIOD": ("cooloff_period", *_DURATION),
+    "STABILIZATION_PERIOD": ("stabilization_period", *_DURATION),
+    "MAX_PAYLOAD_LEN": ("max_payload_len", *_INT),
+    "SINK_NODE_ID": ("sink_node_id", *_INT),
+    "MAX_NODE_NUMBER": ("max_node_number", *_INT),
+    "FORWARDER_SELECTION": ("forwarder_selection", _parse_bool, lambda v: str(int(v))),
+    "GLOSSY_GUARD_TIME": ("glossy_guard_time", *_DURATION),
+    "SLOT_LENGTH": ("slot_length", *_DURATION),
+    "SYNC_SLOT_LENGTH": ("sync_slot_length", *_DURATION),
+    "LOSS_PROBABILITY": ("loss_probability", float, repr),
+    "DRIFT_PPM_RANGE": ("drift_ppm_range", _parse_drift, _format_drift),
+    "CONTENTION_POLICY": ("contention_policy", *_WORD),
+    "RR_REDUCTION_TRIGGER": ("rr_reduction_trigger", *_WORD),
+    "QUEUE_CAPACITY": ("queue_capacity", *_INT),
+    "SEED": ("seed", *_INT),
+    "DURATION": ("duration", *_DURATION),
 }
 
-_INT_KEYS = {
-    "MAX_PAYLOAD_LEN": "max_payload_len",
-    "SINK_NODE_ID": "sink_node_id",
-    "MAX_NODE_NUMBER": "max_node_number",
-    "QUEUE_CAPACITY": "queue_capacity",
-    "SEED": "seed",
-}
-
-_STR_KEYS = {
-    "CONTENTION_POLICY": ("contention_policy", str.lower),
-    "RR_REDUCTION_TRIGGER": ("rr_reduction_trigger", str.lower),
-}
-
-VALID_KEYS = sorted(
-    list(_DURATION_KEYS)
-    + list(_INT_KEYS)
-    + list(_STR_KEYS)
-    + ["FORWARDER_SELECTION", "LOSS_PROBABILITY", "DRIFT_PPM_RANGE"]
-)
+VALID_KEYS = sorted(CONFIG_KEYS)
 
 
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a config document. Missing keys take defaults."""
     values: dict[str, object] = {}
-    explicit_sync = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,33 +219,17 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected KEY = value, got {line!r}")
         key_raw, _, val_raw = line.partition("=")
         key = key_raw.strip().upper()
-        value = val_raw.strip()
-        if key not in VALID_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 + ", ".join(VALID_KEYS)
             )
+        name, parse, _ = CONFIG_KEYS[key]
         try:
-            if key in _DURATION_KEYS:
-                values[_DURATION_KEYS[key]] = parse_duration(value)
-                if key == "SYNC_SLOT_LENGTH":
-                    explicit_sync = True
-            elif key in _INT_KEYS:
-                values[_INT_KEYS[key]] = int(value)
-            elif key in _STR_KEYS:
-                attr, conv = _STR_KEYS[key]
-                values[attr] = conv(value)
-            elif key == "FORWARDER_SELECTION":
-                values["forwarder_selection"] = _parse_bool(value)
-            elif key == "LOSS_PROBABILITY":
-                values["loss_probability"] = float(value)
-            elif key == "DRIFT_PPM_RANGE":
-                values["drift_ppm_range"] = _parse_drift(value)
+            values[name] = parse(val_raw.strip())
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
-    if not explicit_sync:
-        values.pop("sync_slot_length", None)
     config = SimConfig(**values)  # type: ignore[arg-type]
     config.validate()
     return config

@@ -45,19 +45,6 @@ class SyncHeader:
     n_data: int
 
 
-@dataclass(frozen=True)
-class ReplyPacket:
-    requester: int
-    assigned_slot: int
-
-
-@dataclass(frozen=True)
-class DataPacket:
-    source: int
-    sequence: int | None
-    payload: bytes
-
-
 @dataclass
 class SinkSchedule:
     """Sink-side view of the whole bus."""
@@ -91,7 +78,7 @@ class NodeState:
     bootstrap: bool = True
     my_slot: int | None = None
     sink_distance: int | None = None
-    queue: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque)  # (gen_round, payload)
     next_sequence: int = 0
     next_generation_time: int = 0
     forwarder_slots: set[int] = field(default_factory=set)
@@ -169,8 +156,9 @@ def contend(
 
 def sink_assign(
     schedule: SinkSchedule, requester: int, capacity: int | None = None
-) -> ReplyPacket:
-    """Grant the requester a data slot, reusing an existing grant.
+) -> int:
+    """Grant the requester a data slot, reusing an existing grant, and
+    return the slot index.
 
     Assignment is dense: the next free slot index. Asking again returns the
     already assigned slot so lost replies are harmless. Raises
@@ -178,7 +166,7 @@ def sink_assign(
     """
     existing = schedule.owner_slot.get(requester)
     if existing is not None:
-        return ReplyPacket(requester, existing)
+        return existing
     if capacity is not None and schedule.next_free_slot >= capacity:
         raise SlotCapacityError(
             f"no data slot left for node {requester}: "
@@ -188,7 +176,7 @@ def sink_assign(
     schedule.slot_owner[slot] = requester
     schedule.owner_slot[requester] = slot
     schedule.next_free_slot += 1
-    return ReplyPacket(requester, slot)
+    return slot
 
 
 def update_rr_dynamics(

@@ -29,21 +29,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import SimConfig
-from .core import (
-    PHASE_COOLOFF,
-    PHASE_OPERATIONAL,
-    PHASE_STABILIZATION,
-    DataPacket,
-    NodeState,
-    SinkSchedule,
-    SyncHeader,
-    contend,
-    sink_assign,
-)
+from .core import NodeState, SinkSchedule, SyncHeader, contend, sink_assign
 from .errors import SimulationError, SlotCapacityError
 from .forwarding import apply_announce, build_announce, data_participants
 from .forwarding import forwarder_index, refresh_sink_distances
-from .glossy import flood
+from .glossy import FloodOutcome, flood
 from .topology import Topology
 
 
@@ -130,8 +120,7 @@ def _generate_packets(world: World, trace_generated, trace_dropped) -> None:
             if len(state.queue) >= cfg.queue_capacity:
                 state.queue.popleft()
                 trace_dropped.append(node_id)
-            packet = DataPacket(node_id, state.next_sequence, payload)
-            state.queue.append((world.round_index, packet))
+            state.queue.append((world.round_index, payload))
             trace_generated.append((node_id, world.round_index))
             state.next_sequence += 1
             state.next_generation_time += cfg.ipi
@@ -213,16 +202,20 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         state.clock.apply_sync(t)
         active.add(node_id)
     sync_awake = sorted(set(synced_ids) | set(joined))
-    slots.append(
-        SlotTrace(
-            t=t,
-            kind="sync",
-            awake=sync_awake,
-            received=outcome.received_nodes(),
-            initiator=sink,
-        )
-    )
+    slots.append(SlotTrace(t, "sync", sync_awake, outcome.received_nodes(), sink))
     t += cfg.sync_slot_length
+
+    def slot(kind: str, awake: list[int], fo: FloodOutcome | None, **info) -> None:
+        """Append one slot at t and advance t. A slot that flooded lists
+        the flood's awake receivers: a node whose radio is off can sit next
+        to a transmitter and still hear nothing, and in every slot after
+        sync the flood's participants are exactly the awake nodes."""
+        nonlocal t
+        if fo is None:
+            slots.append(SlotTrace(t, kind, awake, [], **info))
+        else:
+            slots.append(SlotTrace(t, kind, awake, fo.heard, fo.initiator, **info))
+        t += cfg.slot_length
 
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
@@ -234,87 +227,62 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     awake_mask = topo.mask_of(awake)
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
-        # request slot
         contenders = [
             n for n in awake if n != sink and nodes[n].my_slot is None
         ]
         winner = contend(contenders, cfg.contention_policy, rng)
-        heard: int | None = None
-        received: list[int] = []
-        if winner is not None:
-            fo = flood(topo, winner, b"", awake_mask, *channel)
-            # a node whose radio is off can sit next to a transmitter and
-            # still hear nothing; traces only list awake receivers, which
-            # in every slot after sync are exactly the flood's participants
-            received = fo.heard
-            if fo.received(sink):
-                heard = winner
+        fo = None if winner is None else flood(topo, winner, b"", awake_mask, *channel)
+        heard = winner if fo is not None and fo.received(sink) else None
         request_outcomes.append(heard)
-        slots.append(
-            SlotTrace(
-                t=t,
-                kind="request",
-                awake=awake,
-                received=received,
-                initiator=winner,
-                contender_count=len(contenders),
-                winner=winner,
-                delivered=heard is not None,
-            )
+        slot(
+            "request", awake, fo,
+            contender_count=len(contenders), winner=winner, delivered=heard is not None,
         )
-        t += cfg.slot_length
 
-        # reply slot
-        reply_trace = SlotTrace(t=t, kind="reply", awake=awake, received=[])
-        announce_source: int | None = None
+        # reply slot: the sink grants the heard requester a data slot
+        fo, info, announce_source = None, {}, None
         if heard is not None:
             slots_before = sched.next_free_slot
             try:
-                reply = sink_assign(sched, heard, capacity)
+                assigned = sink_assign(sched, heard, capacity)
             except SlotCapacityError:
                 capacity_events += 1
-                reply = None
-                reply_trace.capacity_exceeded = True
-                reply_trace.requester = heard
-            if reply is not None:
+                info = dict(requester=heard, capacity_exceeded=True)
+            else:
                 fo = flood(topo, sink, b"", awake_mask, *channel)
                 if fs_mode:
                     refresh_sink_distances(nodes, active, fo)
-                reply_trace.received = fo.heard
-                reply_trace.initiator = sink
-                reply_trace.requester = reply.requester
-                reply_trace.assigned_slot = reply.assigned_slot
-                if sched.next_free_slot > slots_before:
-                    new_assignments.append((reply.assigned_slot, reply.requester))
-                    reply_trace.new_assignment = True
-                if fo.received(reply.requester):
-                    nodes[reply.requester].my_slot = reply.assigned_slot
-                    reply_trace.delivered = True
+                new = sched.next_free_slot > slots_before
+                if new:
+                    new_assignments.append((assigned, heard))
+                delivered = fo.received(heard)
+                if delivered:
+                    nodes[heard].my_slot = assigned
                     if fs_mode:
-                        announce_source = reply.requester
-        slots.append(reply_trace)
-        t += cfg.slot_length
+                        announce_source = heard
+                info = dict(
+                    requester=heard, assigned_slot=assigned,
+                    new_assignment=new, delivered=delivered,
+                )
+        slot("reply", awake, fo, **info)
 
         # announce slot (forwarder selection only)
         if fs_mode:
-            ann_trace = SlotTrace(t=t, kind="announce", awake=awake, received=[])
+            fo, info, announce = None, {}, None
             if announce_source is not None:
                 state = nodes[announce_source]
                 announce = build_announce(state, state.my_slot)
-                if announce is not None:
-                    fo = flood(topo, announce_source, b"", awake_mask, *channel)
-                    for node_id in awake:
-                        apply_announce(
-                            nodes[node_id], announce, fo.hops.get(node_id)
-                        )
-                    world.announced_slots[announce.slot] = announce.distance
-                    ann_trace.received = fo.heard
-                    ann_trace.initiator = announce_source
-                    ann_trace.source = announce_source
-                    ann_trace.announced_distance = announce.distance
-                    ann_trace.slot_id = announce.slot
-            slots.append(ann_trace)
-            t += cfg.slot_length
+            if announce is not None:
+                fo = flood(topo, announce_source, b"", awake_mask, *channel)
+                for node_id in awake:
+                    apply_announce(nodes[node_id], announce, fo.hops.get(node_id))
+                world.announced_slots[announce.slot] = announce.distance
+                info = dict(
+                    source=announce_source,
+                    announced_distance=announce.distance,
+                    slot_id=announce.slot,
+                )
+            slot("announce", awake, fo, **info)
 
     # Data slots. Slot indices are dense, so every index below n_data has
     # an owner; the owner floods the oldest queued packet, or an empty
@@ -326,24 +294,19 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         if owner is None:
             raise SimulationError(f"data slot {slot_id} has no owner")
         members = data_participants(awake, forwarders, slot_id, owner, sink)
-        data_trace = SlotTrace(
-            t=t, kind="data", awake=members, received=[], slot_id=slot_id, owner=owner
-        )
+        fo, info = None, {}
         owner_state = nodes[owner]
         if owner in active and owner_state.my_slot == slot_id:
-            if owner_state.queue:
-                gen_round, packet = owner_state.queue.popleft()
-            else:
-                gen_round, packet = None, DataPacket(owner, None, b"")
+            queue = owner_state.queue
+            gen_round, payload = queue.popleft() if queue else (None, b"")
             mask = awake_mask if members is awake else topo.mask_of(members)
-            fo = flood(topo, owner, packet.payload, mask, *channel)
-            data_trace.received = fo.heard
-            data_trace.initiator = owner
-            data_trace.payload_len = len(packet.payload)
-            data_trace.gen_round = gen_round
-            data_trace.delivered = fo.received(sink) and gen_round is not None
-        slots.append(data_trace)
-        t += cfg.slot_length
+            fo = flood(topo, owner, payload, mask, *channel)
+            info = dict(
+                payload_len=len(payload),
+                gen_round=gen_round,
+                delivered=fo.received(sink) and gen_round is not None,
+            )
+        slot("data", members, fo, slot_id=slot_id, owner=owner, **info)
 
     if t > world.now + header.round_period:
         raise SimulationError(

@@ -12,8 +12,7 @@ distance. Loss draws go low bit first, which is ascending node id, and only
 happen when the loss probability is nonzero; the engine and the run driver
 rely on this draw order for determinism. The receivers AND the participant
 mask transmit in wave k+1. With a loss probability of zero the waves are a
-breadth-first search through the participant set, and
-topology.bfs_distances is exactly that path of the same kernel.
+breadth-first search through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. The memo

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .config import SimConfig
 from .core import (
@@ -227,9 +226,9 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     return "".join(_trace_pieces(traces))
 
 
-def write_trace(path: str | Path, traces: Iterable[RoundTrace]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_trace_pieces(traces))
+def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:
+    """Stream render_trace's text into an open text file."""
+    file.writelines(_trace_pieces(traces))
 
 
 def forwarder_table(result: RunResult) -> list[dict]:

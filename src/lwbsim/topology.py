@@ -1,4 +1,4 @@
-"""Connectivity graphs and the hop-distance oracle used by the simulator.
+"""Connectivity graphs and the edge-list format they are read from.
 
 Graphs are undirected, unweighted and immutable. Node identifiers are small
 positive integers so they can double as radio addresses and as bit
@@ -12,7 +12,6 @@ from typing import Iterable
 
 from .config import SimConfig
 from .errors import TopologyError
-from .glossy import waves
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,6 @@ class Topology:
 
     nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    _adj: dict[int, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
     # Bit n of a node's mask is set when node n is its neighbour.
     neighbor_masks: dict[int, int] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
@@ -43,20 +39,15 @@ class Topology:
             raise TopologyError("topology has no nodes")
         if min(self.nodes) < 0:
             raise TopologyError(f"negative node id {min(self.nodes)}")
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
+        masks = self.neighbor_masks
+        masks.update(dict.fromkeys(self.nodes, 0))
         for u, v in self.edges:
             if u == v:
                 raise TopologyError(f"self loop on node {u}")
             if u not in self.nodes or v not in self.nodes:
                 raise TopologyError(f"edge ({u}, {v}) references unknown node")
-            adj[u].append(v)
-            adj[v].append(u)
-        object.__setattr__(
-            self, "_adj", {n: tuple(sorted(set(adj[n]))) for n in self.nodes}
-        )
-        object.__setattr__(
-            self, "neighbor_masks", {n: self.mask_of(adj[n]) for n in self.nodes}
-        )
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
 
     @classmethod
     def from_edges(
@@ -66,18 +57,10 @@ class Topology:
         nodes: set[int] = set(isolated)
         norm: set[tuple[int, int]] = set()
         for u, v in edges:
-            if u == v:
-                raise TopologyError(f"self loop on node {u}")
             nodes.add(u)
             nodes.add(v)
             norm.add((min(u, v), max(u, v)))
         return cls(frozenset(nodes), frozenset(norm))
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        try:
-            return self._adj[node]
-        except KeyError:
-            raise TopologyError(f"node {node} not in topology") from None
 
     @staticmethod
     def mask_of(nodes: Iterable[int]) -> int:
@@ -89,9 +72,6 @@ class Topology:
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def load_topology(text: str, max_node: int = SimConfig.max_node_number) -> Topology:
@@ -136,37 +116,3 @@ def load_topology(text: str, max_node: int = SimConfig.max_node_number) -> Topol
         raise TopologyError("topology file defines no nodes")
     return Topology.from_edges(edges, isolated)
 
-
-def bfs_distances(
-    topology: Topology, root: int, allowed_relays: set[int] | None = None
-) -> dict[int, int | None]:
-    """Hop distance from root to every node, restricted to allowed relays.
-
-    A path may end anywhere, but every interior vertex must be in
-    allowed_relays. The root always relays. Unreachable nodes map to None.
-    allowed_relays of None means every node may relay. This is a lossless
-    flood from root with allowed_relays as participants, computed by the
-    same wave kernel.
-
-    Args:
-        topology: the graph.
-        root: start node, must exist.
-        allowed_relays: nodes permitted to re-forward, or None for all.
-
-    Returns:
-        dict over all nodes, hop count or None.
-    """
-    if root not in topology:
-        raise TopologyError(f"root {root} not in topology")
-    relays = topology.mask_of(
-        topology.nodes if allowed_relays is None else allowed_relays
-    )
-    hops, _ = waves(topology.neighbor_masks, root, relays)
-    return {n: hops.get(n) for n in topology.nodes}
-
-
-def is_connected(topology: Topology) -> bool:
-    """True when every node can reach every other with all nodes relaying."""
-    start = min(topology.nodes)
-    dist = bfs_distances(topology, start)
-    return all(d is not None for d in dist.values())

@@ -15,6 +15,15 @@ from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.topology import Topology
 
 
+def adjacency(topo: Topology) -> dict[int, list[int]]:
+    """Sorted neighbour list of every node, read from the edge set alone."""
+    adj: dict[int, list[int]] = {n: [] for n in topo.nodes}
+    for u, v in topo.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {n: sorted(nbs) for n, nbs in adj.items()}
+
+
 def bfs_oracle(
     topo: Topology, root: int, relays: set[int] | None = None
 ) -> dict[int, int | None]:
@@ -25,10 +34,11 @@ def bfs_oracle(
     """
     dist: dict[int, int | None] = {n: None for n in topo.nodes}
     dist[root] = 0
+    adj = adjacency(topo)
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in topo.neighbors(u):
+        for v in adj[u]:
             if dist[v] is None:
                 dist[v] = dist[u] + 1
                 if relays is None or v in relays:
@@ -47,15 +57,17 @@ def reference_flood_hops(
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
 ) -> dict[int, int]:
-    """The set-based wave loop of the original flood, kept verbatim as the
-    reference for the bitmask kernel: same hops, same rng draws."""
+    """The set-based wave loop of the original flood, kept as the reference
+    for the bitmask kernel (neighbours now come from the edge set): same
+    hops, same rng draws."""
+    adj = adjacency(topology)
     hops: dict[int, int] = {initiator: 0}
     transmitters: list[int] = [initiator]
     counter = 1
     while transmitters:
         candidates: set[int] = set()
         for tx in transmitters:
-            for nb in topology.neighbors(tx):
+            for nb in adj[tx]:
                 if nb not in hops:
                     candidates.add(nb)
         receivers: list[int] = []

@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, file outputs, overrides."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lwbsim
 from lwbsim.cli import main
 
 from _support import shortest_path_forwarders
@@ -14,6 +17,14 @@ from lwbsim.topology import Topology
 
 LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a CLI subprocess: it imports the lwbsim these tests
+    import, installed or not."""
+    src = str(Path(lwbsim.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 @pytest.fixture
@@ -154,8 +165,13 @@ class TestExitCodes:
         ],
     )
     def test_unwritable_output_path_is_usage_error(
-        self, tmp_path, line_file, capsys, command, flag
+        self, tmp_path, line_file, capsys, monkeypatch, command, flag
     ):
+        # the path must be refused before any simulation starts
+        def no_run(*args, **kwargs):
+            pytest.fail("run_simulation called before the output path was opened")
+
+        monkeypatch.setattr("lwbsim.cli.run_simulation", no_run)
         out = str(tmp_path / "no" / "such" / "dir" / "out")
         code = main([command, "--topology", line_file, "--duration", "12s", flag, out])
         assert code == 1
@@ -217,6 +233,7 @@ class TestEntryPoints:
              "--duration", "12s"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert "run: mode=lwb" in proc.stdout
@@ -227,5 +244,6 @@ class TestEntryPoints:
             ["lwbsim", "run", "--topology", line_file, "--duration", "12s"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0

@@ -1,9 +1,33 @@
 """Config parsing, validation and derived slot counts."""
 
+from dataclasses import fields
+
 import pytest
 
-from lwbsim.config import SimConfig, parse_config
+from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, parse_config
 from lwbsim.errors import ConfigError
+
+# A valid value other than the default for every SimConfig field.
+NON_DEFAULT = {
+    "ipi": 20_000_000,
+    "minimum_lwb_round": 2_000_000,
+    "cooloff_period": 3_000_000,
+    "stabilization_period": 7_500_000,
+    "max_payload_len": 24,
+    "sink_node_id": 5,
+    "max_node_number": 200,
+    "forwarder_selection": True,
+    "glossy_guard_time": 1_500,
+    "slot_length": 10_000,
+    "sync_slot_length": 20_000,
+    "loss_probability": 0.125,
+    "drift_ppm_range": (-30.0, 60.0),
+    "contention_policy": "collision",
+    "rr_reduction_trigger": "rounds",
+    "queue_capacity": 4,
+    "seed": 77,
+    "duration": 90_000_000,
+}
 
 
 class TestDefaults:
@@ -185,7 +209,25 @@ class TestValidate:
         assert any("not a multiple" in rec.message for rec in caplog.records)
 
 
+class TestSpecTable:
+    def test_every_field_has_exactly_one_key(self):
+        names = [name for name, _, _ in CONFIG_KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in fields(SimConfig))
+        assert len(set(names)) == len(names) == len(CONFIG_KEYS)
+        # validate() names a field's key by upper-casing the field name
+        assert all(key == name.upper() for key, (name, _, _) in CONFIG_KEYS.items())
+        assert VALID_KEYS == sorted(CONFIG_KEYS)
+        # the per-field round trip below varies every field
+        assert NON_DEFAULT.keys() == set(names)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_each_field_round_trips(self, name):
+        cfg = SimConfig(**{name: NON_DEFAULT[name]})
+        assert getattr(cfg, name) != getattr(SimConfig(), name)
+        assert parse_config(cfg.to_text()) == cfg
+
     def test_to_text_parses_back_to_equal_config(self):
         original = SimConfig(
             ipi=20_000_000,

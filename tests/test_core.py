@@ -9,7 +9,6 @@ from lwbsim.core import (
     PHASE_COOLOFF,
     PHASE_OPERATIONAL,
     PHASE_STABILIZATION,
-    ReplyPacket,
     SinkSchedule,
     SyncHeader,
     advance_phase,
@@ -133,10 +132,11 @@ class TestContend:
 class TestSinkAssign:
     def test_dense_assignment(self):
         sched = SinkSchedule()
-        assert sink_assign(sched, 4) == ReplyPacket(4, 0)
-        assert sink_assign(sched, 2) == ReplyPacket(2, 1)
-        assert sink_assign(sched, 9) == ReplyPacket(9, 2)
+        assert sink_assign(sched, 4) == 0
+        assert sink_assign(sched, 2) == 1
+        assert sink_assign(sched, 9) == 2
         assert sched.next_free_slot == 3
+        assert sched.slot_owner == {0: 4, 1: 2, 2: 9}
         sched.assert_injective()
 
     def test_duplicate_request_returns_existing_slot(self):
@@ -144,7 +144,7 @@ class TestSinkAssign:
         sink_assign(sched, 4)
         sink_assign(sched, 2)
         again = sink_assign(sched, 4)
-        assert again == ReplyPacket(4, 0)
+        assert again == 0
         assert sched.next_free_slot == 2
         sched.assert_injective()
 
@@ -154,7 +154,7 @@ class TestSinkAssign:
         with pytest.raises(SlotCapacityError):
             sink_assign(sched, 5, capacity=1)
         # the holder can still re-request at capacity
-        assert sink_assign(sched, 4, capacity=1) == ReplyPacket(4, 0)
+        assert sink_assign(sched, 4, capacity=1) == 0
 
     def test_injectivity_check_catches_corruption(self):
         sched = SinkSchedule()

@@ -166,7 +166,8 @@ class TestTraceOutput:
         cfg = SimConfig(duration=12 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
         out = tmp_path / "trace.jsonl"
-        write_trace(out, result.traces)
+        with open(out, "w", encoding="utf-8") as f:
+            write_trace(f, result.traces)
         assert out.read_text(encoding="utf-8") == render_trace(result.traces)
 
     def test_empty_trace_renders_empty_string(self):

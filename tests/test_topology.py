@@ -1,4 +1,5 @@
-"""Topology parsing and the hop-distance oracle."""
+"""Topology parsing, neighbour masks, and lossless flood hop counts
+cross-checked against breadth-first search."""
 
 import random
 
@@ -7,9 +8,17 @@ import pytest
 
 from lwbsim.errors import TopologyError
 from lwbsim.glossy import flood
-from lwbsim.topology import Topology, bfs_distances, is_connected, load_topology
+from lwbsim.topology import Topology, load_topology
 
-from _support import bfs_oracle, random_connected_topology
+from _support import adjacency, bfs_oracle, random_connected_topology, reachable_hops
+
+
+def hops(topo, root, relays=None):
+    """Hop count of every node a lossless flood from root reaches with
+    relays (default: every node) retransmitting; unreachable nodes are
+    absent."""
+    relays = topo.nodes if relays is None else relays
+    return flood(topo, root, b"", Topology.mask_of(relays)).hops
 
 
 class TestLoadTopology:
@@ -26,7 +35,7 @@ class TestLoadTopology:
         text = "# sensors\n\n1 2   # uplink\n7\n"
         topo = load_topology(text)
         assert topo.nodes == frozenset({1, 2, 7})
-        assert topo.neighbors(7) == ()
+        assert topo.neighbor_masks[7] == 0
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError, match="self loop"):
@@ -61,20 +70,15 @@ class TestTopologyType:
 
     def test_neighbors_sorted(self):
         topo = Topology.from_edges([(5, 2), (5, 9), (5, 1)])
-        assert topo.neighbors(5) == (1, 2, 9)
-
-    def test_unknown_node_lookup(self):
-        topo = Topology.from_edges([(1, 2)])
-        with pytest.raises(TopologyError):
-            topo.neighbors(42)
+        assert topo.neighbor_masks[5] == 1 << 1 | 1 << 2 | 1 << 9
+        assert topo.neighbor_masks[9] == 1 << 5
 
     def test_neighbor_masks_match_neighbors(self):
         topo = random_connected_topology(random.Random(12), 30)
+        adj = adjacency(topo)
         for node in topo.nodes:
             mask = topo.neighbor_masks[node]
-            assert [n for n in range(mask.bit_length()) if mask >> n & 1] == list(
-                topo.neighbors(node)
-            )
+            assert [n for n in range(mask.bit_length()) if mask >> n & 1] == adj[node]
 
     def test_negative_node_id_rejected(self):
         with pytest.raises(TopologyError, match="negative"):
@@ -91,33 +95,32 @@ class TestTopologyType:
 class TestBfsDistances:
     def test_line_all_relays(self):
         topo = Topology.from_edges([(i, i + 1) for i in range(1, 5)])
-        assert bfs_distances(topo, 1) == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+        assert hops(topo, 1) == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 
     def test_empty_relay_set_reaches_only_neighbors(self):
         topo = Topology.from_edges([(1, 2), (2, 3)])
-        dist = bfs_distances(topo, 1, allowed_relays=set())
-        assert dist == {1: 0, 2: 1, 3: None}
+        assert hops(topo, 1, relays=set()) == {1: 0, 2: 1}
 
     def test_diamond_ties(self):
         topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4)])
-        assert bfs_distances(topo, 1) == {1: 0, 2: 1, 3: 1, 4: 2}
+        assert hops(topo, 1) == {1: 0, 2: 1, 3: 1, 4: 2}
 
     def test_root_relays_even_when_excluded(self):
         topo = Topology.from_edges([(1, 2), (1, 3)])
-        dist = bfs_distances(topo, 1, allowed_relays={2})
+        dist = hops(topo, 1, relays={2})
         assert dist[2] == 1 and dist[3] == 1
 
     def test_missing_root(self):
         topo = Topology.from_edges([(1, 2)])
-        with pytest.raises(TopologyError):
-            bfs_distances(topo, 9)
+        with pytest.raises(ValueError, match="not in topology"):
+            hops(topo, 9)
 
     def test_restricted_relays_lengthen_paths(self):
         # 1-2-4 and 1-3-4; relaying only through 3 still gives d(4) = 2,
         # but removing both inner nodes cuts 4 off.
         topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4)])
-        assert bfs_distances(topo, 1, {3})[4] == 2
-        assert bfs_distances(topo, 1, set())[4] is None
+        assert hops(topo, 1, {3})[4] == 2
+        assert 4 not in hops(topo, 1, set())
 
     def test_matches_networkx_on_random_graphs(self):
         rng = random.Random(90125)
@@ -128,8 +131,7 @@ class TestBfsDistances:
             g.add_edges_from(topo.edges)
             root = rng.choice(sorted(topo.nodes))
             want = nx.single_source_shortest_path_length(g, root)
-            got = bfs_distances(topo, root)
-            assert {n: d for n, d in got.items() if d is not None} == dict(want)
+            assert hops(topo, root) == dict(want)
 
     def test_restricted_relays_match_plain_bfs(self):
         rng = random.Random(4711)
@@ -139,14 +141,15 @@ class TestBfsDistances:
             keep = rng.choice((0.3, 0.7))
             relays = {n for n in nodes if rng.random() < keep}
             root = rng.choice(nodes)
-            assert bfs_distances(topo, root, relays) == bfs_oracle(topo, root, relays)
+            want = reachable_hops(bfs_oracle(topo, root, relays))
+            assert hops(topo, root, relays) == want
 
     def test_triangle_inequality_on_random_graphs(self):
         rng = random.Random(5150)
         for _ in range(10):
             topo = random_connected_topology(rng, rng.randint(3, 25))
             nodes = sorted(topo.nodes)
-            dist = {n: bfs_distances(topo, n) for n in nodes}
+            dist = {n: hops(topo, n) for n in nodes}
             for a in nodes:
                 for b in nodes:
                     for c in nodes:
@@ -161,19 +164,7 @@ class TestBfsDistances:
             small = {n for n in nodes if rng.random() < 0.4}
             big = small | {n for n in nodes if rng.random() < 0.5}
             root = rng.choice(nodes)
-            d_small = bfs_distances(topo, root, small)
-            d_big = bfs_distances(topo, root, big)
-            for n in nodes:
-                if d_small[n] is not None:
-                    assert d_big[n] is not None and d_big[n] <= d_small[n]
-
-
-class TestIsConnected:
-    def test_connected_line(self):
-        assert is_connected(Topology.from_edges([(1, 2), (2, 3)]))
-
-    def test_disconnected_parts(self):
-        assert not is_connected(Topology.from_edges([(1, 2), (3, 4)]))
-
-    def test_isolated_node(self):
-        assert not is_connected(Topology.from_edges([(1, 2)], isolated=[9]))
+            d_small = hops(topo, root, small)
+            d_big = hops(topo, root, big)
+            for n, d in d_small.items():
+                assert n in d_big and d_big[n] <= d
