@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import SimConfig, parse_config
 from .errors import ConfigError, LwbError, TopologyError
 from .metrics import compare, render_summary
-from .sim import forwarder_table, run_simulation, write_trace
+from .sim import check_topology, forwarder_table, run_simulation, write_trace
 from .topology import Topology, load_topology
 from .units import parse_duration
 
@@ -106,6 +106,8 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
         config = dataclasses.replace(config, **overrides)
         config.validate()
     topology = load_topology(_read_file(args.topology), config.max_node_number)
+    # before any output file is created, so a failed set-up keeps old files
+    check_topology(config, topology)
     return config, topology
 
 
@@ -146,6 +148,8 @@ def _cmd_forwarders(args, stack: ExitStack) -> int:
     # Forwarder sets only exist with forwarder selection on; run exactly
     # through cool-off and stabilization so the dump shows the converged
     # assignment state.
+    if config.cooloff_period + config.stabilization_period <= 0:
+        raise ConfigError("forwarders needs COOLOFF_PERIOD + STABILIZATION_PERIOD > 0")
     config = dataclasses.replace(
         config,
         forwarder_selection=True,

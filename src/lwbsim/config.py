@@ -211,6 +211,7 @@ VALID_KEYS = sorted(CONFIG_KEYS)
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a config document. Missing keys take defaults."""
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,6 +225,9 @@ def parse_config(text: str) -> SimConfig:
                 f"line {lineno}: unknown key {key!r}; valid keys: "
                 + ", ".join(VALID_KEYS)
             )
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key} already set on line {first_line[key]}")
+        first_line[key] = lineno
         name, parse, _ = CONFIG_KEYS[key]
         try:
             values[name] = parse(val_raw.strip())

@@ -50,23 +50,15 @@ class SinkSchedule:
     """Sink-side view of the whole bus."""
 
     phase: str = PHASE_COOLOFF
-    phase_clock: int = 0
-    slot_owner: dict[int, int] = field(default_factory=dict)
-    owner_slot: dict[int, int] = field(default_factory=dict)
-    next_free_slot: int = 0
+    phase_clock: int = 0  # time spent in the current phase
+    slot_owner: list[int] = field(default_factory=list)  # owner per slot index
     rr_current: int = 0
     empty_streak: int = 0
-    rr_reduced: bool = False
-    op_round_index: int = 0
 
     def assert_injective(self) -> None:
-        if len(self.slot_owner) != len(self.owner_slot):
+        """The table is dense by construction; no node may own two slots."""
+        if len(set(self.slot_owner)) != len(self.slot_owner):
             raise SimulationError("slot table lost injectivity")
-        if len(self.slot_owner) != self.next_free_slot:
-            raise SimulationError("slot table is not dense")
-        for slot, owner in self.slot_owner.items():
-            if self.owner_slot.get(owner) != slot:
-                raise SimulationError("slot table maps are inconsistent")
 
 
 @dataclass
@@ -79,8 +71,7 @@ class NodeState:
     my_slot: int | None = None
     sink_distance: int | None = None
     queue: deque = field(default_factory=deque)  # (gen_round, payload)
-    next_sequence: int = 0
-    next_generation_time: int = 0
+    next_sequence: int = 0  # generated next at next_sequence * IPI
     forwarder_slots: set[int] = field(default_factory=set)
 
 
@@ -108,7 +99,8 @@ def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
 def data_round_cadence(config: SimConfig, op_round_index: int) -> bool:
     """True when the given operational round carries data slots.
 
-    Rounds fire every MINIMUM_LWB_ROUND; one in every floor(IPI / round)
+    Rounds fire every MINIMUM_LWB_ROUND, so operational round k starts at
+    phase clock k * MINIMUM_LWB_ROUND; one in every floor(IPI / round)
     rounds is data bearing, clamped so at least every round qualifies when
     IPI equals the round length.
     """
@@ -123,11 +115,11 @@ def sink_build_sync(schedule: SinkSchedule, config: SimConfig) -> SyncHeader:
     if schedule.phase == PHASE_STABILIZATION:
         return SyncHeader(SHORT_ROUND_US, schedule.rr_current, 0)
     if schedule.phase == PHASE_OPERATIONAL:
-        if data_round_cadence(config, schedule.op_round_index):
+        if data_round_cadence(config, schedule.phase_clock // config.minimum_lwb_round):
             return SyncHeader(
                 config.minimum_lwb_round,
                 config.rr_group_size,
-                schedule.next_free_slot,
+                len(schedule.slot_owner),
             )
         return SyncHeader(config.minimum_lwb_round, 0, 0)
     raise SimulationError(f"unknown phase {schedule.phase!r}")
@@ -164,19 +156,16 @@ def sink_assign(
     already assigned slot so lost replies are harmless. Raises
     SlotCapacityError when the round cannot hold another data slot.
     """
-    existing = schedule.owner_slot.get(requester)
-    if existing is not None:
-        return existing
-    if capacity is not None and schedule.next_free_slot >= capacity:
+    owners = schedule.slot_owner
+    if requester in owners:
+        return owners.index(requester)
+    if capacity is not None and len(owners) >= capacity:
         raise SlotCapacityError(
             f"no data slot left for node {requester}: "
-            f"{schedule.next_free_slot} slots already fill the round"
+            f"{len(owners)} slots already fill the round"
         )
-    slot = schedule.next_free_slot
-    schedule.slot_owner[slot] = requester
-    schedule.owner_slot[requester] = slot
-    schedule.next_free_slot += 1
-    return slot
+    owners.append(requester)
+    return len(owners) - 1
 
 
 def update_rr_dynamics(
@@ -187,26 +176,25 @@ def update_rr_dynamics(
     request_outcomes holds, per request slot of the finished round, the
     requester the sink heard or None. Two consecutive empty request slots
     (or, with the round trigger, two consecutive fully empty rounds) drop
-    the block to one group for every later round. Reduction is permanent.
+    the block to one group for every later round. Reduction is permanent:
+    nothing raises rr_current again once stabilization has started.
     """
     if config.rr_reduction_trigger == TRIGGER_SLOTS:
         for outcome in request_outcomes:
             if outcome is None:
                 schedule.empty_streak += 1
                 if schedule.empty_streak >= 2:
-                    schedule.rr_reduced = True
+                    schedule.rr_current = config.rr_group_size
             else:
                 schedule.empty_streak = 0
     elif config.rr_reduction_trigger == TRIGGER_ROUNDS:
         if request_outcomes and all(o is None for o in request_outcomes):
             schedule.empty_streak += 1
             if schedule.empty_streak >= 2:
-                schedule.rr_reduced = True
+                schedule.rr_current = config.rr_group_size
         elif request_outcomes:
             schedule.empty_streak = 0
     else:
         raise SimulationError(
             f"unknown reduction trigger {config.rr_reduction_trigger!r}"
         )
-    if schedule.rr_reduced:
-        schedule.rr_current = config.rr_group_size

@@ -111,7 +111,7 @@ def _generate_packets(world: World, trace_generated, trace_dropped) -> None:
         if node_id == world.sink:
             continue
         state = world.nodes[node_id]
-        while state.next_generation_time <= world.now:
+        while state.next_sequence * cfg.ipi <= world.now:
             payload = f"{node_id}:{state.next_sequence}".encode("ascii")
             if len(payload) > cfg.max_payload_len:
                 raise SimulationError(
@@ -123,7 +123,6 @@ def _generate_packets(world: World, trace_generated, trace_dropped) -> None:
             state.queue.append((world.round_index, payload))
             trace_generated.append((node_id, world.round_index))
             state.next_sequence += 1
-            state.next_generation_time += cfg.ipi
 
 
 def _radio_on(
@@ -164,6 +163,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         raise SimulationError(
             f"header announces {header.n_rr} request slots, not a multiple of {group}"
         )
+    if header.n_data > len(sched.slot_owner):
+        raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
 
     t = world.now
     channel = (cfg.loss_probability, rng, cfg.max_payload_len)
@@ -242,7 +243,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         # reply slot: the sink grants the heard requester a data slot
         fo, info, announce_source = None, {}, None
         if heard is not None:
-            slots_before = sched.next_free_slot
+            slots_before = len(sched.slot_owner)
             try:
                 assigned = sink_assign(sched, heard, capacity)
             except SlotCapacityError:
@@ -251,8 +252,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             else:
                 fo = flood(topo, sink, b"", awake_mask, *channel)
                 if fs_mode:
-                    refresh_sink_distances(nodes, active, fo)
-                new = sched.next_free_slot > slots_before
+                    refresh_sink_distances(nodes, fo)
+                new = len(sched.slot_owner) > slots_before
                 if new:
                     new_assignments.append((assigned, heard))
                 delivered = fo.received(heard)
@@ -284,15 +285,13 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 )
             slot("announce", awake, fo, **info)
 
-    # Data slots. Slot indices are dense, so every index below n_data has
-    # an owner; the owner floods the oldest queued packet, or an empty
-    # keepalive when its queue is dry. An absent owner leaves the slot
-    # silent but its members still listened.
+    # Data slots. Slot indices are dense and the header check above gave
+    # every index below n_data an owner; the owner floods the oldest queued
+    # packet, or an empty keepalive when its queue is dry. An absent owner
+    # leaves the slot silent but its members still listened.
     forwarders = forwarder_index(awake, nodes, world.announced_slots) if header.n_data else {}
     for slot_id in range(header.n_data):
-        owner = sched.slot_owner.get(slot_id)
-        if owner is None:
-            raise SimulationError(f"data slot {slot_id} has no owner")
+        owner = sched.slot_owner[slot_id]
         members = data_participants(awake, forwarders, slot_id, owner, sink)
         fo, info = None, {}
         owner_state = nodes[owner]

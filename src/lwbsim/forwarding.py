@@ -24,18 +24,15 @@ class AnnouncePacket:
     slot: int
 
 
-def refresh_sink_distances(
-    nodes: dict[int, NodeState], listeners: set[int], outcome: FloodOutcome
-) -> None:
+def refresh_sink_distances(nodes: dict[int, NodeState], outcome: FloodOutcome) -> None:
     """Record hop distances from a reply flood initiated by the sink.
 
-    Every listener that received the flood remembers its hop count as its
-    current distance from the sink. Nodes that missed the flood keep their
-    previous value.
+    Every participant of the flood that received it remembers its hop count
+    as its current distance from the sink. Nodes that missed the flood, or
+    slept through it, keep their previous value.
     """
-    for node_id in sorted(outcome.hops):
-        if node_id in listeners:
-            nodes[node_id].sink_distance = outcome.hops[node_id]
+    for node_id in outcome.heard:
+        nodes[node_id].sink_distance = outcome.hops[node_id]
 
 
 def build_announce(state: NodeState, assigned_slot: int) -> AnnouncePacket | None:

@@ -179,7 +179,6 @@ class ClockState:
 
     drift_ppm: float = 0.0
     guard: int = SimConfig.glossy_guard_time
-    synced: bool = False
     last_sync_time: int = 0
 
     def offset_at(self, now: int) -> float:
@@ -188,18 +187,13 @@ class ClockState:
 
     def apply_sync(self, now: int) -> None:
         """Record a successful sync reception at time now."""
-        self.synced = True
         self.last_sync_time = now
 
     def check_guard(self, now: int) -> bool:
         """Return True while the clock is still trustworthy at time now.
 
-        Exceeding the guard strictly flips the node to desynced; an offset
-        exactly equal to the guard still counts as synced.
+        Only an offset strictly over the guard fails; an offset exactly
+        equal to the guard still counts as synced. Whether the node is
+        synced at all is NodeState.bootstrap, not the clock's business.
         """
-        if not self.synced:
-            return False
-        if self.offset_at(now) > self.guard:
-            self.synced = False
-            return False
-        return True
+        return self.offset_at(now) <= self.guard

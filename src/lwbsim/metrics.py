@@ -49,7 +49,6 @@ class RunMetrics:
     elapsed: int = 0
     rounds: int = 0
     sources: dict[int, SourceStats] = field(init=False)
-    _last_index: int = -1
 
     def __post_init__(self) -> None:
         self.node_ids = sorted(self.node_ids)
@@ -63,11 +62,10 @@ class RunMetrics:
 
     def accumulate(self, trace: RoundTrace) -> None:
         """Fold one round into the totals. Rounds must arrive in order."""
-        if trace.index != self._last_index + 1:
+        if trace.index != self.rounds:
             raise SimulationError(
-                f"round {trace.index} out of order, expected {self._last_index + 1}"
+                f"round {trace.index} out of order, expected {self.rounds}"
             )
-        self._last_index = trace.index
         self.rounds += 1
         self.elapsed += trace.round_period
         for node, us in trace.radio_on.items():

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 from .config import SimConfig
 from .core import (
-    PHASE_OPERATIONAL,
     PHASE_STABILIZATION,
     NodeState,
     SinkSchedule,
@@ -45,16 +44,22 @@ class RunResult:
     world: World
 
 
-def build_world(config: SimConfig, topology: Topology) -> World:
-    """Set up initial state: sink synced, everyone else in bootstrap."""
-    sink = config.sink_node_id
-    if sink not in topology:
-        raise SimulationError(f"sink node {sink} missing from topology")
+def check_topology(config: SimConfig, topology: Topology) -> None:
+    """Raise SimulationError unless the topology holds the sink and only
+    node ids the config allows."""
+    if config.sink_node_id not in topology:
+        raise SimulationError(f"sink node {config.sink_node_id} missing from topology")
     for node in topology.nodes:
         if not 1 <= node <= config.max_node_number:
             raise SimulationError(
                 f"node id {node} outside [1, {config.max_node_number}]"
             )
+
+
+def build_world(config: SimConfig, topology: Topology) -> World:
+    """Set up initial state: sink synced, everyone else in bootstrap."""
+    check_topology(config, topology)
+    sink = config.sink_node_id
     rng = random.Random(config.seed)
     lo, hi = config.drift_ppm_range
     nodes: dict[int, NodeState] = {}
@@ -63,11 +68,7 @@ def build_world(config: SimConfig, topology: Topology) -> World:
         if node != sink and (lo, hi) != (0.0, 0.0):
             drift = rng.uniform(lo, hi)
         clock = ClockState(drift_ppm=drift, guard=config.glossy_guard_time)
-        state = NodeState(node_id=node, clock=clock)
-        if node == sink:
-            state.bootstrap = False
-            state.clock.apply_sync(0)
-        nodes[node] = state
+        nodes[node] = NodeState(node_id=node, clock=clock, bootstrap=node != sink)
     return World(
         topology=topology,
         config=config,
@@ -97,8 +98,6 @@ def run_simulation(
         trace = execute_round(world, header)
         if world.schedule.phase == PHASE_STABILIZATION:
             update_rr_dynamics(world.schedule, trace.request_outcomes, config)
-        elif world.schedule.phase == PHASE_OPERATIONAL:
-            world.schedule.op_round_index += 1
         world.schedule.phase_clock += header.round_period
         metrics.accumulate(trace)
         traces.append(trace)
@@ -240,8 +239,7 @@ def forwarder_table(result: RunResult) -> list[dict]:
     active = [n for n in world.node_order() if not world.nodes[n].bootstrap]
     forwarders = forwarder_index(active, world.nodes, world.announced_slots)
     table = []
-    for slot_id in range(world.schedule.next_free_slot):
-        owner = world.schedule.slot_owner[slot_id]
+    for slot_id, owner in enumerate(world.schedule.slot_owner):
         table.append(
             {
                 "slot": slot_id,

@@ -88,7 +88,7 @@ def test_criterion_2_forwarder_sets_match_two_distance_oracle():
         if len(schedule.slot_owner) != len(topo.nodes) - 1:
             mismatches.append((i, "not every source acquired a slot"))
             continue
-        for slot, owner in sorted(schedule.slot_owner.items()):
+        for slot, owner in enumerate(schedule.slot_owner):
             protocol = {
                 n
                 for n in topo.nodes
@@ -352,10 +352,7 @@ def test_criterion_8_distinct_slots_for_all_sources_within_stabilization():
     def check_tables(world, trace):
         nonlocal rounds_checked
         slot_owner = world.schedule.slot_owner
-        owner_slot = world.schedule.owner_slot
-        assert len(set(slot_owner.values())) == len(slot_owner)
-        assert {owner: slot for slot, owner in slot_owner.items()} == owner_slot
-        assert sorted(slot_owner) == list(range(len(slot_owner)))
+        assert len(set(slot_owner)) == len(slot_owner)
         rounds_checked += 1
 
     result = run_simulation(cfg, topo, on_round=check_tables)

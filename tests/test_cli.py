@@ -151,6 +151,28 @@ class TestExitCodes:
         code = main(["run", "--topology", str(topo)])
         assert code == 2
 
+    def test_repeated_config_key_is_input_error(self, tmp_path, line_file, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("SEED = 1\nSEED = 2\n", encoding="utf-8")
+        code = main(["run", "--topology", line_file, "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 2: SEED already set on line 1" in err
+
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_failed_set_up_keeps_existing_output(self, tmp_path, capsys, flag):
+        # node 1, the sink, is missing: the run fails before it opens outputs
+        topo = tmp_path / "nosink.topo"
+        topo.write_text("2 3\n", encoding="utf-8")
+        old = tmp_path / "old.out"
+        old.write_bytes(b"{\"kind\": \"earlier run\"}\n")
+        code = main(["run", "--topology", str(topo), flag, str(old)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sink node 1 missing" in err
+        assert old.read_bytes() == b"{\"kind\": \"earlier run\"}\n"
+
     def test_override_breaking_config_is_input_error(self, line_file, capsys):
         code = main(["run", "--topology", line_file, "--duration", "0s"])
         assert code == 2
@@ -224,6 +246,18 @@ class TestForwardersCommand:
             assert row["forwarders"] == expected
         stdout = capsys.readouterr().out
         assert stdout.count("slot ") == 3
+
+    def test_zero_length_phases_name_the_phase_keys(self, tmp_path, line_file, capsys):
+        # forwarders runs for cool-off plus stabilization; with both at zero
+        # there is nothing to run, and DURATION was never the user's choice
+        cfg = tmp_path / "nophases.cfg"
+        cfg.write_text("COOLOFF_PERIOD = 0\nSTABILIZATION_PERIOD = 0\n", encoding="utf-8")
+        code = main(["forwarders", "--topology", line_file, "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "COOLOFF_PERIOD" in err and "STABILIZATION_PERIOD" in err
+        assert "DURATION" not in err
 
 
 class TestEntryPoints:

@@ -144,6 +144,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="DRIFT_PPM_RANGE must be finite"):
             parse_config(f"DRIFT_PPM_RANGE = {value}\n")
 
+    def test_repeated_key_reports_both_lines(self):
+        # keys are case insensitive, so "seed" repeats "SEED"
+        with pytest.raises(ConfigError, match="line 3: SEED already set on line 1"):
+            parse_config("SEED = 1\nIPI = 10s\nseed = 2\n")
+
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="expected KEY = value"):
             parse_config("IPI 10s\n")

@@ -66,11 +66,11 @@ class TestSinkBuildSync:
         assert sink_build_sync(sched, SimConfig()) == SyncHeader(1_000_000, 64, 0)
 
     def test_operational_data_round_header(self):
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL, next_free_slot=7)
+        sched = SinkSchedule(phase=PHASE_OPERATIONAL, slot_owner=[2, 3, 4, 5, 6, 7, 8])
         assert sink_build_sync(sched, SimConfig()) == SyncHeader(5_000_000, 2, 7)
 
     def test_operational_sync_only_header(self):
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL, op_round_index=1)
+        sched = SinkSchedule(phase=PHASE_OPERATIONAL, phase_clock=5_000_000)
         assert sink_build_sync(sched, SimConfig()) == SyncHeader(5_000_000, 0, 0)
 
     def test_unknown_phase_rejected(self):
@@ -135,8 +135,7 @@ class TestSinkAssign:
         assert sink_assign(sched, 4) == 0
         assert sink_assign(sched, 2) == 1
         assert sink_assign(sched, 9) == 2
-        assert sched.next_free_slot == 3
-        assert sched.slot_owner == {0: 4, 1: 2, 2: 9}
+        assert sched.slot_owner == [4, 2, 9]
         sched.assert_injective()
 
     def test_duplicate_request_returns_existing_slot(self):
@@ -145,7 +144,7 @@ class TestSinkAssign:
         sink_assign(sched, 2)
         again = sink_assign(sched, 4)
         assert again == 0
-        assert sched.next_free_slot == 2
+        assert sched.slot_owner == [4, 2]
         sched.assert_injective()
 
     def test_capacity_exhaustion(self):
@@ -159,6 +158,7 @@ class TestSinkAssign:
     def test_injectivity_check_catches_corruption(self):
         sched = SinkSchedule()
         sink_assign(sched, 4)
+        sink_assign(sched, 5)
         sched.slot_owner[0] = 5
         with pytest.raises(SimulationError):
             sched.assert_injective()
@@ -172,7 +172,6 @@ class TestUpdateRrDynamics:
         cfg = SimConfig()
         sched = self._schedule()
         update_rr_dynamics(sched, [None, 4, None], cfg)
-        assert not sched.rr_reduced
         assert sched.empty_streak == 1
         assert sched.rr_current == 64
 
@@ -180,23 +179,21 @@ class TestUpdateRrDynamics:
         cfg = SimConfig()
         sched = self._schedule()
         update_rr_dynamics(sched, [4, 7, None, None, 9], cfg)
-        assert sched.rr_reduced
         assert sched.rr_current == 2
 
     def test_streak_spans_round_boundary(self):
         cfg = SimConfig()
         sched = self._schedule()
         update_rr_dynamics(sched, [4, None], cfg)
-        assert not sched.rr_reduced
+        assert sched.rr_current == 64
         update_rr_dynamics(sched, [None, 3], cfg)
-        assert sched.rr_reduced
+        assert sched.rr_current == 2
 
     def test_reduction_is_permanent(self):
         cfg = SimConfig()
         sched = self._schedule()
         update_rr_dynamics(sched, [None, None], cfg)
         update_rr_dynamics(sched, [5, 6], cfg)
-        assert sched.rr_reduced
         assert sched.rr_current == 2
 
     def test_fs_reduces_to_three(self):
@@ -209,9 +206,9 @@ class TestUpdateRrDynamics:
         cfg = SimConfig(rr_reduction_trigger="rounds")
         sched = self._schedule()
         update_rr_dynamics(sched, [None, None, None], cfg)
-        assert not sched.rr_reduced
+        assert sched.rr_current == 64
         update_rr_dynamics(sched, [None, None, None], cfg)
-        assert sched.rr_reduced
+        assert sched.rr_current == 2
 
     def test_rounds_trigger_resets_on_any_request(self):
         cfg = SimConfig(rr_reduction_trigger="rounds")
@@ -220,7 +217,7 @@ class TestUpdateRrDynamics:
         update_rr_dynamics(sched, [None, 8], cfg)
         assert sched.empty_streak == 0
         update_rr_dynamics(sched, [None, None], cfg)
-        assert not sched.rr_reduced
+        assert sched.rr_current == 64
 
     def test_no_request_slots_leaves_state_alone(self):
         cfg = SimConfig(rr_reduction_trigger="rounds")
@@ -228,4 +225,4 @@ class TestUpdateRrDynamics:
         sched.empty_streak = 1
         update_rr_dynamics(sched, [], cfg)
         assert sched.empty_streak == 1
-        assert not sched.rr_reduced
+        assert sched.rr_current == 64

@@ -128,9 +128,7 @@ class TestRequestBlock:
         cfg = SimConfig()
         world = build_world(cfg, line_topology(2))
         execute_round(world, _sync_only_header())
-        world.schedule.slot_owner[0] = 2
-        world.schedule.owner_slot[2] = 0
-        world.schedule.next_free_slot = 1
+        world.schedule.slot_owner.append(2)
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
         reply = trace.slots[2]
         assert reply.requester == 2
@@ -154,7 +152,7 @@ class TestDataSlots:
         execute_round(world, SyncHeader(US_SECOND, 2, 0))
         if not generate:
             world.nodes[2].queue.clear()
-            world.nodes[2].next_generation_time = 10**15
+            world.nodes[2].next_sequence = 10**15
         return world
 
     def test_owner_delivers_queued_packet(self):

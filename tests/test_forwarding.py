@@ -33,7 +33,7 @@ class TestRefreshSinkDistances:
         topo = diamond_pendant()
         nodes = {n: _node(n) for n in topo.nodes}
         outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
-        refresh_sink_distances(nodes, set(topo.nodes), outcome)
+        refresh_sink_distances(nodes, outcome)
         assert {n: nodes[n].sink_distance for n in sorted(nodes)} == {
             1: 0,
             2: 1,
@@ -45,8 +45,10 @@ class TestRefreshSinkDistances:
     def test_non_listeners_keep_previous_value(self):
         topo = diamond_pendant()
         nodes = {n: _node(n, sink_distance=9) for n in topo.nodes}
-        outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
-        refresh_sink_distances(nodes, {2, 3}, outcome)
+        # 4 and 5 hear the flood but are no participants: their radios are off
+        outcome = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
+        assert outcome.received(4) and outcome.received(5)
+        refresh_sink_distances(nodes, outcome)
         assert nodes[2].sink_distance == 1
         assert nodes[4].sink_distance == 9
         assert nodes[5].sink_distance == 9
@@ -154,7 +156,7 @@ class TestAgainstGeometricOracle:
             everyone = set(topo.nodes)
             sink = 1
             reply = flood(topo, sink, b"", Topology.mask_of(everyone))
-            refresh_sink_distances(nodes, everyone, reply)
+            refresh_sink_distances(nodes, reply)
             source = max(topo.nodes)
             announce = build_announce(nodes[source], 0)
             assert announce is not None

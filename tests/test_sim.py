@@ -62,7 +62,7 @@ class TestPhaseSchedule:
         result = run_simulation(cfg, line_topology(5))
         for n in (2, 3, 4, 5):
             assert result.metrics.sources[n].acquisition_round == 10
-        assert result.world.schedule.next_free_slot == 4
+        assert len(result.world.schedule.slot_owner) == 4
 
     def test_operational_rounds_alternate_data_and_sync_only(self):
         cfg = SimConfig(duration=60 * US_SECOND)
@@ -246,7 +246,7 @@ class TestCapacityPressure:
         )
         assert cfg.data_slot_capacity() == 4
         result = run_simulation(cfg, line_topology(7))
-        assert result.world.schedule.next_free_slot == 4
+        assert len(result.world.schedule.slot_owner) == 4
         events = sum(t.capacity_events for t in result.traces)
         assert events > 0
         flagged = [
@@ -410,3 +410,34 @@ class TestDataSlotMembership:
 
             run_simulation(cfg, topo, on_round=check)
         assert (selected > 0) == fs
+
+
+class TestSlotTableAgreement:
+    @pytest.mark.parametrize("fs", [False, True])
+    def test_owners_distinct_and_every_held_slot_owned(self, fs):
+        # the sink's dense slot list is the one slot table: owners never
+        # repeat, and a node that believes it holds a slot owns that index,
+        # through lost replies, desyncs and rejoins
+        cfg = SimConfig(
+            duration=160 * US_SECOND,
+            forwarder_selection=fs,
+            loss_probability=0.2,
+            drift_ppm_range=(50.0, 300.0),
+            seed=7,
+        )
+        topo = random_connected_topology(random.Random(313), 16, max_ecc=4)
+        held = []
+
+        def check(world, trace):
+            owners = world.schedule.slot_owner
+            assert len(set(owners)) == len(owners)
+            holders = [n for n, s in world.nodes.items() if s.my_slot is not None]
+            for n in holders:
+                assert owners[world.nodes[n].my_slot] == n
+            held.append(len(holders))
+
+        result = run_simulation(cfg, topo, on_round=check)
+        assert len(held) == len(result.traces) and max(held) > 0
+        assert any(t.desynced for t in result.traces)
+        replies = [s for t in result.traces for s in t.slots if s.kind == "reply"]
+        assert any(s.assigned_slot is not None and not s.delivered for s in replies)
