@@ -40,11 +40,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lwbsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, duration=True):
         p.add_argument("--topology", required=True, help="edge list file")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--duration", help="override the run length, e.g. 120s")
+        if duration:
+            p.add_argument("--duration", help="override the run length, e.g. 120s")
 
     p_run = sub.add_parser("run", help="simulate one run")
     common(p_run)
@@ -66,7 +67,7 @@ def _build_parser() -> _Parser:
         "forwarders",
         help="run to the end of stabilization and dump forwarder sets",
     )
-    common(p_fwd)
+    common(p_fwd, duration=False)
     p_fwd.add_argument("--out", help="write the JSON table here")
     return parser
 
@@ -93,7 +94,7 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.duration is not None:
+    if getattr(args, "duration", None) is not None:
         try:
             overrides["duration"] = parse_duration(args.duration)
         except ValueError as exc:

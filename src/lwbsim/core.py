@@ -179,22 +179,14 @@ def update_rr_dynamics(
     the block to one group for every later round. Reduction is permanent:
     nothing raises rr_current again once stabilization has started.
     """
-    if config.rr_reduction_trigger == TRIGGER_SLOTS:
-        for outcome in request_outcomes:
-            if outcome is None:
-                schedule.empty_streak += 1
-                if schedule.empty_streak >= 2:
-                    schedule.rr_current = config.rr_group_size
-            else:
-                schedule.empty_streak = 0
-    elif config.rr_reduction_trigger == TRIGGER_ROUNDS:
-        if request_outcomes and all(o is None for o in request_outcomes):
-            schedule.empty_streak += 1
-            if schedule.empty_streak >= 2:
-                schedule.rr_current = config.rr_group_size
-        elif request_outcomes:
-            schedule.empty_streak = 0
+    trigger = config.rr_reduction_trigger
+    if trigger == TRIGGER_SLOTS:
+        empties = [outcome is None for outcome in request_outcomes]
+    elif trigger == TRIGGER_ROUNDS:
+        empties = [all(o is None for o in request_outcomes)] if request_outcomes else []
     else:
-        raise SimulationError(
-            f"unknown reduction trigger {config.rr_reduction_trigger!r}"
-        )
+        raise SimulationError(f"unknown reduction trigger {trigger!r}")
+    for empty in empties:
+        schedule.empty_streak = schedule.empty_streak + 1 if empty else 0
+        if schedule.empty_streak >= 2:
+            schedule.rr_current = config.rr_group_size

@@ -12,14 +12,18 @@ point on it is charged like any synced node. The charge is folded once per
 round from the finished slots: slots that wake the same nodes share one
 awake list object, charged slot length times the slots it was awake for.
 
-Participant state is computed once per round: the sync flood's mask, one
-awake list and mask for the request block and every data slot that wakes
-all active nodes, and a slot -> forwarders index for forwarder selection.
+Participant state comes from two walks over the nodes per round, one
+before the sync flood and one after it. The sync slot's receivers are the
+round's active list, which is also the awake list (and mask) of the request
+block and of every data slot that wakes all active nodes. The sync slot is
+awake on that same list unless a synced node missed the sync. A slot ->
+forwarders index serves forwarder selection.
 
-Determinism: all iteration over node sets happens in sorted node id order,
-and a single rng instance drives first the contention draw of a request
-slot (only when two or more nodes contend) and then the loss draws of that
-slot's flood (only when the loss probability is nonzero).
+Determinism: all iteration over nodes follows world.nodes, which is in
+ascending node id order, and a single rng instance drives first the
+contention draw of a request slot (only when two or more nodes contend) and
+then the loss draws of that slot's flood (only when the loss probability is
+nonzero).
 """
 
 from __future__ import annotations
@@ -91,38 +95,11 @@ class World:
     topology: Topology
     config: SimConfig
     schedule: SinkSchedule
-    nodes: dict[int, NodeState]
+    nodes: dict[int, NodeState]  # inserted in ascending node id order
     rng: random.Random
     now: int = 0
     round_index: int = 0
     announced_slots: dict[int, int] = field(default_factory=dict)  # slot -> distance
-
-    @property
-    def sink(self) -> int:
-        return self.config.sink_node_id
-
-    def node_order(self) -> list[int]:
-        return sorted(self.topology.nodes)
-
-
-def _generate_packets(world: World, trace_generated, trace_dropped) -> None:
-    cfg = world.config
-    for node_id in world.node_order():
-        if node_id == world.sink:
-            continue
-        state = world.nodes[node_id]
-        while state.next_sequence * cfg.ipi <= world.now:
-            payload = f"{node_id}:{state.next_sequence}".encode("ascii")
-            if len(payload) > cfg.max_payload_len:
-                raise SimulationError(
-                    f"generated payload exceeds MAX_PAYLOAD_LEN {cfg.max_payload_len}"
-                )
-            if len(state.queue) >= cfg.queue_capacity:
-                state.queue.popleft()
-                trace_dropped.append(node_id)
-            state.queue.append((world.round_index, payload))
-            trace_generated.append((node_id, world.round_index))
-            state.next_sequence += 1
 
 
 def _radio_on(
@@ -156,7 +133,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     sched = world.schedule
     nodes = world.nodes
     rng = world.rng
-    sink = world.sink
+    sink = cfg.sink_node_id
     fs_mode = cfg.forwarder_selection
     group = cfg.rr_group_size
     if header.n_rr % group != 0:
@@ -170,40 +147,57 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     channel = (cfg.loss_probability, rng, cfg.max_payload_len)
     generated: list[tuple[int, int]] = []
     dropped: list[int] = []
-    _generate_packets(world, generated, dropped)
-
-    # Clock guard: a synced node whose accumulated offset left the guard
-    # window cannot hit the sync slot any more and falls back to bootstrap.
     desynced: list[int] = []
-    for node_id in world.node_order():
-        if node_id == sink:
-            continue
-        state = nodes[node_id]
-        if not state.bootstrap and not state.clock.check_guard(t):
-            state.bootstrap = True
-            desynced.append(node_id)
+    synced: list[int] = []
 
-    slots: list[SlotTrace] = []
+    # Walk 1, before the sync flood. Every node but the sink generates its
+    # due packets, and a synced node whose accumulated offset left the
+    # guard window cannot hit the sync slot any more and falls back to
+    # bootstrap. The sink is never in bootstrap.
+    for node_id, state in nodes.items():
+        if node_id != sink:
+            while state.next_sequence * cfg.ipi <= t:
+                payload = f"{node_id}:{state.next_sequence}".encode("ascii")
+                if len(payload) > cfg.max_payload_len:
+                    raise SimulationError(
+                        f"generated payload exceeds MAX_PAYLOAD_LEN {cfg.max_payload_len}"
+                    )
+                if len(state.queue) >= cfg.queue_capacity:
+                    state.queue.popleft()
+                    dropped.append(node_id)
+                state.queue.append((world.round_index, payload))
+                generated.append((node_id, world.round_index))
+                state.next_sequence += 1
+            if not state.bootstrap and not state.clock.check_guard(t):
+                state.bootstrap = True
+                desynced.append(node_id)
+        if not state.bootstrap:
+            synced.append(node_id)
 
     # Sync slot. Synced nodes relay; bootstrap nodes have their radio on
     # anyway, so they receive (without relaying) and join on success.
-    synced_ids = [n for n in world.node_order() if not nodes[n].bootstrap or n == sink]
-    outcome = flood(topo, sink, b"", topo.mask_of(synced_ids), *channel)
-    active: set[int] = {sink}
+    outcome = flood(topo, sink, b"", topo.mask_of(synced), *channel)
+
+    # Walk 2, after the sync flood. Every receiver, the sink included, is
+    # active for the round; a node still in bootstrap listens through the
+    # whole round; a synced node that missed the sync sits the round out.
+    active: list[int] = []
     joined: list[int] = []
-    for node_id in world.node_order():
-        if node_id == sink:
-            continue
-        state = nodes[node_id]
-        if not outcome.received(node_id):
-            continue
-        if state.bootstrap:
-            state.bootstrap = False
-            joined.append(node_id)
-        state.clock.apply_sync(t)
-        active.add(node_id)
-    sync_awake = sorted(set(synced_ids) | set(joined))
-    slots.append(SlotTrace(t, "sync", sync_awake, outcome.received_nodes(), sink))
+    missed: list[int] = []
+    still_bootstrap: list[int] = []
+    for node_id, state in nodes.items():
+        if outcome.received(node_id):
+            if state.bootstrap:
+                state.bootstrap = False
+                joined.append(node_id)
+            state.clock.apply_sync(t)
+            active.append(node_id)
+        elif state.bootstrap:
+            still_bootstrap.append(node_id)
+        else:
+            missed.append(node_id)
+    sync_awake = sorted(active + missed) if missed else active
+    slots: list[SlotTrace] = [SlotTrace(t, "sync", sync_awake, active, sink)]
     t += cfg.sync_slot_length
 
     def slot(kind: str, awake: list[int], fo: FloodOutcome | None, **info) -> None:
@@ -220,23 +214,23 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
 
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
-    # have to relay them. All these slots share one awake list and mask.
+    # have to relay them. All these slots share the active list, which is
+    # also the sync slot's received list, and its mask.
     request_outcomes: list[int | None] = []
     new_assignments: list[tuple[int, int]] = []
     capacity_events = 0
-    awake = sorted(active)
-    awake_mask = topo.mask_of(awake)
+    awake_mask = topo.mask_of(active)
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
         contenders = [
-            n for n in awake if n != sink and nodes[n].my_slot is None
+            n for n in active if n != sink and nodes[n].my_slot is None
         ]
         winner = contend(contenders, cfg.contention_policy, rng)
         fo = None if winner is None else flood(topo, winner, b"", awake_mask, *channel)
         heard = winner if fo is not None and fo.received(sink) else None
         request_outcomes.append(heard)
         slot(
-            "request", awake, fo,
+            "request", active, fo,
             contender_count=len(contenders), winner=winner, delivered=heard is not None,
         )
 
@@ -265,7 +259,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     requester=heard, assigned_slot=assigned,
                     new_assignment=new, delivered=delivered,
                 )
-        slot("reply", awake, fo, **info)
+        slot("reply", active, fo, **info)
 
         # announce slot (forwarder selection only)
         if fs_mode:
@@ -275,7 +269,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 announce = build_announce(state, state.my_slot)
             if announce is not None:
                 fo = flood(topo, announce_source, b"", awake_mask, *channel)
-                for node_id in awake:
+                for node_id in active:
                     apply_announce(nodes[node_id], announce, fo.hops.get(node_id))
                 world.announced_slots[announce.slot] = announce.distance
                 info = dict(
@@ -283,22 +277,22 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     announced_distance=announce.distance,
                     slot_id=announce.slot,
                 )
-            slot("announce", awake, fo, **info)
+            slot("announce", active, fo, **info)
 
     # Data slots. Slot indices are dense and the header check above gave
     # every index below n_data an owner; the owner floods the oldest queued
     # packet, or an empty keepalive when its queue is dry. An absent owner
     # leaves the slot silent but its members still listened.
-    forwarders = forwarder_index(awake, nodes, world.announced_slots) if header.n_data else {}
+    forwarders = forwarder_index(active, nodes, world.announced_slots) if header.n_data else {}
     for slot_id in range(header.n_data):
         owner = sched.slot_owner[slot_id]
-        members = data_participants(awake, forwarders, slot_id, owner, sink)
+        members = data_participants(active, forwarders, slot_id, owner, sink)
         fo, info = None, {}
         owner_state = nodes[owner]
-        if owner in active and owner_state.my_slot == slot_id:
+        if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
             queue = owner_state.queue
             gen_round, payload = queue.popleft() if queue else (None, b"")
-            mask = awake_mask if members is awake else topo.mask_of(members)
+            mask = awake_mask if members is active else topo.mask_of(members)
             fo = flood(topo, owner, payload, mask, *channel)
             info = dict(
                 payload_len=len(payload),
@@ -312,12 +306,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             f"round {world.round_index} overflows its period: "
             f"{t - world.now} > {header.round_period}"
         )
-
-    # Nodes still in bootstrap at the end of the round listened through the
-    # whole round.
-    still_bootstrap = [
-        n for n in world.node_order() if nodes[n].bootstrap and n != sink
-    ]
 
     sched.assert_injective()
     trace = RoundTrace(

@@ -56,9 +56,6 @@ class FloodOutcome:
     def received(self, node: int) -> bool:
         return node in self.hops
 
-    def received_nodes(self) -> list[int]:
-        return sorted(self.hops)
-
 
 def waves(
     masks: dict[int, int],

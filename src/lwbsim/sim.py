@@ -7,9 +7,11 @@ the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
 Trace records keep the key order render_trace lists. Slots share awake
-and received lists (one per round for the request block and full data
-slots, one per zero-loss memo entry for receivers), so trace lists are
-read-only: the renderer encodes each distinct list object once.
+and received lists, so trace lists are read-only: the renderer encodes each
+distinct list object once. The sync slot's receivers are the round's active
+list, and the sync slot is awake on that same list unless a synced node
+missed the sync. The request block and full data slots are awake on it too,
+and later slots share one receiver list per zero-loss memo entry.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def forwarder_table(result: RunResult) -> list[dict]:
 
     world = result.world
     sink = result.config.sink_node_id
-    active = [n for n in world.node_order() if not world.nodes[n].bootstrap]
+    active = [n for n, state in world.nodes.items() if not state.bootstrap]
     forwarders = forwarder_index(active, world.nodes, world.announced_slots)
     table = []
     for slot_id, owner in enumerate(world.schedule.slot_owner):

@@ -195,7 +195,8 @@ class TestExitCodes:
 
         monkeypatch.setattr("lwbsim.cli.run_simulation", no_run)
         out = str(tmp_path / "no" / "such" / "dir" / "out")
-        code = main([command, "--topology", line_file, "--duration", "12s", flag, out])
+        duration = [] if command == "forwarders" else ["--duration", "12s"]
+        code = main([command, "--topology", line_file, *duration, flag, out])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -258,6 +259,16 @@ class TestForwardersCommand:
         assert err.count("\n") == 1
         assert "COOLOFF_PERIOD" in err and "STABILIZATION_PERIOD" in err
         assert "DURATION" not in err
+
+    @pytest.mark.parametrize("value", ["0s", "3s"])
+    def test_duration_flag_is_not_offered(self, line_file, capsys, value):
+        # the run length is cool-off plus stabilization, so --duration would
+        # either be ignored or fail validation for a run that never uses it
+        code = main(["forwarders", "--topology", line_file, "--duration", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("usage error:") and "--duration" in err
 
 
 class TestEntryPoints:

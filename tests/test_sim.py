@@ -122,7 +122,7 @@ class TestDeterminism:
             run_simulation(cfg, topo).traces
         )
 
-    def test_drift_draws_in_node_order(self):
+    def test_drift_draws_in_node_id_order(self):
         cfg = SimConfig(drift_ppm_range=(10.0, 20.0), seed=6)
         world = build_world(cfg, line_topology(4))
         rng = random.Random(6)
@@ -368,6 +368,57 @@ class TestRadioAccounting:
         assert len(rounds) == len(result.traces)
         for index, (got, want) in enumerate(rounds):
             assert got == want, f"round {index}"
+
+
+class TestSharedRoundLists:
+    """The engine walks world.nodes in dict order and hands the sync flood's
+    receivers, as one list, to the sync slot and the request block."""
+
+    def test_world_nodes_are_in_ascending_id_order(self):
+        topo = Topology.from_edges([(100, 1), (1, 40), (40, 9), (9, 33), (33, 64)])
+        world = build_world(SimConfig(), topo)
+        assert list(world.nodes) == sorted(topo.nodes)
+
+    def test_lossless_sync_and_request_block_share_one_list(self):
+        cfg = SimConfig(duration=40 * US_SECOND)
+        result = run_simulation(cfg, line_topology(5))
+        checked = 0
+        for trace in result.traces:
+            if trace.index < 4 or not trace.n_rr:
+                continue  # the line joins one hop per round
+            sync, request = trace.slots[0], trace.slots[1]
+            assert sync.awake is sync.received
+            assert request.awake is sync.received
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("guard", [0, SimConfig.glossy_guard_time])
+    def test_lossy_drifting_run_shares_receivers_and_keeps_the_sink_active(self, guard):
+        cfg = SimConfig(
+            duration=120 * US_SECOND,
+            forwarder_selection=True,
+            loss_probability=0.2,
+            drift_ppm_range=(50.0, 300.0),
+            glossy_guard_time=guard,
+            seed=5,
+        )
+        topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
+        result = run_simulation(cfg, topo)
+        sink = cfg.sink_node_id
+        missed = 0
+        for trace in result.traces:
+            sync = trace.slots[0]
+            if trace.n_rr:
+                assert sync.received is trace.slots[1].awake
+            missed += sync.awake is not sync.received
+            for slot in trace.slots:
+                assert set(slot.received) <= set(slot.awake)
+                assert sink in slot.awake
+            assert sink not in trace.desynced + trace.joined + trace.bootstrap
+        # with no guard every synced node desyncs at each round start, so
+        # only the sink relays the sync and no synced node can miss it
+        assert any(t.desynced for t in result.traces)
+        assert (missed == 0) == (guard == 0)
 
 
 class TestDataSlotMembership:
