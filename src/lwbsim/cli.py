@@ -72,11 +72,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str, error: type[LwbError]) -> str:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
 def _create(stack: ExitStack, path: str | None):
@@ -90,7 +93,9 @@ def _write_json(f, doc) -> None:
 
 
 def _load_inputs(args) -> tuple[SimConfig, Topology]:
-    config = parse_config(_read_file(args.config)) if args.config else SimConfig()
+    config = SimConfig()
+    if args.config:
+        config = parse_config(_read_file(args.config, ConfigError))
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -106,7 +111,7 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
     if overrides:
         config = dataclasses.replace(config, **overrides)
         config.validate()
-    topology = load_topology(_read_file(args.topology), config.max_node_number)
+    topology = load_topology(_read_file(args.topology, TopologyError), config.max_node_number)
     # before any output file is created, so a failed set-up keeps old files
     check_topology(config, topology)
     return config, topology

@@ -120,6 +120,8 @@ class SimConfig:
             problems.append(
                 f"RR_REDUCTION_TRIGGER must be '{TRIGGER_SLOTS}' or '{TRIGGER_ROUNDS}'"
             )
+        if self.seed < 0:
+            problems.append("SEED must not be negative")
         if self.queue_capacity < 1:
             problems.append("QUEUE_CAPACITY must be at least 1")
         if self.duration <= 0:

@@ -6,17 +6,17 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Trace records keep the key order render_trace lists. Slots share awake
-and received lists, so trace lists are read-only: the renderer encodes each
-distinct list object once. The sync slot's receivers are the round's active
-list, and the sync slot is awake on that same list unless a synced node
-missed the sync. The request block and full data slots are awake on it too,
-and later slots share one receiver list per zero-loss memo entry.
+Trace records keep the key order render_trace lists and are written from
+%-templates and node id texts, not through json. Slots share awake and
+received lists, so trace lists are read-only: the renderer writes each
+distinct slot list object once. The sync slot's receivers are the round's
+active list, and the sync slot is awake on that same list unless a synced
+node missed the sync. The request block and full data slots are awake on
+it too, and later slots share one receiver list per zero-loss memo entry.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO
@@ -118,99 +118,100 @@ def _scalar(value):
     return value
 
 
-def _round_record(trace: RoundTrace) -> dict:
-    return {
-        "kind": "round",
-        "round": trace.index,
-        "t": trace.t_start,
-        "phase": trace.phase,
-        "mode": trace.mode,
-        "period": trace.round_period,
-        "n_rr": trace.n_rr,
-        "n_data": trace.n_data,
-        "radio_on": {str(n): us for n, us in sorted(trace.radio_on.items())},
-        "new_assignments": [list(pair) for pair in trace.new_assignments],
-        "joined": trace.joined,
-        "desynced": trace.desynced,
-        "bootstrap": trace.bootstrap,
-        "generated": [list(pair) for pair in trace.generated],
-        "dropped": trace.dropped,
-        "capacity_events": trace.capacity_events,
-    }
+class _Names(dict):
+    """Node id -> its decimal text, made on the first lookup of each id."""
+    def __missing__(self, node: int) -> str:
+        text = self[node] = str(node)
+        return text
 
 
-# Slot kinds are the engine's fixed lowercase names, written unescaped.
+# Slot kinds, phases and modes are the engine's fixed lowercase names,
+# written unescaped.
 _SLOT_HEAD = (
-    '{"kind":"slot","round":%s,"t":%s,"phase":%s,"type":"%s","initiator":%s,"awake":'
+    '{"kind":"slot","round":%s,"t":%s,"phase":"%s","type":"%s","initiator":%s,"awake":['
+)
+_ROUND = (
+    '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
+    '"n_rr":%d,"n_data":%d,"radio_on":{%s},"new_assignments":[%s],"joined":[%s],'
+    '"desynced":[%s],"bootstrap":[%s],"generated":[%s],"dropped":[%s],'
+    '"capacity_events":%d,"seq":%d}\n'
 )
 
 
 def _slot_tail(slot: SlotTrace, seq: int) -> str:
-    """The kind-specific fields of a slot record, its seq and newline."""
+    """A slot record from the ']' closing its received list to its newline."""
     s, kind = _scalar, slot.kind
     if kind == "data":
         return (
-            ',"slot_id":%s,"owner":%s,"payload_len":%s,"gen_round":%s,'
+            '],"slot_id":%s,"owner":%s,"payload_len":%s,"gen_round":%s,'
             '"delivered":%s,"seq":%d}\n'
         ) % (
             s(slot.slot_id), s(slot.owner), s(slot.payload_len), s(slot.gen_round),
             s(slot.delivered), seq,
         )
     if kind == "request":
-        return ',"contenders":%s,"winner":%s,"delivered":%s,"seq":%d}\n' % (
+        return '],"contenders":%s,"winner":%s,"delivered":%s,"seq":%d}\n' % (
             slot.contender_count, s(slot.winner), s(slot.delivered), seq,
         )
     if kind == "reply":
         capacity = ',"capacity_exceeded":true' if slot.capacity_exceeded else ""
         return (
-            ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,'
+            '],"requester":%s,"assigned_slot":%s,"new_assignment":%s,'
             '"delivered":%s%s,"seq":%d}\n'
         ) % (
             s(slot.requester), s(slot.assigned_slot), s(slot.new_assignment),
             s(slot.delivered), capacity, seq,
         )
     if kind == "announce":
-        return ',"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n' % (
+        return '],"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n' % (
             s(slot.source), s(slot.announced_distance), s(slot.slot_id), seq,
         )
-    return ',"seq":%d}\n' % seq
+    return '],"seq":%d}\n' % seq
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
-    """The JSONL text in pieces: five per slot record (head, awake list,
-    ',"received":', received list, tail), one per round record.
+    """The JSONL text in pieces: five per slot record (head to the awake
+    list's '[', awake ids, '],"received":[', received ids, tail from ']'),
+    one per round record.
 
-    Each distinct list object is encoded once per call. The cache pins
-    every list it has encoded, so no id is reused while the call lasts,
-    even when a generator frees its rounds. The pins sit in a list beside
-    the dict, 48 bytes per list less than (list, text) tuples would take.
+    Each distinct slot list object's ids are joined once per call; a
+    round's own lists, shared by no slot, are not cached. The cache pins
+    every list it holds in a list (48 bytes per list less than (list, text)
+    values), so no id is reused even when a generator frees its rounds.
     """
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    name = _Names().__getitem__
     cache: dict[int, str] = {}
     pinned: list[list[int]] = []
 
     def text(items: list[int]) -> str:
         out = cache.get(id(items))
         if out is None:
-            out = cache[id(items)] = encode(items)
+            out = cache[id(items)] = ",".join(map(name, items))
             pinned.append(items)
         return out
 
     seq = 0
     for trace in traces:
-        phase = encode(trace.phase)
         for slot in trace.slots:
             initiator = _scalar(slot.initiator)
-            yield _SLOT_HEAD % (trace.index, slot.t, phase, slot.kind, initiator)
+            yield _SLOT_HEAD % (trace.index, slot.t, trace.phase, slot.kind, initiator)
             yield text(slot.awake)
-            yield ',"received":'
+            yield '],"received":['
             yield text(slot.received)
             yield _slot_tail(slot, seq)
             seq += 1
-        rec = _round_record(trace)
-        rec["seq"] = seq
+        yield _ROUND % (
+            trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
+            trace.n_rr, trace.n_data,
+            ",".join(map('"%d":%d'.__mod__, sorted(trace.radio_on.items()))),
+            ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
+            ",".join(map(name, trace.joined)),
+            ",".join(map(name, trace.desynced)),
+            ",".join(map(name, trace.bootstrap)),
+            ",".join(map("[%d,%d]".__mod__, trace.generated)),
+            ",".join(map(name, trace.dropped)), trace.capacity_events, seq,
+        )
         seq += 1
-        yield encode(rec) + "\n"
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
@@ -219,10 +220,9 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     Each round gives its slot records in time order, then its round record;
     a global seq gives a total order. Key order is fixed: a slot record has
     kind, round, t, phase, type, initiator, awake, received, the fields of
-    its type in _slot_tail's order, seq; a round record has the keys of
-    _round_record, then seq. Each distinct list object is encoded once per
-    call, which relies on trace lists being read-only. traces may be any
-    iterable of rounds, a generator included.
+    its type in _slot_tail's order, seq; a round record has _ROUND's keys.
+    Each distinct slot list object is written once per call, which relies
+    on trace lists being read-only. traces may be any iterable of rounds.
     """
     return "".join(_trace_pieces(traces))
 

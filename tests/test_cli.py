@@ -151,6 +151,27 @@ class TestExitCodes:
         code = main(["run", "--topology", str(topo)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--topology", "--config"])
+    def test_non_utf8_input_file_is_input_error(self, tmp_path, line_file, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\xff\n")
+        topology = [] if flag == "--topology" else ["--topology", line_file]
+        code = main(["run", *topology, flag, str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("invalid input:") and "not UTF-8" in err and str(bad) in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_input_error(self, tmp_path, line_file, capsys, source):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("SEED = -5\n", encoding="utf-8")
+        extra = ["--seed", "-5"] if source == "flag" else ["--config", str(cfg)]
+        code = main(["run", "--topology", line_file, "--duration", "5s", *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SEED must not be negative" in err
+
     def test_repeated_config_key_is_input_error(self, tmp_path, line_file, capsys):
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("SEED = 1\nSEED = 2\n", encoding="utf-8")

@@ -201,6 +201,14 @@ class TestValidate:
         with pytest.raises(ConfigError, match="SINK_NODE_ID"):
             SimConfig(sink_node_id=151).validate()
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-5) seeds exactly like Random(5), so -5 would alias 5
+        with pytest.raises(ConfigError, match="SEED must not be negative"):
+            SimConfig(seed=-5).validate()
+        with pytest.raises(ConfigError, match="SEED must not be negative"):
+            parse_config("SEED = -5\n")
+        SimConfig(seed=0).validate()
+
     def test_problems_are_joined(self):
         with pytest.raises(ConfigError) as exc:
             SimConfig(queue_capacity=0, duration=0).validate()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lwbsim.config import SimConfig
+from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.errors import ConfigError, SimulationError
 from lwbsim.sim import (
     build_world,
@@ -194,15 +195,58 @@ class TestRenderOracle:
         )
         return run_simulation(cfg, topo)
 
+    SEEDS = [1, 2, 3, 4, 5, 6]
+
     @pytest.mark.parametrize("fs", [False, True])
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_reference_renderer(self, seed, fs):
         result = self._run(seed, fs)
         slots = [s for t in result.traces for s in t.slots]
         kinds = {"sync", "request", "reply", "data"} | ({"announce"} if fs else set())
         assert {s.kind for s in slots} == kinds
         assert any(s.capacity_exceeded for s in slots)
+        # the round record's lists are compared filled, not only empty
+        for field in ("joined", "new_assignments", "generated", "dropped"):
+            assert any(getattr(t, field) for t in result.traces), field
         assert render_trace(result.traces) == reference_render_trace(result.traces)
+
+    @pytest.mark.parametrize("fs", [False, True])
+    def test_compared_runs_hold_desyncs(self, fs):
+        # not every seed desyncs a node, but the seeds compared above do
+        assert any(t.desynced for seed in self.SEEDS for t in self._run(seed, fs).traces)
+
+    def test_hand_built_rounds_with_unseen_ids(self):
+        # ids the first round never mentions, ids past MAX_NODE_NUMBER,
+        # empty lists and one list shared by two slots
+        shared = [3, 250]
+
+        def round_trace(index, slots, radio_on, **lists):
+            empty = dict.fromkeys(
+                ("new_assignments", "joined", "desynced", "bootstrap", "generated", "dropped"),
+                [],
+            )
+            return RoundTrace(
+                index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
+                round_period=US_SECOND, n_rr=0, n_data=0, slots=slots, radio_on=radio_on,
+                request_outcomes=[], capacity_events=0, **{**empty, **lists},
+            )
+
+        traces = [
+            round_trace(0, [SlotTrace(0, "sync", [1, 2], [2], 1)], {1: 10, 2: 10}),
+            round_trace(
+                1,
+                [
+                    SlotTrace(US_SECOND, "sync", [1, 9], [], 1),
+                    SlotTrace(US_SECOND + 10, "request", shared, shared, None),
+                    SlotTrace(US_SECOND + 20, "data", [], shared, 3, slot_id=0,
+                              owner=3, payload_len=8, gen_round=1, delivered=True),
+                ],
+                {1: 30, 3: 20, 9: 10, 250: 20},
+                new_assignments=[(0, 3)], joined=[3, 250], desynced=[9],
+                bootstrap=[40, 1000], generated=[(3, 1), (77, 0)], dropped=[77],
+            ),
+        ]
+        assert render_trace(traces) == reference_render_trace(traces)
 
     def test_cache_survives_rounds_freed_by_a_generator(self):
         # each copy is dropped once rendered, so its lists' ids come free
