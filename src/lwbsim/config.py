@@ -101,6 +101,8 @@ class SimConfig:
             problems.append("phase periods must not be negative")
         if self.max_payload_len < 0:
             problems.append("MAX_PAYLOAD_LEN must not be negative")
+        if self.max_node_number > 65535:  # Sky/Contiki node ids are 16 bit
+            problems.append("MAX_NODE_NUMBER must not exceed 65535")
         if not 1 <= self.sink_node_id <= self.max_node_number:
             problems.append(
                 f"SINK_NODE_ID {self.sink_node_id} outside [1, {self.max_node_number}]"

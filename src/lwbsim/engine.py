@@ -16,8 +16,9 @@ Participant state comes from two walks over the nodes per round, one
 before the sync flood and one after it. The sync slot's receivers are the
 round's active list, which is also the awake list (and mask) of the request
 block and of every data slot that wakes all active nodes. The sync slot is
-awake on that same list unless a synced node missed the sync. A slot ->
-forwarders index serves forwarder selection.
+awake on that same list unless a synced node missed the sync, and a flood
+that reaches every awake node lists the slot's awake list as its receivers.
+A slot -> forwarders index serves forwarder selection.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -112,13 +113,15 @@ def _radio_on(
     """Radio-on time per node for one finished round; slots[0] is sync."""
     sync, *rest = slots
     lists = {id(slot.awake): slot.awake for slot in rest}
-    charges = [(sync.awake, config.sync_slot_length), (bootstrap, round_period)]
-    for key, count in Counter(id(slot.awake) for slot in rest).items():
-        charges.append((lists[key], count * config.slot_length))
     radio = dict.fromkeys(topology.nodes, 0)
-    for awake, cost in charges:
-        for node_id in awake:
-            radio[node_id] += cost
+    radio.update(dict.fromkeys(sync.awake, config.sync_slot_length))
+    radio.update(dict.fromkeys(bootstrap, round_period))  # disjoint from sync.awake
+    totals = {round_period: round_period}  # one int object per distinct total
+    for key, count in Counter(id(slot.awake) for slot in rest).items():
+        cost = count * config.slot_length
+        for node_id in lists[key]:
+            on = radio[node_id] + cost
+            radio[node_id] = totals.setdefault(on, on)
     return radio
 
 
@@ -186,7 +189,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     missed: list[int] = []
     still_bootstrap: list[int] = []
     for node_id, state in nodes.items():
-        if outcome.received(node_id):
+        if outcome.reached >> node_id & 1:
             if state.bootstrap:
                 state.bootstrap = False
                 joined.append(node_id)
@@ -201,15 +204,15 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     t += cfg.sync_slot_length
 
     def slot(kind: str, awake: list[int], fo: FloodOutcome | None, **info) -> None:
-        """Append one slot at t and advance t. A slot that flooded lists
-        the flood's awake receivers: a node whose radio is off can sit next
-        to a transmitter and still hear nothing, and in every slot after
-        sync the flood's participants are exactly the awake nodes."""
+        """Append one slot at t and advance t. A flooded slot lists the
+        flood's receivers among its participants, the awake nodes: heard is
+        a subset of awake, so a heard as long as awake is awake itself."""
         nonlocal t
         if fo is None:
             slots.append(SlotTrace(t, kind, awake, [], **info))
         else:
-            slots.append(SlotTrace(t, kind, awake, fo.heard, fo.initiator, **info))
+            heard = awake if len(fo.heard) == len(awake) else fo.heard
+            slots.append(SlotTrace(t, kind, awake, heard, fo.initiator, **info))
         t += cfg.slot_length
 
     # Request block. Every active node is awake for every slot of the

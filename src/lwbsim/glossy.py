@@ -7,12 +7,13 @@ stands for node n, and the topology holds one neighbour mask per node.
 The initiator transmits with relay counter 1 in wave 0. The candidates of
 wave k are the OR of the neighbour masks of the wave k-1 transmitters, minus
 every node that has already received. Each candidate receives subject to
-one independent loss draw and records the counter value as its hop
-distance. Loss draws go low bit first, which is ascending node id, and only
-happen when the loss probability is nonzero; the engine and the run driver
-rely on this draw order for determinism. The receivers AND the participant
-mask transmit in wave k+1. With a loss probability of zero the waves are a
-breadth-first search through the participant set.
+one independent loss draw; a lost draw clears its bit, and the bits left
+are wave k's receivers, at hop distance k. Loss draws go low bit
+first, which is ascending node id, and only happen when the loss
+probability is nonzero; the engine and the run driver rely on this draw
+order for determinism. The receivers AND the participant mask transmit in
+wave k+1; only their ids are extracted. With a loss probability of zero the
+waves are a breadth-first search through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. The memo
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .config import SimConfig
@@ -41,20 +43,35 @@ MEMO_CAP = 1024
 class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
-    hops maps node id to hop distance; the initiator is present with hop 0.
-    Nodes absent from hops did not receive. heard lists the receivers that
-    are also participants, in ascending order; the engine's participants
-    are the nodes awake in a slot, so heard is the slot's received list.
-    Outcomes may be shared between floods, so neither hops nor heard may be
-    mutated.
+    layers[k] masks the nodes at hop distance k (layers[0] is the
+    initiator) and reached is their OR. heard lists the receivers that are
+    also participants, in ascending order; the engine's participants are
+    the nodes awake in a slot, so heard is the slot's received list. hops,
+    node id -> hop distance, is built from layers on its first read.
+    Outcomes may be shared between floods, so none of these may be mutated.
     """
 
     initiator: int
-    hops: dict[int, int]
+    layers: list[int]
+    reached: int
     heard: list[int]
 
     def received(self, node: int) -> bool:
-        return node in self.hops
+        return self.reached >> node & 1 == 1
+
+    @cached_property
+    def hops(self) -> dict[int, int]:
+        return {node: hop for hop, layer in enumerate(self.layers) for node in _ids(layer)}
+
+
+def _ids(mask: int) -> list[int]:
+    """The node ids of a mask, ascending."""
+    ids: list[int] = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        ids.append(low.bit_length() - 1)
+    return ids
 
 
 def waves(
@@ -63,38 +80,39 @@ def waves(
     relays: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
-) -> tuple[dict[int, int], list[int]]:
+) -> tuple[list[int], list[int]]:
     """The wave kernel.
 
     masks maps every node to its neighbour mask and relays is the mask of
     the nodes that retransmit after receiving; the initiator always
-    transmits. Returns the hop count of every receiver, and the receivers
-    that retransmitted, in the order they received.
+    transmits. Returns the receiver mask of every wave, the initiator's
+    first, and the receivers that retransmitted, in the order they
+    received. Only the relays' ids are extracted, to OR their masks.
     """
-    hops = {initiator: 0}
-    received = 1 << initiator
+    draw = rng.random if loss_probability else None
+    reached = 1 << initiator
+    layers = [reached]
     relayed: list[int] = []
     transmitters = [initiator]
-    counter = 1
     while transmitters:
-        candidates = 0
+        layer = 0
         for tx in transmitters:
-            candidates |= masks[tx]
-        candidates &= ~received
-        transmitters = []
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            if loss_probability and rng.random() < loss_probability:
-                continue
-            node = low.bit_length() - 1
-            hops[node] = counter
-            received |= low
-            if relays & low:
-                transmitters.append(node)
+            layer |= masks[tx]
+        layer &= ~reached
+        if draw:
+            candidates = layer
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                if draw() < loss_probability:
+                    layer ^= low
+        if not layer:
+            break
+        reached |= layer
+        layers.append(layer)
+        transmitters = _ids(layer & relays)
         relayed += transmitters
-        counter += 1
-    return hops, relayed
+    return layers, relayed
 
 
 def flood(
@@ -122,8 +140,8 @@ def flood(
         max_payload_len: upper bound on payload size.
 
     Returns:
-        FloodOutcome with hop counts for every node that received. At loss
-        zero the outcome may be shared with earlier and later floods.
+        FloodOutcome with the receivers of every wave. At loss zero the
+        outcome may be shared with earlier and later floods.
     """
     if initiator not in topology:
         raise ValueError(f"flood initiator {initiator} not in topology")
@@ -155,13 +173,13 @@ def _outcome(
     loss_probability: float,
     rng: random.Random | None,
 ) -> FloodOutcome:
-    hops, relayed = waves(
+    layers, relayed = waves(
         topology.neighbor_masks, initiator, relays, loss_probability, rng
     )
     if relays >> initiator & 1:
         relayed.append(initiator)
-    # sorted() copies into a list of exact size, which traces keep
-    return FloodOutcome(initiator, hops, sorted(relayed))
+    # disjoint layers sum to their OR; sorted() sizes the list traces keep
+    return FloodOutcome(initiator, layers, sum(layers), sorted(relayed))
 
 
 @dataclass

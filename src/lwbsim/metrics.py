@@ -9,6 +9,7 @@ the ratio.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .engine import RoundTrace
@@ -23,7 +24,7 @@ class SourceStats:
     delivered: int = 0
     dropped: int = 0
     lost: int = 0
-    latencies: list[int] = field(default_factory=list)
+    latencies: Counter[int] = field(default_factory=Counter)  # rounds -> packets
     acquisition_round: int | None = None
     slot: int | None = None
 
@@ -84,7 +85,7 @@ class RunMetrics:
                 stats = self.sources[slot.owner]
                 if slot.delivered:
                     stats.delivered += 1
-                    stats.latencies.append(trace.index - slot.gen_round)
+                    stats.latencies[trace.index - slot.gen_round] += 1
                 else:
                     stats.lost += 1
 
@@ -107,8 +108,8 @@ class RunMetrics:
                     slot=s.slot,
                     acquisition_round=s.acquisition_round,
                     mean_latency_rounds=(
-                        round(sum(s.latencies) / len(s.latencies), 6)
-                        if s.latencies
+                        round(sum(k * n for k, n in s.latencies.items()) / s.delivered, 6)
+                        if s.delivered
                         else None
                     ),
                 )

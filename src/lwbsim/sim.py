@@ -12,7 +12,8 @@ received lists, so trace lists are read-only: the renderer writes each
 distinct slot list object once. The sync slot's receivers are the round's
 active list, and the sync slot is awake on that same list unless a synced
 node missed the sync. The request block and full data slots are awake on
-it too, and later slots share one receiver list per zero-loss memo entry.
+it too. A flood that reaches every awake node lists the slot's awake list
+as its receivers; other receiver lists are shared per zero-loss memo entry.
 """
 
 from __future__ import annotations

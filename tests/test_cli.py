@@ -145,6 +145,17 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in capsys.readouterr().err
 
+    def test_max_node_number_above_16_bit_is_input_error(self, tmp_path, capsys):
+        topo = tmp_path / "two.topo"
+        topo.write_text("1 2\n", encoding="utf-8")
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("MAX_NODE_NUMBER = 70000\n", encoding="utf-8")
+        code = main(["run", "--topology", str(topo), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert "MAX_NODE_NUMBER" in err and "Traceback" not in err
+
     def test_invalid_topology_content(self, tmp_path, capsys):
         topo = tmp_path / "bad.topo"
         topo.write_text("1 1\n", encoding="utf-8")

@@ -201,6 +201,14 @@ class TestValidate:
         with pytest.raises(ConfigError, match="SINK_NODE_ID"):
             SimConfig(sink_node_id=151).validate()
 
+    def test_max_node_number_is_16_bit(self):
+        # a neighbour mask is as wide as the largest node id
+        with pytest.raises(ConfigError, match="MAX_NODE_NUMBER must not exceed 65535"):
+            SimConfig(max_node_number=70000).validate()
+        with pytest.raises(ConfigError, match="MAX_NODE_NUMBER"):
+            parse_config("MAX_NODE_NUMBER = 70000\n")
+        SimConfig(max_node_number=65535).validate()
+
     def test_negative_seed_rejected(self):
         # random.Random(-5) seeds exactly like Random(5), so -5 would alias 5
         with pytest.raises(ConfigError, match="SEED must not be negative"):

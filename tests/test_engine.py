@@ -238,3 +238,48 @@ class TestRadioConservation:
         result = run_simulation(cfg, topo)
         for trace in result.traces:
             assert len(trace.new_assignments) <= trace.n_rr // 2
+
+
+class TestSharedRoundState:
+    @staticmethod
+    def _lossy_run(fs):
+        rng = random.Random(4242 + fs)
+        topo = random_connected_topology(rng, 20)
+        cfg = SimConfig(
+            forwarder_selection=fs,
+            loss_probability=0.1,
+            drift_ppm_range=(-300.0, 300.0),
+            duration=60 * US_SECOND,
+            seed=9,
+        )
+        return run_simulation(cfg, topo)
+
+    @pytest.mark.parametrize("fs", [False, True])
+    def test_full_receiver_list_is_the_awake_list(self, fs):
+        # heard is a subset of awake, so a receiver list as long as awake
+        # equals it and is stored as the awake list object itself
+        flooded = [
+            slot
+            for trace in self._lossy_run(fs).traces
+            for slot in trace.slots
+            if slot.initiator is not None
+        ]
+        full = [s for s in flooded if len(s.received) == len(s.awake)]
+        partial = [s for s in flooded if len(s.received) != len(s.awake)]
+        assert {s.kind for s in full} >= {"sync", "request", "reply", "data"}
+        assert partial
+        for slot in full:
+            assert slot.received is slot.awake, slot
+        for slot in partial:
+            assert len(slot.received) < len(slot.awake)
+            assert slot.received == sorted(set(slot.received) & set(slot.awake))
+
+    @pytest.mark.parametrize("fs", [False, True])
+    def test_radio_totals_share_one_int_per_value(self, fs):
+        traces = self._lossy_run(fs).traces
+        assert any(
+            len(set(t.radio_on.values())) < len(t.radio_on) - 1 for t in traces
+        )
+        for trace in traces:
+            values = trace.radio_on.values()
+            assert len({id(v) for v in values}) == len(set(values)), trace.index

@@ -164,9 +164,20 @@ def test_kernel_matches_reference_wave_loop(loss):
 
 def test_kernel_reports_relaying_receivers():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
-    hops, relayed = waves(topo.neighbor_masks, 1, Topology.mask_of({2, 5}))
+    layers, relayed = waves(topo.neighbor_masks, 1, Topology.mask_of({2, 5}))
+    hops = {n: hop for hop, layer in enumerate(layers) for n in topo.nodes if layer >> n & 1}
     assert hops == {1: 0, 2: 1, 5: 1, 3: 2}
     assert relayed == [2, 5]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+def test_received_is_a_bool(loss):
+    # the trace spells a delivered flag only as true or false
+    topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
+    out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}), loss, random.Random(5))
+    for node in (1, 2, 3, 4, 9):
+        assert out.received(node) is (node in out.hops)
+    assert out.received(1) is True and out.received(9) is False
 
 
 def test_memo_hit_equals_fresh_computation():
@@ -179,6 +190,15 @@ def test_memo_hit_equals_fresh_computation():
         assert fresh is not first
         assert fresh.hops == first.hops
         assert fresh.heard == first.heard
+
+
+def test_memo_hit_builds_hops_once():
+    topo = Topology.from_edges([(1, 2), (2, 3), (1, 4)])
+    first = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
+    hops = first.hops
+    assert hops == {1: 0, 2: 1, 4: 1, 3: 2}
+    assert flood(topo, 1, b"", Topology.mask_of({1, 2, 3})).hops is hops
+    assert first.hops is hops
 
 
 def test_lossy_floods_bypass_the_memo():

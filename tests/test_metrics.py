@@ -109,7 +109,7 @@ class TestRunMetrics:
         assert stats.delivered == 1
         assert stats.lost == 1
         assert stats.generated == 2
-        assert stats.latencies == [0]
+        assert stats.latencies == {0: 1}
 
     def test_latency_counts_rounds_in_queue(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
@@ -124,7 +124,7 @@ class TestRunMetrics:
             delivered=True,
         )
         m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[data]))
-        assert m.sources[2].latencies == [1]
+        assert m.sources[2].latencies == {1: 1}
 
 
 class TestEndToEndMetrics:
