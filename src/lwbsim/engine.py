@@ -9,16 +9,19 @@ slot length whether it initiates, relays or just listens; a node that skips
 a slot pays nothing. A node in bootstrap keeps its radio on for the whole
 round, except in the round where it catches the sync flood, from which
 point on it is charged like any synced node. The charge is folded once per
-round from the finished slots: slots that wake the same nodes share one
-awake list object, charged slot length times the slots it was awake for.
+round from the finished slots: slots with equal awake masks are charged
+together, slot length times the number of such slots.
 
-Participant state comes from two walks over the nodes per round, one
-before the sync flood and one after it. The sync slot's receivers are the
-round's active list, which is also the awake list (and mask) of the request
-block and of every data slot that wakes all active nodes. The sync slot is
-awake on that same list unless a synced node missed the sync, and a flood
-that reaches every awake node lists the slot's awake list as its receivers.
-A slot -> forwarders index serves forwarder selection.
+A slot stores who was awake and who received as two node masks (bit n =
+node n), the ones the floods already compute. Participant state comes from
+two walks over the nodes per round, one before the sync flood and one after
+it. The sync flood's reached mask is the sync slot's received mask and the
+round's active set: the awake mask of the request block and of every data
+slot that wakes all active nodes. The sync slot is also awake on the
+synced nodes that missed the sync. A flooded slot receives on the flood's
+reached mask within its awake mask. A slot -> forwarder mask index serves
+forwarder selection. Radio totals are one tuple per round, aligned with the
+run's sorted node id tuple.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -38,18 +41,19 @@ from .core import NodeState, SinkSchedule, SyncHeader, contend, sink_assign
 from .errors import SimulationError, SlotCapacityError
 from .forwarding import apply_announce, build_announce, data_participants
 from .forwarding import forwarder_index, refresh_sink_distances
-from .glossy import FloodOutcome, flood
+from .glossy import FloodOutcome, flood, ids_of
 from .topology import Topology
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotTrace:
-    """One slot event. Unused fields stay at their defaults."""
+    """One slot event, its node sets as masks. Unused fields stay at their
+    defaults."""
 
     t: int
     kind: str  # sync | request | reply | announce | data
-    awake: list[int]
-    received: list[int]
+    awake_mask: int
+    received_mask: int
     initiator: int | None = None
     contender_count: int = 0
     winner: int | None = None
@@ -65,10 +69,19 @@ class SlotTrace:
     payload_len: int | None = None
     gen_round: int | None = None
 
+    @property
+    def awake(self) -> list[int]:
+        return ids_of(self.awake_mask)
 
-@dataclass
+    @property
+    def received(self) -> list[int]:
+        return ids_of(self.received_mask)
+
+
+@dataclass(slots=True)
 class RoundTrace:
-    """Everything that happened in one round."""
+    """Everything that happened in one round. radio_totals[i] is the
+    radio-on time of node node_ids[i]."""
 
     index: int
     t_start: int
@@ -78,7 +91,8 @@ class RoundTrace:
     n_rr: int
     n_data: int
     slots: list[SlotTrace]
-    radio_on: dict[int, int]
+    node_ids: tuple[int, ...]
+    radio_totals: tuple[int, ...]
     request_outcomes: list[int | None]
     new_assignments: list[tuple[int, int]]  # (slot, owner)
     joined: list[int]
@@ -87,6 +101,10 @@ class RoundTrace:
     generated: list[tuple[int, int]]  # (node, round generated)
     dropped: list[int]
     capacity_events: int
+
+    @property
+    def radio_on(self) -> dict[int, int]:
+        return dict(zip(self.node_ids, self.radio_totals))
 
 
 @dataclass
@@ -97,32 +115,39 @@ class World:
     config: SimConfig
     schedule: SinkSchedule
     nodes: dict[int, NodeState]  # inserted in ascending node id order
+    node_ids: tuple[int, ...]  # the keys of nodes
     rng: random.Random
     now: int = 0
     round_index: int = 0
     announced_slots: dict[int, int] = field(default_factory=dict)  # slot -> distance
+    radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # shares equal totals
 
 
-def _radio_on(
-    topology: Topology,
-    config: SimConfig,
+def _radio_totals(
+    world: World,
     slots: list[SlotTrace],
+    active: list[int],
+    missed: list[int],
     bootstrap: list[int],
     round_period: int,
-) -> dict[int, int]:
-    """Radio-on time per node for one finished round; slots[0] is sync."""
+) -> tuple[int, ...]:
+    """Radio-on time per node for one finished round, in node_ids order.
+    slots[0] is sync, awake on active and missed; its received mask is the
+    active mask, so slots awake on it reuse the active list."""
     sync, *rest = slots
-    lists = {id(slot.awake): slot.awake for slot in rest}
-    radio = dict.fromkeys(topology.nodes, 0)
-    radio.update(dict.fromkeys(sync.awake, config.sync_slot_length))
-    radio.update(dict.fromkeys(bootstrap, round_period))  # disjoint from sync.awake
+    cfg = world.config
+    radio = dict.fromkeys(world.node_ids, 0)
+    radio.update(dict.fromkeys(active, cfg.sync_slot_length))
+    radio.update(dict.fromkeys(missed, cfg.sync_slot_length))
+    radio.update(dict.fromkeys(bootstrap, round_period))  # disjoint from both
     totals = {round_period: round_period}  # one int object per distinct total
-    for key, count in Counter(id(slot.awake) for slot in rest).items():
-        cost = count * config.slot_length
-        for node_id in lists[key]:
+    for mask, count in Counter(slot.awake_mask for slot in rest).items():
+        cost = count * cfg.slot_length
+        for node_id in active if mask == sync.received_mask else ids_of(mask):
             on = radio[node_id] + cost
             radio[node_id] = totals.setdefault(on, on)
-    return radio
+    row = tuple(radio.values())
+    return world.radio_rows.setdefault(row, row)
 
 
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:
@@ -199,30 +224,27 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             still_bootstrap.append(node_id)
         else:
             missed.append(node_id)
-    sync_awake = sorted(active + missed) if missed else active
-    slots: list[SlotTrace] = [SlotTrace(t, "sync", sync_awake, active, sink)]
+    awake_mask = outcome.reached  # the active nodes
+    sync_awake = awake_mask | topo.mask_of(missed) if missed else awake_mask
+    slots: list[SlotTrace] = [SlotTrace(t, "sync", sync_awake, awake_mask, sink)]
     t += cfg.sync_slot_length
 
-    def slot(kind: str, awake: list[int], fo: FloodOutcome | None, **info) -> None:
-        """Append one slot at t and advance t. A flooded slot lists the
-        flood's receivers among its participants, the awake nodes: heard is
-        a subset of awake, so a heard as long as awake is awake itself."""
+    def slot(kind: str, awake: int, fo: FloodOutcome | None, **info) -> None:
+        """Append one slot at t and advance t. A flooded slot receives on
+        the flood's receivers among the awake nodes, its participants."""
         nonlocal t
         if fo is None:
-            slots.append(SlotTrace(t, kind, awake, [], **info))
+            slots.append(SlotTrace(t, kind, awake, 0, **info))
         else:
-            heard = awake if len(fo.heard) == len(awake) else fo.heard
-            slots.append(SlotTrace(t, kind, awake, heard, fo.initiator, **info))
+            slots.append(SlotTrace(t, kind, awake, fo.reached & awake, fo.initiator, **info))
         t += cfg.slot_length
 
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
-    # have to relay them. All these slots share the active list, which is
-    # also the sync slot's received list, and its mask.
+    # have to relay them.
     request_outcomes: list[int | None] = []
     new_assignments: list[tuple[int, int]] = []
     capacity_events = 0
-    awake_mask = topo.mask_of(active)
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
         contenders = [
@@ -233,7 +255,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         heard = winner if fo is not None and fo.received(sink) else None
         request_outcomes.append(heard)
         slot(
-            "request", active, fo,
+            "request", awake_mask, fo,
             contender_count=len(contenders), winner=winner, delivered=heard is not None,
         )
 
@@ -262,7 +284,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     requester=heard, assigned_slot=assigned,
                     new_assignment=new, delivered=delivered,
                 )
-        slot("reply", active, fo, **info)
+        slot("reply", awake_mask, fo, **info)
 
         # announce slot (forwarder selection only)
         if fs_mode:
@@ -280,7 +302,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     announced_distance=announce.distance,
                     slot_id=announce.slot,
                 )
-            slot("announce", active, fo, **info)
+            slot("announce", awake_mask, fo, **info)
 
     # Data slots. Slot indices are dense and the header check above gave
     # every index below n_data an owner; the owner floods the oldest queued
@@ -289,14 +311,13 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     forwarders = forwarder_index(active, nodes, world.announced_slots) if header.n_data else {}
     for slot_id in range(header.n_data):
         owner = sched.slot_owner[slot_id]
-        members = data_participants(active, forwarders, slot_id, owner, sink)
+        members = data_participants(awake_mask, forwarders, slot_id, owner, sink)
         fo, info = None, {}
         owner_state = nodes[owner]
         if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
             queue = owner_state.queue
             gen_round, payload = queue.popleft() if queue else (None, b"")
-            mask = awake_mask if members is active else topo.mask_of(members)
-            fo = flood(topo, owner, payload, mask, *channel)
+            fo = flood(topo, owner, payload, members, *channel)
             info = dict(
                 payload_len=len(payload),
                 gen_round=gen_round,
@@ -320,7 +341,10 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         n_rr=header.n_rr,
         n_data=header.n_data,
         slots=slots,
-        radio_on=_radio_on(topo, cfg, slots, still_bootstrap, header.round_period),
+        node_ids=world.node_ids,
+        radio_totals=_radio_totals(
+            world, slots, active, missed, still_bootstrap, header.round_period
+        ),
         request_outcomes=request_outcomes,
         new_assignments=new_assignments,
         joined=joined,

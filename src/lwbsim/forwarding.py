@@ -69,43 +69,29 @@ def apply_announce(
 
 def forwarder_index(
     awake: list[int], nodes: dict[int, NodeState], announced: Iterable[int]
-) -> dict[int, list[int]]:
-    """Map every announced slot to its forwarders among the awake nodes.
-
-    awake is sorted, so every forwarder list comes out sorted too. A slot
-    that was never announced has no entry.
-    """
-    index: dict[int, list[int]] = {slot: [] for slot in announced}
+) -> dict[int, int]:
+    """Map every announced slot to the mask of its forwarders among the
+    awake nodes. A slot that was never announced has no entry."""
+    index = dict.fromkeys(announced, 0)
     for node_id in awake:
         for slot in nodes[node_id].forwarder_slots:
-            index[slot].append(node_id)
+            index[slot] |= 1 << node_id
     return index
 
 
 def data_participants(
-    awake: list[int],
-    forwarders: dict[int, list[int]],
-    slot_id: int,
-    owner: int,
-    sink: int,
-) -> list[int]:
-    """Nodes awake for one data slot, sorted.
+    awake: int, forwarders: dict[int, int], slot_id: int, owner: int, sink: int
+) -> int:
+    """Mask of the nodes awake for one data slot.
 
-    awake is the sorted list of active nodes and forwarders the round's
+    awake is the mask of the active nodes and forwarders the round's
     forwarder_index. Without forwarder selection nothing is announced and
     every active node takes part; so does everyone in a slot whose owner
-    never announced, so packets are not lost to missing metadata. Both cases
-    return the awake list object itself. An announced slot wakes its
-    forwarders plus the owner, when active, and the sink, which is always
-    active; a selection that covers every active node is awake itself too.
+    never announced, so packets are not lost to missing metadata. An
+    announced slot wakes its forwarders plus the owner, when active, and
+    the sink, which is always active.
     """
     selected = forwarders.get(slot_id)
     if selected is None:
         return awake
-    members = set(selected)
-    if owner in awake:
-        members.add(owner)
-    members.add(sink)
-    if len(members) == len(awake):
-        return awake
-    return sorted(members)
+    return selected | (awake & 1 << owner) | 1 << sink

@@ -18,9 +18,9 @@ waves are a breadth-first search through the participant set.
 A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. The memo
 holds at most MEMO_CAP entries and drops its oldest entry first. A memo hit
-returns the shared outcome object: callers must treat every FloodOutcome,
-its hops and its receiver list as read-only. Argument checks run on every
-call, hit or miss.
+returns the shared outcome object: callers must treat every FloodOutcome
+and its hops dict as read-only. Argument checks run on every call, hit or
+miss.
 """
 
 from __future__ import annotations
@@ -44,27 +44,31 @@ class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
     layers[k] masks the nodes at hop distance k (layers[0] is the
-    initiator) and reached is their OR. heard lists the receivers that are
-    also participants, in ascending order; the engine's participants are
-    the nodes awake in a slot, so heard is the slot's received list. hops,
-    node id -> hop distance, is built from layers on its first read.
-    Outcomes may be shared between floods, so none of these may be mutated.
+    initiator), reached is their OR and relays is the participant mask.
+    heard lists the receivers that are also participants, in ascending
+    order. hops, node id -> hop distance, is built from layers on its first
+    read. Outcomes may be shared between floods, so none of these may be
+    mutated.
     """
 
     initiator: int
     layers: list[int]
     reached: int
-    heard: list[int]
+    relays: int
 
     def received(self, node: int) -> bool:
         return self.reached >> node & 1 == 1
 
+    @property
+    def heard(self) -> list[int]:
+        return ids_of(self.reached & self.relays)
+
     @cached_property
     def hops(self) -> dict[int, int]:
-        return {node: hop for hop, layer in enumerate(self.layers) for node in _ids(layer)}
+        return {node: hop for hop, layer in enumerate(self.layers) for node in ids_of(layer)}
 
 
-def _ids(mask: int) -> list[int]:
+def ids_of(mask: int) -> list[int]:
     """The node ids of a mask, ascending."""
     ids: list[int] = []
     while mask:
@@ -80,19 +84,17 @@ def waves(
     relays: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
-) -> tuple[list[int], list[int]]:
+) -> list[int]:
     """The wave kernel.
 
     masks maps every node to its neighbour mask and relays is the mask of
     the nodes that retransmit after receiving; the initiator always
     transmits. Returns the receiver mask of every wave, the initiator's
-    first, and the receivers that retransmitted, in the order they
-    received. Only the relays' ids are extracted, to OR their masks.
+    first. Only the relays' ids are extracted, to OR their masks.
     """
     draw = rng.random if loss_probability else None
     reached = 1 << initiator
     layers = [reached]
-    relayed: list[int] = []
     transmitters = [initiator]
     while transmitters:
         layer = 0
@@ -110,9 +112,8 @@ def waves(
             break
         reached |= layer
         layers.append(layer)
-        transmitters = _ids(layer & relays)
-        relayed += transmitters
-    return layers, relayed
+        transmitters = ids_of(layer & relays)
+    return layers
 
 
 def flood(
@@ -173,13 +174,9 @@ def _outcome(
     loss_probability: float,
     rng: random.Random | None,
 ) -> FloodOutcome:
-    layers, relayed = waves(
-        topology.neighbor_masks, initiator, relays, loss_probability, rng
-    )
-    if relays >> initiator & 1:
-        relayed.append(initiator)
-    # disjoint layers sum to their OR; sorted() sizes the list traces keep
-    return FloodOutcome(initiator, layers, sum(layers), sorted(relayed))
+    layers = waves(topology.neighbor_masks, initiator, relays, loss_probability, rng)
+    # disjoint layers sum to their OR
+    return FloodOutcome(initiator, layers, sum(layers), relays)
 
 
 @dataclass

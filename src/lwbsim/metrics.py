@@ -69,7 +69,7 @@ class RunMetrics:
             )
         self.rounds += 1
         self.elapsed += trace.round_period
-        for node, us in trace.radio_on.items():
+        for node, us in zip(trace.node_ids, trace.radio_totals):
             self.radio_on[node] += us
         for node, _ in trace.generated:
             self.sources[node].generated += 1

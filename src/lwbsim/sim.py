@@ -7,13 +7,10 @@ the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
 Trace records keep the key order render_trace lists and are written from
-%-templates and node id texts, not through json. Slots share awake and
-received lists, so trace lists are read-only: the renderer writes each
-distinct slot list object once. The sync slot's receivers are the round's
-active list, and the sync slot is awake on that same list unless a synced
-node missed the sync. The request block and full data slots are awake on
-it too. A flood that reaches every awake node lists the slot's awake list
-as its receivers; other receiver lists are shared per zero-loss memo entry.
+%-templates and node id texts, not through json. A slot stores its awake
+and received nodes as masks, and the renderer writes the id list of each
+distinct mask value once per call, from per-byte texts: byte i of a mask
+holds nodes 8i to 8i+7, so a (byte index, byte value) pair has one text.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .core import (
 )
 from .engine import RoundTrace, SlotTrace, World, execute_round
 from .errors import SimulationError
-from .glossy import ClockState
+from .glossy import ClockState, ids_of
 from .metrics import RunMetrics
 from .topology import Topology
 
@@ -77,6 +74,7 @@ def build_world(config: SimConfig, topology: Topology) -> World:
         config=config,
         schedule=SinkSchedule(),
         nodes=nodes,
+        node_ids=tuple(nodes),
         rng=rng,
     )
 
@@ -109,27 +107,21 @@ def run_simulation(
     return RunResult(config, topology, traces, metrics, world)
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+class _Memo(dict):
+    """key -> make(key), made on the first lookup of each key."""
 
+    def __init__(self, make: Callable[[int], str]) -> None:
+        self.make = make
 
-def _scalar(value):
-    """A trace field as JSON: None and bools spelled out, ints unchanged."""
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
-    return value
-
-
-class _Names(dict):
-    """Node id -> its decimal text, made on the first lookup of each id."""
-    def __missing__(self, node: int) -> str:
-        text = self[node] = str(node)
-        return text
+    def __missing__(self, key: int) -> str:
+        value = self[key] = self.make(key)
+        return value
 
 
 # Slot kinds, phases and modes are the engine's fixed lowercase names,
 # written unescaped.
 _SLOT_HEAD = (
-    '{"kind":"slot","round":%s,"t":%s,"phase":"%s","type":"%s","initiator":%s,"awake":['
+    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,"awake":['
 )
 _ROUND = (
     '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
@@ -137,35 +129,48 @@ _ROUND = (
     '"desynced":[%s],"bootstrap":[%s],"generated":[%s],"dropped":[%s],'
     '"capacity_events":%d,"seq":%d}\n'
 )
+_DATA = '],"slot_id":%d,"owner":%d,"payload_len":%d,"gen_round":%s,"delivered":%s,"seq":%d}\n'
+_SILENT_DATA = (
+    '],"slot_id":%d,"owner":%d,"payload_len":null,"gen_round":null,'
+    '"delivered":false,"seq":%d}\n'
+)
+_REQUEST = '],"contenders":%d,"winner":%s,"delivered":%s,"seq":%d}\n'
+_REPLY = '],"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s,"seq":%d}\n'
+_ANNOUNCE = '],"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n'
+
+
+def _json(value: int | None) -> int | str:
+    """An int-or-None field for a %s template: None is null."""
+    return "null" if value is None else value
 
 
 def _slot_tail(slot: SlotTrace, seq: int) -> str:
-    """A slot record from the ']' closing its received list to its newline."""
-    s, kind = _scalar, slot.kind
+    """A slot record from the ']' closing its received list to its newline.
+    Int fields go through %d, int-or-None fields through _json and bool
+    fields through a conditional, never a lookup: True == 1 as a key."""
+    kind = slot.kind
     if kind == "data":
-        return (
-            '],"slot_id":%s,"owner":%s,"payload_len":%s,"gen_round":%s,'
-            '"delivered":%s,"seq":%d}\n'
-        ) % (
-            s(slot.slot_id), s(slot.owner), s(slot.payload_len), s(slot.gen_round),
-            s(slot.delivered), seq,
+        if slot.payload_len is None:
+            return _SILENT_DATA % (slot.slot_id, slot.owner, seq)
+        return _DATA % (
+            slot.slot_id, slot.owner, slot.payload_len, _json(slot.gen_round),
+            "true" if slot.delivered else "false", seq,
         )
     if kind == "request":
-        return '],"contenders":%s,"winner":%s,"delivered":%s,"seq":%d}\n' % (
-            slot.contender_count, s(slot.winner), s(slot.delivered), seq,
+        return _REQUEST % (
+            slot.contender_count, _json(slot.winner),
+            "true" if slot.delivered else "false", seq,
         )
     if kind == "reply":
-        capacity = ',"capacity_exceeded":true' if slot.capacity_exceeded else ""
-        return (
-            '],"requester":%s,"assigned_slot":%s,"new_assignment":%s,'
-            '"delivered":%s%s,"seq":%d}\n'
-        ) % (
-            s(slot.requester), s(slot.assigned_slot), s(slot.new_assignment),
-            s(slot.delivered), capacity, seq,
+        return _REPLY % (
+            _json(slot.requester), _json(slot.assigned_slot),
+            "true" if slot.new_assignment else "false",
+            "true" if slot.delivered else "false",
+            ',"capacity_exceeded":true' if slot.capacity_exceeded else "", seq,
         )
     if kind == "announce":
-        return '],"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n' % (
-            s(slot.source), s(slot.announced_distance), s(slot.slot_id), seq,
+        return _ANNOUNCE % (
+            _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
         )
     return '],"seq":%d}\n' % seq
 
@@ -175,36 +180,40 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     list's '[', awake ids, '],"received":[', received ids, tail from ']'),
     one per round record.
 
-    Each distinct slot list object's ids are joined once per call; a
-    round's own lists, shared by no slot, are not cached. The cache pins
-    every list it holds in a list (48 bytes per list less than (list, text)
-    values), so no id is reused even when a generator frees its rounds.
+    Each distinct slot mask value's ids are joined once per call, from the
+    texts of its nonzero bytes, and each node id's text is made once. The
+    caches hold values, not slots, so a generator may free its rounds as
+    they are rendered.
     """
-    name = _Names().__getitem__
-    cache: dict[int, str] = {}
-    pinned: list[list[int]] = []
+    name = _Memo(str).__getitem__
 
-    def text(items: list[int]) -> str:
-        out = cache.get(id(items))
-        if out is None:
-            out = cache[id(items)] = ",".join(map(name, items))
-            pinned.append(items)
-        return out
+    def byte_text(key: int) -> str:
+        """key is byte index << 8 | byte value: bits 0-7 are the byte."""
+        base = key >> 8 << 3
+        return ",".join([name(base + bit) for bit in range(8) if key >> bit & 1])
+
+    def mask_text(mask: int) -> str:
+        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+        return ",".join([chunk(i << 8 | byte) for i, byte in enumerate(data) if byte])
+
+    chunk = _Memo(byte_text).__getitem__
+    text = _Memo(mask_text).__getitem__
 
     seq = 0
     for trace in traces:
         for slot in trace.slots:
-            initiator = _scalar(slot.initiator)
-            yield _SLOT_HEAD % (trace.index, slot.t, trace.phase, slot.kind, initiator)
-            yield text(slot.awake)
+            yield _SLOT_HEAD % (
+                trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator)
+            )
+            yield text(slot.awake_mask)
             yield '],"received":['
-            yield text(slot.received)
+            yield text(slot.received_mask)
             yield _slot_tail(slot, seq)
             seq += 1
         yield _ROUND % (
             trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
             trace.n_rr, trace.n_data,
-            ",".join(map('"%d":%d'.__mod__, sorted(trace.radio_on.items()))),
+            ",".join(map('"%d":%d'.__mod__, zip(trace.node_ids, trace.radio_totals))),
             ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
             ",".join(map(name, trace.joined)),
             ",".join(map(name, trace.desynced)),
@@ -222,8 +231,7 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     a global seq gives a total order. Key order is fixed: a slot record has
     kind, round, t, phase, type, initiator, awake, received, the fields of
     its type in _slot_tail's order, seq; a round record has _ROUND's keys.
-    Each distinct slot list object is written once per call, which relies
-    on trace lists being read-only. traces may be any iterable of rounds.
+    traces may be any iterable of rounds.
     """
     return "".join(_trace_pieces(traces))
 
@@ -241,6 +249,7 @@ def forwarder_table(result: RunResult) -> list[dict]:
     sink = result.config.sink_node_id
     active = [n for n, state in world.nodes.items() if not state.bootstrap]
     forwarders = forwarder_index(active, world.nodes, world.announced_slots)
+    awake = Topology.mask_of(active)
     table = []
     for slot_id, owner in enumerate(world.schedule.slot_owner):
         table.append(
@@ -248,8 +257,8 @@ def forwarder_table(result: RunResult) -> list[dict]:
                 "slot": slot_id,
                 "owner": owner,
                 "distance": world.announced_slots.get(slot_id),
-                "forwarders": data_participants(
-                    active, forwarders, slot_id, owner, sink
+                "forwarders": ids_of(
+                    data_participants(awake, forwarders, slot_id, owner, sink)
                 ),
             }
         )

@@ -257,7 +257,7 @@ class TestSharedRoundState:
     @pytest.mark.parametrize("fs", [False, True])
     def test_full_receiver_list_is_the_awake_list(self, fs):
         # heard is a subset of awake, so a receiver list as long as awake
-        # equals it and is stored as the awake list object itself
+        # equals it, and the two masks are equal
         flooded = [
             slot
             for trace in self._lossy_run(fs).traces
@@ -269,7 +269,7 @@ class TestSharedRoundState:
         assert {s.kind for s in full} >= {"sync", "request", "reply", "data"}
         assert partial
         for slot in full:
-            assert slot.received is slot.awake, slot
+            assert slot.received_mask == slot.awake_mask, slot
         for slot in partial:
             assert len(slot.received) < len(slot.awake)
             assert slot.received == sorted(set(slot.received) & set(slot.awake))

@@ -14,6 +14,8 @@ from lwbsim.forwarding import (
 from lwbsim.glossy import ClockState, flood
 from lwbsim.topology import Topology
 
+mask_of = Topology.mask_of
+
 from _support import (
     bfs_oracle,
     diamond_pendant,
@@ -106,43 +108,43 @@ class TestDataParticipants:
 
     def test_plain_bus_wakes_everyone_active(self):
         # nothing is announced without forwarder selection
-        awake = [1, 2, 4]
+        awake = mask_of([1, 2, 4])
         got = data_participants(awake, {}, 0, 4, 1)
-        assert got == [1, 2, 4]
+        assert got == mask_of([1, 2, 4])
 
     def test_fs_slot_wakes_forwarders_owner_sink(self):
         topo = diamond_pendant()
         awake = sorted(topo.nodes)
         index = self._index(topo, awake, {2, 3}, 0)
-        got = data_participants(awake, index, 0, 4, 1)
-        assert got == [1, 2, 3, 4]
+        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        assert got == mask_of([1, 2, 3, 4])
 
     def test_unannounced_fs_slot_falls_back_to_everyone(self):
         topo = diamond_pendant()
         awake = sorted(topo.nodes)
         index = self._index(topo, awake, set(), 1)
-        got = data_participants(awake, index, 0, 4, 1)
-        assert got == [1, 2, 3, 4, 5]
+        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        assert got == mask_of([1, 2, 3, 4, 5])
 
     def test_inactive_owner_is_not_woken(self):
         topo = diamond_pendant()
         awake = [1, 2, 3]
         index = self._index(topo, awake, {2}, 0)
-        got = data_participants(awake, index, 0, 4, 1)
-        assert got == [1, 2]
+        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        assert got == mask_of([1, 2])
 
     def test_nothing_to_select_returns_the_awake_list_itself(self):
         topo = diamond_pendant()
         awake = sorted(topo.nodes)
-        assert data_participants(awake, {}, 0, 4, 1) is awake
-        # every awake node forwards: the selection is the whole list
+        assert data_participants(mask_of(awake), {}, 0, 4, 1) == mask_of(awake)
+        # every awake node forwards: the selection is the whole awake mask
         index = self._index(topo, awake, topo.nodes, 0)
-        assert data_participants(awake, index, 0, 4, 1) is awake
+        assert data_participants(mask_of(awake), index, 0, 4, 1) == mask_of(awake)
 
     def test_index_keeps_awake_forwarders_in_order(self):
         topo = diamond_pendant()
         index = self._index(topo, [1, 3, 5], {5, 3, 4}, 0)
-        assert index == {0: [3, 5]}
+        assert index == {0: mask_of([3, 5])}
 
 
 class TestAgainstGeometricOracle:

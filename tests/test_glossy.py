@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lwbsim import glossy
-from lwbsim.glossy import ClockState, flood, waves
+from lwbsim.glossy import ClockState, flood, ids_of, waves
 from lwbsim.topology import Topology
 
 from _support import (
@@ -164,10 +164,11 @@ def test_kernel_matches_reference_wave_loop(loss):
 
 def test_kernel_reports_relaying_receivers():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
-    layers, relayed = waves(topo.neighbor_masks, 1, Topology.mask_of({2, 5}))
+    relays = Topology.mask_of({2, 5})
+    layers = waves(topo.neighbor_masks, 1, relays)
     hops = {n: hop for hop, layer in enumerate(layers) for n in topo.nodes if layer >> n & 1}
     assert hops == {1: 0, 2: 1, 5: 1, 3: 2}
-    assert relayed == [2, 5]
+    assert ids_of(sum(layers) & relays) == [2, 5]
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3])

@@ -9,10 +9,12 @@ from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.errors import ComparabilityError, SimulationError
 from lwbsim.metrics import RunMetrics, SourceStats, compare, render_summary
 from lwbsim.sim import run_simulation
+from lwbsim.topology import Topology
 
 from _support import diamond_pendant, line_topology
 
 US_SECOND = 1_000_000
+mask_of = Topology.mask_of
 
 
 def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
@@ -25,7 +27,8 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
         n_rr=0,
         n_data=0,
         slots=slots or [],
-        radio_on=radio,
+        node_ids=tuple(radio),
+        radio_totals=tuple(radio.values()),
         request_outcomes=[],
         new_assignments=[],
         joined=[],
@@ -75,8 +78,8 @@ class TestRunMetrics:
         reply = SlotTrace(
             t=0,
             kind="reply",
-            awake=[1, 2],
-            received=[1, 2],
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([1, 2]),
             requester=2,
             assigned_slot=0,
             delivered=True,
@@ -92,13 +95,13 @@ class TestRunMetrics:
         good = SlotTrace(
             t=0,
             kind="data",
-            awake=[1, 2],
-            received=[1, 2],
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([1, 2]),
             owner=2,
             gen_round=0,
             delivered=True,
         )
-        bad = dataclasses.replace(good, delivered=False, received=[2])
+        bad = dataclasses.replace(good, delivered=False, received_mask=mask_of([2]))
         keepalive = dataclasses.replace(good, gen_round=None, delivered=False)
         m.accumulate(
             _round_trace(
@@ -117,8 +120,8 @@ class TestRunMetrics:
         data = SlotTrace(
             t=0,
             kind="data",
-            awake=[1, 2],
-            received=[1, 2],
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([1, 2]),
             owner=2,
             gen_round=0,
             delivered=True,

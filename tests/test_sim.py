@@ -175,6 +175,18 @@ class TestTraceOutput:
         assert render_trace([]) == ""
 
 
+def _hand_built_round(index, slots, radio_on, **lists):
+    empty = dict.fromkeys(
+        ("new_assignments", "joined", "desynced", "bootstrap", "generated", "dropped"), []
+    )
+    return RoundTrace(
+        index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
+        round_period=US_SECOND, n_rr=0, n_data=0, slots=slots,
+        node_ids=tuple(radio_on), radio_totals=tuple(radio_on.values()),
+        request_outcomes=[], capacity_events=0, **{**empty, **lists},
+    )
+
+
 class TestRenderOracle:
     """render_trace against the dict-per-record reference renderer."""
 
@@ -217,28 +229,19 @@ class TestRenderOracle:
 
     def test_hand_built_rounds_with_unseen_ids(self):
         # ids the first round never mentions, ids past MAX_NODE_NUMBER,
-        # empty lists and one list shared by two slots
-        shared = [3, 250]
-
-        def round_trace(index, slots, radio_on, **lists):
-            empty = dict.fromkeys(
-                ("new_assignments", "joined", "desynced", "bootstrap", "generated", "dropped"),
-                [],
-            )
-            return RoundTrace(
-                index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
-                round_period=US_SECOND, n_rr=0, n_data=0, slots=slots, radio_on=radio_on,
-                request_outcomes=[], capacity_events=0, **{**empty, **lists},
-            )
-
+        # empty masks and one mask shared by two slots
+        mask = Topology.mask_of
+        shared = mask([3, 250])
         traces = [
-            round_trace(0, [SlotTrace(0, "sync", [1, 2], [2], 1)], {1: 10, 2: 10}),
-            round_trace(
+            _hand_built_round(
+                0, [SlotTrace(0, "sync", mask([1, 2]), mask([2]), 1)], {1: 10, 2: 10}
+            ),
+            _hand_built_round(
                 1,
                 [
-                    SlotTrace(US_SECOND, "sync", [1, 9], [], 1),
+                    SlotTrace(US_SECOND, "sync", mask([1, 9]), 0, 1),
                     SlotTrace(US_SECOND + 10, "request", shared, shared, None),
-                    SlotTrace(US_SECOND + 20, "data", [], shared, 3, slot_id=0,
+                    SlotTrace(US_SECOND + 20, "data", 0, shared, 3, slot_id=0,
                               owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
@@ -247,6 +250,57 @@ class TestRenderOracle:
             ),
         ]
         assert render_trace(traces) == reference_render_trace(traces)
+
+    def test_hand_built_slots_with_fields_zero_and_one(self):
+        # True == 1 and False == 0: an int field must never print as a
+        # JSON bool, and a bool field never as a number
+        both = Topology.mask_of([1, 2])
+        slots = [
+            SlotTrace(0, "sync", both, both, 1),
+            SlotTrace(1, "request", both, both, 1, contender_count=1, winner=1, delivered=True),
+            SlotTrace(2, "request", both, 0, None, contender_count=0),
+            SlotTrace(3, "reply", both, both, 1, requester=1, assigned_slot=0,
+                      new_assignment=True, delivered=False),
+            SlotTrace(4, "reply", both, 0, None, requester=1, capacity_exceeded=True),
+            SlotTrace(5, "announce", both, both, 1, source=1, announced_distance=0, slot_id=0),
+            SlotTrace(6, "announce", both, 0, None),
+            SlotTrace(7, "data", both, both, 1, slot_id=0, owner=1, payload_len=0,
+                      gen_round=1, delivered=True),
+            SlotTrace(8, "data", both, both, 1, slot_id=1, owner=1, payload_len=1,
+                      gen_round=0, delivered=False),
+            SlotTrace(9, "data", both, both, 1, slot_id=0, owner=1, payload_len=0),
+            SlotTrace(10, "data", both, 0, None, slot_id=0, owner=1),
+        ]
+        traces = [_hand_built_round(0, slots, {1: 0, 2: 1}, new_assignments=[(0, 1)])]
+        text = render_trace(traces)
+        assert text == reference_render_trace(traces)
+        assert '"winner":1,' in text and '"payload_len":0,"gen_round":1,' in text
+
+    @pytest.mark.parametrize("fs", [False, True])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_ids_at_mask_byte_edges(self, loss, fs):
+        # ids on both sides of byte boundaries, past 256 and up to the
+        # 16-bit limit: mask texts are built per (byte index, byte value)
+        edges = [(1, 7), (1, 8), (1, 9), (8, 255), (9, 256), (255, 257),
+                 (256, 300), (7, 300), (300, 4096), (257, 65535), (4096, 65535)]
+        topo = Topology.from_edges(edges)
+        cfg = SimConfig(
+            max_node_number=65535,
+            duration=60 * US_SECOND,
+            ipi=5 * US_SECOND,
+            forwarder_selection=fs,
+            loss_probability=loss,
+            seed=3,
+        )
+        result = run_simulation(cfg, topo)
+        slots = [s for t in result.traces for s in t.slots]
+        assert {s.kind for s in slots} >= {"sync", "request", "reply", "data"}
+        assert set().union(*(s.received for s in slots)) == topo.nodes
+        for slot in slots:
+            assert slot.awake == sorted(slot.awake)
+            assert slot.received == sorted(slot.received)
+            assert set(slot.received) <= set(slot.awake)
+        assert render_trace(result.traces) == reference_render_trace(result.traces)
 
     def test_cache_survives_rounds_freed_by_a_generator(self):
         # each copy is dropped once rendered, so its lists' ids come free
@@ -416,7 +470,7 @@ class TestRadioAccounting:
 
 class TestSharedRoundLists:
     """The engine walks world.nodes in dict order and hands the sync flood's
-    receivers, as one list, to the sync slot and the request block."""
+    receivers, as one mask, to the sync slot and the request block."""
 
     def test_world_nodes_are_in_ascending_id_order(self):
         topo = Topology.from_edges([(100, 1), (1, 40), (40, 9), (9, 33), (33, 64)])
@@ -431,8 +485,8 @@ class TestSharedRoundLists:
             if trace.index < 4 or not trace.n_rr:
                 continue  # the line joins one hop per round
             sync, request = trace.slots[0], trace.slots[1]
-            assert sync.awake is sync.received
-            assert request.awake is sync.received
+            assert sync.awake_mask == sync.received_mask
+            assert request.awake_mask == sync.received_mask
             checked += 1
         assert checked >= 10
 
@@ -453,8 +507,8 @@ class TestSharedRoundLists:
         for trace in result.traces:
             sync = trace.slots[0]
             if trace.n_rr:
-                assert sync.received is trace.slots[1].awake
-            missed += sync.awake is not sync.received
+                assert sync.received_mask == trace.slots[1].awake_mask
+            missed += sync.awake_mask != sync.received_mask
             for slot in trace.slots:
                 assert set(slot.received) <= set(slot.awake)
                 assert sink in slot.awake
@@ -486,7 +540,7 @@ class TestDataSlotMembership:
                 requests = [s for s in trace.slots if s.kind == "request"]
                 for slot in requests:
                     assert slot.awake == sorted(active)
-                    assert slot.awake is requests[0].awake
+                    assert slot.awake_mask == requests[0].awake_mask
                 for slot in trace.slots:
                     if slot.kind != "data":
                         continue
@@ -499,9 +553,9 @@ class TestDataSlotMembership:
                         want |= {slot.owner} & active
                         want.add(sink)
                         assert slot.awake == sorted(want)
-                        selected += slot.awake is not requests[0].awake
+                        selected += slot.awake_mask != requests[0].awake_mask
                     else:
-                        assert slot.awake is requests[0].awake
+                        assert slot.awake_mask == requests[0].awake_mask
 
             run_simulation(cfg, topo, on_round=check)
         assert (selected > 0) == fs
