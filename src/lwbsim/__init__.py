@@ -16,7 +16,7 @@ from .errors import (
     SlotCapacityError,
     TopologyError,
 )
-from .glossy import ClockState, FloodOutcome, flood
+from .glossy import FloodOutcome, flood
 from .metrics import RunMetrics, compare, render_summary
 from .sim import RunResult, forwarder_table, render_trace, run_simulation, write_trace
 from .topology import Topology, load_topology
@@ -24,7 +24,6 @@ from .topology import Topology, load_topology
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClockState",
     "ComparabilityError",
     "ConfigError",
     "FloodOutcome",

@@ -29,7 +29,6 @@ from .config import (
     SimConfig,
 )
 from .errors import SimulationError, SlotCapacityError
-from .glossy import ClockState
 
 PHASE_COOLOFF = "cool-off"
 PHASE_STABILIZATION = "stabilization"
@@ -63,10 +62,11 @@ class SinkSchedule:
 
 @dataclass
 class NodeState:
-    """Everything one node knows."""
+    """Everything one node knows. drift_ppm is its clock's drift and
+    last_sync the start of the last round whose sync flood it received."""
 
-    node_id: int
-    clock: ClockState
+    drift_ppm: float = 0.0
+    last_sync: int = 0
     bootstrap: bool = True
     my_slot: int | None = None
     sink_distance: int | None = None

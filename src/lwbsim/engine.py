@@ -14,14 +14,17 @@ together, slot length times the number of such slots.
 
 A slot stores who was awake and who received as two node masks (bit n =
 node n), the ones the floods already compute. Participant state comes from
-two walks over the nodes per round, one before the sync flood and one after
-it. The sync flood's reached mask is the sync slot's received mask and the
-round's active set: the awake mask of the request block and of every data
-slot that wakes all active nodes. The sync slot is also awake on the
-synced nodes that missed the sync. A flooded slot receives on the flood's
-reached mask within its awake mask. A slot -> forwarder mask index serves
-forwarder selection. Radio totals are one tuple per round, aligned with the
-run's sorted node id tuple.
+two walks over the nodes per round. Walk 1, before the sync flood, puts
+back in bootstrap every synced node whose worst-case clock offset since its
+last sync, (t - last_sync) * |drift_ppm| * 1e-6 microseconds, is strictly
+over the config's guard time. Walk 2, after it, sets last_sync to the round
+start on every receiver. The sync flood's reached mask is the sync slot's
+received mask and the round's active set: the awake mask of the request
+block and of every data slot that wakes all active nodes. The sync slot is
+also awake on the synced nodes that missed the sync. A flooded slot
+receives on the flood's reached mask within its awake mask. A slot ->
+forwarder mask index serves forwarder selection. Radio totals are one tuple
+per round, aligned with the run's sorted node id tuple.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -172,6 +175,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
 
     t = world.now
+    guard = cfg.glossy_guard_time
     channel = (cfg.loss_probability, rng, cfg.max_payload_len)
     generated: list[tuple[int, int]] = []
     dropped: list[int] = []
@@ -196,7 +200,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 state.queue.append((world.round_index, payload))
                 generated.append((node_id, world.round_index))
                 state.next_sequence += 1
-            if not state.bootstrap and not state.clock.check_guard(t):
+            if state.drift_ppm and not state.bootstrap and (
+                (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
+            ):
                 state.bootstrap = True
                 desynced.append(node_id)
         if not state.bootstrap:
@@ -218,7 +224,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             if state.bootstrap:
                 state.bootstrap = False
                 joined.append(node_id)
-            state.clock.apply_sync(t)
+            state.last_sync = t
             active.append(node_id)
         elif state.bootstrap:
             still_bootstrap.append(node_id)
@@ -291,7 +297,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             fo, info, announce = None, {}, None
             if announce_source is not None:
                 state = nodes[announce_source]
-                announce = build_announce(state, state.my_slot)
+                announce = build_announce(announce_source, state, state.my_slot)
             if announce is not None:
                 fo = flood(topo, announce_source, b"", awake_mask, *channel)
                 for node_id in active:

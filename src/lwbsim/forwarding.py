@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import NodeState
-from .glossy import FloodOutcome
+from .glossy import FloodOutcome, ids_of
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,14 @@ def refresh_sink_distances(nodes: dict[int, NodeState], outcome: FloodOutcome) -
     as its current distance from the sink. Nodes that missed the flood, or
     slept through it, keep their previous value.
     """
-    for node_id in outcome.heard:
-        nodes[node_id].sink_distance = outcome.hops[node_id]
+    for hop, layer in enumerate(outcome.layers):
+        for node_id in ids_of(layer & outcome.relays):
+            nodes[node_id].sink_distance = hop
 
 
-def build_announce(state: NodeState, assigned_slot: int) -> AnnouncePacket | None:
-    """Build the owner's announcement, or None when it cannot announce.
+def build_announce(source: int, state: NodeState, assigned_slot: int) -> AnnouncePacket | None:
+    """Build node source's announcement from its state, or None when it
+    cannot announce.
 
     A source that never learned its distance from the sink (it missed the
     reply flood) stays silent; the slot then falls back to everyone
@@ -44,7 +46,7 @@ def build_announce(state: NodeState, assigned_slot: int) -> AnnouncePacket | Non
     """
     if state.sink_distance is None:
         return None
-    return AnnouncePacket(state.node_id, state.sink_distance, assigned_slot)
+    return AnnouncePacket(source, state.sink_distance, assigned_slot)
 
 
 def apply_announce(

@@ -1,4 +1,4 @@
-"""Glossy-style network floods and per-node clock bookkeeping.
+"""Glossy-style network floods.
 
 A flood is modeled as a synchronous wave process instead of a per-bit radio
 simulation, and every wave is computed on node bitmasks: bit n of an int
@@ -45,10 +45,8 @@ class FloodOutcome:
 
     layers[k] masks the nodes at hop distance k (layers[0] is the
     initiator), reached is their OR and relays is the participant mask.
-    heard lists the receivers that are also participants, in ascending
-    order. hops, node id -> hop distance, is built from layers on its first
-    read. Outcomes may be shared between floods, so none of these may be
-    mutated.
+    hops, node id -> hop distance, is built from layers on its first read.
+    Outcomes may be shared between floods, so none of these may be mutated.
     """
 
     initiator: int
@@ -58,10 +56,6 @@ class FloodOutcome:
 
     def received(self, node: int) -> bool:
         return self.reached >> node & 1 == 1
-
-    @property
-    def heard(self) -> list[int]:
-        return ids_of(self.reached & self.relays)
 
     @cached_property
     def hops(self) -> dict[int, int]:
@@ -177,35 +171,3 @@ def _outcome(
     layers = waves(topology.neighbor_masks, initiator, relays, loss_probability, rng)
     # disjoint layers sum to their OR
     return FloodOutcome(initiator, layers, sum(layers), relays)
-
-
-@dataclass
-class ClockState:
-    """Synchronization state of one node's local clock.
-
-    A node stays usable as long as the worst-case clock offset accumulated
-    since its last resynchronization stays within the guard window around
-    slot boundaries. Once the offset exceeds the guard the node can no
-    longer hit its slots and must fall back to bootstrap listening.
-    """
-
-    drift_ppm: float = 0.0
-    guard: int = SimConfig.glossy_guard_time
-    last_sync_time: int = 0
-
-    def offset_at(self, now: int) -> float:
-        """Worst-case accumulated offset in microseconds at time now."""
-        return (now - self.last_sync_time) * abs(self.drift_ppm) * 1e-6
-
-    def apply_sync(self, now: int) -> None:
-        """Record a successful sync reception at time now."""
-        self.last_sync_time = now
-
-    def check_guard(self, now: int) -> bool:
-        """Return True while the clock is still trustworthy at time now.
-
-        Only an offset strictly over the guard fails; an offset exactly
-        equal to the guard still counts as synced. Whether the node is
-        synced at all is NodeState.bootstrap, not the clock's business.
-        """
-        return self.offset_at(now) <= self.guard

@@ -30,7 +30,7 @@ from .core import (
 )
 from .engine import RoundTrace, SlotTrace, World, execute_round
 from .errors import SimulationError
-from .glossy import ClockState, ids_of
+from .glossy import ids_of
 from .metrics import RunMetrics
 from .topology import Topology
 
@@ -67,8 +67,7 @@ def build_world(config: SimConfig, topology: Topology) -> World:
         drift = 0.0
         if node != sink and (lo, hi) != (0.0, 0.0):
             drift = rng.uniform(lo, hi)
-        clock = ClockState(drift_ppm=drift, guard=config.glossy_guard_time)
-        nodes[node] = NodeState(node_id=node, clock=clock, bootstrap=node != sink)
+        nodes[node] = NodeState(drift_ppm=drift, bootstrap=node != sink)
     return World(
         topology=topology,
         config=config,

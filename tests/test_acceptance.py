@@ -16,8 +16,10 @@ import time
 from pathlib import Path
 
 from lwbsim.config import SimConfig
-from lwbsim.glossy import ClockState, flood
-from lwbsim.sim import render_trace, run_simulation
+from lwbsim.core import SyncHeader
+from lwbsim.engine import execute_round
+from lwbsim.glossy import flood
+from lwbsim.sim import build_world, render_trace, run_simulation
 from lwbsim.topology import Topology
 
 from _support import (
@@ -212,15 +214,20 @@ def test_criterion_4_phase_schedule_matches_golden_trace():
 def test_criterion_5_guard_window_boundary():
     problems = []
 
-    clock = ClockState(drift_ppm=100.0)
-    clock.apply_sync(0)
-    if not clock.check_guard(10 * US_SECOND):
+    def desyncs_after(gap_s):
+        # one sync-only round gap_s after node 2's last sync, at 100 ppm
+        cfg = SimConfig(drift_ppm_range=(100.0, 100.0))
+        world = build_world(cfg, line_topology(2))
+        world.nodes[2].bootstrap = False
+        world.nodes[2].last_sync = 0
+        world.now = gap_s * US_SECOND
+        return execute_round(world, SyncHeader(US_SECOND, 0, 0)).desynced == [2]
+
+    if desyncs_after(10):
         problems.append("1 ms offset after 10 s broke the 2 ms guard")
-    if clock.offset_at(20 * US_SECOND) != 2000.0 or not clock.check_guard(
-        20 * US_SECOND
-    ):
+    if 20 * US_SECOND * 100.0 * 1e-6 != 2000.0 or desyncs_after(20):
         problems.append("offset exactly at the guard must stay synced")
-    if clock.check_guard(30 * US_SECOND):
+    if not desyncs_after(30):
         problems.append("3 ms offset after 30 s must desync")
 
     def run_gap(gap_s, duration_s):

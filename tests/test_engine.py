@@ -51,7 +51,6 @@ class TestBootstrapAndSync:
         cfg = SimConfig()
         world = build_world(cfg, line_topology(3))
         world.nodes[3].bootstrap = False
-        world.nodes[3].clock.apply_sync(0)
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
         assert trace.joined == [2]
         sync_slot = trace.slots[0]
@@ -65,18 +64,48 @@ class TestBootstrapAndSync:
         cfg = SimConfig()
         world = build_world(cfg, line_topology(3))
         world.nodes[3].bootstrap = False
-        world.nodes[3].clock.apply_sync(0)
         execute_round(world, _sync_only_header())
         assert not world.nodes[3].bootstrap
 
 
+GUARD = SimConfig.glossy_guard_time  # 2 ms
+
+
+def _synced_pair(drift, guard=GUARD):
+    """A 2-node line whose node 2 drifts by drift ppm and last synced at 0."""
+    cfg = SimConfig(drift_ppm_range=(drift, drift), glossy_guard_time=guard)
+    world = build_world(cfg, line_topology(2))
+    world.nodes[2].bootstrap = False
+    world.nodes[2].last_sync = 0
+    return world
+
+
+# (drift ppm, time of the next sync, guard, desyncs)
+GUARD_CASES = [
+    # 50 ppm over 5 s accumulates 250 us, well inside the guard
+    pytest.param(50.0, 5 * US_SECOND, GUARD, False, id="small_drift_survives_round"),
+    # 500 ppm over 5 s accumulates 2.5 ms, over the guard
+    pytest.param(500.0, 5 * US_SECOND, GUARD, True, id="large_drift_desyncs"),
+    pytest.param(100.0, 10 * US_SECOND, GUARD, False, id="hundred_ppm_10s_keeps_sync"),
+    pytest.param(100.0, 30 * US_SECOND, GUARD, True, id="hundred_ppm_30s_desyncs"),
+    pytest.param(-500.0, 5 * US_SECOND, GUARD, True, id="negative_drift_uses_magnitude"),
+    pytest.param(0.0, 10**12, GUARD, False, id="zero_drift_never_desyncs"),
+    pytest.param(0.0, 30 * US_SECOND, 0, False, id="zero_guard_zero_drift_keeps_sync"),
+    pytest.param(1.0, 1, 0, True, id="zero_guard_any_offset_desyncs"),
+]
+
+
 class TestClockGuardInRounds:
+    @pytest.mark.parametrize("drift, gap, guard, desyncs", GUARD_CASES)
+    def test_guard_after_one_sync_gap(self, drift, gap, guard, desyncs):
+        world = _synced_pair(drift, guard)
+        world.now = gap
+        trace = execute_round(world, _sync_only_header())
+        assert trace.desynced == ([2] if desyncs else [])
+
     def test_drifted_node_desyncs_and_rejoins_same_round(self):
         # 100 ppm over 30 s piles up 3 ms, past the 2 ms guard
-        cfg = SimConfig(drift_ppm_range=(100.0, 100.0))
-        world = build_world(cfg, line_topology(2))
-        world.nodes[2].bootstrap = False
-        world.nodes[2].clock.apply_sync(0)
+        world = _synced_pair(100.0)
         world.now = 30 * US_SECOND
         trace = execute_round(world, _sync_only_header())
         assert trace.desynced == [2]
@@ -85,14 +114,32 @@ class TestClockGuardInRounds:
         assert trace.radio_on[2] == US_SLOT
 
     def test_offset_at_exact_guard_keeps_node_synced(self):
-        # 100 ppm over 20 s is exactly the 2 ms guard
-        cfg = SimConfig(drift_ppm_range=(100.0, 100.0))
-        world = build_world(cfg, line_topology(2))
-        world.nodes[2].bootstrap = False
-        world.nodes[2].clock.apply_sync(0)
+        # 100 ppm over 20 s is exactly the 2 ms guard: not strictly over it
+        assert 20 * US_SECOND * 100.0 * 1e-6 == 2000.0
+        world = _synced_pair(100.0)
         world.now = 20 * US_SECOND
         trace = execute_round(world, _sync_only_header())
         assert trace.desynced == []
+
+    def test_sync_sets_last_sync_to_round_start(self):
+        world = build_world(SimConfig(), line_topology(3))
+        world.now = 7 * US_SECOND
+        trace = execute_round(world, _sync_only_header())
+        assert trace.joined == [2]
+        assert world.nodes[2].last_sync == trace.t_start == 7 * US_SECOND
+        # node 3 heard no sync: the flood stopped at bootstrap node 2
+        assert world.nodes[3].last_sync == 0
+
+    def test_rejoin_restores_margin(self):
+        world = _synced_pair(100.0)
+        world.now = 30 * US_SECOND
+        first = execute_round(world, _sync_only_header())
+        assert first.desynced == first.joined == [2]
+        # 10 s after the rejoin the offset is 1 ms, inside the guard
+        world.now = 40 * US_SECOND
+        trace = execute_round(world, _sync_only_header())
+        assert trace.desynced == []
+        assert not world.nodes[2].bootstrap
 
 
 class TestRequestBlock:
@@ -256,7 +303,7 @@ class TestSharedRoundState:
 
     @pytest.mark.parametrize("fs", [False, True])
     def test_full_receiver_list_is_the_awake_list(self, fs):
-        # heard is a subset of awake, so a receiver list as long as awake
+        # received is a subset of awake, so a receiver list as long as awake
         # equals it, and the two masks are equal
         flooded = [
             slot

@@ -11,7 +11,7 @@ from lwbsim.forwarding import (
     forwarder_index,
     refresh_sink_distances,
 )
-from lwbsim.glossy import ClockState, flood
+from lwbsim.glossy import flood
 from lwbsim.topology import Topology
 
 mask_of = Topology.mask_of
@@ -24,16 +24,10 @@ from _support import (
 )
 
 
-def _node(node_id, sink_distance=None):
-    state = NodeState(node_id=node_id, clock=ClockState())
-    state.sink_distance = sink_distance
-    return state
-
-
 class TestRefreshSinkDistances:
     def test_records_hops_for_listeners(self):
         topo = diamond_pendant()
-        nodes = {n: _node(n) for n in topo.nodes}
+        nodes = {n: NodeState() for n in topo.nodes}
         outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
         refresh_sink_distances(nodes, outcome)
         assert {n: nodes[n].sink_distance for n in sorted(nodes)} == {
@@ -46,7 +40,7 @@ class TestRefreshSinkDistances:
 
     def test_non_listeners_keep_previous_value(self):
         topo = diamond_pendant()
-        nodes = {n: _node(n, sink_distance=9) for n in topo.nodes}
+        nodes = {n: NodeState(sink_distance=9) for n in topo.nodes}
         # 4 and 5 hear the flood but are no participants: their radios are off
         outcome = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
         assert outcome.received(4) and outcome.received(5)
@@ -58,50 +52,50 @@ class TestRefreshSinkDistances:
 
 class TestBuildAnnounce:
     def test_announces_distance_and_slot(self):
-        assert build_announce(_node(4, sink_distance=2), 0) == AnnouncePacket(4, 2, 0)
+        assert build_announce(4, NodeState(sink_distance=2), 0) == AnnouncePacket(4, 2, 0)
 
     def test_silent_without_distance(self):
-        assert build_announce(_node(4), 0) is None
+        assert build_announce(4, NodeState(), 0) is None
 
 
 class TestApplyAnnounce:
     def test_on_path_node_keeps_slot(self):
-        state = _node(2, sink_distance=1)
+        state = NodeState(sink_distance=1)
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
         assert state.forwarder_slots == {0}
 
     def test_off_path_node_drops_slot(self):
-        state = _node(5, sink_distance=2)
+        state = NodeState(sink_distance=2)
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
         assert state.forwarder_slots == set()
 
     def test_source_itself_qualifies_at_hop_zero(self):
-        state = _node(4, sink_distance=2)
+        state = NodeState(sink_distance=2)
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=0)
         assert state.forwarder_slots == {0}
 
     def test_missed_flood_keeps_previous_decision(self):
-        state = _node(2, sink_distance=1)
+        state = NodeState(sink_distance=1)
         state.forwarder_slots.add(0)
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=None)
         assert state.forwarder_slots == {0}
 
     def test_stale_membership_revoked_on_new_announcement(self):
         # node drifted off the shortest path between reply floods
-        state = _node(2, sink_distance=3)
+        state = NodeState(sink_distance=3)
         state.forwarder_slots.add(0)
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
         assert state.forwarder_slots == set()
 
     def test_unknown_own_distance_means_out(self):
-        state = _node(2)
+        state = NodeState()
         apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
         assert state.forwarder_slots == set()
 
 
 class TestDataParticipants:
     def _index(self, topo, awake, forwarders, slot_id):
-        nodes = {n: _node(n) for n in topo.nodes}
+        nodes = {n: NodeState() for n in topo.nodes}
         for n in forwarders:
             nodes[n].forwarder_slots.add(slot_id)
         return forwarder_index(awake, nodes, [slot_id])
@@ -154,13 +148,13 @@ class TestAgainstGeometricOracle:
         rng = random.Random(20105)
         for _ in range(30):
             topo = random_connected_topology(rng, rng.randint(3, 25))
-            nodes = {n: _node(n) for n in topo.nodes}
+            nodes = {n: NodeState() for n in topo.nodes}
             everyone = set(topo.nodes)
             sink = 1
             reply = flood(topo, sink, b"", Topology.mask_of(everyone))
             refresh_sink_distances(nodes, reply)
             source = max(topo.nodes)
-            announce = build_announce(nodes[source], 0)
+            announce = build_announce(source, nodes[source], 0)
             assert announce is not None
             outcome = flood(topo, source, b"", Topology.mask_of(everyone))
             for n in sorted(everyone):

@@ -118,7 +118,7 @@ class TestDeterminism:
         topo = line_topology(4)
         plain = run_simulation(cfg, topo)
         world = build_world(cfg, topo)
-        assert all(n.clock.drift_ppm == 0.0 for n in world.nodes.values())
+        assert all(n.drift_ppm == 0.0 for n in world.nodes.values())
         assert render_trace(plain.traces) == render_trace(
             run_simulation(cfg, topo).traces
         )
@@ -128,8 +128,8 @@ class TestDeterminism:
         world = build_world(cfg, line_topology(4))
         rng = random.Random(6)
         expected = [rng.uniform(10.0, 20.0) for _ in range(3)]
-        assert [world.nodes[n].clock.drift_ppm for n in (2, 3, 4)] == expected
-        assert world.nodes[1].clock.drift_ppm == 0.0
+        assert [world.nodes[n].drift_ppm for n in (2, 3, 4)] == expected
+        assert world.nodes[1].drift_ppm == 0.0
 
 
 class TestTraceOutput:
