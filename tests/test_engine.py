@@ -88,6 +88,8 @@ GUARD_CASES = [
     pytest.param(500.0, 5 * US_SECOND, GUARD, True, id="large_drift_desyncs"),
     pytest.param(100.0, 10 * US_SECOND, GUARD, False, id="hundred_ppm_10s_keeps_sync"),
     pytest.param(100.0, 30 * US_SECOND, GUARD, True, id="hundred_ppm_30s_desyncs"),
+    # 100 ppm over 20 s is exactly 2000 us: not strictly over the guard
+    pytest.param(100.0, 20 * US_SECOND, GUARD, False, id="exact_guard_boundary_stays_synced"),
     pytest.param(-500.0, 5 * US_SECOND, GUARD, True, id="negative_drift_uses_magnitude"),
     pytest.param(0.0, 10**12, GUARD, False, id="zero_drift_never_desyncs"),
     pytest.param(0.0, 30 * US_SECOND, 0, False, id="zero_guard_zero_drift_keeps_sync"),
