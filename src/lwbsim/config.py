@@ -95,7 +95,7 @@ class SimConfig:
             problems.append("MINIMUM_LWB_ROUND must be positive")
         if self.slot_length <= 0:
             problems.append("SLOT_LENGTH must be positive")
-        if self.sync_slot_length is not None and self.sync_slot_length <= 0:
+        if self.sync_slot_length <= 0:
             problems.append("SYNC_SLOT_LENGTH must be positive")
         if self.cooloff_period < 0 or self.stabilization_period < 0:
             problems.append("phase periods must not be negative")
@@ -128,7 +128,7 @@ class SimConfig:
             problems.append("QUEUE_CAPACITY must be at least 1")
         if self.duration <= 0:
             problems.append("DURATION must be positive")
-        if self.sync_slot_length is not None and self.slot_length > 0:
+        if self.slot_length > 0:
             needed = self.sync_slot_length + self.rr_group_size * self.slot_length
             if needed > SHORT_ROUND_US:
                 problems.append(

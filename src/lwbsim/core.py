@@ -72,7 +72,6 @@ class NodeState:
     sink_distance: int | None = None
     queue: deque = field(default_factory=deque)  # (gen_round, payload)
     next_sequence: int = 0  # generated next at next_sequence * IPI
-    forwarder_slots: set[int] = field(default_factory=set)
 
 
 def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
@@ -168,23 +167,21 @@ def sink_assign(
     return len(owners) - 1
 
 
-def update_rr_dynamics(
-    schedule: SinkSchedule, request_outcomes: list[int | None], config: SimConfig
-) -> None:
+def update_rr_dynamics(schedule: SinkSchedule, slots: list, config: SimConfig) -> None:
     """Shrink the request block once contention has died down.
 
-    request_outcomes holds, per request slot of the finished round, the
-    requester the sink heard or None. Two consecutive empty request slots
-    (or, with the round trigger, two consecutive fully empty rounds) drop
-    the block to one group for every later round. Reduction is permanent:
-    nothing raises rr_current again once stabilization has started.
+    slots are the finished round's slot traces; a request slot is empty
+    when the sink heard no requester in it (it was not delivered). Two
+    consecutive empty request slots (or, with the round trigger, two
+    consecutive fully empty rounds) drop the block to one group for every
+    later round. Reduction is permanent: nothing raises rr_current again
+    once stabilization has started.
     """
     trigger = config.rr_reduction_trigger
-    if trigger == TRIGGER_SLOTS:
-        empties = [outcome is None for outcome in request_outcomes]
-    elif trigger == TRIGGER_ROUNDS:
-        empties = [all(o is None for o in request_outcomes)] if request_outcomes else []
-    else:
+    empties = [not slot.delivered for slot in slots if slot.kind == "request"]
+    if trigger == TRIGGER_ROUNDS:
+        empties = [all(empties)] if empties else []
+    elif trigger != TRIGGER_SLOTS:
         raise SimulationError(f"unknown reduction trigger {trigger!r}")
     for empty in empties:
         schedule.empty_streak = schedule.empty_streak + 1 if empty else 0

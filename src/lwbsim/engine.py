@@ -22,9 +22,12 @@ start on every receiver. The sync flood's reached mask is the sync slot's
 received mask and the round's active set: the awake mask of the request
 block and of every data slot that wakes all active nodes. The sync slot is
 also awake on the synced nodes that missed the sync. A flooded slot
-receives on the flood's reached mask within its awake mask. A slot ->
-forwarder mask index serves forwarder selection. Radio totals are one tuple
-per round, aligned with the run's sorted node id tuple.
+receives on the flood's reached mask within its awake mask. Forwarder
+selection keeps one forwarder mask per announced slot in
+world.announced_slots, written once by the slot's announce flood. A round's
+new assignments and capacity events are read from its reply slots. Radio
+totals are one tuple per round, aligned with the run's sorted node id
+tuple.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -42,8 +45,7 @@ from dataclasses import dataclass, field
 from .config import SimConfig
 from .core import NodeState, SinkSchedule, SyncHeader, contend, sink_assign
 from .errors import SimulationError, SlotCapacityError
-from .forwarding import apply_announce, build_announce, data_participants
-from .forwarding import forwarder_index, refresh_sink_distances
+from .forwarding import apply_announce, data_participants, refresh_sink_distances
 from .glossy import FloodOutcome, flood, ids_of
 from .topology import Topology
 
@@ -96,18 +98,24 @@ class RoundTrace:
     slots: list[SlotTrace]
     node_ids: tuple[int, ...]
     radio_totals: tuple[int, ...]
-    request_outcomes: list[int | None]
-    new_assignments: list[tuple[int, int]]  # (slot, owner)
     joined: list[int]
     desynced: list[int]
     bootstrap: list[int]
     generated: list[tuple[int, int]]  # (node, round generated)
     dropped: list[int]
-    capacity_events: int
 
     @property
     def radio_on(self) -> dict[int, int]:
         return dict(zip(self.node_ids, self.radio_totals))
+
+    @property
+    def new_assignments(self) -> list[tuple[int, int]]:
+        """(slot, owner) of every slot the sink granted afresh."""
+        return [(s.assigned_slot, s.requester) for s in self.slots if s.new_assignment]
+
+    @property
+    def capacity_events(self) -> int:
+        return sum(s.capacity_exceeded for s in self.slots)
 
 
 @dataclass
@@ -122,7 +130,8 @@ class World:
     rng: random.Random
     now: int = 0
     round_index: int = 0
-    announced_slots: dict[int, int] = field(default_factory=dict)  # slot -> distance
+    # slot -> (announced distance, forwarder mask)
+    announced_slots: dict[int, tuple[int, int]] = field(default_factory=dict)
     radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # shares equal totals
 
 
@@ -248,9 +257,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
     # have to relay them.
-    request_outcomes: list[int | None] = []
-    new_assignments: list[tuple[int, int]] = []
-    capacity_events = 0
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
         contenders = [
@@ -259,7 +265,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         winner = contend(contenders, cfg.contention_policy, rng)
         fo = None if winner is None else flood(topo, winner, b"", awake_mask, *channel)
         heard = winner if fo is not None and fo.received(sink) else None
-        request_outcomes.append(heard)
         slot(
             "request", awake_mask, fo,
             contender_count=len(contenders), winner=winner, delivered=heard is not None,
@@ -272,15 +277,11 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             try:
                 assigned = sink_assign(sched, heard, capacity)
             except SlotCapacityError:
-                capacity_events += 1
                 info = dict(requester=heard, capacity_exceeded=True)
             else:
                 fo = flood(topo, sink, b"", awake_mask, *channel)
                 if fs_mode:
                     refresh_sink_distances(nodes, fo)
-                new = len(sched.slot_owner) > slots_before
-                if new:
-                    new_assignments.append((assigned, heard))
                 delivered = fo.received(heard)
                 if delivered:
                     nodes[heard].my_slot = assigned
@@ -288,25 +289,25 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                         announce_source = heard
                 info = dict(
                     requester=heard, assigned_slot=assigned,
-                    new_assignment=new, delivered=delivered,
+                    new_assignment=len(sched.slot_owner) > slots_before,
+                    delivered=delivered,
                 )
         slot("reply", awake_mask, fo, **info)
 
-        # announce slot (forwarder selection only)
+        # announce slot (forwarder selection only). The delivered reply set
+        # the source's sink distance, as the source relayed it. The source
+        # now has a slot and never contends again, so each slot is
+        # announced at most once.
         if fs_mode:
-            fo, info, announce = None, {}, None
+            fo, info = None, {}
             if announce_source is not None:
-                state = nodes[announce_source]
-                announce = build_announce(announce_source, state, state.my_slot)
-            if announce is not None:
+                distance = nodes[announce_source].sink_distance
                 fo = flood(topo, announce_source, b"", awake_mask, *channel)
-                for node_id in active:
-                    apply_announce(nodes[node_id], announce, fo.hops.get(node_id))
-                world.announced_slots[announce.slot] = announce.distance
+                world.announced_slots[assigned] = (
+                    distance, apply_announce(nodes, fo, distance)
+                )
                 info = dict(
-                    source=announce_source,
-                    announced_distance=announce.distance,
-                    slot_id=announce.slot,
+                    source=announce_source, announced_distance=distance, slot_id=assigned
                 )
             slot("announce", awake_mask, fo, **info)
 
@@ -314,10 +315,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # every index below n_data an owner; the owner floods the oldest queued
     # packet, or an empty keepalive when its queue is dry. An absent owner
     # leaves the slot silent but its members still listened.
-    forwarders = forwarder_index(active, nodes, world.announced_slots) if header.n_data else {}
     for slot_id in range(header.n_data):
         owner = sched.slot_owner[slot_id]
-        members = data_participants(awake_mask, forwarders, slot_id, owner, sink)
+        members = data_participants(awake_mask, world.announced_slots, slot_id, owner, sink)
         fo, info = None, {}
         owner_state = nodes[owner]
         if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
@@ -351,14 +351,11 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         radio_totals=_radio_totals(
             world, slots, active, missed, still_bootstrap, header.round_period
         ),
-        request_outcomes=request_outcomes,
-        new_assignments=new_assignments,
         joined=joined,
         desynced=desynced,
         bootstrap=still_bootstrap,
         generated=generated,
         dropped=dropped,
-        capacity_events=capacity_events,
     )
     world.now += header.round_period
     world.round_index += 1

@@ -19,15 +19,13 @@ A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. The memo
 holds at most MEMO_CAP entries and drops its oldest entry first. A memo hit
 returns the shared outcome object: callers must treat every FloodOutcome
-and its hops dict as read-only. Argument checks run on every call, hit or
-miss.
+as read-only. Argument checks run on every call, hit or miss.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .config import SimConfig
@@ -44,9 +42,9 @@ class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
     layers[k] masks the nodes at hop distance k (layers[0] is the
-    initiator), reached is their OR and relays is the participant mask.
-    hops, node id -> hop distance, is built from layers on its first read.
-    Outcomes may be shared between floods, so none of these may be mutated.
+    initiator), reached is their OR and relays is the participant mask; a
+    relay at hop k is a bit of layers[k] & relays. Outcomes may be shared
+    between floods, so none of these may be mutated.
     """
 
     initiator: int
@@ -56,10 +54,6 @@ class FloodOutcome:
 
     def received(self, node: int) -> bool:
         return self.reached >> node & 1 == 1
-
-    @cached_property
-    def hops(self) -> dict[int, int]:
-        return {node: hop for hop, layer in enumerate(self.layers) for node in ids_of(layer)}
 
 
 def ids_of(mask: int) -> list[int]:

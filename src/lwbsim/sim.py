@@ -30,6 +30,7 @@ from .core import (
 )
 from .engine import RoundTrace, SlotTrace, World, execute_round
 from .errors import SimulationError
+from .forwarding import data_participants
 from .glossy import ids_of
 from .metrics import RunMetrics
 from .topology import Topology
@@ -97,7 +98,7 @@ def run_simulation(
         header = sink_build_sync(world.schedule, config)
         trace = execute_round(world, header)
         if world.schedule.phase == PHASE_STABILIZATION:
-            update_rr_dynamics(world.schedule, trace.request_outcomes, config)
+            update_rr_dynamics(world.schedule, trace.slots, config)
         world.schedule.phase_clock += header.round_period
         metrics.accumulate(trace)
         traces.append(trace)
@@ -241,24 +242,20 @@ def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:
 
 
 def forwarder_table(result: RunResult) -> list[dict]:
-    """Forwarder sets per assigned slot, from the final node states."""
-    from .forwarding import data_participants, forwarder_index
-
+    """Forwarder sets per assigned slot, among the nodes synced at the end."""
     world = result.world
     sink = result.config.sink_node_id
-    active = [n for n, state in world.nodes.items() if not state.bootstrap]
-    forwarders = forwarder_index(active, world.nodes, world.announced_slots)
-    awake = Topology.mask_of(active)
+    announced = world.announced_slots
+    awake = Topology.mask_of(n for n, state in world.nodes.items() if not state.bootstrap)
     table = []
     for slot_id, owner in enumerate(world.schedule.slot_owner):
+        entry = announced.get(slot_id)
         table.append(
             {
                 "slot": slot_id,
                 "owner": owner,
-                "distance": world.announced_slots.get(slot_id),
-                "forwarders": ids_of(
-                    data_participants(awake, forwarders, slot_id, owner, sink)
-                ),
+                "distance": None if entry is None else entry[0],
+                "forwarders": ids_of(data_participants(awake, announced, slot_id, owner, sink)),
             }
         )
     return table

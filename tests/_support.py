@@ -12,6 +12,7 @@ from collections import deque
 from typing import Iterator
 
 from lwbsim.engine import RoundTrace, SlotTrace
+from lwbsim.glossy import FloodOutcome
 from lwbsim.topology import Topology
 
 
@@ -79,6 +80,17 @@ def reference_flood_hops(
         transmitters = [r for r in receivers if r in participants]
         counter += 1
     return hops
+
+
+def hops_of(outcome: FloodOutcome) -> dict[int, int]:
+    """Node id -> hop count of every node a flood reached, read off its
+    wave layers."""
+    return {
+        n: hop
+        for hop, layer in enumerate(outcome.layers)
+        for n in range(layer.bit_length())
+        if layer >> n & 1
+    }
 
 
 def line_topology(n: int) -> Topology:

@@ -18,12 +18,13 @@ from pathlib import Path
 from lwbsim.config import SimConfig
 from lwbsim.core import SyncHeader
 from lwbsim.engine import execute_round
-from lwbsim.glossy import flood
+from lwbsim.glossy import flood, ids_of
 from lwbsim.sim import build_world, render_trace, run_simulation
 from lwbsim.topology import Topology
 
 from _support import (
     bfs_oracle,
+    hops_of,
     line_topology,
     random_connected_topology,
     reachable_hops,
@@ -63,7 +64,7 @@ def test_criterion_1_flood_hops_match_bfs():
                 keep = rng.choice((0.3, 0.7))
                 participants = {n for n in nodes if rng.random() < keep}
                 participants.add(initiator)
-            got = flood(topo, initiator, b"", Topology.mask_of(participants)).hops
+            got = hops_of(flood(topo, initiator, b"", Topology.mask_of(participants)))
             want = reachable_hops(bfs_oracle(topo, initiator, participants))
             if got != want:
                 mismatches.append((graph_no, initiator, sorted(participants)))
@@ -91,11 +92,8 @@ def test_criterion_2_forwarder_sets_match_two_distance_oracle():
             mismatches.append((i, "not every source acquired a slot"))
             continue
         for slot, owner in enumerate(schedule.slot_owner):
-            protocol = {
-                n
-                for n in topo.nodes
-                if slot in result.world.nodes[n].forwarder_slots
-            }
+            _, forwarders = result.world.announced_slots.get(slot, (None, 0))
+            protocol = set(ids_of(forwarders))
             oracle = shortest_path_forwarders(topo, 1, owner)
             if protocol != oracle:
                 mismatches.append((i, slot, sorted(protocol), sorted(oracle)))

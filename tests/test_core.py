@@ -18,6 +18,7 @@ from lwbsim.core import (
     sink_build_sync,
     update_rr_dynamics,
 )
+from lwbsim.engine import SlotTrace
 from lwbsim.errors import SimulationError, SlotCapacityError
 
 
@@ -164,6 +165,11 @@ class TestSinkAssign:
             sched.assert_injective()
 
 
+def _requests(outcomes):
+    """One request slot per outcome: the requester the sink heard, or None."""
+    return [SlotTrace(0, "request", 0, 0, winner=o, delivered=o is not None) for o in outcomes]
+
+
 class TestUpdateRrDynamics:
     def _schedule(self):
         return SinkSchedule(phase=PHASE_STABILIZATION, rr_current=64)
@@ -171,58 +177,68 @@ class TestUpdateRrDynamics:
     def test_single_empty_slot_is_not_enough(self):
         cfg = SimConfig()
         sched = self._schedule()
-        update_rr_dynamics(sched, [None, 4, None], cfg)
+        update_rr_dynamics(sched, _requests([None, 4, None]), cfg)
         assert sched.empty_streak == 1
         assert sched.rr_current == 64
 
     def test_two_consecutive_empty_slots_reduce(self):
         cfg = SimConfig()
         sched = self._schedule()
-        update_rr_dynamics(sched, [4, 7, None, None, 9], cfg)
+        update_rr_dynamics(sched, _requests([4, 7, None, None, 9]), cfg)
         assert sched.rr_current == 2
 
     def test_streak_spans_round_boundary(self):
         cfg = SimConfig()
         sched = self._schedule()
-        update_rr_dynamics(sched, [4, None], cfg)
+        update_rr_dynamics(sched, _requests([4, None]), cfg)
         assert sched.rr_current == 64
-        update_rr_dynamics(sched, [None, 3], cfg)
+        update_rr_dynamics(sched, _requests([None, 3]), cfg)
         assert sched.rr_current == 2
 
     def test_reduction_is_permanent(self):
         cfg = SimConfig()
         sched = self._schedule()
-        update_rr_dynamics(sched, [None, None], cfg)
-        update_rr_dynamics(sched, [5, 6], cfg)
+        update_rr_dynamics(sched, _requests([None, None]), cfg)
+        update_rr_dynamics(sched, _requests([5, 6]), cfg)
         assert sched.rr_current == 2
 
     def test_fs_reduces_to_three(self):
         cfg = SimConfig(forwarder_selection=True)
         sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=63)
-        update_rr_dynamics(sched, [None, None], cfg)
+        update_rr_dynamics(sched, _requests([None, None]), cfg)
         assert sched.rr_current == 3
 
     def test_rounds_trigger_needs_two_empty_rounds(self):
         cfg = SimConfig(rr_reduction_trigger="rounds")
         sched = self._schedule()
-        update_rr_dynamics(sched, [None, None, None], cfg)
+        update_rr_dynamics(sched, _requests([None, None, None]), cfg)
         assert sched.rr_current == 64
-        update_rr_dynamics(sched, [None, None, None], cfg)
+        update_rr_dynamics(sched, _requests([None, None, None]), cfg)
         assert sched.rr_current == 2
 
     def test_rounds_trigger_resets_on_any_request(self):
         cfg = SimConfig(rr_reduction_trigger="rounds")
         sched = self._schedule()
-        update_rr_dynamics(sched, [None, None], cfg)
-        update_rr_dynamics(sched, [None, 8], cfg)
+        update_rr_dynamics(sched, _requests([None, None]), cfg)
+        update_rr_dynamics(sched, _requests([None, 8]), cfg)
         assert sched.empty_streak == 0
-        update_rr_dynamics(sched, [None, None], cfg)
+        update_rr_dynamics(sched, _requests([None, None]), cfg)
         assert sched.rr_current == 64
 
     def test_no_request_slots_leaves_state_alone(self):
         cfg = SimConfig(rr_reduction_trigger="rounds")
         sched = self._schedule()
         sched.empty_streak = 1
-        update_rr_dynamics(sched, [], cfg)
+        update_rr_dynamics(sched, _requests([]), cfg)
         assert sched.empty_streak == 1
         assert sched.rr_current == 64
+
+    def test_only_request_slots_count(self):
+        # the other slots of a round deliver nothing to the sink's request
+        # count, empty or not
+        cfg = SimConfig(forwarder_selection=True)
+        sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=63)
+        others = [SlotTrace(0, kind, 0, 0) for kind in ("sync", "reply", "announce", "data")]
+        update_rr_dynamics(sched, others + _requests([None]) + others, cfg)
+        assert sched.empty_streak == 1
+        assert sched.rr_current == 63

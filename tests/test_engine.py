@@ -169,7 +169,7 @@ class TestRequestBlock:
         execute_round(world, SyncHeader(US_SECOND, 2, 0))
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
         assert trace.slots[1].contender_count == 0
-        assert trace.request_outcomes == [None]
+        assert [s.delivered for s in trace.slots if s.kind == "request"] == [False]
 
     def test_regrant_is_not_a_new_assignment(self):
         # the sink granted a slot but the reply flood was lost; the node

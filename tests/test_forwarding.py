@@ -2,16 +2,11 @@
 
 import random
 
+from lwbsim.config import SimConfig
 from lwbsim.core import NodeState
-from lwbsim.forwarding import (
-    AnnouncePacket,
-    apply_announce,
-    build_announce,
-    data_participants,
-    forwarder_index,
-    refresh_sink_distances,
-)
-from lwbsim.glossy import flood
+from lwbsim.forwarding import apply_announce, data_participants, refresh_sink_distances
+from lwbsim.glossy import flood, ids_of
+from lwbsim.sim import run_simulation
 from lwbsim.topology import Topology
 
 mask_of = Topology.mask_of
@@ -50,55 +45,39 @@ class TestRefreshSinkDistances:
         assert nodes[5].sink_distance == 9
 
 
-class TestBuildAnnounce:
-    def test_announces_distance_and_slot(self):
-        assert build_announce(4, NodeState(sink_distance=2), 0) == AnnouncePacket(4, 2, 0)
-
-    def test_silent_without_distance(self):
-        assert build_announce(4, NodeState(), 0) is None
-
-
 class TestApplyAnnounce:
+    # diamond_pendant with sink 1: source 4 announces distance 2, and its
+    # flood reaches 2 and 3 at hop 1, then 1 and 5 at hop 2
+    DISTANCES = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
+
+    def _select(self, relays=(1, 2, 3, 4, 5), distances=DISTANCES):
+        topo = diamond_pendant()
+        nodes = {n: NodeState(sink_distance=distances.get(n)) for n in topo.nodes}
+        return apply_announce(nodes, flood(topo, 4, b"", mask_of(relays)), 2)
+
     def test_on_path_node_keeps_slot(self):
-        state = NodeState(sink_distance=1)
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
-        assert state.forwarder_slots == {0}
+        assert self._select() == mask_of([1, 2, 3, 4])
 
     def test_off_path_node_drops_slot(self):
-        state = NodeState(sink_distance=2)
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
-        assert state.forwarder_slots == set()
+        # 5 hears at hop 2 and sits 2 hops from the sink: 2 + 2 != 2
+        assert not self._select() >> 5 & 1
 
     def test_source_itself_qualifies_at_hop_zero(self):
-        state = NodeState(sink_distance=2)
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=0)
-        assert state.forwarder_slots == {0}
-
-    def test_missed_flood_keeps_previous_decision(self):
-        state = NodeState(sink_distance=1)
-        state.forwarder_slots.add(0)
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=None)
-        assert state.forwarder_slots == {0}
-
-    def test_stale_membership_revoked_on_new_announcement(self):
-        # node drifted off the shortest path between reply floods
-        state = NodeState(sink_distance=3)
-        state.forwarder_slots.add(0)
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
-        assert state.forwarder_slots == set()
+        assert self._select(relays=(4,)) == mask_of([4])
 
     def test_unknown_own_distance_means_out(self):
-        state = NodeState()
-        apply_announce(state, AnnouncePacket(4, 2, 0), hop=1)
-        assert state.forwarder_slots == set()
+        distances = {**self.DISTANCES, 3: None}
+        assert self._select(distances=distances) == mask_of([1, 2, 4])
+
+    def test_listener_that_does_not_relay_is_out(self):
+        # 3 hears the flood at hop 1 but its radio is off for the slot
+        assert self._select(relays=(1, 2, 4, 5)) == mask_of([1, 2, 4])
 
 
 class TestDataParticipants:
-    def _index(self, topo, awake, forwarders, slot_id):
-        nodes = {n: NodeState() for n in topo.nodes}
-        for n in forwarders:
-            nodes[n].forwarder_slots.add(slot_id)
-        return forwarder_index(awake, nodes, [slot_id])
+    @staticmethod
+    def _announced(forwarders, slot_id):
+        return {slot_id: (2, mask_of(forwarders))}
 
     def test_plain_bus_wakes_everyone_active(self):
         # nothing is announced without forwarder selection
@@ -107,38 +86,32 @@ class TestDataParticipants:
         assert got == mask_of([1, 2, 4])
 
     def test_fs_slot_wakes_forwarders_owner_sink(self):
-        topo = diamond_pendant()
-        awake = sorted(topo.nodes)
-        index = self._index(topo, awake, {2, 3}, 0)
-        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        awake = mask_of(diamond_pendant().nodes)
+        got = data_participants(awake, self._announced({2, 3}, 0), 0, 4, 1)
         assert got == mask_of([1, 2, 3, 4])
 
     def test_unannounced_fs_slot_falls_back_to_everyone(self):
-        topo = diamond_pendant()
-        awake = sorted(topo.nodes)
-        index = self._index(topo, awake, set(), 1)
-        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        awake = mask_of(diamond_pendant().nodes)
+        got = data_participants(awake, self._announced(set(), 1), 0, 4, 1)
         assert got == mask_of([1, 2, 3, 4, 5])
 
     def test_inactive_owner_is_not_woken(self):
-        topo = diamond_pendant()
-        awake = [1, 2, 3]
-        index = self._index(topo, awake, {2}, 0)
-        got = data_participants(mask_of(awake), index, 0, 4, 1)
+        awake = mask_of([1, 2, 3])
+        got = data_participants(awake, self._announced({2}, 0), 0, 4, 1)
         assert got == mask_of([1, 2])
 
     def test_nothing_to_select_returns_the_awake_list_itself(self):
         topo = diamond_pendant()
-        awake = sorted(topo.nodes)
-        assert data_participants(mask_of(awake), {}, 0, 4, 1) == mask_of(awake)
+        awake = mask_of(topo.nodes)
+        assert data_participants(awake, {}, 0, 4, 1) == awake
         # every awake node forwards: the selection is the whole awake mask
-        index = self._index(topo, awake, topo.nodes, 0)
-        assert data_participants(mask_of(awake), index, 0, 4, 1) == mask_of(awake)
+        assert data_participants(awake, self._announced(topo.nodes, 0), 0, 4, 1) == awake
 
-    def test_index_keeps_awake_forwarders_in_order(self):
-        topo = diamond_pendant()
-        index = self._index(topo, [1, 3, 5], {5, 3, 4}, 0)
-        assert index == {0: mask_of([3, 5])}
+    def test_sleeping_forwarder_is_not_woken(self):
+        # 4 forwards and owns the slot, 5 forwards, but neither is active
+        awake = mask_of([1, 3])
+        got = data_participants(awake, self._announced({3, 4, 5}, 0), 0, 4, 1)
+        assert got == mask_of([1, 3])
 
 
 class TestAgainstGeometricOracle:
@@ -154,12 +127,8 @@ class TestAgainstGeometricOracle:
             reply = flood(topo, sink, b"", Topology.mask_of(everyone))
             refresh_sink_distances(nodes, reply)
             source = max(topo.nodes)
-            announce = build_announce(source, nodes[source], 0)
-            assert announce is not None
             outcome = flood(topo, source, b"", Topology.mask_of(everyone))
-            for n in sorted(everyone):
-                apply_announce(nodes[n], announce, outcome.hops.get(n))
-            got = {n for n in everyone if 0 in nodes[n].forwarder_slots}
+            got = set(ids_of(apply_announce(nodes, outcome, nodes[source].sink_distance)))
             assert got == shortest_path_forwarders(topo, sink, source)
 
     def test_forwarders_sit_on_shortest_paths(self):
@@ -170,3 +139,34 @@ class TestAgainstGeometricOracle:
             dist_src = bfs_oracle(topo, source)
             for u in shortest_path_forwarders(topo, 1, source):
                 assert dist_sink[u] + dist_src[u] == dist_sink[source]
+
+
+class TestAnnouncedOnce:
+    def test_every_delivered_reply_announces_its_slot_once(self):
+        # a node announces only after its reply is delivered, and then holds
+        # a slot and never contends again: the forwarder mask of a slot is
+        # written once, in the announce slot right after that reply
+        rng = random.Random(1747)
+        delivered = 0
+        for seed in range(1, 7):
+            topo = random_connected_topology(rng, rng.randint(8, 30), max_ecc=5)
+            cfg = SimConfig(
+                forwarder_selection=True,
+                loss_probability=0.1,
+                drift_ppm_range=(50.0, 300.0),
+                duration=120 * 1_000_000,
+                seed=seed,
+            )
+            result = run_simulation(cfg, topo)
+            slots = [s for t in result.traces for s in t.slots]
+            announced = [s.slot_id for s in slots if s.kind == "announce" and s.source is not None]
+            for i, slot in enumerate(slots):
+                if slot.kind == "reply" and slot.delivered:
+                    delivered += 1
+                    assert announced.count(slot.assigned_slot) == 1
+                    follow = slots[i + 1]
+                    assert follow.kind == "announce"
+                    assert (follow.source, follow.slot_id) == (slot.requester, slot.assigned_slot)
+            assert len(set(announced)) == len(announced)
+            assert sorted(result.world.announced_slots) == sorted(announced)
+        assert delivered > 0

@@ -12,6 +12,7 @@ from lwbsim.topology import Topology
 from _support import (
     adjacency,
     bfs_oracle,
+    hops_of,
     reachable_hops,
     random_connected_topology,
     reference_flood_hops,
@@ -21,33 +22,33 @@ from _support import (
 def test_flood_line_all_participate():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
     out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}))
-    assert out.hops == {1: 0, 2: 1, 3: 2, 4: 3}
+    assert hops_of(out) == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 def test_flood_listener_does_not_relay():
     # node 2 hears the flood but is not a participant, so node 3 starves
     topo = Topology.from_edges([(1, 2), (2, 3)])
     out = flood(topo, 1, b"", Topology.mask_of({1, 3}))
-    assert out.hops == {1: 0, 2: 1}
+    assert hops_of(out) == {1: 0, 2: 1}
     assert not out.received(3)
 
 
 def test_flood_single_node_topology():
     topo = Topology(frozenset({1}), frozenset())
     out = flood(topo, 1, b"", Topology.mask_of({1}))
-    assert out.hops == {1: 0}
+    assert hops_of(out) == {1: 0}
 
 
 def test_flood_initiator_transmits_even_outside_participants():
     topo = Topology.from_edges([(1, 2)])
     out = flood(topo, 1, b"", Topology.mask_of(set()))
-    assert out.hops == {1: 0, 2: 1}
+    assert hops_of(out) == {1: 0, 2: 1}
 
 
 def test_flood_diamond_hops_match_bfs():
     topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
     out = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
-    assert out.hops == reachable_hops(bfs_oracle(topo, 1))
+    assert hops_of(out) == reachable_hops(bfs_oracle(topo, 1))
 
 
 def test_flood_equals_bfs_for_random_participant_sets():
@@ -58,7 +59,7 @@ def test_flood_equals_bfs_for_random_participant_sets():
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.7} | {initiator}
         out = flood(topo, initiator, b"", Topology.mask_of(participants))
-        assert out.hops == reachable_hops(bfs_oracle(topo, initiator, participants))
+        assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, participants))
 
 
 def test_flood_participation_monotone():
@@ -70,8 +71,8 @@ def test_flood_participation_monotone():
         initiator = rng.choice(nodes)
         small = {n for n in nodes if rng.random() < 0.4} | {initiator}
         big = small | {n for n in nodes if rng.random() < 0.5}
-        got_small = set(flood(topo, initiator, b"", Topology.mask_of(small)).hops)
-        got_big = set(flood(topo, initiator, b"", Topology.mask_of(big)).hops)
+        got_small = set(hops_of(flood(topo, initiator, b"", Topology.mask_of(small))))
+        got_big = set(hops_of(flood(topo, initiator, b"", Topology.mask_of(big))))
         assert got_small <= got_big
 
 
@@ -83,13 +84,13 @@ def test_flood_hop_is_one_more_than_some_transmitting_neighbor():
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.6} | {initiator}
         out = flood(topo, initiator, b"", Topology.mask_of(participants))
-        transmitters = {n for n in out.hops if n in participants or n == initiator}
+        transmitters = {n for n in hops_of(out) if n in participants or n == initiator}
         adj = adjacency(topo)
-        for node, hop in out.hops.items():
+        for node, hop in hops_of(out).items():
             if node == initiator:
                 continue
             assert any(
-                nb in transmitters and out.hops.get(nb) == hop - 1
+                nb in transmitters and hops_of(out).get(nb) == hop - 1
                 for nb in adj[node]
             ), f"node {node} at hop {hop} has no upstream transmitter"
 
@@ -98,7 +99,7 @@ def test_flood_loss_deterministic_per_seed():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)])
     a = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
     b = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
-    assert a.hops == b.hops
+    assert hops_of(a) == hops_of(b)
 
 
 def test_flood_loss_can_strand_nodes():
@@ -106,7 +107,7 @@ def test_flood_loss_can_strand_nodes():
     topo = Topology.from_edges([(i, i + 1) for i in range(1, 10)])
     rng = random.Random(2)
     out = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.9, rng)
-    got = set(out.hops)
+    got = set(hops_of(out))
     assert 1 in got
     # receivers form a prefix of the line: each received node's predecessor
     # must also have received
@@ -156,7 +157,7 @@ def test_kernel_matches_reference_wave_loop(loss):
         ours, theirs = random.Random(77), random.Random(77)
         out = flood(topo, initiator, b"", Topology.mask_of(participants), loss, ours)
         want = reference_flood_hops(topo, initiator, participants, loss, theirs)
-        assert out.hops == want
+        assert hops_of(out) == want
         # equal rng states pin down the number and order of loss draws
         assert ours.getstate() == theirs.getstate()
         assert ids_of(out.reached & out.relays) == sorted(n for n in want if n in participants)
@@ -177,7 +178,7 @@ def test_received_is_a_bool(loss):
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
     out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}), loss, random.Random(5))
     for node in (1, 2, 3, 4, 9):
-        assert out.received(node) is (node in out.hops)
+        assert out.received(node) is (node in hops_of(out))
     assert out.received(1) is True and out.received(9) is False
 
 
@@ -189,17 +190,16 @@ def test_memo_hit_equals_fresh_computation():
         topo.flood_memo.clear()
         fresh = flood(topo, initiator, b"", Topology.mask_of(participants))
         assert fresh is not first
-        assert fresh.hops == first.hops
+        assert hops_of(fresh) == hops_of(first)
         assert ids_of(fresh.reached & fresh.relays) == ids_of(first.reached & first.relays)
 
 
 def test_memo_hit_builds_hops_once():
+    # a hit returns the stored outcome, so its wave layers are built once
     topo = Topology.from_edges([(1, 2), (2, 3), (1, 4)])
     first = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
-    hops = first.hops
-    assert hops == {1: 0, 2: 1, 4: 1, 3: 2}
-    assert flood(topo, 1, b"", Topology.mask_of({1, 2, 3})).hops is hops
-    assert first.hops is hops
+    assert hops_of(first) == {1: 0, 2: 1, 4: 1, 3: 2}
+    assert flood(topo, 1, b"", Topology.mask_of({1, 2, 3})) is first
 
 
 def test_lossy_floods_bypass_the_memo():

@@ -29,14 +29,11 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
         slots=slots or [],
         node_ids=tuple(radio),
         radio_totals=tuple(radio.values()),
-        request_outcomes=[],
-        new_assignments=[],
         joined=[],
         desynced=[],
         bootstrap=[],
         generated=[],
         dropped=[],
-        capacity_events=0,
     )
     defaults.update(kw)
     return RoundTrace(**defaults)

@@ -11,6 +11,7 @@ import pytest
 from lwbsim.config import SimConfig
 from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.errors import ConfigError, SimulationError
+from lwbsim.glossy import ids_of
 from lwbsim.sim import (
     build_world,
     forwarder_table,
@@ -176,14 +177,12 @@ class TestTraceOutput:
 
 
 def _hand_built_round(index, slots, radio_on, **lists):
-    empty = dict.fromkeys(
-        ("new_assignments", "joined", "desynced", "bootstrap", "generated", "dropped"), []
-    )
+    empty = dict.fromkeys(("joined", "desynced", "bootstrap", "generated", "dropped"), [])
     return RoundTrace(
         index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
         round_period=US_SECOND, n_rr=0, n_data=0, slots=slots,
         node_ids=tuple(radio_on), radio_totals=tuple(radio_on.values()),
-        request_outcomes=[], capacity_events=0, **{**empty, **lists},
+        **{**empty, **lists},
     )
 
 
@@ -241,11 +240,13 @@ class TestRenderOracle:
                 [
                     SlotTrace(US_SECOND, "sync", mask([1, 9]), 0, 1),
                     SlotTrace(US_SECOND + 10, "request", shared, shared, None),
+                    SlotTrace(US_SECOND + 15, "reply", shared, shared, 1, requester=3,
+                              assigned_slot=0, new_assignment=True, delivered=True),
                     SlotTrace(US_SECOND + 20, "data", 0, shared, 3, slot_id=0,
                               owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
-                new_assignments=[(0, 3)], joined=[3, 250], desynced=[9],
+                joined=[3, 250], desynced=[9],
                 bootstrap=[40, 1000], generated=[(3, 1), (77, 0)], dropped=[77],
             ),
         ]
@@ -271,7 +272,7 @@ class TestRenderOracle:
             SlotTrace(9, "data", both, both, 1, slot_id=0, owner=1, payload_len=0),
             SlotTrace(10, "data", both, 0, None, slot_id=0, owner=1),
         ]
-        traces = [_hand_built_round(0, slots, {1: 0, 2: 1}, new_assignments=[(0, 1)])]
+        traces = [_hand_built_round(0, slots, {1: 0, 2: 1})]
         text = render_trace(traces)
         assert text == reference_render_trace(traces)
         assert '"winner":1,' in text and '"payload_len":0,"gen_round":1,' in text
@@ -545,11 +546,8 @@ class TestDataSlotMembership:
                     if slot.kind != "data":
                         continue
                     if fs and slot.slot_id in world.announced_slots:
-                        want = {
-                            n
-                            for n in active
-                            if slot.slot_id in world.nodes[n].forwarder_slots
-                        }
+                        _, forwarders = world.announced_slots[slot.slot_id]
+                        want = set(ids_of(forwarders)) & active
                         want |= {slot.owner} & active
                         want.add(sink)
                         assert slot.awake == sorted(want)

@@ -10,7 +10,13 @@ from lwbsim.errors import TopologyError
 from lwbsim.glossy import flood
 from lwbsim.topology import Topology, load_topology
 
-from _support import adjacency, bfs_oracle, random_connected_topology, reachable_hops
+from _support import (
+    adjacency,
+    bfs_oracle,
+    hops_of,
+    random_connected_topology,
+    reachable_hops,
+)
 
 
 def hops(topo, root, relays=None):
@@ -18,7 +24,7 @@ def hops(topo, root, relays=None):
     relays (default: every node) retransmitting; unreachable nodes are
     absent."""
     relays = topo.nodes if relays is None else relays
-    return flood(topo, root, b"", Topology.mask_of(relays)).hops
+    return hops_of(flood(topo, root, b"", Topology.mask_of(relays)))
 
 
 class TestLoadTopology:
