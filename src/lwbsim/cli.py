@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .config import SimConfig, parse_config
@@ -82,10 +83,32 @@ def _read_file(path: str, error: type[LwbError]) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+@contextmanager
+def _replace_on_success(path: str):
+    """A new text file beside path that replaces path when the block ends
+    normally and is removed when it raises, so a failed run keeps the old
+    file."""
+    target = Path(path)
+    if target.is_dir() or (target.exists() and not os.access(target, os.W_OK)):
+        raise UsageError(f"cannot write {path}")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _create(stack: ExitStack, path: str | None):
     """Open an output file, or give None for no path. Called before the run,
     so an unwritable path fails at once instead of after the simulation."""
-    return stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+    return stack.enter_context(_replace_on_success(path)) if path else None
 
 
 def _write_json(f, doc) -> None:

@@ -12,7 +12,9 @@ are wave k's receivers, at hop distance k. Loss draws go low bit
 first, which is ascending node id, and only happen when the loss
 probability is nonzero; the engine and the run driver rely on this draw
 order for determinism. The receivers AND the participant mask transmit in
-wave k+1; only their ids are extracted. With a loss probability of zero the
+wave k+1: the walk that draws a candidate's loss ORs a kept relay's
+neighbour mask into wave k+1's candidates at once, so no id list is built
+and no receiver is visited twice. With a loss probability of zero the
 waves are a breadth-first search through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
@@ -78,17 +80,17 @@ def waves(
     masks maps every node to its neighbour mask and relays is the mask of
     the nodes that retransmit after receiving; the initiator always
     transmits. Returns the receiver mask of every wave, the initiator's
-    first. Only the relays' ids are extracted, to OR their masks.
+    first. The walk over a wave's candidates that draws their losses also
+    ORs the neighbour mask of every kept relay into the next wave's pool;
+    a lossless wave walks only its relays.
     """
     draw = rng.random if loss_probability else None
     reached = 1 << initiator
     layers = [reached]
-    transmitters = [initiator]
-    while transmitters:
-        layer = 0
-        for tx in transmitters:
-            layer |= masks[tx]
-        layer &= ~reached
+    pool = masks[initiator]
+    while True:
+        layer = pool & ~reached
+        pool = 0
         if draw:
             candidates = layer
             while candidates:
@@ -96,11 +98,18 @@ def waves(
                 candidates ^= low
                 if draw() < loss_probability:
                     layer ^= low
+                elif low & relays:
+                    pool |= masks[low.bit_length() - 1]
+        else:
+            candidates = layer & relays
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                pool |= masks[low.bit_length() - 1]
         if not layer:
             break
         reached |= layer
         layers.append(layer)
-        transmitters = ids_of(layer & relays)
     return layers
 
 

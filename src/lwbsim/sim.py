@@ -11,13 +11,15 @@ Trace records keep the key order render_trace lists and are written from
 and received nodes as masks, and the renderer writes the id list of each
 distinct mask value once per call, from per-byte texts: byte i of a mask
 holds nodes 8i to 8i+7, so a (byte index, byte value) pair has one text.
+Sync-only rounds repeat a few radio-on rows many times, so the radio_on
+text of each distinct row is also written once per call and then shared.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 from .config import SimConfig
 from .core import (
@@ -110,10 +112,10 @@ def run_simulation(
 class _Memo(dict):
     """key -> make(key), made on the first lookup of each key."""
 
-    def __init__(self, make: Callable[[int], str]) -> None:
+    def __init__(self, make: Callable[[Hashable], str]) -> None:
         self.make = make
 
-    def __missing__(self, key: int) -> str:
+    def __missing__(self, key: Hashable) -> str:
         value = self[key] = self.make(key)
         return value
 
@@ -123,11 +125,13 @@ class _Memo(dict):
 _SLOT_HEAD = (
     '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,"awake":['
 )
-_ROUND = (
+_ROUND_HEAD = (
     '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
-    '"n_rr":%d,"n_data":%d,"radio_on":{%s},"new_assignments":[%s],"joined":[%s],'
-    '"desynced":[%s],"bootstrap":[%s],"generated":[%s],"dropped":[%s],'
-    '"capacity_events":%d,"seq":%d}\n'
+    '"n_rr":%d,"n_data":%d,"radio_on":{'
+)
+_ROUND_TAIL = (
+    '},"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
+    '"generated":[%s],"dropped":[%s],"capacity_events":%d,"seq":%d}\n'
 )
 _DATA = '],"slot_id":%d,"owner":%d,"payload_len":%d,"gen_round":%s,"delivered":%s,"seq":%d}\n'
 _SILENT_DATA = (
@@ -178,12 +182,14 @@ def _slot_tail(slot: SlotTrace, seq: int) -> str:
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     """The JSONL text in pieces: five per slot record (head to the awake
     list's '[', awake ids, '],"received":[', received ids, tail from ']'),
-    one per round record.
+    three per round record (head to radio_on's '{', the radio_on pairs,
+    tail from '}').
 
     Each distinct slot mask value's ids are joined once per call, from the
-    texts of its nonzero bytes, and each node id's text is made once. The
-    caches hold values, not slots, so a generator may free its rounds as
-    they are rendered.
+    texts of its nonzero bytes, each node id's text is made once, and each
+    distinct (node_ids, radio_totals) row's pairs are written once. The
+    caches are keyed on values, not objects, so a generator may free its
+    rounds as they are rendered.
     """
     name = _Memo(str).__getitem__
 
@@ -196,8 +202,12 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
         return ",".join([chunk(i << 8 | byte) for i, byte in enumerate(data) if byte])
 
+    def row_text(row: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
+        return ",".join(map('"%d":%d'.__mod__, zip(*row)))
+
     chunk = _Memo(byte_text).__getitem__
     text = _Memo(mask_text).__getitem__
+    radio_text = _Memo(row_text).__getitem__
 
     seq = 0
     for trace in traces:
@@ -210,10 +220,12 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
             yield text(slot.received_mask)
             yield _slot_tail(slot, seq)
             seq += 1
-        yield _ROUND % (
+        yield _ROUND_HEAD % (
             trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
             trace.n_rr, trace.n_data,
-            ",".join(map('"%d":%d'.__mod__, zip(trace.node_ids, trace.radio_totals))),
+        )
+        yield radio_text((trace.node_ids, trace.radio_totals))
+        yield _ROUND_TAIL % (
             ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
             ",".join(map(name, trace.joined)),
             ",".join(map(name, trace.desynced)),
@@ -230,7 +242,8 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     Each round gives its slot records in time order, then its round record;
     a global seq gives a total order. Key order is fixed: a slot record has
     kind, round, t, phase, type, initiator, awake, received, the fields of
-    its type in _slot_tail's order, seq; a round record has _ROUND's keys.
+    its type in _slot_tail's order, seq; a round record has the keys of
+    _ROUND_HEAD and _ROUND_TAIL.
     traces may be any iterable of rounds.
     """
     return "".join(_trace_pieces(traces))

@@ -205,6 +205,51 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "sink node 1 missing" in err
         assert old.read_bytes() == b"{\"kind\": \"earlier run\"}\n"
 
+    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
+        # the run fails inside the simulation, after every output was opened
+        topo = tmp_path / "line.topo"
+        topo.write_text("1 2\n2 3\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("MAX_PAYLOAD_LEN = 4\nIPI = 5s\n", encoding="utf-8")
+        old = b"{\"kind\": \"earlier run\"}\n"
+        trace, summary = tmp_path / "old.jsonl", tmp_path / "old.json"
+        trace.write_bytes(old)
+        summary.write_bytes(old)
+        code = main(
+            [
+                "run", "--topology", str(topo), "--config", str(cfg),
+                "--duration", "1000s", "--trace", str(trace), "--summary", str(summary),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "runtime error: generated payload exceeds MAX_PAYLOAD_LEN 4\n"
+        assert trace.read_bytes() == old and summary.read_bytes() == old
+        # no temporary file is left beside them
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "line.topo", "old.json", "old.jsonl", "run.cfg",
+        ]
+
+    def test_successful_run_replaces_existing_output(self, tmp_path, line_file):
+        trace = tmp_path / "old.jsonl"
+        trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
+        args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
+        assert main(args) == 0
+        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.topo", "old.jsonl"]
+
+    def test_output_path_that_is_a_directory_is_usage_error(
+        self, tmp_path, line_file, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            pytest.fail("run_simulation called before the output path was checked")
+
+        monkeypatch.setattr("lwbsim.cli.run_simulation", no_run)
+        code = main(["run", "--topology", line_file, "--trace", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: cannot write {tmp_path}\n"
+
     def test_override_breaking_config_is_input_error(self, line_file, capsys):
         code = main(["run", "--topology", line_file, "--duration", "0s"])
         assert code == 2

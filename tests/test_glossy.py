@@ -163,6 +163,36 @@ def test_kernel_matches_reference_wave_loop(loss):
         assert ids_of(out.reached & out.relays) == sorted(n for n in want if n in participants)
 
 
+def _bench_scale_floods(seed, count):
+    """(topology, initiator, participants) triples shaped like an fs-lwb
+    data slot on a bench network: 150-300 nodes with the bench generator's
+    edge density, ids spread up to 1200 (most above CPython's small-int
+    cache), and 10-30% of the nodes relaying."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(150, 300)
+        tree = random_connected_topology(rng, n, extra_edge_prob=4 / n)
+        ids = dict(zip(range(1, n + 1), rng.sample(range(1, 1201), n)))
+        topo = Topology.from_edges((ids[u], ids[v]) for u, v in tree.edges)
+        nodes = sorted(topo.nodes)
+        initiator = rng.choice(nodes)
+        keep = rng.uniform(0.1, 0.3)
+        participants = {n for n in nodes if rng.random() < keep} | {initiator}
+        yield topo, initiator, participants
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.5])
+def test_kernel_matches_reference_at_bench_scale(loss):
+    cases = list(_bench_scale_floods(2024, 12))
+    assert max(max(topo.nodes) for topo, _, _ in cases) > 256
+    for topo, initiator, participants in cases:
+        ours, theirs = random.Random(99), random.Random(99)
+        out = flood(topo, initiator, b"", Topology.mask_of(participants), loss, ours)
+        want = reference_flood_hops(topo, initiator, participants, loss, theirs)
+        assert hops_of(out) == want
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_kernel_reports_relaying_receivers():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
     relays = Topology.mask_of({2, 5})

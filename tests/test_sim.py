@@ -252,6 +252,37 @@ class TestRenderOracle:
         ]
         assert render_trace(traces) == reference_render_trace(traces)
 
+    def test_radio_rows_are_keyed_by_value(self, tmp_path):
+        # equal totals in distinct tuple objects, and equal totals under
+        # other node ids; streamed rounds are made one at a time and
+        # dropped once rendered, so a freed row's id() can come back
+        rows = [
+            {1: 10, 2: 20, 300: 30},
+            {1: 10, 2: 20, 300: 30},
+            {1: 10, 3: 20, 300: 30},
+            {1: 10, 2: 20, 301: 30},
+            {1: 30, 2: 20, 300: 10},
+            {1: 10, 2: 20, 300: 30},
+        ]
+
+        def rounds():
+            for index, radio_on in enumerate(rows):
+                t = index * US_SECOND
+                sync = SlotTrace(t, "sync", Topology.mask_of(radio_on), 0, 1)
+                yield _hand_built_round(index, [sync], dict(radio_on))
+
+        traces = list(rounds())
+        assert traces[0].radio_totals == traces[1].radio_totals
+        assert traces[0].radio_totals is not traces[1].radio_totals
+        assert traces[0].radio_totals == traces[2].radio_totals
+        assert traces[0].node_ids != traces[2].node_ids
+        want = reference_render_trace(traces)
+        assert render_trace(traces) == want
+        out = tmp_path / "trace.jsonl"
+        with open(out, "w", encoding="utf-8") as f:
+            write_trace(f, rounds())
+        assert out.read_text(encoding="utf-8") == want
+
     def test_hand_built_slots_with_fields_zero_and_one(self):
         # True == 1 and False == 0: an int field must never print as a
         # JSON bool, and a bool field never as a number
