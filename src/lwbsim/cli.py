@@ -11,7 +11,9 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
+import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -83,32 +85,59 @@ def _read_file(path: str, error: type[LwbError]) -> str:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
-def _replace_on_success(path: str):
-    """A new text file beside path that replaces path when the block ends
-    normally and is removed when it raises, so a failed run keeps the old
-    file."""
-    target = Path(path)
-    if target.is_dir() or (target.exists() and not os.access(target, os.W_OK)):
-        raise UsageError(f"cannot write {path}")
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+def _output(path: str):
+    """path opened for text writing.
+
+    A name not taken yet, or a writable regular file with one link, is
+    written to a fresh temporary file beside it (beside a symlink's
+    target), which gets the old file's mode, or the umask's for a new one.
+    It replaces the file when the block ends normally and is removed when
+    the block raises, so a failed run keeps the old file. Anything else
+    (a device, a pipe, /dev/fd/N), and a file whose directory takes no new
+    file, is written in place, as open(path, "w") does.
+    """
     try:
-        f = open(tmp, "x", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and stat.S_ISDIR(st.st_mode):
+        raise UsageError(f"cannot write {path}")
+    tmp = None
+    if st is None or (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK)
+    ):
+        target = os.path.realpath(path)
+        folder, name = os.path.split(target)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=folder, prefix=f".{name}.", suffix=".tmp")
+        except OSError:
+            pass
+    if tmp is None:
+        with open(path, "w", encoding="utf-8") as f:
+            yield f
+        return
+    f = os.fdopen(fd, "w", encoding="utf-8")
     try:
         with f:
+            os.fchmod(fd, stat.S_IMODE(st.st_mode) if st else 0o666 & ~_umask())
             yield f
         os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
 
 
 def _create(stack: ExitStack, path: str | None):
     """Open an output file, or give None for no path. Called before the run,
     so an unwritable path fails at once instead of after the simulation."""
-    return stack.enter_context(_replace_on_success(path)) if path else None
+    return stack.enter_context(_output(path)) if path else None
 
 
 def _write_json(f, doc) -> None:

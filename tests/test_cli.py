@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,60 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"usage error: cannot write {tmp_path}\n"
+
+    def test_symlinked_output_keeps_the_link(self, tmp_path, line_file):
+        target = tmp_path / "run-42.jsonl"
+        target.write_bytes(b"{\"kind\": \"earlier run\"}\n")
+        link = tmp_path / "latest.jsonl"
+        link.symlink_to(target.name)
+        args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(link)]
+        assert main(args) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+
+    def test_output_that_is_no_regular_file_is_written_in_place(self, tmp_path, line_file):
+        link = tmp_path / "null.jsonl"
+        link.symlink_to(os.devnull)
+        args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(link)]
+        assert main(args) == 0
+        assert link.is_symlink() and os.readlink(link) == os.devnull
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.topo", "null.jsonl"]
+
+    def test_stale_temporary_file_does_not_block_the_run(self, tmp_path, line_file):
+        # a run killed outright leaves its temporary file behind
+        stale = tmp_path / f".old.jsonl.{os.getpid()}.tmp"
+        stale.write_bytes(b"partial")
+        trace = tmp_path / "old.jsonl"
+        args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
+        assert main(args) == 0
+        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert stale.read_bytes() == b"partial"
+
+    def test_replaced_output_keeps_its_mode(self, tmp_path, line_file):
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        old.write_bytes(b"{\"kind\": \"earlier run\"}\n")
+        old.chmod(0o640)
+        for path in (old, new):
+            args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(path)]
+            assert main(args) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+    def test_directory_that_takes_no_new_file_is_written_in_place(
+        self, tmp_path, line_file, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr("lwbsim.cli.tempfile.mkstemp", refuse)
+        trace = tmp_path / "old.jsonl"
+        trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
+        args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
+        assert main(args) == 0
+        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
 
     def test_override_breaking_config_is_input_error(self, line_file, capsys):
         code = main(["run", "--topology", line_file, "--duration", "0s"])
