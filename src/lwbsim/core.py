@@ -71,7 +71,6 @@ class NodeState:
     my_slot: int | None = None
     sink_distance: int | None = None
     queue: deque = field(default_factory=deque)  # (gen_round, payload)
-    next_sequence: int = 0  # generated next at next_sequence * IPI
 
 
 def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:

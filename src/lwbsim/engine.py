@@ -9,8 +9,11 @@ slot length whether it initiates, relays or just listens; a node that skips
 a slot pays nothing. A node in bootstrap keeps its radio on for the whole
 round, except in the round where it catches the sync flood, from which
 point on it is charged like any synced node. The charge is folded once per
-round from the finished slots: slots with equal awake masks are charged
-together, slot length times the number of such slots.
+round shape from the finished slots: slots with equal awake masks are
+charged together, slot length times the number of such slots. The period,
+the bootstrap ids and the slots' awake masks fix every total, so rounds of
+equal shape share one row from world.radio_rows, a memo of at most
+MEMO_CAP rows that drops its oldest first.
 
 A slot stores who was awake and who received as two node masks (bit n =
 node n), the ones the floods already compute. Participant state comes from
@@ -26,8 +29,9 @@ receives on the flood's reached mask within its awake mask. Forwarder
 selection keeps one forwarder mask per announced slot in
 world.announced_slots, written once by the slot's announce flood. A round's
 new assignments and capacity events are read from its reply slots. Radio
-totals are one tuple per round, aligned with the run's sorted node id
-tuple.
+totals are one tuple per round shape, aligned with the run's sorted node id
+tuple. Every source generates sequence s at s * IPI, so one counter,
+world.next_sequence, serves them all.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -46,7 +50,7 @@ from .config import SimConfig
 from .core import NodeState, SinkSchedule, SyncHeader, contend, sink_assign
 from .errors import SimulationError, SlotCapacityError
 from .forwarding import apply_announce, data_participants, refresh_sink_distances
-from .glossy import FloodOutcome, flood, ids_of
+from .glossy import MEMO_CAP, FloodOutcome, flood, ids_of
 from .topology import Topology
 
 
@@ -130,36 +134,39 @@ class World:
     rng: random.Random
     now: int = 0
     round_index: int = 0
+    next_sequence: int = 0  # every source generates sequence s at s * IPI
     # slot -> (announced distance, forwarder mask)
     announced_slots: dict[int, tuple[int, int]] = field(default_factory=dict)
-    radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # shares equal totals
+    radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # round shape -> row
 
 
 def _radio_totals(
-    world: World,
-    slots: list[SlotTrace],
-    active: list[int],
-    missed: list[int],
-    bootstrap: list[int],
-    round_period: int,
+    world: World, slots: list[SlotTrace], bootstrap: list[int], round_period: int
 ) -> tuple[int, ...]:
-    """Radio-on time per node for one finished round, in node_ids order.
-    slots[0] is sync, awake on active and missed; its received mask is the
-    active mask, so slots awake on it reuse the active list."""
+    """Radio-on time per node for one finished round, in node_ids order;
+    slots[0] is the sync slot. Rounds of equal shape (period, bootstrap
+    ids, every slot's awake mask) share one row from world.radio_rows, a
+    memo of at most MEMO_CAP rows that drops its oldest first."""
+    rows = world.radio_rows
+    key = (round_period, tuple(bootstrap), *[slot.awake_mask for slot in slots])
+    row = rows.get(key)
+    if row is not None:
+        return row
     sync, *rest = slots
     cfg = world.config
     radio = dict.fromkeys(world.node_ids, 0)
-    radio.update(dict.fromkeys(active, cfg.sync_slot_length))
-    radio.update(dict.fromkeys(missed, cfg.sync_slot_length))
-    radio.update(dict.fromkeys(bootstrap, round_period))  # disjoint from both
+    radio.update(dict.fromkeys(ids_of(sync.awake_mask), cfg.sync_slot_length))
+    radio.update(dict.fromkeys(bootstrap, round_period))  # asleep in the sync slot
     totals = {round_period: round_period}  # one int object per distinct total
     for mask, count in Counter(slot.awake_mask for slot in rest).items():
         cost = count * cfg.slot_length
-        for node_id in active if mask == sync.received_mask else ids_of(mask):
+        for node_id in ids_of(mask):
             on = radio[node_id] + cost
             radio[node_id] = totals.setdefault(on, on)
-    row = tuple(radio.values())
-    return world.radio_rows.setdefault(row, row)
+    if len(rows) >= MEMO_CAP:
+        del rows[next(iter(rows))]
+    row = rows[key] = tuple(radio.values())
+    return row
 
 
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:
@@ -191,14 +198,16 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     desynced: list[int] = []
     synced: list[int] = []
 
-    # Walk 1, before the sync flood. Every node but the sink generates its
-    # due packets, and a synced node whose accumulated offset left the
+    # Walk 1, before the sync flood. Every node but the sink generates the
+    # packets due by t, and a synced node whose accumulated offset left the
     # guard window cannot hit the sync slot any more and falls back to
     # bootstrap. The sink is never in bootstrap.
+    due = range(world.next_sequence, t // cfg.ipi + 1)
+    world.next_sequence += len(due)
     for node_id, state in nodes.items():
         if node_id != sink:
-            while state.next_sequence * cfg.ipi <= t:
-                payload = f"{node_id}:{state.next_sequence}".encode("ascii")
+            for sequence in due:
+                payload = f"{node_id}:{sequence}".encode("ascii")
                 if len(payload) > cfg.max_payload_len:
                     raise SimulationError(
                         f"generated payload exceeds MAX_PAYLOAD_LEN {cfg.max_payload_len}"
@@ -208,7 +217,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     dropped.append(node_id)
                 state.queue.append((world.round_index, payload))
                 generated.append((node_id, world.round_index))
-                state.next_sequence += 1
             if state.drift_ppm and not state.bootstrap and (
                 (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
             ):
@@ -318,18 +326,19 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     for slot_id in range(header.n_data):
         owner = sched.slot_owner[slot_id]
         members = data_participants(awake_mask, world.announced_slots, slot_id, owner, sink)
-        fo, info = None, {}
         owner_state = nodes[owner]
         if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
             queue = owner_state.queue
             gen_round, payload = queue.popleft() if queue else (None, b"")
-            fo = flood(topo, owner, payload, members, *channel)
-            info = dict(
-                payload_len=len(payload),
-                gen_round=gen_round,
-                delivered=fo.received(sink) and gen_round is not None,
-            )
-        slot("data", members, fo, slot_id=slot_id, owner=owner, **info)
+            reached = flood(topo, owner, payload, members, *channel).reached
+            slots.append(SlotTrace(
+                t, "data", members, reached & members, owner,
+                slot_id=slot_id, owner=owner, payload_len=len(payload), gen_round=gen_round,
+                delivered=reached >> sink & 1 == 1 and gen_round is not None,
+            ))
+        else:
+            slots.append(SlotTrace(t, "data", members, 0, slot_id=slot_id, owner=owner))
+        t += cfg.slot_length
 
     if t > world.now + header.round_period:
         raise SimulationError(
@@ -348,9 +357,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         n_data=header.n_data,
         slots=slots,
         node_ids=world.node_ids,
-        radio_totals=_radio_totals(
-            world, slots, active, missed, still_bootstrap, header.round_period
-        ),
+        radio_totals=_radio_totals(world, slots, still_bootstrap, header.round_period),
         joined=joined,
         desynced=desynced,
         bootstrap=still_bootstrap,

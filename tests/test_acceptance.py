@@ -12,6 +12,8 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -414,3 +416,29 @@ def test_criterion_9_byte_identical_traces_per_seed(tmp_path):
         not problems,
         "; ".join(problems),
     )
+
+
+def test_golden_fs_trace_is_identical_across_hash_seeds():
+    # criterion 9 compares runs within one interpreter; string hashing is
+    # randomized per process, so a set or dict ordered by hash would only
+    # show across fresh interpreters
+    tests_dir = Path(__file__).parent
+    path = os.pathsep.join(
+        filter(None, [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys, test_acceptance; from lwbsim.sim import render_trace; "
+        "sys.stdout.buffer.write("
+        "render_trace(test_acceptance._golden_run(True).traces).encode('utf-8'))"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1] == (DATA_DIR / "golden_fs.jsonl").read_bytes()

@@ -6,7 +6,8 @@ import pytest
 
 from lwbsim.config import SimConfig
 from lwbsim.core import SyncHeader
-from lwbsim.engine import execute_round
+from lwbsim import engine
+from lwbsim.engine import SlotTrace, _radio_totals, execute_round
 from lwbsim.errors import SimulationError
 from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
@@ -201,7 +202,7 @@ class TestDataSlots:
         execute_round(world, SyncHeader(US_SECOND, 2, 0))
         if not generate:
             world.nodes[2].queue.clear()
-            world.nodes[2].next_sequence = 10**15
+            world.next_sequence = 10**15
         return world
 
     def test_owner_delivers_queued_packet(self):
@@ -256,6 +257,19 @@ class TestGenerationAndQueue:
         assert list(result.world.nodes[2].queue)[0][0] == 5
 
 
+def _awake_time(cfg, trace):
+    """Radio time re-derived from a round's slots: each awake slot's
+    length, plus the round period for a node that waited in bootstrap."""
+    expect = dict.fromkeys(trace.node_ids, 0)
+    for slot in trace.slots:
+        length = cfg.sync_slot_length if slot.kind == "sync" else cfg.slot_length
+        for n in slot.awake:
+            expect[n] += length
+    for n in trace.bootstrap:
+        expect[n] += trace.round_period
+    return expect
+
+
 class TestRadioConservation:
     @pytest.mark.parametrize("fs", [False, True])
     def test_radio_equals_awake_slot_time_plus_bootstrap(self, fs):
@@ -269,16 +283,7 @@ class TestRadioConservation:
         )
         result = run_simulation(cfg, topo)
         for trace in result.traces:
-            expect = {n: 0 for n in topo.nodes}
-            for slot in trace.slots:
-                length = (
-                    cfg.sync_slot_length if slot.kind == "sync" else cfg.slot_length
-                )
-                for n in slot.awake:
-                    expect[n] += length
-            for n in trace.bootstrap:
-                expect[n] += trace.round_period
-            assert trace.radio_on == expect, f"round {trace.index}"
+            assert trace.radio_on == _awake_time(cfg, trace), f"round {trace.index}"
 
     def test_new_assignments_bounded_by_request_slots(self):
         rng = random.Random(911)
@@ -332,3 +337,64 @@ class TestSharedRoundState:
         for trace in traces:
             values = trace.radio_on.values()
             assert len({id(v) for v in values}) == len(set(values)), trace.index
+
+
+class TestRadioRowMemo:
+    """world.radio_rows holds one radio row per round shape: the period, the
+    bootstrap ids and every slot's awake mask."""
+
+    def test_period_is_part_of_the_shape(self):
+        # nodes 3 and 4 never hear the sink, so they wait in bootstrap
+        # through rounds whose slots are awake on the same nodes
+        world = build_world(SimConfig(), Topology.from_edges([(1, 2), (3, 4)]))
+        short = execute_round(world, SyncHeader(US_SECOND, 0, 0))
+        long = execute_round(world, SyncHeader(5 * US_SECOND, 0, 0))
+        again = execute_round(world, SyncHeader(US_SECOND, 0, 0))
+        assert short.slots[0].awake_mask == long.slots[0].awake_mask
+        assert short.radio_totals == (US_SLOT, US_SLOT, US_SECOND, US_SECOND)
+        assert long.radio_totals == (US_SLOT, US_SLOT, 5 * US_SECOND, 5 * US_SECOND)
+        assert again.radio_totals is short.radio_totals
+
+    def test_bootstrap_ids_are_part_of_the_shape(self):
+        # in a run the bootstrap ids are the nodes the sync slot left
+        # asleep; the row is still a function of all of _radio_totals's
+        # arguments, so equal slot masks with other bootstrap ids miss
+        world = build_world(SimConfig(), line_topology(3))
+        mask = Topology.mask_of([1, 2])
+        slots = [SlotTrace(0, "sync", mask, mask, 1)]
+        waiting = _radio_totals(world, slots, [3], US_SECOND)
+        idle = _radio_totals(world, slots, [], US_SECOND)
+        assert waiting == (US_SLOT, US_SLOT, US_SECOND)
+        assert idle == (US_SLOT, US_SLOT, 0)
+        assert _radio_totals(world, slots, [3], US_SECOND) is waiting
+
+    def test_rounds_of_equal_shape_share_one_row(self):
+        result = run_simulation(SimConfig(duration=60 * US_SECOND), line_topology(5))
+        rows = {}
+        for trace in result.traces:
+            shape = (
+                trace.round_period,
+                tuple(trace.bootstrap),
+                *[slot.awake_mask for slot in trace.slots],
+            )
+            assert rows.setdefault(shape, trace.radio_totals) is trace.radio_totals
+        assert len(rows) < len(result.traces) // 2
+        assert len(result.world.radio_rows) == len(rows)
+
+    def test_capped_memo_still_returns_correct_rows(self, monkeypatch):
+        topo = random_connected_topology(random.Random(4343), 15)
+        cfg = SimConfig(
+            loss_probability=0.2,
+            drift_ppm_range=(50.0, 300.0),
+            duration=120 * US_SECOND,
+            seed=3,
+        )
+        uncapped = run_simulation(cfg, topo)
+        monkeypatch.setattr(engine, "MEMO_CAP", 2)
+        capped = run_simulation(cfg, topo)
+        assert len(capped.world.radio_rows) == 2
+        assert len(uncapped.world.radio_rows) > 2
+        assert any(t.bootstrap for t in capped.traces)
+        for trace, reference in zip(capped.traces, uncapped.traces, strict=True):
+            assert trace.radio_totals == reference.radio_totals, trace.index
+            assert trace.radio_on == _awake_time(cfg, trace), trace.index

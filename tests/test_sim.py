@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
@@ -468,6 +469,34 @@ def _radio_rounds(text, slot_length, sync_slot_length):
     return rounds
 
 
+def _lossy_drifting_run():
+    """A forwarder-selection run with loss, drift, desyncs and rejoins;
+    distinct sync and data slot lengths keep the two radio terms apart."""
+    cfg = SimConfig(
+        duration=120 * US_SECOND,
+        forwarder_selection=True,
+        loss_probability=0.2,
+        drift_ppm_range=(50.0, 300.0),
+        slot_length=10_000,
+        sync_slot_length=20_000,
+        seed=5,
+    )
+    topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
+    return run_simulation(cfg, topo)
+
+
+class TestLossyGolden:
+    def test_lossy_drifting_run_matches_golden_bytes(self):
+        # the other goldens are loss-0 runs; this one pins the rng stream,
+        # the guard check and the per-node radio rows of a lossy run.
+        # Regenerate after an intended change with LWBSIM_REGEN_GOLDEN=1.
+        rendered = render_trace(_lossy_drifting_run().traces).encode("utf-8")
+        path = DATA_DIR / "golden_fs_lossy.jsonl"
+        if os.environ.get("LWBSIM_REGEN_GOLDEN") == "1":
+            path.write_bytes(rendered)
+        assert path.read_bytes() == rendered
+
+
 class TestRadioAccounting:
     @pytest.mark.parametrize("name", ["golden_lwb.jsonl", "golden_fs.jsonl"])
     def test_golden_radio_on_matches_awake_slots(self, name):
@@ -479,18 +508,8 @@ class TestRadioAccounting:
             assert got == want, f"round {index}"
 
     def test_lossy_drifting_run_radio_on_matches_awake_slots(self):
-        # distinct sync and data slot lengths keep the two terms apart
-        cfg = SimConfig(
-            duration=120 * US_SECOND,
-            forwarder_selection=True,
-            loss_probability=0.2,
-            drift_ppm_range=(50.0, 300.0),
-            slot_length=10_000,
-            sync_slot_length=20_000,
-            seed=5,
-        )
-        topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
-        result = run_simulation(cfg, topo)
+        result = _lossy_drifting_run()
+        cfg = result.config
         assert any(t.desynced for t in result.traces)
         assert any(t.bootstrap for t in result.traces)
         text = render_trace(result.traces)
