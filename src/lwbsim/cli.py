@@ -160,6 +160,14 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
             raise ConfigError(f"bad --duration: {exc}") from exc
     if getattr(args, "forwarder_selection", None) is not None:
         overrides["forwarder_selection"] = args.forwarder_selection == "1"
+    if args.command == "forwarders":
+        # Forwarder sets only exist with forwarder selection on; run exactly
+        # through cool-off and stabilization so the dump shows the converged
+        # assignment state.
+        setup = config.cooloff_period + config.stabilization_period
+        if setup <= 0:
+            raise ConfigError("forwarders needs COOLOFF_PERIOD + STABILIZATION_PERIOD > 0")
+        overrides.update(forwarder_selection=True, duration=setup)
     if overrides:
         config = dataclasses.replace(config, **overrides)
         config.validate()
@@ -178,9 +186,7 @@ def _cmd_run(args, stack: ExitStack) -> int:
     summary = render_summary(result.metrics, config.mode, config.seed)
     sys.stdout.write(summary)
     if summary_f:
-        doc = result.metrics.to_dict()
-        doc["mode"] = config.mode
-        doc["seed"] = config.seed
+        doc = {**result.metrics.to_dict(), "mode": config.mode, "seed": config.seed}
         _write_json(summary_f, doc)
     return EXIT_OK
 
@@ -188,13 +194,10 @@ def _cmd_run(args, stack: ExitStack) -> int:
 def _cmd_compare(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
     out = _create(stack, args.out)
-    run_plain = run_simulation(
-        dataclasses.replace(config, forwarder_selection=False), topology
-    )
-    run_fs = run_simulation(
-        dataclasses.replace(config, forwarder_selection=True), topology
-    )
-    report = compare(run_plain, run_fs)
+    report = compare(*[
+        run_simulation(dataclasses.replace(config, forwarder_selection=fs), topology)
+        for fs in (False, True)
+    ])
     sys.stdout.write(report.render())
     if out:
         _write_json(out, report.to_dict())
@@ -203,17 +206,6 @@ def _cmd_compare(args, stack: ExitStack) -> int:
 
 def _cmd_forwarders(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
-    # Forwarder sets only exist with forwarder selection on; run exactly
-    # through cool-off and stabilization so the dump shows the converged
-    # assignment state.
-    if config.cooloff_period + config.stabilization_period <= 0:
-        raise ConfigError("forwarders needs COOLOFF_PERIOD + STABILIZATION_PERIOD > 0")
-    config = dataclasses.replace(
-        config,
-        forwarder_selection=True,
-        duration=config.cooloff_period + config.stabilization_period,
-    )
-    config.validate()
     out = _create(stack, args.out)
     result = run_simulation(config, topology)
     table = forwarder_table(result)

@@ -142,15 +142,6 @@ class SimConfig:
                 )
         if problems:
             raise ConfigError("; ".join(problems))
-        if self.ipi % self.minimum_lwb_round != 0:
-            effective = (self.ipi // self.minimum_lwb_round) * self.minimum_lwb_round
-            log.warning(
-                "IPI %s is not a multiple of MINIMUM_LWB_ROUND %s; "
-                "effective IPI for data rounds is %s",
-                format_duration(self.ipi),
-                format_duration(self.minimum_lwb_round),
-                format_duration(effective),
-            )
 
     def to_text(self) -> str:
         """Serialize so that parse_config() reproduces this config."""
@@ -240,4 +231,11 @@ def parse_config(text: str) -> SimConfig:
 
     config = SimConfig(**values)  # type: ignore[arg-type]
     config.validate()
+    ipi, period = config.ipi, config.minimum_lwb_round
+    if ipi % period:  # warned here, once per document, not in every validate()
+        log.warning(
+            "IPI %s is not a multiple of MINIMUM_LWB_ROUND %s; "
+            "effective IPI for data rounds is %s",
+            *map(format_duration, (ipi, period, ipi - ipi % period)),
+        )
     return config

@@ -70,7 +70,7 @@ class NodeState:
     bootstrap: bool = True
     my_slot: int | None = None
     sink_distance: int | None = None
-    queue: deque = field(default_factory=deque)  # (gen_round, payload)
+    queue: deque = field(default_factory=deque)  # (gen_round, payload_len)
 
 
 def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
@@ -92,6 +92,16 @@ def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
     ):
         schedule.phase = PHASE_OPERATIONAL
         schedule.phase_clock = 0
+
+
+def last_round_start(config: SimConfig) -> int:
+    """Start of the run's last round. advance_phase gives ceil(COOLOFF_PERIOD
+    / 1 s) + ceil(STABILIZATION_PERIOD / 1 s) one second rounds, then rounds
+    of MINIMUM_LWB_ROUND; the last round starts before DURATION."""
+    short, end = SHORT_ROUND_US, config.duration - 1
+    rounds = -(-config.cooloff_period // short) - (-config.stabilization_period // short)
+    period = short if end < rounds * short else config.minimum_lwb_round
+    return end - (end - rounds * short) % period
 
 
 def data_round_cadence(config: SimConfig, op_round_index: int) -> bool:

@@ -9,11 +9,8 @@ slot length whether it initiates, relays or just listens; a node that skips
 a slot pays nothing. A node in bootstrap keeps its radio on for the whole
 round, except in the round where it catches the sync flood, from which
 point on it is charged like any synced node. The charge is folded once per
-round shape from the finished slots: slots with equal awake masks are
-charged together, slot length times the number of such slots. The period,
-the bootstrap ids and the slots' awake masks fix every total, so rounds of
-equal shape share one row from world.radio_rows, a memo of at most
-MEMO_CAP rows that drops its oldest first.
+round shape from the finished slots (_radio_totals): slots with equal awake
+masks are charged together, slot length times the number of such slots.
 
 A slot stores who was awake and who received as two node masks (bit n =
 node n), the ones the floods already compute. Participant state comes from
@@ -28,10 +25,9 @@ also awake on the synced nodes that missed the sync. A flooded slot
 receives on the flood's reached mask within its awake mask. Forwarder
 selection keeps one forwarder mask per announced slot in
 world.announced_slots, written once by the slot's announce flood. A round's
-new assignments and capacity events are read from its reply slots. Radio
-totals are one tuple per round shape, aligned with the run's sorted node id
-tuple. Every source generates sequence s at s * IPI, so one counter,
-world.next_sequence, serves them all.
+new assignments and capacity events are read from its reply slots. Every
+source generates sequence s at s * IPI, so one counter, world.next_sequence,
+serves them all. A queued packet is its round and its "node:seq" length.
 
 Determinism: all iteration over nodes follows world.nodes, which is in
 ascending node id order, and a single rng instance drives first the
@@ -192,30 +188,25 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
 
     t = world.now
     guard = cfg.glossy_guard_time
-    channel = (cfg.loss_probability, rng, cfg.max_payload_len)
+    channel = (cfg.loss_probability, rng)
     generated: list[tuple[int, int]] = []
     dropped: list[int] = []
     desynced: list[int] = []
     synced: list[int] = []
 
-    # Walk 1, before the sync flood. Every node but the sink generates the
-    # packets due by t, and a synced node whose accumulated offset left the
-    # guard window cannot hit the sync slot any more and falls back to
-    # bootstrap. The sink is never in bootstrap.
-    due = range(world.next_sequence, t // cfg.ipi + 1)
+    # Walk 1, before the sync flood. Every node but the sink queues the
+    # packets due by t as the lengths of their "node:seq" texts, and a synced
+    # node whose accumulated offset left the guard window cannot hit the sync
+    # slot any more and falls back to bootstrap. The sink is never in bootstrap.
+    due = [1 + len(str(s)) for s in range(world.next_sequence, t // cfg.ipi + 1)]
     world.next_sequence += len(due)
     for node_id, state in nodes.items():
         if node_id != sink:
-            for sequence in due:
-                payload = f"{node_id}:{sequence}".encode("ascii")
-                if len(payload) > cfg.max_payload_len:
-                    raise SimulationError(
-                        f"generated payload exceeds MAX_PAYLOAD_LEN {cfg.max_payload_len}"
-                    )
+            for tail in due:
                 if len(state.queue) >= cfg.queue_capacity:
                     state.queue.popleft()
                     dropped.append(node_id)
-                state.queue.append((world.round_index, payload))
+                state.queue.append((world.round_index, len(str(node_id)) + tail))
                 generated.append((node_id, world.round_index))
             if state.drift_ppm and not state.bootstrap and (
                 (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
@@ -227,7 +218,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
 
     # Sync slot. Synced nodes relay; bootstrap nodes have their radio on
     # anyway, so they receive (without relaying) and join on success.
-    outcome = flood(topo, sink, b"", topo.mask_of(synced), *channel)
+    outcome = flood(topo, sink, topo.mask_of(synced), *channel)
 
     # Walk 2, after the sync flood. Every receiver, the sink included, is
     # active for the round; a node still in bootstrap listens through the
@@ -267,11 +258,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # have to relay them.
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
-        contenders = [
-            n for n in active if n != sink and nodes[n].my_slot is None
-        ]
+        contenders = [n for n in active if n != sink and nodes[n].my_slot is None]
         winner = contend(contenders, cfg.contention_policy, rng)
-        fo = None if winner is None else flood(topo, winner, b"", awake_mask, *channel)
+        fo = None if winner is None else flood(topo, winner, awake_mask, *channel)
         heard = winner if fo is not None and fo.received(sink) else None
         slot(
             "request", awake_mask, fo,
@@ -287,7 +276,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             except SlotCapacityError:
                 info = dict(requester=heard, capacity_exceeded=True)
             else:
-                fo = flood(topo, sink, b"", awake_mask, *channel)
+                fo = flood(topo, sink, awake_mask, *channel)
                 if fs_mode:
                     refresh_sink_distances(nodes, fo)
                 delivered = fo.received(heard)
@@ -310,7 +299,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             fo, info = None, {}
             if announce_source is not None:
                 distance = nodes[announce_source].sink_distance
-                fo = flood(topo, announce_source, b"", awake_mask, *channel)
+                fo = flood(topo, announce_source, awake_mask, *channel)
                 world.announced_slots[assigned] = (
                     distance, apply_announce(nodes, fo, distance)
                 )
@@ -329,11 +318,11 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         owner_state = nodes[owner]
         if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
             queue = owner_state.queue
-            gen_round, payload = queue.popleft() if queue else (None, b"")
-            reached = flood(topo, owner, payload, members, *channel).reached
+            gen_round, payload_len = queue.popleft() if queue else (None, 0)
+            reached = flood(topo, owner, members, *channel).reached
             slots.append(SlotTrace(
                 t, "data", members, reached & members, owner,
-                slot_id=slot_id, owner=owner, payload_len=len(payload), gen_round=gen_round,
+                slot_id=slot_id, owner=owner, payload_len=payload_len, gen_round=gen_round,
                 delivered=reached >> sink & 1 == 1 and gen_round is not None,
             ))
         else:

@@ -30,8 +30,6 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import SimConfig
-
 if TYPE_CHECKING:
     from .topology import Topology
 
@@ -116,26 +114,23 @@ def waves(
 def flood(
     topology: Topology,
     initiator: int,
-    payload: bytes,
     participants: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
-    max_payload_len: int = SimConfig.max_payload_len,
 ) -> FloodOutcome:
-    """Run one flood and report reception per node.
+    """Run one flood and report reception per node. It carries no packet:
+    sim.check_topology checks every packet's size before the run.
 
     Args:
         topology: the connectivity graph.
         initiator: node that starts the flood, transmits regardless of the
             participant set.
-        payload: application bytes carried by the flood.
         participants: mask of the nodes allowed to retransmit after
             receiving (bit n = node n, as built by Topology.mask_of).
             Callers compute it once per distinct participant set.
         loss_probability: per node, per wave reception failure probability.
         rng: required when loss_probability > 0; draws happen in node id
             order within each wave.
-        max_payload_len: upper bound on payload size.
 
     Returns:
         FloodOutcome with the receivers of every wave. At loss zero the
@@ -143,10 +138,6 @@ def flood(
     """
     if initiator not in topology:
         raise ValueError(f"flood initiator {initiator} not in topology")
-    if len(payload) > max_payload_len:
-        raise ValueError(
-            f"payload of {len(payload)} bytes exceeds limit {max_payload_len}"
-        )
     if not 0.0 <= loss_probability < 1.0:
         raise ValueError(f"loss probability {loss_probability} outside [0, 1)")
     if loss_probability > 0.0 and rng is None:

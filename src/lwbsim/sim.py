@@ -27,11 +27,12 @@ from .core import (
     NodeState,
     SinkSchedule,
     advance_phase,
+    last_round_start,
     sink_build_sync,
     update_rr_dynamics,
 )
 from .engine import RoundTrace, SlotTrace, World, execute_round
-from .errors import SimulationError
+from .errors import ConfigError, TopologyError
 from .forwarding import data_participants
 from .glossy import ids_of
 from .metrics import RunMetrics
@@ -48,15 +49,22 @@ class RunResult:
 
 
 def check_topology(config: SimConfig, topology: Topology) -> None:
-    """Raise SimulationError unless the topology holds the sink and only
-    node ids the config allows."""
-    if config.sink_node_id not in topology:
-        raise SimulationError(f"sink node {config.sink_node_id} missing from topology")
+    """Raise TopologyError unless the topology holds the sink and only node
+    ids the config allows, and ConfigError when the longest packet text, the
+    largest source id's "node:seq" in the last round, exceeds MAX_PAYLOAD_LEN."""
+    sink = config.sink_node_id
+    if sink not in topology:
+        raise TopologyError(f"sink node {sink} missing from topology")
     for node in topology.nodes:
         if not 1 <= node <= config.max_node_number:
-            raise SimulationError(
-                f"node id {node} outside [1, {config.max_node_number}]"
-            )
+            raise TopologyError(f"node id {node} outside [1, {config.max_node_number}]")
+    source = max(topology.nodes - {sink}, default=None)
+    packet = f"{source}:{last_round_start(config) // config.ipi}"
+    if source is not None and len(packet) > config.max_payload_len:
+        raise ConfigError(
+            f"MAX_PAYLOAD_LEN {config.max_payload_len} is too small for {packet!r}, "
+            f"a {len(packet)}-byte packet of the run"
+        )
 
 
 def build_world(config: SimConfig, topology: Topology) -> World:

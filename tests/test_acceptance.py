@@ -66,7 +66,7 @@ def test_criterion_1_flood_hops_match_bfs():
                 keep = rng.choice((0.3, 0.7))
                 participants = {n for n in nodes if rng.random() < keep}
                 participants.add(initiator)
-            got = hops_of(flood(topo, initiator, b"", Topology.mask_of(participants)))
+            got = hops_of(flood(topo, initiator, Topology.mask_of(participants)))
             want = reachable_hops(bfs_oracle(topo, initiator, participants))
             if got != want:
                 mismatches.append((graph_no, initiator, sorted(participants)))

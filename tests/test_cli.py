@@ -12,6 +12,7 @@ import pytest
 
 import lwbsim
 from lwbsim.cli import main
+from lwbsim.errors import SimulationError
 
 from _support import shortest_path_forwarders
 from lwbsim.topology import Topology
@@ -201,13 +202,18 @@ class TestExitCodes:
         old = tmp_path / "old.out"
         old.write_bytes(b"{\"kind\": \"earlier run\"}\n")
         code = main(["run", "--topology", str(topo), flag, str(old)])
-        assert code == 3
+        # a topology without the sink is invalid input, as documented
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "sink node 1 missing" in err
+        assert err == "invalid input: sink node 1 missing from topology\n"
         assert old.read_bytes() == b"{\"kind\": \"earlier run\"}\n"
 
-    def test_failed_run_keeps_existing_output(self, tmp_path, capsys):
-        # the run fails inside the simulation, after every output was opened
+    def test_too_small_payload_limit_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # packet "3:199" of the last round needs 5 bytes; nothing is simulated
+        def no_round(*args, **kwargs):
+            pytest.fail("a round ran although MAX_PAYLOAD_LEN was too small")
+
+        monkeypatch.setattr("lwbsim.sim.execute_round", no_round)
         topo = tmp_path / "line.topo"
         topo.write_text("1 2\n2 3\n", encoding="utf-8")
         cfg = tmp_path / "run.cfg"
@@ -222,13 +228,37 @@ class TestExitCodes:
                 "--duration", "1000s", "--trace", str(trace), "--summary", str(summary),
             ]
         )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input: MAX_PAYLOAD_LEN 4")
+        assert "'3:199'" in err
+        assert trace.read_bytes() == old and summary.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "line.topo", "old.json", "old.jsonl", "run.cfg",
+        ]
+
+    def test_failed_run_keeps_existing_output(self, tmp_path, line_file, capsys, monkeypatch):
+        # the run fails inside the simulation, after every output was opened
+        def failing_run(config, topology):
+            # both outputs are open, each as a temporary file
+            assert sum(p.suffix == ".tmp" for p in tmp_path.iterdir()) == 2
+            raise SimulationError("round 3 overflows its period")
+
+        monkeypatch.setattr("lwbsim.cli.run_simulation", failing_run)
+        old = b"{\"kind\": \"earlier run\"}\n"
+        trace, summary = tmp_path / "old.jsonl", tmp_path / "old.json"
+        trace.write_bytes(old)
+        summary.write_bytes(old)
+        code = main(
+            ["run", "--topology", line_file, "--trace", str(trace), "--summary", str(summary)]
+        )
         assert code == 3
         err = capsys.readouterr().err
-        assert err == "runtime error: generated payload exceeds MAX_PAYLOAD_LEN 4\n"
+        assert err == "runtime error: round 3 overflows its period\n"
         assert trace.read_bytes() == old and summary.read_bytes() == old
         # no temporary file is left beside them
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "line.topo", "old.json", "old.jsonl", "run.cfg",
+            "line.topo", "old.json", "old.jsonl",
         ]
 
     def test_successful_run_replaces_existing_output(self, tmp_path, line_file):
@@ -414,6 +444,24 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "run: mode=lwb" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_ipi_warning_is_printed_once(self, tmp_path, line_file, command):
+        # the config is validated again after --duration and once per run
+        cfg = tmp_path / "ipi.cfg"
+        cfg.write_text("IPI = 7s\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lwbsim.cli", command, "--topology", line_file,
+             "--config", str(cfg), "--duration", "20s"],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "IPI 7s is not a multiple of MINIMUM_LWB_ROUND 5s; "
+            "effective IPI for data rounds is 5s\n"
+        )
 
     @pytest.mark.skipif(shutil.which("lwbsim") is None, reason="script not on PATH")
     def test_console_script(self, line_file):

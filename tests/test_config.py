@@ -6,6 +6,7 @@ import pytest
 
 from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, parse_config
 from lwbsim.errors import ConfigError
+from lwbsim.units import parse_duration
 
 # A valid value other than the default for every SimConfig field.
 NON_DEFAULT = {
@@ -96,6 +97,50 @@ class TestParseConfig:
         assert cfg.ipi == 10_000_000
         assert cfg.minimum_lwb_round == 5_000_000
         assert cfg.duration == 60_000_000
+
+    @pytest.mark.parametrize(
+        "text, us",
+        [
+            ("9007199254740993us", 9_007_199_254_740_993),
+            ("1e20", 10**26),
+            ("12345678901234567890.000001", 12_345_678_901_234_567_890_000_001),
+            ("1.5", 1_500_000),
+            ("2.5ms", 2_500),
+            ("1_000ms", 1_000_000),
+            ("-0", 0),
+        ],
+    )
+    def test_durations_are_exact(self, text, us):
+        assert parse_duration(text) == us
+
+    def test_int_literal_is_exact_at_any_size(self):
+        # only a decimal is held to the float range, as 1e400 always was
+        assert parse_duration("1" + "0" * 400 + "us") == 10**400
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5us", "not a whole number of microseconds"),
+            ("1.0000001s", "not a whole number of microseconds"),
+            ("1e-7", "not a whole number of microseconds"),
+            ("-1.5us", "negative"),
+            ("-infms", "not finite"),
+            ("nan", "not finite"),
+            ("1e400", "not finite"),
+            ("1e9999999999999999999", "out of range"),
+            # its integer ratio would have a 100,000,001-digit denominator
+            ("1e-100000000s", "not a whole number of microseconds"),
+        ],
+    )
+    def test_bad_durations_are_config_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_duration(text)
+
+    @pytest.mark.parametrize("text", ["soon", "", "0x10", "1/2", "5 days", "snan"])
+    def test_non_numbers_are_value_errors(self, text):
+        # Decimal's InvalidOperation is no ValueError, so it must not leak
+        with pytest.raises(ValueError):
+            parse_duration(text)
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\nSEED = 9  # trailing\n")
@@ -224,10 +269,14 @@ class TestValidate:
         assert "QUEUE_CAPACITY" in msg and "DURATION" in msg
 
     def test_non_multiple_ipi_warns_but_passes(self, caplog):
-        cfg = SimConfig(ipi=12_000_000)
         with caplog.at_level("WARNING", logger="lwbsim.config"):
+            cfg = parse_config("IPI = 12s")
             cfg.validate()
-        assert any("not a multiple" in rec.message for rec in caplog.records)
+        assert cfg.ipi == 12_000_000
+        assert [rec.message for rec in caplog.records] == [
+            "IPI 12s is not a multiple of MINIMUM_LWB_ROUND 5s; "
+            "effective IPI for data rounds is 10s"
+        ]
 
 
 class TestSpecTable:

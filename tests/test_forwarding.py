@@ -23,7 +23,7 @@ class TestRefreshSinkDistances:
     def test_records_hops_for_listeners(self):
         topo = diamond_pendant()
         nodes = {n: NodeState() for n in topo.nodes}
-        outcome = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
+        outcome = flood(topo, 1, Topology.mask_of(topo.nodes))
         refresh_sink_distances(nodes, outcome)
         assert {n: nodes[n].sink_distance for n in sorted(nodes)} == {
             1: 0,
@@ -37,7 +37,7 @@ class TestRefreshSinkDistances:
         topo = diamond_pendant()
         nodes = {n: NodeState(sink_distance=9) for n in topo.nodes}
         # 4 and 5 hear the flood but are no participants: their radios are off
-        outcome = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
+        outcome = flood(topo, 1, Topology.mask_of({1, 2, 3}))
         assert outcome.received(4) and outcome.received(5)
         refresh_sink_distances(nodes, outcome)
         assert nodes[2].sink_distance == 1
@@ -53,7 +53,7 @@ class TestApplyAnnounce:
     def _select(self, relays=(1, 2, 3, 4, 5), distances=DISTANCES):
         topo = diamond_pendant()
         nodes = {n: NodeState(sink_distance=distances.get(n)) for n in topo.nodes}
-        return apply_announce(nodes, flood(topo, 4, b"", mask_of(relays)), 2)
+        return apply_announce(nodes, flood(topo, 4, mask_of(relays)), 2)
 
     def test_on_path_node_keeps_slot(self):
         assert self._select() == mask_of([1, 2, 3, 4])
@@ -124,10 +124,10 @@ class TestAgainstGeometricOracle:
             nodes = {n: NodeState() for n in topo.nodes}
             everyone = set(topo.nodes)
             sink = 1
-            reply = flood(topo, sink, b"", Topology.mask_of(everyone))
+            reply = flood(topo, sink, Topology.mask_of(everyone))
             refresh_sink_distances(nodes, reply)
             source = max(topo.nodes)
-            outcome = flood(topo, source, b"", Topology.mask_of(everyone))
+            outcome = flood(topo, source, Topology.mask_of(everyone))
             got = set(ids_of(apply_announce(nodes, outcome, nodes[source].sink_distance)))
             assert got == shortest_path_forwarders(topo, sink, source)
 

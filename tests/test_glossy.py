@@ -21,33 +21,33 @@ from _support import (
 
 def test_flood_line_all_participate():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
-    out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}))
+    out = flood(topo, 1, Topology.mask_of({1, 2, 3, 4}))
     assert hops_of(out) == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 def test_flood_listener_does_not_relay():
     # node 2 hears the flood but is not a participant, so node 3 starves
     topo = Topology.from_edges([(1, 2), (2, 3)])
-    out = flood(topo, 1, b"", Topology.mask_of({1, 3}))
+    out = flood(topo, 1, Topology.mask_of({1, 3}))
     assert hops_of(out) == {1: 0, 2: 1}
     assert not out.received(3)
 
 
 def test_flood_single_node_topology():
     topo = Topology(frozenset({1}), frozenset())
-    out = flood(topo, 1, b"", Topology.mask_of({1}))
+    out = flood(topo, 1, Topology.mask_of({1}))
     assert hops_of(out) == {1: 0}
 
 
 def test_flood_initiator_transmits_even_outside_participants():
     topo = Topology.from_edges([(1, 2)])
-    out = flood(topo, 1, b"", Topology.mask_of(set()))
+    out = flood(topo, 1, Topology.mask_of(set()))
     assert hops_of(out) == {1: 0, 2: 1}
 
 
 def test_flood_diamond_hops_match_bfs():
     topo = Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
-    out = flood(topo, 1, b"", Topology.mask_of(topo.nodes))
+    out = flood(topo, 1, Topology.mask_of(topo.nodes))
     assert hops_of(out) == reachable_hops(bfs_oracle(topo, 1))
 
 
@@ -58,7 +58,7 @@ def test_flood_equals_bfs_for_random_participant_sets():
         nodes = sorted(topo.nodes)
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.7} | {initiator}
-        out = flood(topo, initiator, b"", Topology.mask_of(participants))
+        out = flood(topo, initiator, Topology.mask_of(participants))
         assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, participants))
 
 
@@ -71,8 +71,8 @@ def test_flood_participation_monotone():
         initiator = rng.choice(nodes)
         small = {n for n in nodes if rng.random() < 0.4} | {initiator}
         big = small | {n for n in nodes if rng.random() < 0.5}
-        got_small = set(hops_of(flood(topo, initiator, b"", Topology.mask_of(small))))
-        got_big = set(hops_of(flood(topo, initiator, b"", Topology.mask_of(big))))
+        got_small = set(hops_of(flood(topo, initiator, Topology.mask_of(small))))
+        got_big = set(hops_of(flood(topo, initiator, Topology.mask_of(big))))
         assert got_small <= got_big
 
 
@@ -83,7 +83,7 @@ def test_flood_hop_is_one_more_than_some_transmitting_neighbor():
         nodes = sorted(topo.nodes)
         initiator = rng.choice(nodes)
         participants = {n for n in nodes if rng.random() < 0.6} | {initiator}
-        out = flood(topo, initiator, b"", Topology.mask_of(participants))
+        out = flood(topo, initiator, Topology.mask_of(participants))
         transmitters = {n for n in hops_of(out) if n in participants or n == initiator}
         adj = adjacency(topo)
         for node, hop in hops_of(out).items():
@@ -97,8 +97,8 @@ def test_flood_hop_is_one_more_than_some_transmitting_neighbor():
 
 def test_flood_loss_deterministic_per_seed():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)])
-    a = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
-    b = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.5, random.Random(9))
+    a = flood(topo, 1, Topology.mask_of(topo.nodes), 0.5, random.Random(9))
+    b = flood(topo, 1, Topology.mask_of(topo.nodes), 0.5, random.Random(9))
     assert hops_of(a) == hops_of(b)
 
 
@@ -106,7 +106,7 @@ def test_flood_loss_can_strand_nodes():
     # with heavy loss on a line some suffix of the line is cut off
     topo = Topology.from_edges([(i, i + 1) for i in range(1, 10)])
     rng = random.Random(2)
-    out = flood(topo, 1, b"", Topology.mask_of(topo.nodes), 0.9, rng)
+    out = flood(topo, 1, Topology.mask_of(topo.nodes), 0.9, rng)
     got = set(hops_of(out))
     assert 1 in got
     # receivers form a prefix of the line: each received node's predecessor
@@ -122,19 +122,17 @@ def test_flood_zero_loss_never_draws_from_rng():
             raise AssertionError("rng consulted with loss 0")
 
     topo = Topology.from_edges([(1, 2)])
-    flood(topo, 1, b"", Topology.mask_of({1, 2}), 0.0, Boom())
+    flood(topo, 1, Topology.mask_of({1, 2}), 0.0, Boom())
 
 
 def test_flood_argument_errors():
     topo = Topology.from_edges([(1, 2)])
     with pytest.raises(ValueError, match="not in topology"):
-        flood(topo, 7, b"", Topology.mask_of({1, 2}))
-    with pytest.raises(ValueError, match="exceeds"):
-        flood(topo, 1, b"x" * 41, Topology.mask_of({1, 2}))
+        flood(topo, 7, Topology.mask_of({1, 2}))
     with pytest.raises(ValueError, match="loss probability"):
-        flood(topo, 1, b"", Topology.mask_of({1, 2}), 1.0, random.Random(0))
+        flood(topo, 1, Topology.mask_of({1, 2}), 1.0, random.Random(0))
     with pytest.raises(ValueError, match="rng"):
-        flood(topo, 1, b"", Topology.mask_of({1, 2}), 0.5, None)
+        flood(topo, 1, Topology.mask_of({1, 2}), 0.5, None)
 
 
 def _random_floods(seed, count, max_nodes=40):
@@ -155,7 +153,7 @@ def _random_floods(seed, count, max_nodes=40):
 def test_kernel_matches_reference_wave_loop(loss):
     for topo, initiator, participants in _random_floods(5150, 60):
         ours, theirs = random.Random(77), random.Random(77)
-        out = flood(topo, initiator, b"", Topology.mask_of(participants), loss, ours)
+        out = flood(topo, initiator, Topology.mask_of(participants), loss, ours)
         want = reference_flood_hops(topo, initiator, participants, loss, theirs)
         assert hops_of(out) == want
         # equal rng states pin down the number and order of loss draws
@@ -187,7 +185,7 @@ def test_kernel_matches_reference_at_bench_scale(loss):
     assert max(max(topo.nodes) for topo, _, _ in cases) > 256
     for topo, initiator, participants in cases:
         ours, theirs = random.Random(99), random.Random(99)
-        out = flood(topo, initiator, b"", Topology.mask_of(participants), loss, ours)
+        out = flood(topo, initiator, Topology.mask_of(participants), loss, ours)
         want = reference_flood_hops(topo, initiator, participants, loss, theirs)
         assert hops_of(out) == want
         assert ours.getstate() == theirs.getstate()
@@ -206,7 +204,7 @@ def test_kernel_reports_relaying_receivers():
 def test_received_is_a_bool(loss):
     # the trace spells a delivered flag only as true or false
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
-    out = flood(topo, 1, b"", Topology.mask_of({1, 2, 3, 4}), loss, random.Random(5))
+    out = flood(topo, 1, Topology.mask_of({1, 2, 3, 4}), loss, random.Random(5))
     for node in (1, 2, 3, 4, 9):
         assert out.received(node) is (node in hops_of(out))
     assert out.received(1) is True and out.received(9) is False
@@ -214,11 +212,11 @@ def test_received_is_a_bool(loss):
 
 def test_memo_hit_equals_fresh_computation():
     for topo, initiator, participants in _random_floods(6160, 30):
-        first = flood(topo, initiator, b"", Topology.mask_of(participants))
-        again = flood(topo, initiator, b"", Topology.mask_of(set(participants)))
+        first = flood(topo, initiator, Topology.mask_of(participants))
+        again = flood(topo, initiator, Topology.mask_of(set(participants)))
         assert again is first
         topo.flood_memo.clear()
-        fresh = flood(topo, initiator, b"", Topology.mask_of(participants))
+        fresh = flood(topo, initiator, Topology.mask_of(participants))
         assert fresh is not first
         assert hops_of(fresh) == hops_of(first)
         assert ids_of(fresh.reached & fresh.relays) == ids_of(first.reached & first.relays)
@@ -227,27 +225,25 @@ def test_memo_hit_equals_fresh_computation():
 def test_memo_hit_builds_hops_once():
     # a hit returns the stored outcome, so its wave layers are built once
     topo = Topology.from_edges([(1, 2), (2, 3), (1, 4)])
-    first = flood(topo, 1, b"", Topology.mask_of({1, 2, 3}))
+    first = flood(topo, 1, Topology.mask_of({1, 2, 3}))
     assert hops_of(first) == {1: 0, 2: 1, 4: 1, 3: 2}
-    assert flood(topo, 1, b"", Topology.mask_of({1, 2, 3})) is first
+    assert flood(topo, 1, Topology.mask_of({1, 2, 3})) is first
 
 
 def test_lossy_floods_bypass_the_memo():
     topo = Topology.from_edges([(1, 2), (2, 3)])
-    flood(topo, 1, b"", Topology.mask_of({1, 2, 3}), 0.5, random.Random(3))
+    flood(topo, 1, Topology.mask_of({1, 2, 3}), 0.5, random.Random(3))
     assert not topo.flood_memo
 
 
 def test_memo_hit_still_checks_arguments():
     topo = Topology.from_edges([(1, 2)])
-    outcome = flood(topo, 1, b"", Topology.mask_of({1, 2}))
-    assert flood(topo, 1, b"", Topology.mask_of({1, 2})) is outcome
-    with pytest.raises(ValueError, match="exceeds"):
-        flood(topo, 1, b"x" * 41, Topology.mask_of({1, 2}))
+    outcome = flood(topo, 1, Topology.mask_of({1, 2}))
+    assert flood(topo, 1, Topology.mask_of({1, 2})) is outcome
     # plant an entry for a node the topology does not have
     topo.flood_memo[(7, Topology.mask_of({1, 2}))] = outcome
     with pytest.raises(ValueError, match="not in topology"):
-        flood(topo, 7, b"", Topology.mask_of({1, 2}))
+        flood(topo, 7, Topology.mask_of({1, 2}))
 
 
 def test_memo_size_is_bounded():
@@ -255,7 +251,7 @@ def test_memo_size_is_bounded():
     others = sorted(topo.nodes - {1})
     for i in range(glossy.MEMO_CAP + 50):
         participants = {1} | {n for bit, n in enumerate(others) if i >> bit & 1}
-        flood(topo, 1, b"", Topology.mask_of(participants))
+        flood(topo, 1, Topology.mask_of(participants))
         assert len(topo.flood_memo) <= glossy.MEMO_CAP
     assert len(topo.flood_memo) == glossy.MEMO_CAP
     # the oldest entries went first

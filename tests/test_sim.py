@@ -1,6 +1,7 @@
 """Whole-run behavior: phase schedule, determinism, trace output."""
 
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from lwbsim.config import SimConfig
+from lwbsim.core import last_round_start
 from lwbsim.engine import RoundTrace, SlotTrace
-from lwbsim.errors import ConfigError, SimulationError
+from lwbsim.errors import ConfigError, TopologyError
 from lwbsim.glossy import ids_of
 from lwbsim.sim import (
     build_world,
+    check_topology,
     forwarder_table,
     render_trace,
     run_simulation,
@@ -346,12 +349,12 @@ class TestRenderOracle:
 class TestWorldConstruction:
     def test_sink_must_be_in_topology(self):
         topo = Topology.from_edges([(2, 3)])
-        with pytest.raises(SimulationError, match="sink node 1"):
+        with pytest.raises(TopologyError, match="sink node 1"):
             build_world(SimConfig(), topo)
 
     def test_node_ids_bounded_by_config(self):
         topo = Topology.from_edges([(1, 200)])
-        with pytest.raises(SimulationError, match="outside"):
+        with pytest.raises(TopologyError, match="outside"):
             build_world(SimConfig(), topo)
 
     def test_run_validates_config(self):
@@ -365,6 +368,64 @@ class TestWorldConstruction:
         assert result.metrics.duty_cycle(3) == 1.0
         assert result.metrics.sources[3].acquisition_round is None
         assert all(3 in t.bootstrap for t in result.traces)
+
+
+class TestPayloadLimit:
+    """MAX_PAYLOAD_LEN is checked once, before the run, against the longest
+    packet text "node:seq" the run will generate."""
+
+    @pytest.mark.parametrize("cooloff", [0, 1_500_000, 10 * US_SECOND])
+    @pytest.mark.parametrize("stabilization", [0, 10 * US_SECOND])
+    def test_rejected_up_front_exactly_when_a_packet_is_too_long(
+        self, cooloff, stabilization
+    ):
+        limits = range(3, 8)
+        for ipi in (5, 7, 10):
+            for seconds in (1, 50, 100, 500, 1000):
+                for extra in (0, 1, US_SECOND + 1, 2 * US_SECOND + 1):
+                    cfg = SimConfig(
+                        ipi=ipi * US_SECOND,
+                        cooloff_period=cooloff,
+                        stabilization_period=stabilization,
+                        duration=seconds * US_SECOND + extra,
+                        max_payload_len=10**6,
+                    )
+                    # the real schedule's last round, from an unlimited run
+                    last = run_simulation(cfg, line_topology(2)).traces[-1]
+                    assert last_round_start(cfg) == last.t_start
+                    for source in (9, 10, 99, 100):
+                        topo = Topology.from_edges([(1, source)])
+                        longest = len(f"{source}:{last.t_start // cfg.ipi}")
+                        for limit in limits:
+                            limited = dataclasses.replace(cfg, max_payload_len=limit)
+                            if longest > limit:
+                                with pytest.raises(ConfigError, match="MAX_PAYLOAD_LEN"):
+                                    check_topology(limited, topo)
+                            else:
+                                check_topology(limited, topo)
+
+    def test_run_fails_before_its_first_round(self):
+        cfg = SimConfig(max_payload_len=4, ipi=5 * US_SECOND, duration=1000 * US_SECOND)
+
+        def no_round(world, trace):
+            pytest.fail("a round ran although MAX_PAYLOAD_LEN was too small")
+
+        with pytest.raises(ConfigError, match="too small for '3:199', a 5-byte packet"):
+            run_simulation(cfg, line_topology(3), on_round=no_round)
+
+    def test_queued_lengths_are_the_packet_texts(self):
+        cfg = SimConfig(ipi=5 * US_SECOND, duration=120 * US_SECOND)
+        result = run_simulation(cfg, Topology.from_edges([(1, 9), (9, 10), (10, 100)]))
+        sent = [
+            (s.owner, s.gen_round, s.payload_len)
+            for t in result.traces for s in t.slots if s.gen_round is not None
+        ]
+        start = {t.index: t.t_start for t in result.traces}
+        assert {n for n, _, _ in sent} == {9, 10, 100}
+        for owner, gen_round, length in sent:
+            assert length == len(f"{owner}:{start[gen_round] // cfg.ipi}")
+        # the sink sends nothing, so a topology of the sink alone has no limit
+        check_topology(dataclasses.replace(cfg, max_payload_len=0), Topology.from_edges([], [1]))
 
 
 class TestCapacityPressure:

@@ -24,7 +24,7 @@ def hops(topo, root, relays=None):
     relays (default: every node) retransmitting; unreachable nodes are
     absent."""
     relays = topo.nodes if relays is None else relays
-    return hops_of(flood(topo, root, b"", Topology.mask_of(relays)))
+    return hops_of(flood(topo, root, Topology.mask_of(relays)))
 
 
 class TestLoadTopology:
@@ -93,7 +93,7 @@ class TestTopologyType:
     def test_flood_memo_does_not_affect_equality(self):
         a = Topology.from_edges([(1, 2), (2, 3)])
         b = Topology.from_edges([(1, 2), (2, 3)])
-        flood(a, 1, b"", Topology.mask_of({1, 2, 3}))
+        flood(a, 1, Topology.mask_of({1, 2, 3}))
         assert a.flood_memo and not b.flood_memo
         assert a == b and hash(a) == hash(b)
 
