@@ -69,7 +69,6 @@ class NodeState:
     last_sync: int = 0
     bootstrap: bool = True
     my_slot: int | None = None
-    sink_distance: int | None = None
     queue: deque = field(default_factory=deque)  # (gen_round, payload_len)
 
 

@@ -8,9 +8,9 @@ Radio accounting is slot granular. A node awake for a slot pays the full
 slot length whether it initiates, relays or just listens; a node that skips
 a slot pays nothing. A node in bootstrap keeps its radio on for the whole
 round, except in the round where it catches the sync flood, from which
-point on it is charged like any synced node. The charge is folded once per
-round shape from the finished slots (_radio_totals): slots with equal awake
-masks are charged together, slot length times the number of such slots.
+point on it is charged like any synced node. So a round's charge is a count
+of slots per node (_radio_totals): an active node pays the sync slot, the
+request block and every data slot that wakes it.
 
 A slot stores who was awake and who received as two node masks (bit n =
 node n), the ones the floods already compute. Participant state comes from
@@ -23,8 +23,9 @@ received mask and the round's active set: the awake mask of the request
 block and of every data slot that wakes all active nodes. The sync slot is
 also awake on the synced nodes that missed the sync. A flooded slot
 receives on the flood's reached mask within its awake mask. Forwarder
-selection keeps one forwarder mask per announced slot in
-world.announced_slots, written once by the slot's announce flood. A round's
+selection keeps sink distances as hop masks in world.distances; a slot's
+announce flood writes its forwarder mask into world.announced_slots and
+counts the slot in world.wake_counts for each node it wakes. A round's
 new assignments and capacity events are read from its reply slots. Every
 source generates sequence s at s * IPI, so one counter, world.next_sequence,
 serves them all. A queued packet is its round and its "node:seq" length.
@@ -133,35 +134,43 @@ class World:
     next_sequence: int = 0  # every source generates sequence s at s * IPI
     # slot -> (announced distance, forwarder mask)
     announced_slots: dict[int, tuple[int, int]] = field(default_factory=dict)
-    radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # round shape -> row
+    wake_counts: Counter = field(default_factory=Counter)  # node -> announced slots waking it
+    distances: list[int] = field(default_factory=list)  # hop h -> nodes at sink distance h
+    radio_rows: dict[tuple, tuple] = field(default_factory=dict)  # round key -> row
 
 
 def _radio_totals(
-    world: World, slots: list[SlotTrace], bootstrap: list[int], round_period: int
+    world: World, header: SyncHeader, sync_awake: int, active: int
 ) -> tuple[int, ...]:
-    """Radio-on time per node for one finished round, in node_ids order;
-    slots[0] is the sync slot. Rounds of equal shape (period, bootstrap
-    ids, every slot's awake mask) share one row from world.radio_rows, a
-    memo of at most MEMO_CAP rows that drops its oldest first."""
+    """Radio-on time per node for one round, in node_ids order, once its
+    request block is done. Rounds of one key share one row of
+    world.radio_rows (at most MEMO_CAP rows, oldest dropped first). The row
+    reads active only with request or data slots, and wake_counts only with
+    data slots, so the key leaves them out otherwise."""
+    period, n_rr, n_data = header.round_period, header.n_rr, header.n_data
+    announced, owners = world.announced_slots, world.schedule.slot_owner
+    late = [s for s in range(n_data, len(owners)) if s in announced] if n_data else []
+    below = len(announced) - len(late) if n_data else 0  # the others are unannounced
+    key = (period, sync_awake, active if n_rr or n_data else 0, n_rr, n_data, below)
     rows = world.radio_rows
-    key = (round_period, tuple(bootstrap), *[slot.awake_mask for slot in slots])
     row = rows.get(key)
     if row is not None:
         return row
-    sync, *rest = slots
     cfg = world.config
-    radio = dict.fromkeys(world.node_ids, 0)
-    radio.update(dict.fromkeys(ids_of(sync.awake_mask), cfg.sync_slot_length))
-    radio.update(dict.fromkeys(bootstrap, round_period))  # asleep in the sync slot
-    totals = {round_period: round_period}  # one int object per distinct total
-    for mask, count in Counter(slot.awake_mask for slot in rest).items():
-        cost = count * cfg.slot_length
-        for node_id in ids_of(mask):
-            on = radio[node_id] + cost
-            radio[node_id] = totals.setdefault(on, on)
+    wakes = world.wake_counts if n_data else {}
+    if late:  # announced after the header fixed n_data: no data slot this round
+        masks = (announced[s][1] | 1 << owners[s] | 1 << cfg.sink_node_id for s in late)
+        wakes = wakes - Counter(n for mask in masks for n in ids_of(mask))
+    sync, slot, base = cfg.sync_slot_length, cfg.slot_length, n_rr + n_data - below
+    ons = [
+        sync + (base + wakes.get(n, 0)) * slot if active >> n & 1
+        else sync if sync_awake >> n & 1 else period
+        for n in world.node_ids
+    ]
+    totals = {period: period}  # one int object per distinct total
     if len(rows) >= MEMO_CAP:
         del rows[next(iter(rows))]
-    row = rows[key] = tuple(radio.values())
+    row = rows[key] = tuple(totals.setdefault(on, on) for on in ons)
     return row
 
 
@@ -278,7 +287,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             else:
                 fo = flood(topo, sink, awake_mask, *channel)
                 if fs_mode:
-                    refresh_sink_distances(nodes, fo)
+                    refresh_sink_distances(world.distances, fo)
                 delivered = fo.received(heard)
                 if delivered:
                     nodes[heard].my_slot = assigned
@@ -294,15 +303,16 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         # announce slot (forwarder selection only). The delivered reply set
         # the source's sink distance, as the source relayed it. The source
         # now has a slot and never contends again, so each slot is
-        # announced at most once.
+        # announced at most once, and counted once in wake_counts for the
+        # nodes data_participants wakes in it when they are active.
         if fs_mode:
             fo, info = None, {}
             if announce_source is not None:
-                distance = nodes[announce_source].sink_distance
+                distance = next(h for h, m in enumerate(world.distances) if m >> heard & 1)
                 fo = flood(topo, announce_source, awake_mask, *channel)
-                world.announced_slots[assigned] = (
-                    distance, apply_announce(nodes, fo, distance)
-                )
+                forwarders = apply_announce(world.distances, fo, distance)
+                world.announced_slots[assigned] = (distance, forwarders)
+                world.wake_counts.update(ids_of(forwarders | 1 << announce_source | 1 << sink))
                 info = dict(
                     source=announce_source, announced_distance=distance, slot_id=assigned
                 )
@@ -346,7 +356,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         n_data=header.n_data,
         slots=slots,
         node_ids=world.node_ids,
-        radio_totals=_radio_totals(world, slots, still_bootstrap, header.round_period),
+        radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
         joined=joined,
         desynced=desynced,
         bootstrap=still_bootstrap,

@@ -6,43 +6,42 @@ fresh slot owner then floods an announcement carrying that distance and the
 slot index; every relay of that flood measures its own hop distance from
 the source and forwards for the slot only if the two distances add up
 exactly, which means the node sits on a shortest path between sink and
-source. A slot's forwarders are one node mask, built once from the announce
-flood's wave layers.
+source. Sink distances are hop masks, distances[h] holding the nodes last
+heard at hop h of a reply flood, and a slot's forwarders are one node mask:
+both are built from the floods' wave layers with one AND or OR per hop.
 """
 
 from __future__ import annotations
 
-from .core import NodeState
-from .glossy import FloodOutcome, ids_of
+from .glossy import FloodOutcome
 
 
-def refresh_sink_distances(nodes: dict[int, NodeState], outcome: FloodOutcome) -> None:
+def refresh_sink_distances(distances: list[int], outcome: FloodOutcome) -> None:
     """Record hop distances from a reply flood initiated by the sink.
 
-    Every participant of the flood that received it remembers its hop count
-    as its current distance from the sink. Nodes that missed the flood, or
-    slept through it, keep their previous value.
+    Every participant of the flood that received it moves to the mask of
+    its hop count. Nodes that missed the flood, or slept through it, keep
+    their previous distance.
     """
+    relays = outcome.relays
+    heard = ~(outcome.reached & relays)
+    distances[:] = [mask & heard for mask in distances]
+    distances.extend([0] * (len(outcome.layers) - len(distances)))
     for hop, layer in enumerate(outcome.layers):
-        for node_id in ids_of(layer & outcome.relays):
-            nodes[node_id].sink_distance = hop
+        distances[hop] |= layer & relays
 
 
-def apply_announce(nodes: dict[int, NodeState], outcome: FloodOutcome, distance: int) -> int:
+def apply_announce(distances: list[int], outcome: FloodOutcome, distance: int) -> int:
     """Mask of the forwarders an announce flood selects.
 
     distance is the announced hop distance of the source from the sink. A
     relay of the flood heard at hop k (the source at hop 0) forwards
-    exactly when its own distance from the sink is distance - k. Nodes that
-    missed the flood, slept through it or never learned their distance
-    from the sink are left out.
+    exactly when it is in distances[distance - k], which is why the source
+    must be in distances[distance]. Nodes that missed the flood, slept
+    through it or never learned their distance from the sink are left out.
     """
-    selected = 0
-    for hop, layer in enumerate(outcome.layers):
-        for node_id in ids_of(layer & outcome.relays):
-            if nodes[node_id].sink_distance == distance - hop:
-                selected |= 1 << node_id
-    return selected
+    layers = enumerate(outcome.layers[: distance + 1])  # disjoint: their sum is their OR
+    return outcome.relays & sum(layer & distances[distance - k] for k, layer in layers)
 
 
 def data_participants(

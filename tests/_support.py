@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: canned graphs, random graph
 generation, and oracles that share no code with the simulator: a plain
 breadth-first search, the shortest-path forwarder set, the set-based
-flood wave loop the bitmask kernel replaced, and the dict-per-record
-JSONL renderer the list-caching one replaced."""
+flood wave loop the bitmask kernel replaced, the per-node forwarder
+selection walks the hop masks replaced, and the dict-per-record JSONL
+renderer the list-caching one replaced."""
 
 from __future__ import annotations
 
@@ -144,6 +145,30 @@ def shortest_path_forwarders(topo: Topology, sink: int, source: int) -> set[int]
         if from_sink[u] is not None
         and from_source[u] is not None
         and from_sink[u] + from_source[u] == total
+    }
+
+
+# The per-node walks that forwarding's hop masks replaced, kept as their
+# reference: sink distances as a node -> hop dict, forwarders as a set.
+
+
+def walk_sink_distances(distances: dict[int, int], outcome: FloodOutcome) -> None:
+    """Every relay that heard the sink's reply flood records its hop count
+    as its sink distance; every other node keeps its previous one."""
+    for n, hop in hops_of(outcome).items():
+        if outcome.relays >> n & 1:
+            distances[n] = hop
+
+
+def walk_announce(
+    distances: dict[int, int], outcome: FloodOutcome, distance: int
+) -> set[int]:
+    """The relays of an announce flood, heard at hop k, whose recorded sink
+    distance is the announced distance minus k."""
+    return {
+        n
+        for n, hop in hops_of(outcome).items()
+        if outcome.relays >> n & 1 and distances.get(n) == distance - hop
     }
 
 

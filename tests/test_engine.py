@@ -1,5 +1,6 @@
 """Round execution: joining, radio accounting, slot mechanics."""
 
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from lwbsim.config import SimConfig
 from lwbsim.core import SyncHeader
 from lwbsim import engine
-from lwbsim.engine import SlotTrace, _radio_totals, execute_round
+from lwbsim.engine import _radio_totals, execute_round
 from lwbsim.errors import SimulationError
 from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
@@ -340,8 +341,10 @@ class TestSharedRoundState:
 
 
 class TestRadioRowMemo:
-    """world.radio_rows holds one radio row per round shape: the period, the
-    bootstrap ids and every slot's awake mask."""
+    """world.radio_rows holds one radio row per round key: the period, the
+    sync slot's awake mask, the active mask (with request or data slots),
+    n_rr, n_data and the number of slots announced below n_data (with data
+    slots)."""
 
     def test_period_is_part_of_the_shape(self):
         # nodes 3 and 4 never hear the sink, so they wait in bootstrap
@@ -356,30 +359,50 @@ class TestRadioRowMemo:
         assert again.radio_totals is short.radio_totals
 
     def test_bootstrap_ids_are_part_of_the_shape(self):
-        # in a run the bootstrap ids are the nodes the sync slot left
-        # asleep; the row is still a function of all of _radio_totals's
-        # arguments, so equal slot masks with other bootstrap ids miss
+        # the bootstrap ids are the nodes outside the sync slot's awake
+        # mask: equal active masks with another sync awake mask miss
         world = build_world(SimConfig(), line_topology(3))
-        mask = Topology.mask_of([1, 2])
-        slots = [SlotTrace(0, "sync", mask, mask, 1)]
-        waiting = _radio_totals(world, slots, [3], US_SECOND)
-        idle = _radio_totals(world, slots, [], US_SECOND)
-        assert waiting == (US_SLOT, US_SLOT, US_SECOND)
-        assert idle == (US_SLOT, US_SLOT, 0)
-        assert _radio_totals(world, slots, [3], US_SECOND) is waiting
+        active = Topology.mask_of([1, 2])
+        header = SyncHeader(US_SECOND, 2, 0)
+        waiting = _radio_totals(world, header, active, active)
+        missed = _radio_totals(world, header, Topology.mask_of([1, 2, 3]), active)
+        assert waiting == (3 * US_SLOT, 3 * US_SLOT, US_SECOND)
+        assert missed == (3 * US_SLOT, 3 * US_SLOT, US_SLOT)
+        assert _radio_totals(world, header, active, active) is waiting
+        # without request or data slots the active mask is left out
+        idle = _radio_totals(world, SyncHeader(US_SECOND, 0, 0), active, active)
+        assert _radio_totals(world, SyncHeader(US_SECOND, 0, 0), active, 1 << 1) is idle
+        assert idle == (US_SLOT, US_SLOT, US_SECOND)
 
     def test_rounds_of_equal_shape_share_one_row(self):
         result = run_simulation(SimConfig(duration=60 * US_SECOND), line_topology(5))
         rows = {}
         for trace in result.traces:
+            sync = trace.slots[0]
             shape = (
                 trace.round_period,
-                tuple(trace.bootstrap),
-                *[slot.awake_mask for slot in trace.slots],
+                sync.awake_mask,
+                sync.received_mask if trace.n_rr or trace.n_data else 0,
+                trace.n_rr,
+                trace.n_data,
             )
             assert rows.setdefault(shape, trace.radio_totals) is trace.radio_totals
         assert len(rows) < len(result.traces) // 2
         assert len(result.world.radio_rows) == len(rows)
+
+    def test_sync_only_rounds_share_a_row_across_reached_sets(self):
+        # a synced node that misses a sync-only round's flood stays in its
+        # awake mask and pays the sync slot, as a receiver does
+        topo = random_connected_topology(random.Random(77), 12)
+        cfg = SimConfig(loss_probability=0.3, duration=200 * US_SECOND, seed=4)
+        rows, reached = {}, {}
+        for trace in run_simulation(cfg, topo).traces:
+            if trace.n_rr == trace.n_data == 0:
+                sync = trace.slots[0]
+                key = (trace.round_period, sync.awake_mask)
+                assert rows.setdefault(key, trace.radio_totals) is trace.radio_totals
+                reached.setdefault(key, set()).add(sync.received_mask)
+        assert any(len(masks) > 1 for masks in reached.values())
 
     def test_capped_memo_still_returns_correct_rows(self, monkeypatch):
         topo = random_connected_topology(random.Random(4343), 15)
@@ -398,3 +421,47 @@ class TestRadioRowMemo:
         for trace, reference in zip(capped.traces, uncapped.traces, strict=True):
             assert trace.radio_totals == reference.radio_totals, trace.index
             assert trace.radio_on == _awake_time(cfg, trace), trace.index
+
+
+class TestRowsFromWakeCounts:
+    """A row counts each node's slots from world.wake_counts instead of
+    walking the slot masks; it must still equal the slot re-derivation."""
+
+    @staticmethod
+    def _runs():
+        # no stabilization phase: sources get their slots in operational
+        # data rounds, one request group each, so announces come after the
+        # header fixed n_data, for a fresh slot or for one whose reply was
+        # lost in an earlier round. In the small networks most rounds have
+        # the same active set, so a row memo keyed without the slots
+        # announced below n_data would return stale rows.
+        families = [(random.Random(3), 8, 25, 5, 0.3), (random.Random(2), 5, 12, 3, 0.1)]
+        for (rng, smallest, largest, ecc, loss), seed in itertools.product(families, range(1, 5)):
+            topo = random_connected_topology(rng, rng.randint(smallest, largest), max_ecc=ecc)
+            cfg = SimConfig(
+                forwarder_selection=True,
+                loss_probability=loss,
+                drift_ppm_range=(50.0, 300.0),
+                cooloff_period=2 * US_SECOND,
+                stabilization_period=0,
+                duration=120 * US_SECOND,
+                seed=seed,
+            )
+            yield cfg, run_simulation(cfg, topo)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_rows_equal_the_awake_slot_time(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(engine, "MEMO_CAP", cap)
+        fresh = first_below = 0
+        for cfg, result in self._runs():
+            assert any(t.bootstrap for t in result.traces)
+            if cap is not None:
+                assert len(result.world.radio_rows) == cap
+            for trace in result.traces:
+                assert trace.radio_on == _awake_time(cfg, trace), trace.index
+                for slot in trace.slots:
+                    if slot.kind == "announce" and slot.source is not None and trace.n_data:
+                        fresh += slot.slot_id >= trace.n_data
+                        first_below += slot.slot_id < trace.n_data
+        assert fresh and first_below

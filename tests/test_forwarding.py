@@ -3,7 +3,6 @@
 import random
 
 from lwbsim.config import SimConfig
-from lwbsim.core import NodeState
 from lwbsim.forwarding import apply_announce, data_participants, refresh_sink_distances
 from lwbsim.glossy import flood, ids_of
 from lwbsim.sim import run_simulation
@@ -16,33 +15,43 @@ from _support import (
     diamond_pendant,
     random_connected_topology,
     shortest_path_forwarders,
+    walk_announce,
+    walk_sink_distances,
 )
+
+
+def hop_masks(distances: dict[int, int | None]) -> list[int]:
+    """The hop masks of a node -> sink distance dict; None is no distance."""
+    known = {node: hop for node, hop in distances.items() if hop is not None}
+    masks = [0] * (max(known.values(), default=-1) + 1)
+    for node, hop in known.items():
+        masks[hop] |= 1 << node
+    return masks
+
+
+def hops_of_masks(masks: list[int]) -> dict[int, int]:
+    """Node -> sink distance, read off the hop masks; each node in one."""
+    hops = {n: hop for hop, mask in enumerate(masks) for n in ids_of(mask)}
+    assert len(hops) == sum(mask.bit_count() for mask in masks)
+    return hops
 
 
 class TestRefreshSinkDistances:
     def test_records_hops_for_listeners(self):
         topo = diamond_pendant()
-        nodes = {n: NodeState() for n in topo.nodes}
+        distances = []
         outcome = flood(topo, 1, Topology.mask_of(topo.nodes))
-        refresh_sink_distances(nodes, outcome)
-        assert {n: nodes[n].sink_distance for n in sorted(nodes)} == {
-            1: 0,
-            2: 1,
-            3: 1,
-            4: 2,
-            5: 2,
-        }
+        refresh_sink_distances(distances, outcome)
+        assert distances == [mask_of([1]), mask_of([2, 3]), mask_of([4, 5])]
 
     def test_non_listeners_keep_previous_value(self):
         topo = diamond_pendant()
-        nodes = {n: NodeState(sink_distance=9) for n in topo.nodes}
+        distances = hop_masks(dict.fromkeys(topo.nodes, 9))
         # 4 and 5 hear the flood but are no participants: their radios are off
         outcome = flood(topo, 1, Topology.mask_of({1, 2, 3}))
         assert outcome.received(4) and outcome.received(5)
-        refresh_sink_distances(nodes, outcome)
-        assert nodes[2].sink_distance == 1
-        assert nodes[4].sink_distance == 9
-        assert nodes[5].sink_distance == 9
+        refresh_sink_distances(distances, outcome)
+        assert hops_of_masks(distances) == {1: 0, 2: 1, 3: 1, 4: 9, 5: 9}
 
 
 class TestApplyAnnounce:
@@ -52,8 +61,7 @@ class TestApplyAnnounce:
 
     def _select(self, relays=(1, 2, 3, 4, 5), distances=DISTANCES):
         topo = diamond_pendant()
-        nodes = {n: NodeState(sink_distance=distances.get(n)) for n in topo.nodes}
-        return apply_announce(nodes, flood(topo, 4, mask_of(relays)), 2)
+        return apply_announce(hop_masks(distances), flood(topo, 4, mask_of(relays)), 2)
 
     def test_on_path_node_keeps_slot(self):
         assert self._select() == mask_of([1, 2, 3, 4])
@@ -72,6 +80,35 @@ class TestApplyAnnounce:
     def test_listener_that_does_not_relay_is_out(self):
         # 3 hears the flood at hop 1 but its radio is off for the slot
         assert self._select(relays=(1, 2, 4, 5)) == mask_of([1, 2, 4])
+
+
+class TestMasksMatchPerNodeWalk:
+    def test_random_lossy_reply_and_announce_sequences(self):
+        # replies from the sink and announces from sources that know their
+        # distance, each flood over a random awake set, as in the request
+        # blocks of a lossy run: the hop masks hold what the per-node walk
+        # records, and both select the same forwarders
+        rng = random.Random(1707)
+        announces = selected = 0
+        for _ in range(40):
+            topo = random_connected_topology(rng, rng.randint(3, 30))
+            loss = rng.choice([0.0, 0.1, 0.3, 0.5])
+            distances, walked = [], {}
+            for _ in range(30):
+                awake = mask_of(n for n in topo.nodes if n == 1 or rng.random() < 0.8)
+                if not walked or rng.random() < 0.4:
+                    reply = flood(topo, 1, awake, loss, rng)
+                    refresh_sink_distances(distances, reply)
+                    walk_sink_distances(walked, reply)
+                    assert hops_of_masks(distances) == walked
+                    continue
+                source = rng.choice(sorted(walked))
+                outcome = flood(topo, source, awake, loss, rng)
+                got = apply_announce(distances, outcome, walked[source])
+                assert got == mask_of(walk_announce(walked, outcome, walked[source]))
+                announces += 1
+                selected += got.bit_count() > 1
+        assert announces > 300 and selected > 100
 
 
 class TestDataParticipants:
@@ -121,14 +158,15 @@ class TestAgainstGeometricOracle:
         rng = random.Random(20105)
         for _ in range(30):
             topo = random_connected_topology(rng, rng.randint(3, 25))
-            nodes = {n: NodeState() for n in topo.nodes}
+            distances = []
             everyone = set(topo.nodes)
             sink = 1
             reply = flood(topo, sink, Topology.mask_of(everyone))
-            refresh_sink_distances(nodes, reply)
+            refresh_sink_distances(distances, reply)
             source = max(topo.nodes)
             outcome = flood(topo, source, Topology.mask_of(everyone))
-            got = set(ids_of(apply_announce(nodes, outcome, nodes[source].sink_distance)))
+            distance = hops_of_masks(distances)[source]
+            got = set(ids_of(apply_announce(distances, outcome, distance)))
             assert got == shortest_path_forwarders(topo, sink, source)
 
     def test_forwarders_sit_on_shortest_paths(self):
