@@ -8,7 +8,6 @@ unwritable output paths), 2 invalid input content (topology or config),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import stat
@@ -169,7 +168,7 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
             raise ConfigError("forwarders needs COOLOFF_PERIOD + STABILIZATION_PERIOD > 0")
         overrides.update(forwarder_selection=True, duration=setup)
     if overrides:
-        config = dataclasses.replace(config, **overrides)
+        config = config.replace(**overrides)
         config.validate()
     topology = load_topology(_read_file(args.topology, TopologyError), config.max_node_number)
     # before any output file is created, so a failed set-up keeps old files
@@ -195,7 +194,7 @@ def _cmd_compare(args, stack: ExitStack) -> int:
     config, topology = _load_inputs(args)
     out = _create(stack, args.out)
     report = compare(*[
-        run_simulation(dataclasses.replace(config, forwarder_selection=fs), topology)
+        run_simulation(config.replace(forwarder_selection=fs), topology)
         for fs in (False, True)
     ])
     sys.stdout.write(report.render())

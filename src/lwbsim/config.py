@@ -7,14 +7,10 @@ accept the suffixes s, ms and us; a bare number means seconds.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .units import US_PER_MS, US_PER_S, format_duration, parse_duration
-
-log = logging.getLogger(__name__)
 
 POLICY_CAPTURE = "capture"
 POLICY_COLLISION = "collision"
@@ -26,7 +22,6 @@ TRIGGER_ROUNDS = "rounds"
 SHORT_ROUND_US = US_PER_S
 
 
-@dataclass
 class SimConfig:
     """All tunables for one run. Durations are integer microseconds."""
 
@@ -49,9 +44,20 @@ class SimConfig:
     seed: int = 1
     duration: int = 60 * US_PER_S
 
-    def __post_init__(self) -> None:
+    def __init__(self, **values) -> None:
+        for name in sorted(values.keys() - FIELDS):
+            raise TypeError(f"SimConfig has no field {name!r}")
+        self.__dict__.update(values)
         if self.sync_slot_length is None:
             self.sync_slot_length = self.slot_length
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return same and all(getattr(self, f) == getattr(other, f) for f in FIELDS)
+
+    def replace(self, **changes) -> SimConfig:
+        """A copy with the named fields changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in FIELDS}, **changes})
 
     @property
     def mode(self) -> str:
@@ -81,11 +87,11 @@ class SimConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in FIELDS:
+            value = getattr(self, name)
             parts = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
-                problems.append(f"{f.name.upper()} must be finite")
+                problems.append(f"{name.upper()} must be finite")
         if self.ipi < self.minimum_lwb_round:
             problems.append(
                 f"IPI ({format_duration(self.ipi)}) must be at least "
@@ -114,6 +120,8 @@ class SimConfig:
         lo, hi = self.drift_ppm_range
         if lo > hi:
             problems.append("DRIFT_PPM_RANGE low bound exceeds high bound")
+        if max(abs(lo), abs(hi)) > 1e6:  # a clock stopped or running twice as fast
+            problems.append("DRIFT_PPM_RANGE bounds must lie within [-1e6, 1e6] ppm")
         if self.contention_policy not in (POLICY_CAPTURE, POLICY_COLLISION):
             problems.append(
                 f"CONTENTION_POLICY must be '{POLICY_CAPTURE}' or '{POLICY_COLLISION}'"
@@ -150,6 +158,9 @@ class SimConfig:
             for key, (name, _, fmt) in CONFIG_KEYS.items()
         ]
         return "\n".join(lines) + "\n"
+
+
+FIELDS = tuple(SimConfig.__annotations__)  # the annotated class attributes, in order
 
 
 def _parse_bool(value: str) -> bool:
@@ -233,7 +244,8 @@ def parse_config(text: str) -> SimConfig:
     config.validate()
     ipi, period = config.ipi, config.minimum_lwb_round
     if ipi % period:  # warned here, once per document, not in every validate()
-        log.warning(
+        import logging  # loaded only to warn
+        logging.getLogger(__name__).warning(
             "IPI %s is not a multiple of MINIMUM_LWB_ROUND %s; "
             "effective IPI for data rounds is %s",
             *map(format_duration, (ipi, period, ipi - ipi % period)),

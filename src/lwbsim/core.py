@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import (
     POLICY_CAPTURE,
@@ -35,8 +35,7 @@ PHASE_STABILIZATION = "stabilization"
 PHASE_OPERATIONAL = "operational"
 
 
-@dataclass(frozen=True)
-class SyncHeader:
+class SyncHeader(NamedTuple):
     """Contents of the sync packet: the shape of the round it opens."""
 
     round_period: int
@@ -44,15 +43,19 @@ class SyncHeader:
     n_data: int
 
 
-@dataclass
 class SinkSchedule:
-    """Sink-side view of the whole bus."""
+    """Sink-side view of the whole bus: phase_clock is the time spent in the
+    current phase and slot_owner[i] the owner of slot index i."""
 
-    phase: str = PHASE_COOLOFF
-    phase_clock: int = 0  # time spent in the current phase
-    slot_owner: list[int] = field(default_factory=list)  # owner per slot index
-    rr_current: int = 0
-    empty_streak: int = 0
+    __slots__ = ("phase", "phase_clock", "slot_owner", "rr_current", "empty_streak")
+
+    def __init__(
+        self, phase: str = PHASE_COOLOFF, phase_clock: int = 0,
+        slot_owner: list[int] | None = None, rr_current: int = 0, empty_streak: int = 0,
+    ) -> None:
+        self.phase, self.phase_clock, self.rr_current = phase, phase_clock, rr_current
+        self.slot_owner = [] if slot_owner is None else slot_owner
+        self.empty_streak = empty_streak
 
     def assert_injective(self) -> None:
         """The table is dense by construction; no node may own two slots."""
@@ -60,16 +63,19 @@ class SinkSchedule:
             raise SimulationError("slot table lost injectivity")
 
 
-@dataclass
 class NodeState:
     """Everything one node knows. drift_ppm is its clock's drift and
     last_sync the start of the last round whose sync flood it received."""
 
-    drift_ppm: float = 0.0
-    last_sync: int = 0
-    bootstrap: bool = True
-    my_slot: int | None = None
-    queue: deque = field(default_factory=deque)  # (gen_round, payload_len)
+    __slots__ = ("drift_ppm", "last_sync", "bootstrap", "my_slot", "queue")
+
+    def __init__(
+        self, drift_ppm: float = 0.0, last_sync: int = 0, bootstrap: bool = True,
+        my_slot: int | None = None, queue: deque | None = None,  # (gen_round, payload_len)
+    ) -> None:
+        self.drift_ppm, self.last_sync, self.bootstrap = drift_ppm, last_sync, bootstrap
+        self.my_slot = my_slot
+        self.queue = deque() if queue is None else queue
 
 
 def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:

@@ -27,7 +27,6 @@ as read-only. Argument checks run on every call, hit or miss.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -37,7 +36,6 @@ if TYPE_CHECKING:
 MEMO_CAP = 1024
 
 
-@dataclass
 class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
@@ -47,10 +45,13 @@ class FloodOutcome:
     between floods, so none of these may be mutated.
     """
 
-    initiator: int
-    layers: list[int]
-    reached: int
-    relays: int
+    __slots__ = ("initiator", "layers", "reached", "relays")
+
+    def __init__(self, initiator: int, layers: list[int], reached: int, relays: int) -> None:
+        self.initiator = initiator
+        self.layers = layers
+        self.reached = reached
+        self.relays = relays
 
     def received(self, node: int) -> bool:
         return self.reached >> node & 1 == 1

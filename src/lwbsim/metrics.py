@@ -10,23 +10,27 @@ the ratio.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
 
+from .config import FIELDS
 from .engine import RoundTrace
 from .errors import ComparabilityError, SimulationError
 
 
-@dataclass
 class SourceStats:
     """Delivery accounting for one non-sink node."""
 
-    generated: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    lost: int = 0
-    latencies: Counter[int] = field(default_factory=Counter)  # rounds -> packets
-    acquisition_round: int | None = None
-    slot: int | None = None
+    __slots__ = (
+        "generated", "delivered", "dropped", "lost", "latencies", "acquisition_round", "slot"
+    )
+
+    def __init__(
+        self, generated: int = 0, delivered: int = 0, dropped: int = 0, lost: int = 0,
+        latencies: Counter[int] | None = None,  # rounds -> packets
+        acquisition_round: int | None = None, slot: int | None = None,
+    ) -> None:
+        self.generated, self.delivered, self.dropped = generated, delivered, dropped
+        self.lost, self.acquisition_round, self.slot = lost, acquisition_round, slot
+        self.latencies = Counter() if latencies is None else latencies
 
     @property
     def pending(self) -> int:
@@ -40,21 +44,16 @@ class SourceStats:
         return self.delivered / accountable
 
 
-@dataclass
 class RunMetrics:
     """Accumulates round traces in order."""
 
-    node_ids: list[int]
-    sink: int
-    radio_on: dict[int, int] = field(init=False)
-    elapsed: int = 0
-    rounds: int = 0
-    sources: dict[int, SourceStats] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.node_ids = sorted(self.node_ids)
+    def __init__(
+        self, node_ids: list[int], sink: int, elapsed: int = 0, rounds: int = 0
+    ) -> None:
+        self.node_ids, self.sink = sorted(node_ids), sink
+        self.elapsed, self.rounds = elapsed, rounds
         self.radio_on = {n: 0 for n in self.node_ids}
-        self.sources = {n: SourceStats() for n in self.node_ids if n != self.sink}
+        self.sources = {n: SourceStats() for n in self.node_ids if n != sink}
 
     def duty_cycle(self, node: int) -> float:
         if self.elapsed == 0:
@@ -168,26 +167,23 @@ def render_summary(metrics: RunMetrics, mode: str, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class NodeComparison:
-    node: int
-    duty_a: float
-    duty_b: float
-    pdr_a: float | None
-    pdr_b: float | None
-    acquisition_a: int | None
-    acquisition_b: int | None
+    def __init__(
+        self, node: int, duty_a: float, duty_b: float, pdr_a: float | None,
+        pdr_b: float | None, acquisition_a: int | None, acquisition_b: int | None,
+    ) -> None:
+        self.node, self.duty_a, self.duty_b = node, duty_a, duty_b
+        self.pdr_a, self.pdr_b = pdr_a, pdr_b
+        self.acquisition_a, self.acquisition_b = acquisition_a, acquisition_b
 
     @property
     def duty_delta(self) -> float:
         return self.duty_b - self.duty_a
 
 
-@dataclass
 class ComparisonReport:
-    label_a: str
-    label_b: str
-    per_node: list[NodeComparison]
+    def __init__(self, label_a: str, label_b: str, per_node: list[NodeComparison]) -> None:
+        self.label_a, self.label_b, self.per_node = label_a, label_b, per_node
 
     def render(self) -> str:
         lines = [f"compare: {self.label_a} (a) vs {self.label_b} (b)"]
@@ -239,10 +235,10 @@ def compare(run_a, run_b) -> ComparisonReport:
     """
     if run_a.topology != run_b.topology:
         raise ComparabilityError("runs used different topologies")
-    for f in fields(run_a.config):
-        a, b = getattr(run_a.config, f.name), getattr(run_b.config, f.name)
-        if f.name != "forwarder_selection" and a != b:
-            raise ComparabilityError(f"runs used different {f.name}: {a!r} vs {b!r}")
+    for name in FIELDS:
+        a, b = getattr(run_a.config, name), getattr(run_b.config, name)
+        if name != "forwarder_selection" and a != b:
+            raise ComparabilityError(f"runs used different {name}: {a!r} vs {b!r}")
     ma, mb = run_a.metrics, run_b.metrics
     rows = []
     for n in ma.node_ids:

@@ -18,7 +18,6 @@ text of each distinct row is also written once per call and then shared.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 from .config import SimConfig
@@ -39,13 +38,13 @@ from .metrics import RunMetrics
 from .topology import Topology
 
 
-@dataclass
 class RunResult:
-    config: SimConfig
-    topology: Topology
-    traces: list[RoundTrace]
-    metrics: RunMetrics
-    world: World
+    def __init__(
+        self, config: SimConfig, topology: Topology, traces: list[RoundTrace],
+        metrics: RunMetrics, world: World,
+    ) -> None:
+        self.config, self.topology, self.traces = config, topology, traces
+        self.metrics, self.world = metrics, world
 
 
 def check_topology(config: SimConfig, topology: Topology) -> None:

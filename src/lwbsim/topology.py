@@ -7,47 +7,45 @@ positions in node masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .config import SimConfig
 from .errors import TopologyError
 
 
-@dataclass(frozen=True)
 class Topology:
-    """An undirected graph with a fixed node set.
+    """An undirected graph with a fixed node set, equal by nodes and edges.
 
     Attributes:
         nodes: every node id in the network, including isolated ones.
         edges: normalized (low, high) pairs, no self loops, no duplicates.
     """
 
-    nodes: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    # Bit n of a node's mask is set when node n is its neighbour.
-    neighbor_masks: dict[int, int] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
-    # Zero-loss flood outcomes, filled and bounded by glossy.flood.
-    flood_memo: dict = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
+    __slots__ = ("nodes", "edges", "neighbor_masks", "flood_memo")
 
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    def __init__(self, nodes: frozenset[int], edges: frozenset[tuple[int, int]]) -> None:
+        if not nodes:
             raise TopologyError("topology has no nodes")
-        if min(self.nodes) < 0:
-            raise TopologyError(f"negative node id {min(self.nodes)}")
-        masks = self.neighbor_masks
-        masks.update(dict.fromkeys(self.nodes, 0))
-        for u, v in self.edges:
+        if min(nodes) < 0:
+            raise TopologyError(f"negative node id {min(nodes)}")
+        self.nodes, self.edges = nodes, edges
+        self.flood_memo: dict = {}  # zero-loss outcomes, filled and bounded by glossy.flood
+        # Bit n of a node's mask is set when node n is its neighbour.
+        masks = self.neighbor_masks = dict.fromkeys(nodes, 0)
+        for u, v in edges:
             if u == v:
                 raise TopologyError(f"self loop on node {u}")
-            if u not in self.nodes or v not in self.nodes:
+            if u not in nodes or v not in nodes:
                 raise TopologyError(f"edge ({u}, {v}) references unknown node")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return same and (self.nodes, self.edges) == (other.nodes, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
 
     @classmethod
     def from_edges(

@@ -8,7 +8,6 @@ Golden trace files live in tests/data/. Regenerate them after an intended
 behavior change with LWBSIM_REGEN_GOLDEN=1 and re-review the diff.
 """
 
-import dataclasses
 import json
 import os
 import random
@@ -269,7 +268,7 @@ def test_criterion_6_per_node_radio_cost_dominance():
         cfg = SimConfig(duration=60 * US_SECOND, seed=100 + i)
         plain = run_simulation(cfg, topo)
         fs = run_simulation(
-            dataclasses.replace(cfg, forwarder_selection=True), topo
+            cfg.replace(forwarder_selection=True), topo
         )
         sources = sorted(topo.nodes - {1})
         for node in sorted(topo.nodes):
@@ -399,7 +398,7 @@ def test_criterion_9_byte_identical_traces_per_seed(tmp_path):
     )
     texts = {}
     for name, seed in (("a", 31), ("b", 31), ("c", 32)):
-        run_cfg = dataclasses.replace(cfg, seed=seed)
+        run_cfg = cfg.replace(seed=seed)
         path = tmp_path / f"{name}.jsonl"
         path.write_text(
             render_trace(run_simulation(run_cfg, topo).traces), encoding="utf-8"

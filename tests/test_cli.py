@@ -140,6 +140,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input:")
 
+    @pytest.mark.parametrize("value", ["-1e308:1e308", "2e6"])
+    def test_drift_beyond_a_million_ppm_is_input_error(self, tmp_path, line_file, capsys, value):
+        # -1e308:1e308 is finite, but a uniform draw across it is not
+        cfg = tmp_path / "drift.cfg"
+        cfg.write_text(f"DRIFT_PPM_RANGE = {value}\n", encoding="utf-8")
+        code = main(["run", "--topology", line_file, "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert "DRIFT_PPM_RANGE" in err
+
+    def test_drift_of_a_million_ppm_runs(self, tmp_path, line_file, capsys):
+        cfg = tmp_path / "drift.cfg"
+        cfg.write_text("DRIFT_PPM_RANGE = -1e6:1e6\n", encoding="utf-8")
+        code = main(["run", "--topology", line_file, "--config", str(cfg)])
+        assert code == 0
+        assert "run: mode=lwb" in capsys.readouterr().out
+
     def test_invalid_config_content(self, tmp_path, line_file, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("IPI = 1s\n", encoding="utf-8")
@@ -444,6 +462,19 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "run: mode=lwb" in proc.stdout
+
+    def test_import_loads_no_dataclasses_inspect_or_logging(self):
+        # -S: no site hook may load a module on the package's behalf
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, lwbsim, lwbsim.sim; "
+             "print(sorted({'dataclasses', 'inspect', 'logging'} & sys.modules.keys()))"],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_ipi_warning_is_printed_once(self, tmp_path, line_file, command):

@@ -1,9 +1,8 @@
 """Config parsing, validation and derived slot counts."""
 
-from dataclasses import fields
-
 import pytest
 
+from lwbsim import config
 from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, parse_config
 from lwbsim.errors import ConfigError
 from lwbsim.units import parse_duration
@@ -282,7 +281,7 @@ class TestValidate:
 class TestSpecTable:
     def test_every_field_has_exactly_one_key(self):
         names = [name for name, _, _ in CONFIG_KEYS.values()]
-        assert sorted(names) == sorted(f.name for f in fields(SimConfig))
+        assert sorted(names) == sorted(config.FIELDS)
         assert len(set(names)) == len(names) == len(CONFIG_KEYS)
         # validate() names a field's key by upper-casing the field name
         assert all(key == name.upper() for key, (name, _, _) in CONFIG_KEYS.items())
@@ -315,3 +314,27 @@ class TestRoundTrip:
 
     def test_default_round_trip(self):
         assert parse_config(SimConfig().to_text()) == SimConfig()
+
+
+class TestSimConfigContract:
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_replace_changes_only_the_named_field(self, name):
+        original = SimConfig()
+        changed = original.replace(**{name: NON_DEFAULT[name]})
+        assert type(changed) is SimConfig and changed is not original
+        assert original == SimConfig()
+        differ = [f for f in config.FIELDS if getattr(changed, f) != getattr(original, f)]
+        assert differ == [name]
+        assert getattr(changed, name) == NON_DEFAULT[name]
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="speed"):
+            SimConfig(speed=2)
+        with pytest.raises(TypeError, match="speed"):
+            SimConfig().replace(speed=2)
+
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_configs_differing_in_one_field_are_unequal(self, name):
+        assert SimConfig() == SimConfig()
+        changed = SimConfig().replace(**{name: NON_DEFAULT[name]})
+        assert changed != SimConfig() and not changed == SimConfig()

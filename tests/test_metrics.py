@@ -1,7 +1,5 @@
 """Metrics accumulation, duty cycles, delivery accounting, comparisons."""
 
-import dataclasses
-
 import pytest
 
 from lwbsim.config import SimConfig
@@ -82,7 +80,15 @@ class TestRunMetrics:
             delivered=True,
         )
         m.accumulate(_round_trace(0, {1: 0, 2: 0}, slots=[reply]))
-        later = dataclasses.replace(reply, assigned_slot=5)
+        later = SlotTrace(
+            t=0,
+            kind="reply",
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([1, 2]),
+            requester=2,
+            assigned_slot=5,
+            delivered=True,
+        )
         m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[later]))
         assert m.sources[2].acquisition_round == 0
         assert m.sources[2].slot == 0
@@ -98,8 +104,24 @@ class TestRunMetrics:
             gen_round=0,
             delivered=True,
         )
-        bad = dataclasses.replace(good, delivered=False, received_mask=mask_of([2]))
-        keepalive = dataclasses.replace(good, gen_round=None, delivered=False)
+        bad = SlotTrace(
+            t=0,
+            kind="data",
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([2]),
+            owner=2,
+            gen_round=0,
+            delivered=False,
+        )
+        keepalive = SlotTrace(
+            t=0,
+            kind="data",
+            awake_mask=mask_of([1, 2]),
+            received_mask=mask_of([1, 2]),
+            owner=2,
+            gen_round=None,
+            delivered=False,
+        )
         m.accumulate(
             _round_trace(
                 0, {1: 0, 2: 0}, slots=[good, bad, keepalive], generated=[(2, 0), (2, 0)]
@@ -145,7 +167,7 @@ class TestEndToEndMetrics:
         cfg = SimConfig(duration=60 * US_SECOND, forwarder_selection=True)
         fs = run_simulation(cfg, diamond_pendant())
         plain = run_simulation(
-            dataclasses.replace(cfg, forwarder_selection=False), diamond_pendant()
+            cfg.replace(forwarder_selection=False), diamond_pendant()
         )
         data_rounds = [t for t in fs.traces if t.n_data > 0]
         assert data_rounds
@@ -196,7 +218,7 @@ class TestCompare:
         cfg = SimConfig(duration=30 * US_SECOND)
         a = run_simulation(cfg, line_topology(3))
         b = run_simulation(
-            dataclasses.replace(cfg, forwarder_selection=True), line_topology(3)
+            cfg.replace(forwarder_selection=True), line_topology(3)
         )
         report = compare(a, b)
         assert report.label_a == "lwb"
@@ -215,7 +237,7 @@ class TestCompare:
         cfg = SimConfig(duration=30 * US_SECOND)
         a = run_simulation(cfg, line_topology(3))
         b = run_simulation(
-            dataclasses.replace(cfg, seed=2), line_topology(3)
+            cfg.replace(seed=2), line_topology(3)
         )
         with pytest.raises(ComparabilityError, match="seed"):
             compare(a, b)
@@ -237,6 +259,6 @@ class TestCompare:
     def test_any_other_config_mismatch_rejected(self, field, value):
         cfg = SimConfig(duration=30 * US_SECOND)
         a = run_simulation(cfg, line_topology(3))
-        b = run_simulation(dataclasses.replace(cfg, **{field: value}), line_topology(3))
+        b = run_simulation(cfg.replace(**{field: value}), line_topology(3))
         with pytest.raises(ComparabilityError, match=field):
             compare(a, b)

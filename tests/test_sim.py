@@ -1,7 +1,6 @@
 """Whole-run behavior: phase schedule, determinism, trace output."""
 
 import copy
-import dataclasses
 import json
 import os
 import random
@@ -397,7 +396,7 @@ class TestPayloadLimit:
                         topo = Topology.from_edges([(1, source)])
                         longest = len(f"{source}:{last.t_start // cfg.ipi}")
                         for limit in limits:
-                            limited = dataclasses.replace(cfg, max_payload_len=limit)
+                            limited = cfg.replace(max_payload_len=limit)
                             if longest > limit:
                                 with pytest.raises(ConfigError, match="MAX_PAYLOAD_LEN"):
                                     check_topology(limited, topo)
@@ -425,7 +424,7 @@ class TestPayloadLimit:
         for owner, gen_round, length in sent:
             assert length == len(f"{owner}:{start[gen_round] // cfg.ipi}")
         # the sink sends nothing, so a topology of the sink alone has no limit
-        check_topology(dataclasses.replace(cfg, max_payload_len=0), Topology.from_edges([], [1]))
+        check_topology(cfg.replace(max_payload_len=0), Topology.from_edges([], [1]))
 
 
 class TestCapacityPressure:
