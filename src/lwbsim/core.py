@@ -64,17 +64,18 @@ class SinkSchedule:
 
 
 class NodeState:
-    """Everything one node knows. drift_ppm is its clock's drift and
-    last_sync the start of the last round whose sync flood it received."""
+    """What one node keeps besides the World masks of the bootstrap and
+    granted nodes. drift_ppm is its clock's drift and last_sync the start
+    of the last round whose sync flood it received, written only for a
+    drifting node: the clock guard, its one reader, skips the others."""
 
-    __slots__ = ("drift_ppm", "last_sync", "bootstrap", "my_slot", "queue")
+    __slots__ = ("drift_ppm", "last_sync", "queue")
 
     def __init__(
-        self, drift_ppm: float = 0.0, last_sync: int = 0, bootstrap: bool = True,
-        my_slot: int | None = None, queue: deque | None = None,  # (gen_round, payload_len)
+        self, drift_ppm: float = 0.0, last_sync: int = 0,
+        queue: deque | None = None,  # (gen_round, payload_len)
     ) -> None:
-        self.drift_ppm, self.last_sync, self.bootstrap = drift_ppm, last_sync, bootstrap
-        self.my_slot = my_slot
+        self.drift_ppm, self.last_sync = drift_ppm, last_sync
         self.queue = deque() if queue is None else queue
 
 

@@ -13,28 +13,29 @@ of slots per node (_radio_totals): an active node pays the sync slot, the
 request block and every data slot that wakes it.
 
 A slot stores who was awake and who received as two node masks (bit n =
-node n), the ones the floods already compute. Participant state comes from
-two walks over the nodes per round. Walk 1, before the sync flood, puts
-back in bootstrap every synced node whose worst-case clock offset since its
-last sync, (t - last_sync) * |drift_ppm| * 1e-6 microseconds, is strictly
-over the config's guard time. Walk 2, after it, sets last_sync to the round
-start on every receiver. The sync flood's reached mask is the sync slot's
-received mask and the round's active set: the awake mask of the request
-block and of every data slot that wakes all active nodes. The sync slot is
-also awake on the synced nodes that missed the sync. A flooded slot
-receives on the flood's reached mask within its awake mask. Forwarder
-selection keeps sink distances as hop masks in world.distances; a slot's
-announce flood writes its forwarder mask into world.announced_slots and
-counts the slot in world.wake_counts for each node it wakes. A round's
-new assignments and capacity events are read from its reply slots. Every
-source generates sequence s at s * IPI, so one counter, world.next_sequence,
-serves them all. A queued packet is its round and its "node:seq" length.
+node n), the ones the floods already compute. Node state is masks too:
+world.bootstrap holds the nodes in bootstrap, world.granted those that
+heard their slot grant. Before the sync flood, a synced drifting node whose
+worst-case clock offset since its last sync, (t - last_sync) * |drift_ppm|
+* 1e-6 microseconds, is strictly over the config's guard time falls back
+to bootstrap; no other node ever does. The synced nodes relay the sync
+flood. Its reached mask leaves bootstrap, gets last_sync set to the round
+start on its drifting nodes, and is the sync slot's received mask and the
+round's active set: the awake mask of the request block and of every data
+slot that wakes all active nodes. The sync slot is awake on the active and
+the synced nodes. A flooded slot receives on the flood's reached mask
+within its awake mask. Forwarder selection keeps sink distances as hop
+masks in world.distances; a slot's announce flood writes its forwarder mask
+into world.announced_slots and counts the slot in world.wake_counts for
+each node it wakes. A round's new assignments and capacity events are read
+from its reply slots. Every source generates sequence s at s * IPI, so one
+counter, world.next_sequence, serves them all. A queued packet is its round
+and its "node:seq" length.
 
-Determinism: all iteration over nodes follows world.nodes, which is in
-ascending node id order, and a single rng instance drives first the
-contention draw of a request slot (only when two or more nodes contend) and
-then the loss draws of that slot's flood (only when the loss probability is
-nonzero).
+Determinism: every node list is in ascending node id order, and a single
+rng instance drives first the contention draw of a request slot (only when
+two or more nodes contend) and then the loss draws of that slot's flood
+(only when the loss probability is nonzero).
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ class World:
     ) -> None:
         self.topology, self.config, self.schedule = topology, config, schedule
         self.nodes, self.node_ids, self.rng = nodes, node_ids, rng
+        sink = config.sink_node_id
+        self.sources = tuple(n for n in node_ids if n != sink)
+        self.drifting = [(n, state) for n, state in nodes.items() if state.drift_ppm]
+        self.all_nodes = Topology.mask_of(node_ids)
+        self.bootstrap = self.all_nodes & ~(1 << sink)  # nodes in bootstrap, never the sink
+        self.granted = 0  # nodes that heard their slot grant
         self.now = self.round_index = 0
         self.next_sequence = 0  # every source generates sequence s at s * IPI
         self.announced_slots: dict[int, tuple[int, int]] = {}  # slot -> (distance, forwarders)
@@ -214,54 +221,42 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     generated: list[tuple[int, int]] = []
     dropped: list[int] = []
     desynced: list[int] = []
-    synced: list[int] = []
 
-    # Walk 1, before the sync flood. Every node but the sink queues the
-    # packets due by t as the lengths of their "node:seq" texts, and a synced
-    # node whose accumulated offset left the guard window cannot hit the sync
-    # slot any more and falls back to bootstrap. The sink is never in bootstrap.
+    # Before the sync flood, every node but the sink queues the packets due
+    # by t as the lengths of their "node:seq" texts, and a synced node whose
+    # accumulated offset left the guard window cannot hit the sync slot any
+    # more and falls back to bootstrap.
     due = [1 + len(str(s)) for s in range(world.next_sequence, t // cfg.ipi + 1)]
     world.next_sequence += len(due)
-    for node_id, state in nodes.items():
-        if node_id != sink:
-            for tail in due:
-                if len(state.queue) >= cfg.queue_capacity:
-                    state.queue.popleft()
-                    dropped.append(node_id)
-                state.queue.append((world.round_index, len(str(node_id)) + tail))
-                generated.append((node_id, world.round_index))
-            if state.drift_ppm and not state.bootstrap and (
-                (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
-            ):
-                state.bootstrap = True
-                desynced.append(node_id)
-        if not state.bootstrap:
-            synced.append(node_id)
+    for node_id in world.sources if due else ():
+        queue = nodes[node_id].queue
+        for tail in due:
+            if len(queue) >= cfg.queue_capacity:
+                queue.popleft()
+                dropped.append(node_id)
+            queue.append((world.round_index, len(str(node_id)) + tail))
+            generated.append((node_id, world.round_index))
+    bootstrap = world.bootstrap
+    for node_id, state in world.drifting:
+        if not bootstrap >> node_id & 1 and (
+            (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
+        ):
+            bootstrap |= 1 << node_id
+            desynced.append(node_id)
+    synced = world.all_nodes & ~bootstrap
 
     # Sync slot. Synced nodes relay; bootstrap nodes have their radio on
-    # anyway, so they receive (without relaying) and join on success.
-    outcome = flood(topo, sink, topo.mask_of(synced), *channel)
-
-    # Walk 2, after the sync flood. Every receiver, the sink included, is
-    # active for the round; a node still in bootstrap listens through the
-    # whole round; a synced node that missed the sync sits the round out.
-    active: list[int] = []
-    joined: list[int] = []
-    missed: list[int] = []
-    still_bootstrap: list[int] = []
-    for node_id, state in nodes.items():
-        if outcome.reached >> node_id & 1:
-            if state.bootstrap:
-                state.bootstrap = False
-                joined.append(node_id)
+    # anyway, so they receive (without relaying) and join on success. Every
+    # receiver, the sink included, is active for the round; a node still in
+    # bootstrap listens through the whole round; a synced node that missed
+    # the sync sits the round out.
+    awake_mask = flood(topo, sink, synced, *channel).reached  # the active nodes
+    joined = ids_of(awake_mask & bootstrap)
+    world.bootstrap = bootstrap = bootstrap & ~awake_mask
+    for node_id, state in world.drifting:
+        if awake_mask >> node_id & 1:
             state.last_sync = t
-            active.append(node_id)
-        elif state.bootstrap:
-            still_bootstrap.append(node_id)
-        else:
-            missed.append(node_id)
-    awake_mask = outcome.reached  # the active nodes
-    sync_awake = awake_mask | topo.mask_of(missed) if missed else awake_mask
+    sync_awake = awake_mask | synced
     slots: list[SlotTrace] = [SlotTrace(t, "sync", sync_awake, awake_mask, sink)]
     t += cfg.sync_slot_length
 
@@ -280,7 +275,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # have to relay them.
     capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
-        contenders = [n for n in active if n != sink and nodes[n].my_slot is None]
+        contenders = ids_of(awake_mask & ~(world.granted | 1 << sink))
         winner = contend(contenders, cfg.contention_policy, rng)
         fo = None if winner is None else flood(topo, winner, awake_mask, *channel)
         heard = winner if fo is not None and fo.received(sink) else None
@@ -303,7 +298,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                     refresh_sink_distances(world.distances, fo)
                 delivered = fo.received(heard)
                 if delivered:
-                    nodes[heard].my_slot = assigned
+                    world.granted |= 1 << heard
                     if fs_mode:
                         announce_source = heard
                 info = dict(
@@ -338,9 +333,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     for slot_id in range(header.n_data):
         owner = sched.slot_owner[slot_id]
         members = data_participants(awake_mask, world.announced_slots, slot_id, owner, sink)
-        owner_state = nodes[owner]
-        if awake_mask >> owner & 1 and owner_state.my_slot == slot_id:
-            queue = owner_state.queue
+        if (awake_mask & world.granted) >> owner & 1:  # the owner knows its slot
+            queue = nodes[owner].queue
             gen_round, payload_len = queue.popleft() if queue else (None, 0)
             reached = flood(topo, owner, members, *channel).reached
             slots.append(SlotTrace(
@@ -360,21 +354,12 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
 
     sched.assert_injective()
     trace = RoundTrace(
-        index=world.round_index,
-        t_start=world.now,
-        phase=sched.phase,
-        mode=cfg.mode,
-        round_period=header.round_period,
-        n_rr=header.n_rr,
-        n_data=header.n_data,
-        slots=slots,
-        node_ids=world.node_ids,
+        index=world.round_index, t_start=world.now, phase=sched.phase, mode=cfg.mode,
+        round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
+        slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
-        joined=joined,
-        desynced=desynced,
-        bootstrap=still_bootstrap,
-        generated=generated,
-        dropped=dropped,
+        joined=joined, desynced=desynced, bootstrap=ids_of(bootstrap),
+        generated=generated, dropped=dropped,
     )
     world.now += header.round_period
     world.round_index += 1

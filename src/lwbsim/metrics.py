@@ -15,6 +15,8 @@ from .config import FIELDS
 from .engine import RoundTrace
 from .errors import ComparabilityError, SimulationError
 
+PENDING_ROWS = 64  # distinct radio rows RunMetrics counts before adding them up
+
 
 class SourceStats:
     """Delivery accounting for one non-sink node."""
@@ -52,8 +54,22 @@ class RunMetrics:
     ) -> None:
         self.node_ids, self.sink = sorted(node_ids), sink
         self.elapsed, self.rounds = elapsed, rounds
-        self.radio_on = {n: 0 for n in self.node_ids}
+        self._radio_on = {n: 0 for n in self.node_ids}
+        # Rounds share radio rows: (id(node_ids), id(row)) -> [node_ids, row,
+        # rounds not yet in _radio_on]; holding both objects keeps the ids valid.
+        self._rows: dict[tuple[int, int], list] = {}
         self.sources = {n: SourceStats() for n in self.node_ids if n != sink}
+
+    def _fold_rows(self) -> dict[int, int]:
+        """Radio-on time per node so far, once the pending rows are added in."""
+        radio_on = self._radio_on
+        for node_ids, row, rounds in self._rows.values():
+            for node, us in zip(node_ids, row):
+                radio_on[node] += us * rounds
+        self._rows.clear()
+        return radio_on
+
+    radio_on = property(_fold_rows)
 
     def duty_cycle(self, node: int) -> float:
         if self.elapsed == 0:
@@ -68,8 +84,13 @@ class RunMetrics:
             )
         self.rounds += 1
         self.elapsed += trace.round_period
-        for node, us in zip(trace.node_ids, trace.radio_totals):
-            self.radio_on[node] += us
+        key = id(trace.node_ids), id(trace.radio_totals)
+        entry = self._rows.get(key)
+        if entry is None:
+            if len(self._rows) >= PENDING_ROWS:
+                self._fold_rows()
+            entry = self._rows[key] = [trace.node_ids, trace.radio_totals, 0]
+        entry[2] += 1
         for node, _ in trace.generated:
             self.sources[node].generated += 1
         for node in trace.dropped:

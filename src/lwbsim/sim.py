@@ -77,15 +77,8 @@ def build_world(config: SimConfig, topology: Topology) -> World:
         drift = 0.0
         if node != sink and (lo, hi) != (0.0, 0.0):
             drift = rng.uniform(lo, hi)
-        nodes[node] = NodeState(drift_ppm=drift, bootstrap=node != sink)
-    return World(
-        topology=topology,
-        config=config,
-        schedule=SinkSchedule(),
-        nodes=nodes,
-        node_ids=tuple(nodes),
-        rng=rng,
-    )
+        nodes[node] = NodeState(drift_ppm=drift)
+    return World(topology, config, SinkSchedule(), nodes, tuple(nodes), rng)
 
 
 def run_simulation(
@@ -266,7 +259,7 @@ def forwarder_table(result: RunResult) -> list[dict]:
     world = result.world
     sink = result.config.sink_node_id
     announced = world.announced_slots
-    awake = Topology.mask_of(n for n, state in world.nodes.items() if not state.bootstrap)
+    awake = world.all_nodes & ~world.bootstrap
     table = []
     for slot_id, owner in enumerate(world.schedule.slot_owner):
         entry = announced.get(slot_id)

@@ -217,7 +217,7 @@ def test_criterion_5_guard_window_boundary():
         # one sync-only round gap_s after node 2's last sync, at 100 ppm
         cfg = SimConfig(drift_ppm_range=(100.0, 100.0))
         world = build_world(cfg, line_topology(2))
-        world.nodes[2].bootstrap = False
+        world.bootstrap &= ~(1 << 2)
         world.nodes[2].last_sync = 0
         world.now = gap_s * US_SECOND
         return execute_round(world, SyncHeader(US_SECOND, 0, 0)).desynced == [2]

@@ -52,7 +52,7 @@ class TestBootstrapAndSync:
         # slot and skips the rest of the round
         cfg = SimConfig()
         world = build_world(cfg, line_topology(3))
-        world.nodes[3].bootstrap = False
+        world.bootstrap &= ~(1 << 3)
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
         assert trace.joined == [2]
         sync_slot = trace.slots[0]
@@ -65,9 +65,9 @@ class TestBootstrapAndSync:
     def test_missed_sync_does_not_unsync(self):
         cfg = SimConfig()
         world = build_world(cfg, line_topology(3))
-        world.nodes[3].bootstrap = False
+        world.bootstrap &= ~(1 << 3)
         execute_round(world, _sync_only_header())
-        assert not world.nodes[3].bootstrap
+        assert not world.bootstrap >> 3 & 1
 
 
 GUARD = SimConfig.glossy_guard_time  # 2 ms
@@ -77,7 +77,7 @@ def _synced_pair(drift, guard=GUARD):
     """A 2-node line whose node 2 drifts by drift ppm and last synced at 0."""
     cfg = SimConfig(drift_ppm_range=(drift, drift), glossy_guard_time=guard)
     world = build_world(cfg, line_topology(2))
-    world.nodes[2].bootstrap = False
+    world.bootstrap &= ~(1 << 2)
     world.nodes[2].last_sync = 0
     return world
 
@@ -114,7 +114,7 @@ class TestClockGuardInRounds:
         trace = execute_round(world, _sync_only_header())
         assert trace.desynced == [2]
         assert trace.joined == [2]
-        assert not world.nodes[2].bootstrap
+        assert not world.bootstrap >> 2 & 1
         assert trace.radio_on[2] == US_SLOT
 
     def test_offset_at_exact_guard_keeps_node_synced(self):
@@ -126,7 +126,9 @@ class TestClockGuardInRounds:
         assert trace.desynced == []
 
     def test_sync_sets_last_sync_to_round_start(self):
-        world = build_world(SimConfig(), line_topology(3))
+        # last_sync is kept for drifting nodes only; 1 ppm over 7 s is 7 us,
+        # far inside the guard
+        world = build_world(SimConfig(drift_ppm_range=(1.0, 1.0)), line_topology(3))
         world.now = 7 * US_SECOND
         trace = execute_round(world, _sync_only_header())
         assert trace.joined == [2]
@@ -143,7 +145,7 @@ class TestClockGuardInRounds:
         world.now = 40 * US_SECOND
         trace = execute_round(world, _sync_only_header())
         assert trace.desynced == []
-        assert not world.nodes[2].bootstrap
+        assert not world.bootstrap >> 2 & 1
 
 
 class TestRequestBlock:
@@ -161,7 +163,8 @@ class TestRequestBlock:
         assert reply.assigned_slot == 0
         assert reply.new_assignment
         assert reply.delivered
-        assert world.nodes[2].my_slot == 0
+        assert world.granted == 1 << 2
+        assert world.schedule.slot_owner[0] == 2
         assert trace.new_assignments == [(0, 2)]
 
     def test_slot_holders_stop_contending(self):
@@ -186,7 +189,8 @@ class TestRequestBlock:
         assert reply.assigned_slot == 0
         assert not reply.new_assignment
         assert trace.new_assignments == []
-        assert world.nodes[2].my_slot == 0
+        assert world.granted == 1 << 2
+        assert world.schedule.slot_owner[0] == 2
 
     def test_header_rr_count_must_match_group(self):
         cfg = SimConfig(forwarder_selection=True)

@@ -1,15 +1,18 @@
 """Metrics accumulation, duty cycles, delivery accounting, comparisons."""
 
+import random
+
 import pytest
 
+from lwbsim import engine
 from lwbsim.config import SimConfig
 from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.errors import ComparabilityError, SimulationError
-from lwbsim.metrics import RunMetrics, SourceStats, compare, render_summary
+from lwbsim.metrics import PENDING_ROWS, RunMetrics, SourceStats, compare, render_summary
 from lwbsim.sim import run_simulation
 from lwbsim.topology import Topology
 
-from _support import diamond_pendant, line_topology
+from _support import diamond_pendant, line_topology, random_connected_topology
 
 US_SECOND = 1_000_000
 mask_of = Topology.mask_of
@@ -147,6 +150,49 @@ class TestRunMetrics:
         )
         m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[data]))
         assert m.sources[2].latencies == {1: 1}
+
+
+class TestRowFold:
+    """accumulate counts the radio rows rounds share and radio_on adds them
+    up when read: the totals must not depend on when they are read, nor on
+    whether equal rows arrive as one object or as several."""
+
+    def _fold_run(self):
+        """Accumulate a lossy drifting run's traces one by one into a fresh
+        RunMetrics, reading radio_on after each of the first ten rounds and
+        at the end; return the run, its traces' rows and the metrics."""
+        cfg = SimConfig(
+            duration=600 * US_SECOND, loss_probability=0.2,
+            drift_ppm_range=(-300.0, 300.0), seed=3,
+        )
+        result = run_simulation(cfg, random_connected_topology(random.Random(12), 20, max_ecc=4))
+        metrics = RunMetrics(node_ids=list(result.topology.nodes), sink=cfg.sink_node_id)
+        running = dict.fromkeys(metrics.node_ids, 0)
+        for trace in result.traces:
+            metrics.accumulate(trace)
+            for node, us in trace.radio_on.items():
+                running[node] += us
+            if trace.index < 10:
+                assert metrics.radio_on == running, trace.index
+        assert metrics.radio_on == running
+        for n in metrics.node_ids:
+            assert metrics.duty_cycle(n) == running[n] / metrics.elapsed
+            assert metrics.to_dict()["nodes"][str(n)]["radio_on_us"] == running[n]
+        assert metrics.to_dict() == result.metrics.to_dict()
+        return [t.radio_totals for t in result.traces[10:]], metrics
+
+    def test_shared_rows_fold_to_the_running_sum(self, monkeypatch):
+        rows, shared = self._fold_run()
+        assert len({id(row) for row in rows}) < len(rows)  # rounds share rows
+        monkeypatch.setattr(engine, "MEMO_CAP", 1)
+        rows, distinct = self._fold_run()
+        # equal rows now arrive as distinct objects, more of them between
+        # two reads than the pending table holds
+        assert len({id(row) for row in rows}) > max(len(set(rows)), PENDING_ROWS)
+        assert distinct.to_dict() == shared.to_dict()
+        assert [distinct.duty_cycle(n) for n in distinct.node_ids] == [
+            shared.duty_cycle(n) for n in shared.node_ids
+        ]
 
 
 class TestEndToEndMetrics:

@@ -529,7 +529,7 @@ def _radio_rounds(text, slot_length, sync_slot_length):
     return rounds
 
 
-def _lossy_drifting_run():
+def _lossy_drifting_run(on_round=None):
     """A forwarder-selection run with loss, drift, desyncs and rejoins;
     distinct sync and data slot lengths keep the two radio terms apart."""
     cfg = SimConfig(
@@ -542,7 +542,7 @@ def _lossy_drifting_run():
         seed=5,
     )
     topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
-    return run_simulation(cfg, topo)
+    return run_simulation(cfg, topo, on_round)
 
 
 class TestLossyGolden:
@@ -688,9 +688,9 @@ class TestSlotTableAgreement:
         def check(world, trace):
             owners = world.schedule.slot_owner
             assert len(set(owners)) == len(owners)
-            holders = [n for n, s in world.nodes.items() if s.my_slot is not None]
+            holders = ids_of(world.granted)
             for n in holders:
-                assert owners[world.nodes[n].my_slot] == n
+                assert n in owners
             held.append(len(holders))
 
         result = run_simulation(cfg, topo, on_round=check)
@@ -698,3 +698,52 @@ class TestSlotTableAgreement:
         assert any(t.desynced for t in result.traces)
         replies = [s for t in result.traces for s in t.slots if s.kind == "reply"]
         assert any(s.assigned_slot is not None and not s.delivered for s in replies)
+
+
+def _random_drifting_fs_run(on_round=None):
+    """A 40-node forwarder-selection run at loss 0.3 with DRIFT_PPM_RANGE =
+    500, so nodes desync, miss syncs and rejoin in many rounds."""
+    cfg = SimConfig(
+        duration=150 * US_SECOND,
+        forwarder_selection=True,
+        loss_probability=0.3,
+        drift_ppm_range=(-500.0, 500.0),
+        seed=11,
+    )
+    topo = random_connected_topology(random.Random(4040), 40, extra_edge_prob=0.1, max_ecc=6)
+    return run_simulation(cfg, topo, on_round)
+
+
+class TestRoundState:
+    @pytest.mark.parametrize("run", [_random_drifting_fs_run, _lossy_drifting_run])
+    def test_bootstrap_joined_and_desynced_agree_with_world(self, run):
+        # world.bootstrap and the trace's bootstrap, joined and desynced
+        # lists tell one story in every round
+        ends = []  # world.bootstrap at the end of every round
+
+        def check(world, trace):
+            sink = world.config.sink_node_id
+            sync = trace.slots[0]
+            previous = ends[-1] if ends else Topology.mask_of(set(world.node_ids) - {sink})
+            outside = [n for n in world.node_ids if not sync.awake_mask >> n & 1]
+            assert trace.bootstrap == outside
+            assert world.bootstrap == Topology.mask_of(trace.bootstrap)
+            assert set(trace.joined) <= set(sync.received)
+            for n in trace.joined:
+                assert previous >> n & 1 or n in trace.desynced
+            for n in trace.desynced:  # synced drifting nodes only
+                assert world.nodes[n].drift_ppm != 0.0
+                assert not previous >> n & 1
+            for ids in (trace.bootstrap, trace.joined, trace.desynced):
+                assert sink not in ids
+            ends.append(world.bootstrap)
+
+        result = run(check)
+        traces = result.traces
+        assert len(ends) == len(traces)
+        assert any(t.desynced for t in traces)
+        assert any(t.joined for t in traces[1:])
+        assert any(t.bootstrap for t in traces)
+        assert any(set(t.joined) & set(t.desynced) for t in traces)
+        # some synced node missed a sync: awake in the sync slot, not active
+        assert any(t.slots[0].awake_mask != t.slots[0].received_mask for t in traces)
