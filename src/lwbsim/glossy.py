@@ -137,7 +137,7 @@ def flood(
         FloodOutcome with the receivers of every wave. At loss zero the
         outcome may be shared with earlier and later floods.
     """
-    if initiator not in topology:
+    if initiator not in topology.neighbor_masks:
         raise ValueError(f"flood initiator {initiator} not in topology")
     if not 0.0 <= loss_probability < 1.0:
         raise ValueError(f"loss probability {loss_probability} outside [0, 1)")

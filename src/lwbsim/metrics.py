@@ -49,11 +49,9 @@ class SourceStats:
 class RunMetrics:
     """Accumulates round traces in order."""
 
-    def __init__(
-        self, node_ids: list[int], sink: int, elapsed: int = 0, rounds: int = 0
-    ) -> None:
+    def __init__(self, node_ids: list[int], sink: int) -> None:
         self.node_ids, self.sink = sorted(node_ids), sink
-        self.elapsed, self.rounds = elapsed, rounds
+        self.elapsed = self.rounds = 0
         self._radio_on = {n: 0 for n in self.node_ids}
         # Rounds share radio rows: (id(node_ids), id(row)) -> [node_ids, row,
         # rounds not yet in _radio_on]; holding both objects keeps the ids valid.
@@ -78,10 +76,9 @@ class RunMetrics:
 
     def accumulate(self, trace: RoundTrace) -> None:
         """Fold one round into the totals. Rounds must arrive in order."""
-        if trace.index != self.rounds:
-            raise SimulationError(
-                f"round {trace.index} out of order, expected {self.rounds}"
-            )
+        sources, index = self.sources, trace.index
+        if index != self.rounds:
+            raise SimulationError(f"round {index} out of order, expected {self.rounds}")
         self.rounds += 1
         self.elapsed += trace.round_period
         key = id(trace.node_ids), id(trace.radio_totals)
@@ -92,45 +89,38 @@ class RunMetrics:
             entry = self._rows[key] = [trace.node_ids, trace.radio_totals, 0]
         entry[2] += 1
         for node, _ in trace.generated:
-            self.sources[node].generated += 1
+            sources[node].generated += 1
         for node in trace.dropped:
-            self.sources[node].dropped += 1
+            sources[node].dropped += 1
         for slot in trace.slots:
-            if slot.kind == "reply" and slot.delivered and slot.requester is not None:
-                stats = self.sources[slot.requester]
+            kind = slot.kind
+            if kind == "data":
+                if slot.gen_round is not None:
+                    stats = sources[slot.owner]
+                    if slot.delivered:
+                        stats.delivered += 1
+                        stats.latencies[index - slot.gen_round] += 1
+                    else:
+                        stats.lost += 1
+            elif kind == "reply" and slot.delivered and slot.requester is not None:
+                stats = sources[slot.requester]
                 if stats.acquisition_round is None:
-                    stats.acquisition_round = trace.index
+                    stats.acquisition_round = index
                     stats.slot = slot.assigned_slot
-            elif slot.kind == "data" and slot.gen_round is not None:
-                stats = self.sources[slot.owner]
-                if slot.delivered:
-                    stats.delivered += 1
-                    stats.latencies[trace.index - slot.gen_round] += 1
-                else:
-                    stats.lost += 1
 
     def to_dict(self) -> dict:
         nodes = {}
         for n in self.node_ids:
-            entry: dict = {
-                "radio_on_us": self.radio_on[n],
-                "duty_cycle": round(self.duty_cycle(n), 9),
-            }
+            duty = round(self.duty_cycle(n), 9)
+            entry: dict = {"radio_on_us": self.radio_on[n], "duty_cycle": duty}
             if n != self.sink:
                 s = self.sources[n]
                 entry.update(
-                    generated=s.generated,
-                    delivered=s.delivered,
-                    dropped=s.dropped,
-                    lost=s.lost,
-                    pending=s.pending,
-                    pdr=round(s.pdr, 9),
-                    slot=s.slot,
-                    acquisition_round=s.acquisition_round,
-                    mean_latency_rounds=(
+                    generated=s.generated, delivered=s.delivered, dropped=s.dropped,
+                    lost=s.lost, pending=s.pending, pdr=round(s.pdr, 9), slot=s.slot,
+                    acquisition_round=s.acquisition_round, mean_latency_rounds=(
                         round(sum(k * n for k, n in s.latencies.items()) / s.delivered, 6)
-                        if s.delivered
-                        else None
+                        if s.delivered else None
                     ),
                 )
             nodes[str(n)] = entry
@@ -151,8 +141,7 @@ class RunMetrics:
 def render_summary(metrics: RunMetrics, mode: str, seed: int) -> str:
     """Human readable per-node table plus aggregates."""
     lines = [
-        f"run: mode={mode} seed={seed} rounds={metrics.rounds} "
-        f"elapsed={metrics.elapsed}us"
+        f"run: mode={mode} seed={seed} rounds={metrics.rounds} elapsed={metrics.elapsed}us"
     ]
     lines.append(
         f"{'node':>4}  {'duty':>9}  {'pdr':>6}  {'slot':>4}  "
@@ -178,11 +167,8 @@ def render_summary(metrics: RunMetrics, mode: str, seed: int) -> str:
         f"max_duty={agg['max_duty_cycle']:.6f} drops={agg['total_drops']} "
         f"delivered={agg['total_delivered']}"
     )
-    unsynced = [
-        n
-        for n in metrics.node_ids
-        if n != metrics.sink and metrics.sources[n].acquisition_round is None
-    ]
+    sources = metrics.sources
+    unsynced = [n for n in sources if sources[n].acquisition_round is None]
     if unsynced:
         lines.append(f"nodes without a slot: {unsynced}")
     return "\n".join(lines) + "\n"
@@ -233,13 +219,9 @@ class ComparisonReport:
             "b": self.label_b,
             "nodes": {
                 str(r.node): {
-                    "duty_a": round(r.duty_a, 9),
-                    "duty_b": round(r.duty_b, 9),
-                    "duty_delta": round(r.duty_delta, 9),
-                    "pdr_a": r.pdr_a,
-                    "pdr_b": r.pdr_b,
-                    "acquisition_a": r.acquisition_a,
-                    "acquisition_b": r.acquisition_b,
+                    "duty_a": round(r.duty_a, 9), "duty_b": round(r.duty_b, 9),
+                    "duty_delta": round(r.duty_delta, 9), "pdr_a": r.pdr_a, "pdr_b": r.pdr_b,
+                    "acquisition_a": r.acquisition_a, "acquisition_b": r.acquisition_b,
                 }
                 for r in self.per_node
             },
@@ -264,15 +246,10 @@ def compare(run_a, run_b) -> ComparisonReport:
     rows = []
     for n in ma.node_ids:
         is_sink = n == ma.sink
-        rows.append(
-            NodeComparison(
-                node=n,
-                duty_a=ma.duty_cycle(n),
-                duty_b=mb.duty_cycle(n),
-                pdr_a=None if is_sink else ma.sources[n].pdr,
-                pdr_b=None if is_sink else mb.sources[n].pdr,
-                acquisition_a=None if is_sink else ma.sources[n].acquisition_round,
-                acquisition_b=None if is_sink else mb.sources[n].acquisition_round,
-            )
-        )
+        rows.append(NodeComparison(
+            n, ma.duty_cycle(n), mb.duty_cycle(n),
+            None if is_sink else ma.sources[n].pdr, None if is_sink else mb.sources[n].pdr,
+            None if is_sink else ma.sources[n].acquisition_round,
+            None if is_sink else mb.sources[n].acquisition_round,
+        ))
     return ComparisonReport(run_a.config.mode, run_b.config.mode, rows)

@@ -18,7 +18,7 @@ from lwbsim.core import (
     sink_build_sync,
     update_rr_dynamics,
 )
-from lwbsim.engine import SlotTrace
+from lwbsim.engine import AnnounceSlot, DataSlot, ReplySlot, RequestSlot, SyncSlot
 from lwbsim.errors import SimulationError, SlotCapacityError
 
 
@@ -167,7 +167,7 @@ class TestSinkAssign:
 
 def _requests(outcomes):
     """One request slot per outcome: the requester the sink heard, or None."""
-    return [SlotTrace(0, "request", 0, 0, winner=o, delivered=o is not None) for o in outcomes]
+    return [RequestSlot(0, 0, 0, None, 0, o, o is not None) for o in outcomes]
 
 
 class TestUpdateRrDynamics:
@@ -238,7 +238,10 @@ class TestUpdateRrDynamics:
         # count, empty or not
         cfg = SimConfig(forwarder_selection=True)
         sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=63)
-        others = [SlotTrace(0, kind, 0, 0) for kind in ("sync", "reply", "announce", "data")]
+        others = [
+            SyncSlot(0, 0, 0, None), ReplySlot(0, 0, 0, None), AnnounceSlot(0, 0, 0, None),
+            DataSlot(0, 0, 0, None, None, None),
+        ]
         update_rr_dynamics(sched, others + _requests([None]) + others, cfg)
         assert sched.empty_streak == 1
         assert sched.rr_current == 63

@@ -8,7 +8,10 @@ import pytest
 from lwbsim.config import SimConfig
 from lwbsim.core import SyncHeader
 from lwbsim import engine
-from lwbsim.engine import _radio_totals, execute_round
+from lwbsim.engine import (
+    AnnounceSlot, DataSlot, ReplySlot, RequestSlot, SlotTrace, SyncSlot, _radio_totals,
+    execute_round,
+)
 from lwbsim.errors import SimulationError
 from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
@@ -21,6 +24,71 @@ US_SECOND = 1_000_000
 
 def _sync_only_header():
     return SyncHeader(US_SECOND, 0, 0)
+
+
+# Every kind-specific field and the value the single slot class of earlier
+# versions gave it when the engine left it unset.
+OLD_DEFAULTS = {
+    "contender_count": 0, "winner": None, "delivered": False, "requester": None,
+    "assigned_slot": None, "new_assignment": False, "capacity_exceeded": False,
+    "source": None, "announced_distance": None, "slot_id": None, "owner": None,
+    "payload_len": None, "gen_round": None,
+}
+BASE_FIELDS = ("t", "awake_mask", "received_mask", "initiator")
+# kind class -> (kind, its own fields, constructor arguments setting all fields)
+SLOT_KINDS = {
+    SyncSlot: ("sync", (), (1, 3, 2, 1)),
+    RequestSlot: ("request", ("contender_count", "winner", "delivered"), (1, 3, 2, 2, 4, 2, True)),
+    ReplySlot: (
+        "reply", ("requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded"),
+        (1, 3, 2, 1, 2, 0, True, True, False),
+    ),
+    AnnounceSlot: ("announce", ("source", "announced_distance", "slot_id"), (1, 3, 2, 2, 2, 1, 0)),
+    DataSlot: (
+        "data", ("slot_id", "owner", "payload_len", "gen_round", "delivered"),
+        (1, 3, 2, 2, 0, 2, 3, 0, True),
+    ),
+}
+
+
+class TestSlotKinds:
+    """One class per slot kind: each stores the base fields and its own,
+    and reads every other field as the old single class defaulted it."""
+
+    def test_base_stores_the_shared_fields_and_is_no_kind(self):
+        assert SlotTrace.__slots__ == BASE_FIELDS
+        assert not hasattr(SlotTrace, "kind")
+        with pytest.raises(TypeError):  # the generic constructor is gone
+            SlotTrace(0, "sync", 0, 0)
+
+    @pytest.mark.parametrize("cls", list(SLOT_KINDS), ids=lambda cls: cls.__name__)
+    def test_kind_class(self, cls):
+        kind, own, args = SLOT_KINDS[cls]
+        slot = cls(*args)
+        assert cls.kind == slot.kind == kind
+        assert cls.__bases__ == (SlotTrace,)
+        assert cls.__slots__ == own
+        assert not hasattr(slot, "__dict__")
+        with pytest.raises(AttributeError):
+            slot.not_a_field = 1
+        # every stored field reads what the constructor was given, in order
+        assert tuple(getattr(slot, name) for name in BASE_FIELDS + own) == args
+        assert (slot.awake, slot.received) == ([0, 1], [1])
+        for name, default in OLD_DEFAULTS.items():
+            if name not in own:
+                value = getattr(slot, name)
+                assert (type(value), value) == (type(default), default), name
+
+    def test_empty_slots_read_the_defaults(self):
+        # the engine builds a silent reply, announce and data slot from the
+        # base fields and what it knows, the rest at the old defaults
+        for slot in (ReplySlot(0, 1, 0, None), AnnounceSlot(0, 1, 0, None)):
+            for name, default in OLD_DEFAULTS.items():
+                value = getattr(slot, name)
+                assert (type(value), value) == (type(default), default), name
+        silent = DataSlot(0, 1, 0, None, 3, 2)
+        assert (silent.slot_id, silent.owner) == (3, 2)
+        assert (silent.payload_len, silent.gen_round, silent.delivered) == (None, None, False)
 
 
 class TestBootstrapAndSync:
@@ -260,6 +328,57 @@ class TestGenerationAndQueue:
         # the queued packet is the newer one
         assert [g for t in result.traces for g in t.generated] == [(2, 0), (2, 5)]
         assert list(result.world.nodes[2].queue)[0][0] == 5
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_queues_follow_a_packet_by_packet_model(self, capacity):
+        # Every source gets a packet each IPI while cool-off carries no
+        # data slot, so queues fill up and overflow together. The model
+        # queues one packet at a time, dropping the oldest of a full queue,
+        # and pops one per data slot whose owner flooded.
+        cfg = SimConfig(
+            ipi=5 * US_SECOND, cooloff_period=60 * US_SECOND, queue_capacity=capacity,
+            duration=100 * US_SECOND,
+        )
+        topo = random_connected_topology(random.Random(3), 5, max_ecc=3)
+        sources = sorted(topo.nodes - {cfg.sink_node_id})
+        model = {n: [] for n in sources}
+        sequence = [0]
+        drops = []
+
+        def check(world, trace):
+            due = range(sequence[0], trace.t_start // cfg.ipi + 1)
+            sequence[0] = due.stop
+            generated, dropped = [], []
+            for n in sources:
+                for s in due:
+                    if len(model[n]) >= capacity:
+                        model[n].pop(0)
+                        dropped.append(n)
+                    model[n].append((trace.index, len(f"{n}:{s}")))
+                    generated.append((n, trace.index))
+            for slot in trace.slots:
+                if slot.kind == "data" and slot.payload_len is not None:
+                    queue = model[slot.owner]
+                    sent = queue.pop(0) if queue else (None, 0)
+                    assert (slot.gen_round, slot.payload_len) == sent
+            assert trace.generated == generated
+            assert trace.dropped == dropped
+            assert {n: list(world.nodes[n].queue) for n in sources} == model
+            drops.extend(dropped)
+
+        result = run_simulation(cfg, topo, on_round=check)
+        assert len(sources) >= 3
+        assert drops and len(set(drops)) == len(sources)
+        assert sum(s.delivered for s in result.metrics.sources.values()) > 0
+
+    def test_line_totals_at_capacity_one(self):
+        # totals of a 3-node line whose queues overflow through cool-off
+        cfg = SimConfig(
+            ipi=5 * US_SECOND, cooloff_period=60 * US_SECOND, queue_capacity=1,
+            duration=100 * US_SECOND,
+        )
+        aggregate = run_simulation(cfg, line_topology(3)).metrics.to_dict()["aggregate"]
+        assert (aggregate["total_drops"], aggregate["total_delivered"]) == (28, 12)
 
 
 def _awake_time(cfg, trace):

@@ -6,7 +6,7 @@ import pytest
 
 from lwbsim import engine
 from lwbsim.config import SimConfig
-from lwbsim.engine import RoundTrace, SlotTrace
+from lwbsim.engine import DataSlot, ReplySlot, RoundTrace
 from lwbsim.errors import ComparabilityError, SimulationError
 from lwbsim.metrics import PENDING_ROWS, RunMetrics, SourceStats, compare, render_summary
 from lwbsim.sim import run_simulation
@@ -73,21 +73,21 @@ class TestRunMetrics:
 
     def test_acquisition_records_first_delivered_reply(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
-        reply = SlotTrace(
+        reply = ReplySlot(
             t=0,
-            kind="reply",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
+            initiator=None,
             requester=2,
             assigned_slot=0,
             delivered=True,
         )
         m.accumulate(_round_trace(0, {1: 0, 2: 0}, slots=[reply]))
-        later = SlotTrace(
+        later = ReplySlot(
             t=0,
-            kind="reply",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
+            initiator=None,
             requester=2,
             assigned_slot=5,
             delivered=True,
@@ -98,29 +98,32 @@ class TestRunMetrics:
 
     def test_data_slots_split_into_delivered_and_lost(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
-        good = SlotTrace(
+        good = DataSlot(
             t=0,
-            kind="data",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
+            initiator=None,
+            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=True,
         )
-        bad = SlotTrace(
+        bad = DataSlot(
             t=0,
-            kind="data",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([2]),
+            initiator=None,
+            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=False,
         )
-        keepalive = SlotTrace(
+        keepalive = DataSlot(
             t=0,
-            kind="data",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
+            initiator=None,
+            slot_id=None,
             owner=2,
             gen_round=None,
             delivered=False,
@@ -139,11 +142,12 @@ class TestRunMetrics:
     def test_latency_counts_rounds_in_queue(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
         m.accumulate(_round_trace(0, {1: 0, 2: 0}, generated=[(2, 0)]))
-        data = SlotTrace(
+        data = DataSlot(
             t=0,
-            kind="data",
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
+            initiator=None,
+            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=True,

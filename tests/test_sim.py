@@ -1,6 +1,7 @@
 """Whole-run behavior: phase schedule, determinism, trace output."""
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import pytest
 
 from lwbsim.config import SimConfig
 from lwbsim.core import last_round_start
-from lwbsim.engine import RoundTrace, SlotTrace
+from lwbsim.engine import AnnounceSlot, DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot
 from lwbsim.errors import ConfigError, TopologyError
 from lwbsim.glossy import ids_of
 from lwbsim.sim import (
@@ -30,6 +31,7 @@ from _support import (
     random_connected_topology,
     reference_render_trace,
     shortest_path_forwarders,
+    trace_records,
 )
 
 US_SECOND = 1_000_000
@@ -236,17 +238,17 @@ class TestRenderOracle:
         shared = mask([3, 250])
         traces = [
             _hand_built_round(
-                0, [SlotTrace(0, "sync", mask([1, 2]), mask([2]), 1)], {1: 10, 2: 10}
+                0, [SyncSlot(0, mask([1, 2]), mask([2]), 1)], {1: 10, 2: 10}
             ),
             _hand_built_round(
                 1,
                 [
-                    SlotTrace(US_SECOND, "sync", mask([1, 9]), 0, 1),
-                    SlotTrace(US_SECOND + 10, "request", shared, shared, None),
-                    SlotTrace(US_SECOND + 15, "reply", shared, shared, 1, requester=3,
+                    SyncSlot(US_SECOND, mask([1, 9]), 0, 1),
+                    RequestSlot(US_SECOND + 10, shared, shared, None, 0, None, False),
+                    ReplySlot(US_SECOND + 15, shared, shared, 1, requester=3,
                               assigned_slot=0, new_assignment=True, delivered=True),
-                    SlotTrace(US_SECOND + 20, "data", 0, shared, 3, slot_id=0,
-                              owner=3, payload_len=8, gen_round=1, delivered=True),
+                    DataSlot(US_SECOND + 20, 0, shared, 3, slot_id=0,
+                             owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
                 joined=[3, 250], desynced=[9],
@@ -271,7 +273,7 @@ class TestRenderOracle:
         def rounds():
             for index, radio_on in enumerate(rows):
                 t = index * US_SECOND
-                sync = SlotTrace(t, "sync", Topology.mask_of(radio_on), 0, 1)
+                sync = SyncSlot(t, Topology.mask_of(radio_on), 0, 1)
                 yield _hand_built_round(index, [sync], dict(radio_on))
 
         traces = list(rounds())
@@ -291,20 +293,20 @@ class TestRenderOracle:
         # JSON bool, and a bool field never as a number
         both = Topology.mask_of([1, 2])
         slots = [
-            SlotTrace(0, "sync", both, both, 1),
-            SlotTrace(1, "request", both, both, 1, contender_count=1, winner=1, delivered=True),
-            SlotTrace(2, "request", both, 0, None, contender_count=0),
-            SlotTrace(3, "reply", both, both, 1, requester=1, assigned_slot=0,
+            SyncSlot(0, both, both, 1),
+            RequestSlot(1, both, both, 1, contender_count=1, winner=1, delivered=True),
+            RequestSlot(2, both, 0, None, contender_count=0, winner=None, delivered=False),
+            ReplySlot(3, both, both, 1, requester=1, assigned_slot=0,
                       new_assignment=True, delivered=False),
-            SlotTrace(4, "reply", both, 0, None, requester=1, capacity_exceeded=True),
-            SlotTrace(5, "announce", both, both, 1, source=1, announced_distance=0, slot_id=0),
-            SlotTrace(6, "announce", both, 0, None),
-            SlotTrace(7, "data", both, both, 1, slot_id=0, owner=1, payload_len=0,
-                      gen_round=1, delivered=True),
-            SlotTrace(8, "data", both, both, 1, slot_id=1, owner=1, payload_len=1,
-                      gen_round=0, delivered=False),
-            SlotTrace(9, "data", both, both, 1, slot_id=0, owner=1, payload_len=0),
-            SlotTrace(10, "data", both, 0, None, slot_id=0, owner=1),
+            ReplySlot(4, both, 0, None, requester=1, capacity_exceeded=True),
+            AnnounceSlot(5, both, both, 1, source=1, announced_distance=0, slot_id=0),
+            AnnounceSlot(6, both, 0, None),
+            DataSlot(7, both, both, 1, slot_id=0, owner=1, payload_len=0,
+                     gen_round=1, delivered=True),
+            DataSlot(8, both, both, 1, slot_id=1, owner=1, payload_len=1,
+                     gen_round=0, delivered=False),
+            DataSlot(9, both, both, 1, slot_id=0, owner=1, payload_len=0),
+            DataSlot(10, both, 0, None, slot_id=0, owner=1),
         ]
         traces = [_hand_built_round(0, slots, {1: 0, 2: 1})]
         text = render_trace(traces)
@@ -747,3 +749,63 @@ class TestRoundState:
         assert any(set(t.joined) & set(t.desynced) for t in traces)
         # some synced node missed a sync: awake in the sync slot, not active
         assert any(t.slots[0].awake_mask != t.slots[0].received_mask for t in traces)
+
+
+class TestMetricsFold:
+    def test_source_stats_follow_from_the_records(self):
+        # every per-source total RunMetrics folds, re-derived from the
+        # rendered records of a lossy, drifting forwarder-selection run
+        result = _random_drifting_fs_run()
+        derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latencies=Counter(),
+                           acquisition_round=None, slot=None)
+                   for n in result.metrics.sources}
+        for rec in trace_records(result.traces):
+            if rec["kind"] == "round":
+                for node, _ in rec["generated"]:
+                    derived[node]["generated"] += 1
+                for node in rec["dropped"]:
+                    derived[node]["dropped"] += 1
+            elif rec["type"] == "data" and rec["gen_round"] is not None:
+                stats = derived[rec["owner"]]
+                if rec["delivered"]:
+                    stats["delivered"] += 1
+                    stats["latencies"][rec["round"] - rec["gen_round"]] += 1
+                else:
+                    stats["lost"] += 1
+            elif rec["type"] == "reply" and rec["delivered"] and rec["requester"] is not None:
+                stats = derived[rec["requester"]]
+                if stats["acquisition_round"] is None:
+                    stats["acquisition_round"] = rec["round"]
+                    stats["slot"] = rec["assigned_slot"]
+        folded = {
+            n: {name: getattr(s, name) for name in derived[n]}
+            for n, s in result.metrics.sources.items()
+        }
+        assert folded == derived
+        assert sum(s["lost"] for s in derived.values()) > 0
+        assert sum(s["delivered"] for s in derived.values()) > 0
+        assert all(s["acquisition_round"] is not None for s in derived.values())
+
+
+class TestHeldOutScale:
+    """Render digests of two 150-node runs on the benchmark's graph recipe
+    (random attachment tree, extra edges with probability 4/150, every node
+    within 8 hops of the sink) at seed 7, recorded before the slot kinds
+    became classes: the benchmark's own fingerprints pin only seed 1."""
+
+    @pytest.mark.parametrize(
+        "fs, loss, seconds, digest",
+        [
+            (False, 0.0, 600, "7db314489e68025d43aac3bb4d5b907ecff42041b5c0ef8b1237595abe8bfd64"),
+            (True, 0.1, 450, "602b6829cba6597b074a9d9c883af638d9fe69037e396489133d98d47c307873"),
+        ],
+        ids=["lwb-loss0", "fs-lwb-loss0.1"],
+    )
+    def test_render_digest(self, fs, loss, seconds, digest):
+        topo = random_connected_topology(random.Random(7), 150, extra_edge_prob=4 / 150, max_ecc=8)
+        cfg = SimConfig(
+            forwarder_selection=fs, loss_probability=loss, ipi=10 * US_SECOND,
+            duration=seconds * US_SECOND, seed=7,
+        )
+        text = render_trace(run_simulation(cfg, topo).traces)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
