@@ -6,13 +6,15 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Trace records keep the key order render_trace lists and are written from
-%-templates and node id texts, not through json. A slot stores its awake
-and received nodes as masks, and the renderer writes the id list of each
-distinct mask value once per call, from per-byte texts: byte i of a mask
-holds nodes 8i to 8i+7, so a (byte index, byte value) pair has one text.
-Sync-only rounds repeat a few radio-on rows many times, so the radio_on
-text of each distinct row is also written once per call and then shared.
+Traces are written in trace schema 2, in the key order render_trace
+lists, from %-templates and node id texts, not through json. A round's
+sync slot spells out its awake and received ids; every other slot of the
+round writes its awake ids only when they are not the round's active set
+(the sync slot's received ids) and, in place of its received ids, the
+awake ids that missed the flood, most often none. The id list of each
+distinct mask value is made once per call from per-byte texts (byte i of
+a mask holds nodes 8i to 8i+7), and so is the radio_on text of each
+distinct row, which sync-only rounds repeat many times.
 """
 
 from __future__ import annotations
@@ -121,9 +123,15 @@ class _Memo(dict):
 
 
 # Slot kinds, phases and modes are the engine's fixed lowercase names,
-# written unescaped.
+# written unescaped. _SLOT_HEAD's last two values are a slot's awake part,
+# "" on the round's active set, and its missed ids.
+_HEADER = '{"kind":"schema","version":2}\n'
+_SYNC = (
+    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"sync","initiator":%s,'
+    '"awake":[%s],"received":[%s],"seq":%d}\n'
+)
 _SLOT_HEAD = (
-    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,"awake":['
+    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,%s"missed":[%s]'
 )
 _ROUND_HEAD = (
     '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
@@ -133,14 +141,14 @@ _ROUND_TAIL = (
     '},"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
     '"generated":[%s],"dropped":[%s],"capacity_events":%d,"seq":%d}\n'
 )
-_DATA = '],"slot_id":%d,"owner":%d,"payload_len":%d,"gen_round":%s,"delivered":%s,"seq":%d}\n'
-_SILENT_DATA = (
-    '],"slot_id":%d,"owner":%d,"payload_len":null,"gen_round":null,'
-    '"delivered":false,"seq":%d}\n'
+_DATA = _SLOT_HEAD + (
+    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s,"seq":%d}\n'
 )
-_REQUEST = '],"contenders":%d,"winner":%s,"delivered":%s,"seq":%d}\n'
-_REPLY = '],"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s,"seq":%d}\n'
-_ANNOUNCE = '],"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n'
+_REQUEST = _SLOT_HEAD + ',"contenders":%d,"winner":%s,"delivered":%s,"seq":%d}\n'
+_REPLY = _SLOT_HEAD + (
+    ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s,"seq":%d}\n'
+)
+_ANNOUNCE = _SLOT_HEAD + ',"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n'
 
 
 def _json(value: int | None) -> int | str:
@@ -148,40 +156,35 @@ def _json(value: int | None) -> int | str:
     return "null" if value is None else value
 
 
-def _slot_tail(slot: SlotTrace, seq: int) -> str:
-    """A slot record from the ']' closing its received list to its newline.
+def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
+    """The record of a slot other than sync, from _SLOT_HEAD's values.
     Int fields go through %d, int-or-None fields through _json and bool
     fields through a conditional, never a lookup: True == 1 as a key."""
     kind = slot.kind
     if kind == "data":
-        if slot.payload_len is None:
-            return _SILENT_DATA % (slot.slot_id, slot.owner, seq)
         return _DATA % (
-            slot.slot_id, slot.owner, slot.payload_len, _json(slot.gen_round),
+            *head, slot.slot_id, slot.owner, _json(slot.payload_len), _json(slot.gen_round),
             "true" if slot.delivered else "false", seq,
         )
     if kind == "request":
         return _REQUEST % (
-            slot.contender_count, _json(slot.winner),
+            *head, slot.contender_count, _json(slot.winner),
             "true" if slot.delivered else "false", seq,
         )
     if kind == "reply":
         return _REPLY % (
-            _json(slot.requester), _json(slot.assigned_slot),
+            *head, _json(slot.requester), _json(slot.assigned_slot),
             "true" if slot.new_assignment else "false",
             "true" if slot.delivered else "false",
             ',"capacity_exceeded":true' if slot.capacity_exceeded else "", seq,
         )
-    if kind == "announce":
-        return _ANNOUNCE % (
-            _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
-        )
-    return '],"seq":%d}\n' % seq
+    return _ANNOUNCE % (
+        *head, _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
+    )
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
-    """The JSONL text in pieces: five per slot record (head to the awake
-    list's '[', awake ids, '],"received":[', received ids, tail from ']'),
+    """The JSONL text in pieces: the header line, one per slot record,
     three per round record (head to radio_on's '{', the radio_on pairs,
     tail from '}').
 
@@ -208,17 +211,26 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     chunk = _Memo(byte_text).__getitem__
     text = _Memo(mask_text).__getitem__
     radio_text = _Memo(row_text).__getitem__
+    awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
 
+    yield _HEADER
     seq = 0
     for trace in traces:
+        active = -1  # the sync slot's received mask; no mask equals -1
         for slot in trace.slots:
-            yield _SLOT_HEAD % (
-                trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator)
-            )
-            yield text(slot.awake_mask)
-            yield '],"received":['
-            yield text(slot.received_mask)
-            yield _slot_tail(slot, seq)
+            awake, received = slot.awake_mask, slot.received_mask
+            if slot.kind == "sync":
+                active = received
+                yield _SYNC % (
+                    trace.index, slot.t, trace.phase, _json(slot.initiator),
+                    text(awake), text(received), seq,
+                )
+            else:
+                yield _slot_line(slot, (
+                    trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator),
+                    "" if awake == active else awake_part(awake),
+                    "" if received == awake else text(awake & ~received),
+                ), seq)
             seq += 1
         yield _ROUND_HEAD % (
             trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
@@ -237,14 +249,16 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
-    """Line-delimited JSON, stable byte-for-byte for identical runs.
-
-    Each round gives its slot records in time order, then its round record;
-    a global seq gives a total order. Key order is fixed: a slot record has
-    kind, round, t, phase, type, initiator, awake, received, the fields of
-    its type in _slot_tail's order, seq; a round record has the keys of
-    _ROUND_HEAD and _ROUND_TAIL.
-    traces may be any iterable of rounds.
+    """Line-delimited JSON in trace schema 2, stable byte-for-byte for
+    identical runs: the header {"kind":"schema","version":2}, then per
+    round its slot records in time order and its round record; a global
+    seq gives a total order. Key order is fixed. A slot record has kind,
+    round, t, phase, type, initiator; then awake and received for the sync
+    slot, and for any other slot awake (only when not the round's active
+    set, the sync slot's received ids) and missed (its awake ids that did
+    not receive); then its type's fields in _slot_line's order, and seq. A
+    round record has the keys of _ROUND_HEAD and _ROUND_TAIL. traces may
+    be any iterable of rounds.
     """
     return "".join(_trace_pieces(traces))
 

@@ -2,15 +2,16 @@
 generation, and oracles that share no code with the simulator: a plain
 breadth-first search, the shortest-path forwarder set, the set-based
 flood wave loop the bitmask kernel replaced, the per-node forwarder
-selection walks the hop masks replaced, and the dict-per-record JSONL
-renderer the list-caching one replaced."""
+selection walks the hop masks replaced, the dict-per-record schema-1
+JSONL renderer, and a reader that turns a schema-2 trace back into
+schema-1 records."""
 
 from __future__ import annotations
 
 import json
 import random
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from lwbsim.engine import RoundTrace, SlotTrace
 from lwbsim.glossy import FloodOutcome
@@ -172,8 +173,10 @@ def walk_announce(
     }
 
 
-# The dict-per-record renderer the list-caching sim.render_trace replaced,
-# kept verbatim as its reference: same records, same bytes.
+# The dict-per-record schema-1 renderer, built from the slot objects: every
+# slot record spells out its awake and received lists. sim.render_trace
+# writes schema 2, and read_trace below must rebuild these same records
+# from its text alone.
 
 
 def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
@@ -248,10 +251,50 @@ def trace_records(traces: list[RoundTrace]) -> Iterator[dict]:
         yield rec
 
 
-def reference_render_trace(traces: list[RoundTrace]) -> str:
-    """Line-delimited JSON, stable byte-for-byte for identical runs."""
-    lines = [
-        json.dumps(rec, separators=(",", ":"), sort_keys=False)
-        for rec in trace_records(traces)
-    ]
+def dump_records(records: Iterable[dict]) -> str:
+    """Line-delimited JSON of schema-1 records, one compact line each."""
+    lines = [json.dumps(rec, separators=(",", ":"), sort_keys=False) for rec in records]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_render_trace(traces: list[RoundTrace]) -> str:
+    """Schema-1 JSONL: every slot record spells out its awake and received
+    lists. The oracle that read_trace's output is compared against."""
+    return dump_records(trace_records(traces))
+
+
+SCHEMA_HEADER = {"kind": "schema", "version": 2}
+_SLOT_HEAD_KEYS = ("kind", "round", "t", "phase", "type", "initiator")
+
+
+def read_trace(text: str) -> list[dict]:
+    """The schema-1 records of a schema-2 trace, read from its text alone.
+
+    The header line is checked and dropped. A sync slot's received list is
+    its round's active set; any other slot without an awake list is awake
+    on that set, and receives on its awake nodes less its missed ones."""
+    lines = text.splitlines()
+    assert lines and json.loads(lines[0]) == SCHEMA_HEADER, lines[:1]
+    records = []
+    active = None
+    for line in lines[1:]:
+        rec = json.loads(line)
+        if rec["kind"] == "round":
+            active = None
+        elif rec["type"] == "sync":
+            active = rec["received"]
+        else:
+            awake = rec.pop("awake", active)
+            assert awake is not None, f"slot {rec['seq']} has no awake set"
+            missed = set(rec.pop("missed"))
+            head = {key: rec.pop(key) for key in _SLOT_HEAD_KEYS}
+            received = [n for n in awake if n not in missed]
+            rec = {**head, "awake": awake, "received": received, **rec}
+        records.append(rec)
+    return records
+
+
+def schema1_text(text: str) -> str:
+    """A schema-2 trace rebuilt by read_trace and written the way
+    reference_render_trace writes: equal to it for a lossless reader."""
+    return dump_records(read_trace(text))

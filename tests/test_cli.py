@@ -19,6 +19,8 @@ from lwbsim.topology import Topology
 
 LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
+# the schema header, then the first round's sync slot: a freshly written trace
+TRACE_START = '{"kind":"schema","version":2}\n{"kind":"slot","round":0,'
 
 
 def cli_env() -> dict[str, str]:
@@ -284,7 +286,7 @@ class TestExitCodes:
         trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["line.topo", "old.jsonl"]
 
     def test_output_path_that_is_a_directory_is_usage_error(
@@ -307,7 +309,7 @@ class TestExitCodes:
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(link)]
         assert main(args) == 0
         assert link.is_symlink() and os.readlink(link) == target.name
-        assert target.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert target.read_text(encoding="utf-8").startswith(TRACE_START)
 
     def test_output_that_is_no_regular_file_is_written_in_place(self, tmp_path, line_file):
         link = tmp_path / "null.jsonl"
@@ -325,7 +327,7 @@ class TestExitCodes:
         trace = tmp_path / "old.jsonl"
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
         assert stale.read_bytes() == b"partial"
 
     def test_replaced_output_keeps_its_mode(self, tmp_path, line_file):
@@ -351,7 +353,7 @@ class TestExitCodes:
         trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith('{"kind":"slot","round":0,')
+        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
 
     def test_override_breaking_config_is_input_error(self, line_file, capsys):
         code = main(["run", "--topology", line_file, "--duration", "0s"])

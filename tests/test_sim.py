@@ -26,12 +26,14 @@ from lwbsim.sim import (
 from lwbsim.topology import Topology
 
 from _support import (
+    SCHEMA_HEADER,
     diamond_pendant,
     line_topology,
     random_connected_topology,
+    read_trace,
     reference_render_trace,
+    schema1_text,
     shortest_path_forwarders,
-    trace_records,
 )
 
 US_SECOND = 1_000_000
@@ -142,7 +144,8 @@ class TestTraceOutput:
     def test_records_are_json_lines_with_dense_seq(self):
         cfg = SimConfig(duration=25 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
-        lines = render_trace(result.traces).splitlines()
+        header, *lines = render_trace(result.traces).splitlines()
+        assert json.loads(header) == SCHEMA_HEADER
         records = [json.loads(line) for line in lines]
         assert [r["seq"] for r in records] == list(range(len(records)))
         kinds = {r["kind"] for r in records}
@@ -151,7 +154,7 @@ class TestTraceOutput:
     def test_each_round_closes_with_a_summary_record(self):
         cfg = SimConfig(duration=25 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
-        records = [json.loads(l) for l in render_trace(result.traces).splitlines()]
+        records = [json.loads(l) for l in render_trace(result.traces).splitlines()[1:]]
         per_round: dict[int, list[str]] = {}
         for rec in records:
             per_round.setdefault(rec["round"], []).append(rec["kind"])
@@ -177,8 +180,8 @@ class TestTraceOutput:
             write_trace(f, result.traces)
         assert out.read_text(encoding="utf-8") == render_trace(result.traces)
 
-    def test_empty_trace_renders_empty_string(self):
-        assert render_trace([]) == ""
+    def test_empty_trace_renders_the_header_alone(self):
+        assert render_trace([]) == '{"kind":"schema","version":2}\n'
 
 
 def _hand_built_round(index, slots, radio_on, **lists):
@@ -192,7 +195,8 @@ def _hand_built_round(index, slots, radio_on, **lists):
 
 
 class TestRenderOracle:
-    """render_trace against the dict-per-record reference renderer."""
+    """render_trace, read back into schema-1 records, against the
+    dict-per-record schema-1 renderer."""
 
     @staticmethod
     def _run(seed, fs):
@@ -224,7 +228,7 @@ class TestRenderOracle:
         # the round record's lists are compared filled, not only empty
         for field in ("joined", "new_assignments", "generated", "dropped"):
             assert any(getattr(t, field) for t in result.traces), field
-        assert render_trace(result.traces) == reference_render_trace(result.traces)
+        assert schema1_text(render_trace(result.traces)) == reference_render_trace(result.traces)
 
     @pytest.mark.parametrize("fs", [False, True])
     def test_compared_runs_hold_desyncs(self, fs):
@@ -233,7 +237,8 @@ class TestRenderOracle:
 
     def test_hand_built_rounds_with_unseen_ids(self):
         # ids the first round never mentions, ids past MAX_NODE_NUMBER,
-        # empty masks and one mask shared by two slots
+        # empty masks, one mask shared by three slots and a slot that
+        # missed all of its awake nodes
         mask = Topology.mask_of
         shared = mask([3, 250])
         traces = [
@@ -247,7 +252,7 @@ class TestRenderOracle:
                     RequestSlot(US_SECOND + 10, shared, shared, None, 0, None, False),
                     ReplySlot(US_SECOND + 15, shared, shared, 1, requester=3,
                               assigned_slot=0, new_assignment=True, delivered=True),
-                    DataSlot(US_SECOND + 20, 0, shared, 3, slot_id=0,
+                    DataSlot(US_SECOND + 20, shared, 0, 3, slot_id=0,
                              owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
@@ -255,7 +260,7 @@ class TestRenderOracle:
                 bootstrap=[40, 1000], generated=[(3, 1), (77, 0)], dropped=[77],
             ),
         ]
-        assert render_trace(traces) == reference_render_trace(traces)
+        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
     def test_radio_rows_are_keyed_by_value(self, tmp_path):
         # equal totals in distinct tuple objects, and equal totals under
@@ -282,11 +287,11 @@ class TestRenderOracle:
         assert traces[0].radio_totals == traces[2].radio_totals
         assert traces[0].node_ids != traces[2].node_ids
         want = reference_render_trace(traces)
-        assert render_trace(traces) == want
+        assert schema1_text(render_trace(traces)) == want
         out = tmp_path / "trace.jsonl"
         with open(out, "w", encoding="utf-8") as f:
             write_trace(f, rounds())
-        assert out.read_text(encoding="utf-8") == want
+        assert schema1_text(out.read_text(encoding="utf-8")) == want
 
     def test_hand_built_slots_with_fields_zero_and_one(self):
         # True == 1 and False == 0: an int field must never print as a
@@ -310,7 +315,7 @@ class TestRenderOracle:
         ]
         traces = [_hand_built_round(0, slots, {1: 0, 2: 1})]
         text = render_trace(traces)
-        assert text == reference_render_trace(traces)
+        assert schema1_text(text) == reference_render_trace(traces)
         assert '"winner":1,' in text and '"payload_len":0,"gen_round":1,' in text
 
     @pytest.mark.parametrize("fs", [False, True])
@@ -337,7 +342,7 @@ class TestRenderOracle:
             assert slot.awake == sorted(slot.awake)
             assert slot.received == sorted(slot.received)
             assert set(slot.received) <= set(slot.awake)
-        assert render_trace(result.traces) == reference_render_trace(result.traces)
+        assert schema1_text(render_trace(result.traces)) == reference_render_trace(result.traces)
 
     def test_cache_survives_rounds_freed_by_a_generator(self):
         # each copy is dropped once rendered, so its lists' ids come free
@@ -345,6 +350,108 @@ class TestRenderOracle:
         result = self._run(3, True)
         copies = (copy.deepcopy(t) for t in result.traces)
         assert render_trace(copies) == render_trace(result.traces)
+
+
+GOLDENS = ["golden_lwb.jsonl", "golden_fs.jsonl", "golden_fs_lossy.jsonl"]
+
+
+def _golden_traces(name):
+    """The rounds of the run each golden file was rendered from."""
+    from test_acceptance import _golden_run
+
+    if name == "golden_fs_lossy.jsonl":
+        return _lossy_drifting_run().traces
+    return _golden_run(name == "golden_fs.jsonl").traces
+
+
+def _golden_slots(name):
+    """(raw slot record, the round's active ids) for every slot of a
+    golden file, read straight from its JSON lines."""
+    active = None
+    for line in (DATA_DIR / name).read_text(encoding="utf-8").splitlines()[1:]:
+        rec = json.loads(line)
+        if rec["kind"] == "slot":
+            if rec["type"] == "sync":
+                active = rec["received"]
+            yield rec, active
+
+
+class TestTraceSchema:
+    """Schema 2: the header line, the sync slot's two lists, awake only off
+    the active set, missed in place of received, and a lossless reader."""
+
+    def test_first_line_is_the_header(self):
+        result = run_simulation(SimConfig(duration=12 * US_SECOND), line_topology(3))
+        first, *rest = render_trace(result.traces).splitlines()
+        assert first == '{"kind":"schema","version":2}'
+        assert rest and {json.loads(line)["kind"] for line in rest} == {"slot", "round"}
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_golden_reads_back_to_the_schema1_oracle(self, name):
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        assert schema1_text(text) == reference_render_trace(_golden_traces(name))
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_random_run_reads_back_to_the_schema1_oracle(self, case):
+        # cases 0-11 cover both modes x loss 0, 0.1, 0.5 x drift off and on
+        rng = random.Random(4000 + case)
+        topo = random_connected_topology(rng, rng.randint(5, 14), max_ecc=4)
+        cfg = SimConfig(
+            minimum_lwb_round=500_000,
+            ipi=US_SECOND,
+            duration=36 * US_SECOND,
+            forwarder_selection=bool(case % 2),
+            loss_probability=(0.0, 0.1, 0.5)[case // 2 % 3],
+            drift_ppm_range=(200.0, 2000.0) if case // 6 % 2 else (0.0, 0.0),
+            seed=case,
+        )
+        traces = run_simulation(cfg, topo).traces
+        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+
+    def test_lwb_slots_on_the_active_set_omit_awake(self):
+        # at loss 0 a flooded slot misses no one, a silent one everyone
+        kinds = Counter()
+        for rec, active in _golden_slots("golden_lwb.jsonl"):
+            if rec["type"] != "sync":
+                assert "awake" not in rec and "received" not in rec
+                assert rec["missed"] == ([] if rec["initiator"] else active)
+                kinds[rec["type"], rec["initiator"] is None] += 1
+        assert {kind for kind, _ in kinds} == {"request", "reply", "data"}
+        assert {silent for _, silent in kinds} == {False, True}
+
+    def test_trimmed_fs_data_slot_keeps_awake(self):
+        records = [rec for rec, _ in _golden_slots("golden_fs.jsonl")]
+        slots = [slot for trace in _golden_traces("golden_fs.jsonl") for slot in trace.slots]
+        assert len(records) == len(slots)
+        trimmed = 0
+        for rec, slot in zip(records, slots):
+            if slot.kind == "sync":
+                active = slot.received_mask
+            elif slot.awake_mask != active:
+                assert rec["awake"] == slot.awake
+                trimmed += slot.kind == "data"
+            else:
+                assert "awake" not in rec
+        assert trimmed > 0
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_sync_slot_keeps_awake_and_received(self, name):
+        syncs = [rec for rec, _ in _golden_slots(name) if rec["type"] == "sync"]
+        assert syncs
+        for rec in syncs:
+            assert list(rec)[5:8] == ["initiator", "awake", "received"]
+            assert "missed" not in rec
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_missed_within_awake(self, name):
+        lost = 0  # flooded slots that missed someone: only under loss
+        for rec, active in _golden_slots(name):
+            if rec["type"] != "sync":
+                awake = rec.get("awake", active)
+                assert rec["missed"] == sorted(rec["missed"])
+                assert set(rec["missed"]) <= set(awake)
+                lost += rec["initiator"] is not None and rec["missed"] != []
+        assert (lost > 0) == (name == "golden_fs_lossy.jsonl")
 
 
 class TestWorldConstruction:
@@ -511,12 +618,12 @@ class TestForwarderTable:
 
 def _radio_rounds(text, slot_length, sync_slot_length):
     """Per round, (radio_on as rendered, radio_on re-derived from the slot
-    and round records alone): every awake slot costs slot_length, a sync
-    slot sync_slot_length, and bootstrap costs the whole round period."""
+    and round records that read_trace rebuilds from the text alone): every
+    awake slot costs slot_length, a sync slot sync_slot_length, and
+    bootstrap costs the whole round period."""
     rounds = []
     expected = Counter()
-    for line in text.splitlines():
-        rec = json.loads(line)
+    for rec in read_trace(text):
         if rec["kind"] == "slot":
             cost = sync_slot_length if rec["type"] == "sync" else slot_length
             for n in rec["awake"]:
@@ -754,12 +861,13 @@ class TestRoundState:
 class TestMetricsFold:
     def test_source_stats_follow_from_the_records(self):
         # every per-source total RunMetrics folds, re-derived from the
-        # rendered records of a lossy, drifting forwarder-selection run
+        # records read back from the rendered text of a lossy, drifting
+        # forwarder-selection run
         result = _random_drifting_fs_run()
         derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latencies=Counter(),
                            acquisition_round=None, slot=None)
                    for n in result.metrics.sources}
-        for rec in trace_records(result.traces):
+        for rec in read_trace(render_trace(result.traces)):
             if rec["kind"] == "round":
                 for node, _ in rec["generated"]:
                     derived[node]["generated"] += 1
@@ -791,7 +899,10 @@ class TestHeldOutScale:
     """Render digests of two 150-node runs on the benchmark's graph recipe
     (random attachment tree, extra edges with probability 4/150, every node
     within 8 hops of the sink) at seed 7, recorded before the slot kinds
-    became classes: the benchmark's own fingerprints pin only seed 1."""
+    became classes: the benchmark's own fingerprints pin only seed 1. The
+    digests are of schema-1 text, which read_trace rebuilds from the
+    schema-2 render, so they pin every simulated value across the schema
+    change."""
 
     @pytest.mark.parametrize(
         "fs, loss, seconds, digest",
@@ -807,5 +918,5 @@ class TestHeldOutScale:
             forwarder_selection=fs, loss_probability=loss, ipi=10 * US_SECOND,
             duration=seconds * US_SECOND, seed=7,
         )
-        text = render_trace(run_simulation(cfg, topo).traces)
+        text = schema1_text(render_trace(run_simulation(cfg, topo).traces))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
