@@ -17,7 +17,6 @@ whatever the header says. The sink walks three phases:
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import NamedTuple
 
 from .config import (
@@ -61,22 +60,6 @@ class SinkSchedule:
         """The table is dense by construction; no node may own two slots."""
         if len(set(self.slot_owner)) != len(self.slot_owner):
             raise SimulationError("slot table lost injectivity")
-
-
-class NodeState:
-    """What one node keeps besides the World masks of the bootstrap and
-    granted nodes. drift_ppm is its clock's drift and last_sync the start
-    of the last round whose sync flood it received, written only for a
-    drifting node: the clock guard, its one reader, skips the others."""
-
-    __slots__ = ("drift_ppm", "last_sync", "queue")
-
-    def __init__(
-        self, drift_ppm: float = 0.0, last_sync: int = 0,
-        queue: deque | None = None,  # (gen_round, payload_len)
-    ) -> None:
-        self.drift_ppm, self.last_sync = drift_ppm, last_sync
-        self.queue = deque() if queue is None else queue
 
 
 def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
@@ -139,22 +122,21 @@ def sink_build_sync(schedule: SinkSchedule, config: SimConfig) -> SyncHeader:
     raise SimulationError(f"unknown phase {schedule.phase!r}")
 
 
-def contend(
-    contenders: list[int] | set[int], policy: str, rng: random.Random
-) -> int | None:
-    """Resolve one request slot.
+def contend(contenders: int, policy: str, rng: random.Random) -> int | None:
+    """Resolve one request slot among the contender mask (bit n = node n).
 
     No contender means an empty slot. A single contender always gets
     through. With several, the capture policy picks a uniformly random
-    winner; the collision policy destroys them all.
+    winner, the k-th contender in id order for one draw k; the collision
+    policy destroys them all.
     """
-    pool = sorted(set(contenders))
-    if not pool:
-        return None
-    if len(pool) == 1:
-        return pool[0]
+    count = contenders.bit_count()
+    if count < 2:
+        return contenders.bit_length() - 1 if count else None
     if policy == POLICY_CAPTURE:
-        return pool[rng.randrange(len(pool))]
+        for _ in range(rng.randrange(count)):
+            contenders &= contenders - 1  # drops the lowest contender
+        return (contenders & -contenders).bit_length() - 1
     if policy == POLICY_COLLISION:
         return None
     raise SimulationError(f"unknown contention policy {policy!r}")

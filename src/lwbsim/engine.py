@@ -1,6 +1,6 @@
 """Slot-stepped execution of one bus round.
 
-The engine owns all mutable run state (node states, sink schedule, rng) and
+The engine owns all mutable run state (node masks, sink schedule, rng) and
 turns one sync header into a RoundTrace describing every slot: who was
 awake, who received, what was assigned and what was delivered.
 
@@ -13,26 +13,29 @@ of slots per node (_radio_totals): an active node pays the sync slot, the
 request block and every data slot that wakes it.
 
 Each slot kind is a SlotTrace subclass storing its own fields besides the
-base's four; a field a kind never sets reads its default from the base.
-A slot stores who was awake and who received as two node masks (bit n =
-node n), the ones the floods already compute. Node state is masks too:
-world.bootstrap holds the nodes in bootstrap, world.granted those that
-heard their slot grant. Before the sync flood, a synced drifting node whose
-worst-case clock offset since its last sync, (t - last_sync) * |drift_ppm|
-* 1e-6 microseconds, is strictly over the config's guard time falls back
-to bootstrap; no other node ever does. The synced nodes relay the sync
-flood. Its reached mask leaves bootstrap, gets last_sync set to the round
-start on its drifting nodes, and is the sync slot's received mask and the
-round's active set: the awake mask of the request block and of every data
-slot that wakes all active nodes. The sync slot is awake on the active and
-the synced nodes. A flooded slot receives on the flood's reached mask
-within its awake mask. Forwarder selection keeps sink distances as hop
-masks in world.distances; a slot's announce flood writes its forwarder mask
-into world.announced_slots and counts the slot in world.wake_counts for
-each node it wakes. A round's new assignments and capacity events are read
-from its reply slots. Every source generates sequence s at s * IPI, so one
-counter, world.next_sequence, serves them all. A queued packet is its round
-and its "node:seq" length.
+base's four; a field a kind never sets reads its default from the base. A
+slot stores who was awake and who received as two node masks, bit n for node
+n, the ones the floods already compute. Run state is masks, windows and
+counters, so a round never loops over nodes: world.bootstrap holds the nodes
+in bootstrap, world.granted those that heard their slot grant. Before the
+sync flood, a synced drifting node whose clock offset since its last sync,
+gap * |drift_ppm| * 1e-6 us, is strictly over the guard time falls back to
+bootstrap. That test is monotone in the gap, so a node fails from its
+least_gap on: world.drift_cuts holds those ascending, drift_prefix[i] the
+nodes of the first i, and synced_at maps a round start to the synced
+drifting nodes last synced then. The synced nodes relay the sync flood. Its
+reached mask leaves bootstrap, moves to the round start in synced_at, and is
+the sync slot's received mask and the round's active set: the awake mask of
+the request block and of every data slot that wakes all active nodes. The
+sync slot is awake on the active and the synced nodes. A flooded slot
+receives on the flood's reached mask within its awake mask. A capture winner
+is the k-th node of a request slot's contender mask. Forwarder selection
+keeps sink distances as hop masks in world.distances; an announce flood
+writes its slot's forwarder mask into announced_slots and counts the slot in
+wake_counts for each node it wakes. Every source makes sequence s at s *
+IPI, so a source's queue is the window from queue_start[n] to next_sequence;
+gen_rounds holds the rounds of the last QUEUE_CAPACITY sequences. A round's
+new assignments and capacity events are read from its reply slots.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -43,10 +46,11 @@ two or more nodes contend) and then the loss draws of that slot's flood
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 
 from .config import SimConfig
-from .core import NodeState, SinkSchedule, SyncHeader, contend, sink_assign
+from .core import SinkSchedule, SyncHeader, contend, sink_assign
 from .errors import SimulationError, SlotCapacityError
 from .forwarding import apply_announce, data_participants, refresh_sink_distances
 from .glossy import MEMO_CAP, FloodOutcome, flood, ids_of
@@ -181,24 +185,43 @@ class RoundTrace:
         return sum(s.capacity_exceeded for s in self.slots)
 
 
+def least_gap(drift_ppm: float, guard: int) -> int:
+    """The least whole gap with gap * |drift_ppm| * 1e-6 > guard, the clock
+    guard's float test, or 2**62 when none below it passes. The test is
+    monotone in the gap, so stepping from the real root finds it exactly."""
+    rate, never = abs(drift_ppm), 1 << 62
+    gap = int(min(guard / rate * 1e6, never))
+    while gap and (gap - 1) * rate * 1e-6 > guard:
+        gap -= 1
+    while gap < never and not gap * rate * 1e-6 > guard:
+        gap += 1
+    return gap
+
+
 class World:
-    """All mutable state of a run."""
+    """All mutable state of a run; drifts maps nodes to their drift in ppm."""
 
     def __init__(
         self, topology: Topology, config: SimConfig, schedule: SinkSchedule,
-        nodes: dict[int, NodeState],  # inserted in ascending node id order
-        node_ids: tuple[int, ...], rng: random.Random,  # node_ids: the keys of nodes
+        node_ids: tuple[int, ...], rng: random.Random, drifts: dict[int, float],
     ) -> None:
         self.topology, self.config, self.schedule = topology, config, schedule
-        self.nodes, self.node_ids, self.rng = nodes, node_ids, rng
-        sink = config.sink_node_id
+        self.node_ids, self.rng = node_ids, rng
+        sink, guard = config.sink_node_id, config.glossy_guard_time
         self.sources = tuple(n for n in node_ids if n != sink)
-        self.drifting = [(n, state) for n, state in nodes.items() if state.drift_ppm]
+        cuts = sorted((least_gap(d, guard), n) for n, d in drifts.items() if d)
+        self.drift_cuts = [gap for gap, _ in cuts]  # ascending least desyncing gaps
+        self.drift_prefix = [0]  # [i]: the drifting nodes of the first i cuts, [-1] all
+        for _, n in cuts:
+            self.drift_prefix.append(self.drift_prefix[-1] | 1 << n)
+        self.synced_at: dict[int, int] = {}  # round start -> drifting nodes synced last then
         self.all_nodes = Topology.mask_of(node_ids)
         self.bootstrap = self.all_nodes & ~(1 << sink)  # nodes in bootstrap, never the sink
         self.granted = 0  # nodes that heard their slot grant
         self.now = self.round_index = 0
         self.next_sequence = 0  # every source generates sequence s at s * IPI
+        self.queue_start = dict.fromkeys(self.sources, 0)  # source -> oldest queued sequence
+        self.gen_rounds: list[int] = []  # round of each of the last QUEUE_CAPACITY sequences
         self.announced_slots: dict[int, tuple[int, int]] = {}  # slot -> (distance, forwarders)
         self.wake_counts: Counter = Counter()  # node -> announced slots waking it
         self.distances: list[int] = []  # hop h -> nodes at sink distance h
@@ -247,7 +270,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     clock, the operational round counter and the request block dynamics).
     """
     cfg, topo, sched = world.config, world.topology, world.schedule
-    nodes, rng, sink = world.nodes, world.rng, cfg.sink_node_id
+    rng, sink = world.rng, cfg.sink_node_id
     fs_mode, group = cfg.forwarder_selection, cfg.rr_group_size
     if header.n_rr % group != 0:
         raise SimulationError(
@@ -256,35 +279,26 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if header.n_data > len(sched.slot_owner):
         raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
 
-    t, guard, loss = world.now, cfg.glossy_guard_time, cfg.loss_probability
-    generated: list[tuple[int, int]] = []
-    dropped: list[int] = []
-    desynced: list[int] = []
+    t, loss = world.now, cfg.loss_probability
+    generated, dropped = [], []  # (node, round) pairs; node ids
 
     # Before the sync flood, every node but the sink queues the packets due
-    # by t as the lengths of their "node:seq" texts, dropping its oldest on
-    # overflow, and a synced node whose accumulated offset left the guard
-    # window cannot hit the sync slot any more and falls back to bootstrap.
-    due = [1 + len(str(s)) for s in range(world.next_sequence, t // cfg.ipi + 1)]
-    world.next_sequence += len(due)
+    # by t, dropping its oldest on overflow, and a synced node whose
+    # accumulated offset left the guard window cannot hit the sync slot any
+    # more and falls back to bootstrap (the groups are disjoint: sum is OR).
+    due = range(world.next_sequence, t // cfg.ipi + 1)
     if due:
-        limit, index = cfg.queue_capacity, world.round_index
+        limit, index, start = cfg.queue_capacity, world.round_index, world.queue_start
+        world.next_sequence = due.stop
+        world.gen_rounds = (world.gen_rounds + [index] * min(len(due), limit))[-limit:]
         generated = [(node_id, index) for node_id in world.sources for _ in due]
-        # this round's packets per "node:" length; node ids have at most 5 digits
-        batches = [[(index, head + tail) for tail in due] for head in range(6)]
-        for node_id in world.sources:
-            queue = nodes[node_id].queue
-            queue.extend(batches[len(str(node_id))])
-            for _ in range(len(queue) - limit):
-                queue.popleft()
-                dropped.append(node_id)
-    bootstrap = world.bootstrap
-    for node_id, state in world.drifting:
-        if not bootstrap >> node_id & 1 and (
-            (t - state.last_sync) * abs(state.drift_ppm) * 1e-6 > guard
-        ):
-            bootstrap |= 1 << node_id
-            desynced.append(node_id)
+        floor = due.stop - limit  # the oldest sequence a full queue keeps
+        if min(start.values(), default=floor) < floor:
+            dropped = [n for n, first in start.items() for _ in range(floor - first)]
+            world.queue_start = {n: max(first, floor) for n, first in start.items()}
+    groups, cuts, prefix = world.synced_at, world.drift_cuts, world.drift_prefix
+    lost = sum(g & prefix[bisect_right(cuts, t - since)] for since, g in groups.items())
+    bootstrap = world.bootstrap | lost
     synced = world.all_nodes & ~bootstrap
 
     # Sync slot. Synced nodes relay; bootstrap nodes have their radio on
@@ -295,9 +309,10 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     awake_mask = flood(topo, sink, synced, loss, rng).reached  # the active nodes
     joined = ids_of(awake_mask & bootstrap)
     world.bootstrap = bootstrap = bootstrap & ~awake_mask
-    for node_id, state in world.drifting:
-        if awake_mask >> node_id & 1:
-            state.last_sync = t
+    keep, fresh = ~(awake_mask | lost), awake_mask & world.drift_prefix[-1]
+    groups = world.synced_at = {s: rest for s, g in groups.items() if (rest := g & keep)}
+    if fresh:
+        groups[t] = fresh
     sync_awake = awake_mask | synced
     slots: list[SlotTrace] = [SyncSlot(t, sync_awake, awake_mask, sink)]
     t += cfg.sync_slot_length
@@ -316,20 +331,19 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
     # have to relay them.
-    capacity = cfg.data_slot_capacity()
     for _ in range(header.n_rr // group):
-        contenders = ids_of(awake_mask & ~(world.granted | 1 << sink))
+        contenders = awake_mask & ~(world.granted | 1 << sink)
         winner = contend(contenders, cfg.contention_policy, rng)
         fo = None if winner is None else flood(topo, winner, awake_mask, loss, rng)
         heard = winner if fo is not None and fo.received(sink) else None
-        slot(RequestSlot, fo, len(contenders), winner, heard is not None)
+        slot(RequestSlot, fo, contenders.bit_count(), winner, heard is not None)
 
         # reply slot: the sink grants the heard requester a data slot
         fo, fields, announce_source = None, (), None
         if heard is not None:
             slots_before = len(sched.slot_owner)
             try:
-                assigned = sink_assign(sched, heard, capacity)
+                assigned = sink_assign(sched, heard, cfg.data_slot_capacity())
             except SlotCapacityError:
                 fields = (heard, None, False, False, True)
             else:
@@ -368,17 +382,20 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     owners, announced = sched.slot_owner, world.announced_slots
     knowing = awake_mask & world.granted  # active owners that know their slot
     members = awake_mask
+    start, stop, gen_rounds = world.queue_start, world.next_sequence, world.gen_rounds
     for slot_id in range(header.n_data):
         owner = owners[slot_id]
         if announced:
             members = data_participants(awake_mask, announced, slot_id, owner, sink)
         if knowing >> owner & 1:
-            queue = nodes[owner].queue
-            gen_round, payload_len = queue.popleft() if queue else (None, 0)
+            seq = start[owner]  # its oldest packet, popped when queued
+            queued = seq < stop
+            start[owner] = seq + queued
             reached = flood(topo, owner, members, loss, rng).reached
             slots.append(DataSlot(
-                t, members, reached & members, owner, slot_id, owner, payload_len, gen_round,
-                reached >> sink & 1 == 1 and gen_round is not None,
+                t, members, reached & members, owner, slot_id, owner,
+                len(str(owner)) + 1 + len(str(seq)) if queued else 0,
+                gen_rounds[seq - stop] if queued else None, reached >> sink & 1 == 1 and queued,
             ))
         else:
             slots.append(DataSlot(t, members, 0, None, slot_id, owner))
@@ -396,7 +413,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
-        joined=joined, desynced=desynced, bootstrap=ids_of(bootstrap),
+        joined=joined, desynced=ids_of(lost), bootstrap=ids_of(bootstrap),
         generated=generated, dropped=dropped,
     )
     world.now += header.round_period

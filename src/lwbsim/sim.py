@@ -25,7 +25,6 @@ from typing import Callable, Hashable, Iterable, Iterator, TextIO
 from .config import SimConfig
 from .core import (
     PHASE_STABILIZATION,
-    NodeState,
     SinkSchedule,
     advance_phase,
     last_round_start,
@@ -33,7 +32,7 @@ from .core import (
     update_rr_dynamics,
 )
 from .engine import RoundTrace, SlotTrace, World, execute_round
-from .errors import ConfigError, TopologyError
+from .errors import ConfigError, SimulationError, TopologyError
 from .forwarding import data_participants
 from .glossy import ids_of
 from .metrics import RunMetrics
@@ -74,13 +73,9 @@ def build_world(config: SimConfig, topology: Topology) -> World:
     sink = config.sink_node_id
     rng = random.Random(config.seed)
     lo, hi = config.drift_ppm_range
-    nodes: dict[int, NodeState] = {}
-    for node in sorted(topology.nodes):
-        drift = 0.0
-        if node != sink and (lo, hi) != (0.0, 0.0):
-            drift = rng.uniform(lo, hi)
-        nodes[node] = NodeState(drift_ppm=drift)
-    return World(topology, config, SinkSchedule(), nodes, tuple(nodes), rng)
+    node_ids = tuple(sorted(topology.nodes))
+    drifts = {node: rng.uniform(lo, hi) for node in node_ids if (lo or hi) and node != sink}
+    return World(topology, config, SinkSchedule(), node_ids, rng, drifts)
 
 
 def run_simulation(
@@ -226,10 +221,15 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
                     text(awake), text(received), seq,
                 )
             else:
+                missed = ""
+                if received != awake:
+                    missed_mask = awake ^ received  # awake & ~received if no stray bit
+                    if missed_mask & received:  # a stray receiver schema 2 cannot write
+                        raise SimulationError(f"slot at t={slot.t} received off its awake set")
+                    missed = text(missed_mask)
                 yield _slot_line(slot, (
                     trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator),
-                    "" if awake == active else awake_part(awake),
-                    "" if received == awake else text(awake & ~received),
+                    "" if awake == active else awake_part(awake), missed,
                 ), seq)
             seq += 1
         yield _ROUND_HEAD % (
@@ -258,7 +258,8 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     set, the sync slot's received ids) and missed (its awake ids that did
     not receive); then its type's fields in _slot_line's order, and seq. A
     round record has the keys of _ROUND_HEAD and _ROUND_TAIL. traces may
-    be any iterable of rounds.
+    be any iterable of rounds. A slot other than sync that received on a
+    node it was not awake on cannot be written: SimulationError.
     """
     return "".join(_trace_pieces(traces))
 

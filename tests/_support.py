@@ -3,8 +3,8 @@ generation, and oracles that share no code with the simulator: a plain
 breadth-first search, the shortest-path forwarder set, the set-based
 flood wave loop the bitmask kernel replaced, the per-node forwarder
 selection walks the hop masks replaced, the dict-per-record schema-1
-JSONL renderer, and a reader that turns a schema-2 trace back into
-schema-1 records."""
+JSONL renderer, a reader that turns a schema-2 trace back into schema-1
+records, and per-node views of the world's run state."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import random
 from collections import deque
 from typing import Iterable, Iterator
 
-from lwbsim.engine import RoundTrace, SlotTrace
+from lwbsim.engine import RoundTrace, SlotTrace, World
 from lwbsim.glossy import FloodOutcome
 from lwbsim.topology import Topology
 
@@ -298,3 +298,42 @@ def schema1_text(text: str) -> str:
     """A schema-2 trace rebuilt by read_trace and written the way
     reference_render_trace writes: equal to it for a lossless reader."""
     return dump_records(read_trace(text))
+
+
+# Per-node views of the run state the world keeps as masks and windows, in
+# the shape the per-node state objects had.
+
+
+def sync_node(world: World, node: int, since: int = 0) -> None:
+    """Take node out of bootstrap as if it last heard a sync flood in the
+    round starting at since; the clock guard checks it only if it drifts."""
+    bit = 1 << node
+    world.bootstrap &= ~bit
+    groups = {start: mask & ~bit for start, mask in world.synced_at.items()}
+    if world.drift_prefix[-1] & bit:
+        groups[since] = groups.get(since, 0) | bit
+    world.synced_at = {start: mask for start, mask in groups.items() if mask}
+
+
+def last_sync_of(world: World, node: int) -> int | None:
+    """Start of the round whose sync a synced drifting node last heard,
+    None for every other node."""
+    return next((start for start, mask in world.synced_at.items() if mask >> node & 1), None)
+
+
+def desync_gap_of(world: World, node: int) -> int | None:
+    """The least gap since its last sync at which a drifting node fails the
+    clock guard, None for a node that does not drift."""
+    prefix = world.drift_prefix
+    first = next((i for i, mask in enumerate(prefix) if mask >> node & 1), None)
+    return None if first is None else world.drift_cuts[first - 1]
+
+
+def queue_of(world: World, node: int) -> list[tuple[int, int]]:
+    """A source's queued packets, oldest first, as (round generated, length
+    of its "node:seq" text)."""
+    stop = world.next_sequence
+    return [
+        (world.gen_rounds[seq - stop], len(f"{node}:{seq}"))
+        for seq in range(world.queue_start[node], stop)
+    ]

@@ -30,6 +30,7 @@ from _support import (
     random_connected_topology,
     reachable_hops,
     shortest_path_forwarders,
+    sync_node,
 )
 
 US_SECOND = 1_000_000
@@ -217,8 +218,7 @@ def test_criterion_5_guard_window_boundary():
         # one sync-only round gap_s after node 2's last sync, at 100 ppm
         cfg = SimConfig(drift_ppm_range=(100.0, 100.0))
         world = build_world(cfg, line_topology(2))
-        world.bootstrap &= ~(1 << 2)
-        world.nodes[2].last_sync = 0
+        sync_node(world, 2)
         world.now = gap_s * US_SECOND
         return execute_round(world, SyncHeader(US_SECOND, 0, 0)).desynced == [2]
 

@@ -20,6 +20,7 @@ from lwbsim.core import (
 )
 from lwbsim.engine import AnnounceSlot, DataSlot, ReplySlot, RequestSlot, SyncSlot
 from lwbsim.errors import SimulationError, SlotCapacityError
+from lwbsim.topology import Topology
 
 
 class TestAdvancePhase:
@@ -95,39 +96,67 @@ class TestDataRoundCadence:
         assert pattern == [True, False, True, False]
 
 
+_mask = Topology.mask_of
+
+
+def _old_contend(ids, policy, rng):
+    """The list-based contention the mask version replaced."""
+    pool = sorted(set(ids))
+    if not pool:
+        return None
+    if len(pool) == 1:
+        return pool[0]
+    if policy == "capture":
+        return pool[rng.randrange(len(pool))]
+    return None
+
+
 class TestContend:
     def test_empty_slot(self):
-        assert contend([], "capture", random.Random(0)) is None
+        assert contend(_mask([]), "capture", random.Random(0)) is None
 
     def test_single_contender_needs_no_draw(self):
         class Boom(random.Random):
             def randrange(self, *a):
                 raise AssertionError("drew for a solo contender")
 
-        assert contend([5], "capture", Boom()) == 5
+        assert contend(_mask([5]), "capture", Boom()) == 5
 
     def test_capture_picks_uniform_winner(self):
         rng = random.Random(11)
         wins = {3: 0, 7: 0, 9: 0}
         for _ in range(3000):
-            wins[contend({9, 3, 7}, "capture", rng)] += 1
+            wins[contend(_mask({9, 3, 7}), "capture", rng)] += 1
         for count in wins.values():
             assert 850 <= count <= 1150
 
     def test_capture_is_order_independent(self):
-        a = contend([9, 3, 7], "capture", random.Random(6))
-        b = contend([3, 7, 9], "capture", random.Random(6))
+        a = contend(_mask([9, 3, 7]), "capture", random.Random(6))
+        b = contend(_mask([3, 7, 9]), "capture", random.Random(6))
         assert a == b
 
     def test_collision_destroys_multiple(self):
-        assert contend([3, 7], "collision", random.Random(0)) is None
+        assert contend(_mask([3, 7]), "collision", random.Random(0)) is None
 
     def test_collision_lets_single_through(self):
-        assert contend([3], "collision", random.Random(0)) == 3
+        assert contend(_mask([3]), "collision", random.Random(0)) == 3
 
     def test_unknown_policy(self):
         with pytest.raises(SimulationError):
-            contend([1, 2], "shove", random.Random(0))
+            contend(_mask([1, 2]), "shove", random.Random(0))
+
+    @pytest.mark.parametrize("policy", ["capture", "collision"])
+    def test_mask_matches_the_sorted_id_list(self, policy):
+        # same winner and same rng state after the call: one draw only for
+        # capture among two or more contenders
+        pick = random.Random(9)
+        id_sets = [[], [1], [65535], [4, 2], [3, 150, 77], list(range(2, 151))]
+        id_sets += [pick.sample(range(1, 65536), k) for k in (2, 3, 5, 40, 300) for _ in range(4)]
+        for ids in id_sets:
+            for seed in range(25):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert contend(_mask(ids), policy, ours) == _old_contend(ids, policy, theirs)
+                assert ours.getstate() == theirs.getstate()
 
 
 class TestSinkAssign:

@@ -10,13 +10,15 @@ from lwbsim.core import SyncHeader
 from lwbsim import engine
 from lwbsim.engine import (
     AnnounceSlot, DataSlot, ReplySlot, RequestSlot, SlotTrace, SyncSlot, _radio_totals,
-    execute_round,
+    execute_round, least_gap,
 )
 from lwbsim.errors import SimulationError
 from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
 
-from _support import line_topology, random_connected_topology
+from _support import (
+    last_sync_of, line_topology, queue_of, random_connected_topology, sync_node,
+)
 
 US_SLOT = 15_000
 US_SECOND = 1_000_000
@@ -145,8 +147,7 @@ def _synced_pair(drift, guard=GUARD):
     """A 2-node line whose node 2 drifts by drift ppm and last synced at 0."""
     cfg = SimConfig(drift_ppm_range=(drift, drift), glossy_guard_time=guard)
     world = build_world(cfg, line_topology(2))
-    world.bootstrap &= ~(1 << 2)
-    world.nodes[2].last_sync = 0
+    sync_node(world, 2)
     return world
 
 
@@ -194,15 +195,16 @@ class TestClockGuardInRounds:
         assert trace.desynced == []
 
     def test_sync_sets_last_sync_to_round_start(self):
-        # last_sync is kept for drifting nodes only; 1 ppm over 7 s is 7 us,
-        # far inside the guard
+        # last sync is kept for synced drifting nodes only; 1 ppm over 7 s
+        # is 7 us, far inside the guard
         world = build_world(SimConfig(drift_ppm_range=(1.0, 1.0)), line_topology(3))
         world.now = 7 * US_SECOND
         trace = execute_round(world, _sync_only_header())
         assert trace.joined == [2]
-        assert world.nodes[2].last_sync == trace.t_start == 7 * US_SECOND
+        assert last_sync_of(world, 2) == trace.t_start == 7 * US_SECOND
         # node 3 heard no sync: the flood stopped at bootstrap node 2
-        assert world.nodes[3].last_sync == 0
+        assert last_sync_of(world, 3) is None
+        assert world.synced_at == {7 * US_SECOND: 1 << 2}
 
     def test_rejoin_restores_margin(self):
         world = _synced_pair(100.0)
@@ -214,6 +216,34 @@ class TestClockGuardInRounds:
         trace = execute_round(world, _sync_only_header())
         assert trace.desynced == []
         assert not world.bootstrap >> 2 & 1
+
+
+def _old_guard_fails(gap, drift, guard):
+    """The per-node clock guard test the thresholds replaced, verbatim."""
+    return gap * abs(drift) * 1e-6 > guard
+
+
+class TestLeastGap:
+    def test_threshold_is_exact_under_the_old_float_test(self):
+        rng = random.Random(22)
+        drifts = [1e-3, -1e-3, 1e6, -1e6, 1e6 - 1e-9, -(1e6 - 1e-9), 999_999.5, 100.0, -500.0]
+        guards = [0, 1, 2000, 1999, 2001, 10**7]
+        pairs = [(d, g) for d in drifts for g in guards]
+        while len(pairs) < 2000:
+            # mostly log-uniform magnitudes from 1e-3 to 1e6 ppm, some uniform
+            magnitude = 10 ** rng.uniform(-3, 6) if rng.random() < 0.8 else rng.uniform(0, 1e6)
+            drift = rng.choice((-1, 1)) * magnitude
+            guard = rng.choice((0, rng.randrange(1, 100), rng.randrange(10**7)))
+            pairs.append((drift or 1e-3, guard))
+        for drift, guard in pairs:
+            gap = least_gap(drift, guard)
+            assert _old_guard_fails(gap, drift, guard), (drift, guard, gap)
+            assert not _old_guard_fails(gap - 1, drift, guard), (drift, guard, gap)
+
+    @pytest.mark.parametrize("drift, guard", [(1e-300, 2000), (5e-324, 1), (1e-12, 10**7)])
+    def test_no_threshold_in_reach_is_two_to_the_62(self, drift, guard):
+        assert least_gap(drift, guard) == 1 << 62
+        assert not _old_guard_fails((1 << 62) - 1, drift, guard)
 
 
 class TestRequestBlock:
@@ -274,8 +304,8 @@ class TestDataSlots:
         execute_round(world, _sync_only_header())
         execute_round(world, SyncHeader(US_SECOND, 2, 0))
         if not generate:
-            world.nodes[2].queue.clear()
-            world.next_sequence = 10**15
+            # an empty queue, and no packet due before the test ends
+            world.queue_start[2] = world.next_sequence = 10**15
         return world
 
     def test_owner_delivers_queued_packet(self):
@@ -290,6 +320,7 @@ class TestDataSlots:
 
     def test_dry_queue_sends_keepalive(self):
         world = self._world_with_slot(generate=False)
+        assert queue_of(world, 2) == []
         trace = execute_round(world, SyncHeader(5 * US_SECOND, 0, 1))
         data = trace.slots[1]
         assert data.payload_len == 0
@@ -327,7 +358,7 @@ class TestGenerationAndQueue:
         assert dropped == [2]
         # the queued packet is the newer one
         assert [g for t in result.traces for g in t.generated] == [(2, 0), (2, 5)]
-        assert list(result.world.nodes[2].queue)[0][0] == 5
+        assert queue_of(result.world, 2)[0][0] == 5
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_queues_follow_a_packet_by_packet_model(self, capacity):
@@ -363,13 +394,40 @@ class TestGenerationAndQueue:
                     assert (slot.gen_round, slot.payload_len) == sent
             assert trace.generated == generated
             assert trace.dropped == dropped
-            assert {n: list(world.nodes[n].queue) for n in sources} == model
+            assert {n: queue_of(world, n) for n in sources} == model
             drops.extend(dropped)
 
         result = run_simulation(cfg, topo, on_round=check)
         assert len(sources) >= 3
         assert drops and len(set(drops)) == len(sources)
         assert sum(s.delivered for s in result.metrics.sources.values()) > 0
+
+    @pytest.mark.parametrize("ipi_s", [5, 7])
+    def test_round_memory_stays_within_capacity(self, ipi_s):
+        # the queues fill up through cool-off and drain in operation
+        cfg = SimConfig(
+            ipi=ipi_s * US_SECOND, queue_capacity=3, cooloff_period=40 * US_SECOND,
+            duration=600 * US_SECOND,
+        )
+        sizes = []
+
+        def check(world, trace):
+            assert len(world.gen_rounds) <= cfg.queue_capacity
+            assert all(len(queue_of(world, n)) <= cfg.queue_capacity for n in world.sources)
+            sizes.append(len(world.gen_rounds))
+
+        run_simulation(cfg, line_topology(4), on_round=check)
+        assert max(sizes) == cfg.queue_capacity
+
+    def test_late_round_queues_only_the_newest_packets(self):
+        # eleven sequences fall due at once; each queue keeps the last three
+        world = build_world(SimConfig(queue_capacity=3), line_topology(3))
+        world.now = 100 * US_SECOND
+        trace = execute_round(world, _sync_only_header())
+        assert trace.generated == [(2, 0)] * 11 + [(3, 0)] * 11
+        assert trace.dropped == [2] * 8 + [3] * 8
+        assert queue_of(world, 2) == [(0, len("2:8")), (0, len("2:9")), (0, len("2:10"))]
+        assert world.gen_rounds == [0, 0, 0]
 
     def test_line_totals_at_capacity_one(self):
         # totals of a 3-node line whose queues overflow through cool-off

@@ -12,8 +12,10 @@ import pytest
 
 from lwbsim.config import SimConfig
 from lwbsim.core import last_round_start
-from lwbsim.engine import AnnounceSlot, DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot
-from lwbsim.errors import ConfigError, TopologyError
+from lwbsim.engine import (
+    AnnounceSlot, DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot, least_gap,
+)
+from lwbsim.errors import ConfigError, SimulationError, TopologyError
 from lwbsim.glossy import ids_of
 from lwbsim.sim import (
     build_world,
@@ -27,6 +29,7 @@ from lwbsim.topology import Topology
 
 from _support import (
     SCHEMA_HEADER,
+    desync_gap_of,
     diamond_pendant,
     line_topology,
     random_connected_topology,
@@ -126,7 +129,7 @@ class TestDeterminism:
         topo = line_topology(4)
         plain = run_simulation(cfg, topo)
         world = build_world(cfg, topo)
-        assert all(n.drift_ppm == 0.0 for n in world.nodes.values())
+        assert world.drift_cuts == [] and world.drift_prefix == [0]
         assert render_trace(plain.traces) == render_trace(
             run_simulation(cfg, topo).traces
         )
@@ -136,8 +139,10 @@ class TestDeterminism:
         world = build_world(cfg, line_topology(4))
         rng = random.Random(6)
         expected = [rng.uniform(10.0, 20.0) for _ in range(3)]
-        assert [world.nodes[n].drift_ppm for n in (2, 3, 4)] == expected
-        assert world.nodes[1].drift_ppm == 0.0
+        gaps = [least_gap(drift, cfg.glossy_guard_time) for drift in expected]
+        assert [desync_gap_of(world, n) for n in (2, 3, 4)] == gaps
+        assert len(set(gaps)) == 3  # so the gaps tell the draws apart
+        assert desync_gap_of(world, 1) is None
 
 
 class TestTraceOutput:
@@ -317,6 +322,26 @@ class TestRenderOracle:
         text = render_trace(traces)
         assert schema1_text(text) == reference_render_trace(traces)
         assert '"winner":1,' in text and '"payload_len":0,"gen_round":1,' in text
+
+    @pytest.mark.parametrize("awake_ids", [[1, 2], [1]])
+    def test_receiver_outside_the_awake_set_is_refused(self, awake_ids):
+        # schema 2 writes only the awake ids that missed, so a receiver
+        # outside the awake set has no place in the text and must not be
+        # dropped without a word
+        both, awake = Topology.mask_of([1, 2]), Topology.mask_of(awake_ids)
+        stray = Topology.mask_of([1, 3])
+        for slot in (
+            DataSlot(1, awake, stray, 1, slot_id=0, owner=1),
+            RequestSlot(1, awake, stray, 1, contender_count=1, winner=1, delivered=True),
+        ):
+            traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
+            with pytest.raises(SimulationError, match="t=1 received off its awake set"):
+                render_trace(traces)
+        # receiving on all or part of the awake set is fine
+        for received in (awake, 1 << 1):
+            slot = DataSlot(1, awake, received, 1, slot_id=0, owner=1)
+            traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
+            assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
     @pytest.mark.parametrize("fs", [False, True])
     @pytest.mark.parametrize("loss", [0.0, 0.3])
@@ -689,13 +714,14 @@ class TestRadioAccounting:
 
 
 class TestSharedRoundLists:
-    """The engine walks world.nodes in dict order and hands the sync flood's
-    receivers, as one mask, to the sync slot and the request block."""
+    """The world lists its nodes in ascending id order and the engine hands
+    the sync flood's receivers, as one mask, to the sync slot and the
+    request block."""
 
     def test_world_nodes_are_in_ascending_id_order(self):
         topo = Topology.from_edges([(100, 1), (1, 40), (40, 9), (9, 33), (33, 64)])
         world = build_world(SimConfig(), topo)
-        assert list(world.nodes) == sorted(topo.nodes)
+        assert list(world.node_ids) == sorted(topo.nodes)
 
     def test_lossless_sync_and_request_block_share_one_list(self):
         cfg = SimConfig(duration=40 * US_SECOND)
@@ -841,7 +867,7 @@ class TestRoundState:
             for n in trace.joined:
                 assert previous >> n & 1 or n in trace.desynced
             for n in trace.desynced:  # synced drifting nodes only
-                assert world.nodes[n].drift_ppm != 0.0
+                assert world.drift_prefix[-1] >> n & 1
                 assert not previous >> n & 1
             for ids in (trace.bootstrap, trace.joined, trace.desynced):
                 assert sink not in ids
@@ -896,27 +922,43 @@ class TestMetricsFold:
 
 
 class TestHeldOutScale:
-    """Render digests of two 150-node runs on the benchmark's graph recipe
-    (random attachment tree, extra edges with probability 4/150, every node
-    within 8 hops of the sink) at seed 7, recorded before the slot kinds
-    became classes: the benchmark's own fingerprints pin only seed 1. The
-    digests are of schema-1 text, which read_trace rebuilds from the
-    schema-2 render, so they pin every simulated value across the schema
-    change."""
+    """Render digests of runs on the benchmark's graph recipe (random
+    attachment tree, extra edges with probability 4/n, every node within 8
+    hops of the sink) at seed 7: the benchmark's own fingerprints pin only
+    seed 1. The two 150-node digests were recorded before the slot kinds
+    became classes, the drifting 100-node one before the drift guard,
+    queues and contenders became masks. The digests are of schema-1 text,
+    which read_trace rebuilds from the schema-2 render, so they pin every
+    simulated value across the schema change."""
 
     @pytest.mark.parametrize(
-        "fs, loss, seconds, digest",
+        "nodes, settings, digest",
         [
-            (False, 0.0, 600, "7db314489e68025d43aac3bb4d5b907ecff42041b5c0ef8b1237595abe8bfd64"),
-            (True, 0.1, 450, "602b6829cba6597b074a9d9c883af638d9fe69037e396489133d98d47c307873"),
+            (
+                150, dict(ipi=10 * US_SECOND, duration=600 * US_SECOND),
+                "7db314489e68025d43aac3bb4d5b907ecff42041b5c0ef8b1237595abe8bfd64",
+            ),
+            (
+                150, dict(
+                    forwarder_selection=True, loss_probability=0.1, ipi=10 * US_SECOND,
+                    duration=450 * US_SECOND,
+                ),
+                "602b6829cba6597b074a9d9c883af638d9fe69037e396489133d98d47c307873",
+            ),
+            (
+                100, dict(
+                    loss_probability=0.1, drift_ppm_range=(-300.0, 300.0), ipi=60 * US_SECOND,
+                    duration=1800 * US_SECOND,
+                ),
+                "4ed1fc2d486e6d98143ed098eea93f8888f0068719aa329eb97c6fc57fb7aadc",
+            ),
         ],
-        ids=["lwb-loss0", "fs-lwb-loss0.1"],
+        ids=["lwb-loss0", "fs-lwb-loss0.1", "lwb-drift"],
     )
-    def test_render_digest(self, fs, loss, seconds, digest):
-        topo = random_connected_topology(random.Random(7), 150, extra_edge_prob=4 / 150, max_ecc=8)
-        cfg = SimConfig(
-            forwarder_selection=fs, loss_probability=loss, ipi=10 * US_SECOND,
-            duration=seconds * US_SECOND, seed=7,
+    def test_render_digest(self, nodes, settings, digest):
+        topo = random_connected_topology(
+            random.Random(7), nodes, extra_edge_prob=4 / nodes, max_ecc=8
         )
+        cfg = SimConfig(seed=7, **settings)
         text = schema1_text(render_trace(run_simulation(cfg, topo).traces))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
