@@ -151,14 +151,6 @@ class SimConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
-    def to_text(self) -> str:
-        """Serialize so that parse_config() reproduces this config."""
-        lines = [
-            f"{key} = {fmt(getattr(self, name))}"
-            for key, (name, _, fmt) in CONFIG_KEYS.items()
-        ]
-        return "\n".join(lines) + "\n"
-
 
 FIELDS = tuple(SimConfig.__annotations__)  # the annotated class attributes, in order
 
@@ -180,35 +172,26 @@ def _parse_drift(value: str) -> tuple[float, float]:
     return (-r, r)
 
 
-def _format_drift(value: tuple[float, float]) -> str:
-    lo, hi = value
-    return f"{lo!r}:{hi!r}"
-
-
-_DURATION = (parse_duration, format_duration)
-_INT = (int, str)
-_WORD = (str.lower, str)
-
-# KEY -> (SimConfig field, parse, format), in to_text() order.
+# KEY -> (SimConfig field, parse)
 CONFIG_KEYS = {
-    "IPI": ("ipi", *_DURATION),
-    "MINIMUM_LWB_ROUND": ("minimum_lwb_round", *_DURATION),
-    "COOLOFF_PERIOD": ("cooloff_period", *_DURATION),
-    "STABILIZATION_PERIOD": ("stabilization_period", *_DURATION),
-    "MAX_PAYLOAD_LEN": ("max_payload_len", *_INT),
-    "SINK_NODE_ID": ("sink_node_id", *_INT),
-    "MAX_NODE_NUMBER": ("max_node_number", *_INT),
-    "FORWARDER_SELECTION": ("forwarder_selection", _parse_bool, lambda v: str(int(v))),
-    "GLOSSY_GUARD_TIME": ("glossy_guard_time", *_DURATION),
-    "SLOT_LENGTH": ("slot_length", *_DURATION),
-    "SYNC_SLOT_LENGTH": ("sync_slot_length", *_DURATION),
-    "LOSS_PROBABILITY": ("loss_probability", float, repr),
-    "DRIFT_PPM_RANGE": ("drift_ppm_range", _parse_drift, _format_drift),
-    "CONTENTION_POLICY": ("contention_policy", *_WORD),
-    "RR_REDUCTION_TRIGGER": ("rr_reduction_trigger", *_WORD),
-    "QUEUE_CAPACITY": ("queue_capacity", *_INT),
-    "SEED": ("seed", *_INT),
-    "DURATION": ("duration", *_DURATION),
+    "IPI": ("ipi", parse_duration),
+    "MINIMUM_LWB_ROUND": ("minimum_lwb_round", parse_duration),
+    "COOLOFF_PERIOD": ("cooloff_period", parse_duration),
+    "STABILIZATION_PERIOD": ("stabilization_period", parse_duration),
+    "MAX_PAYLOAD_LEN": ("max_payload_len", int),
+    "SINK_NODE_ID": ("sink_node_id", int),
+    "MAX_NODE_NUMBER": ("max_node_number", int),
+    "FORWARDER_SELECTION": ("forwarder_selection", _parse_bool),
+    "GLOSSY_GUARD_TIME": ("glossy_guard_time", parse_duration),
+    "SLOT_LENGTH": ("slot_length", parse_duration),
+    "SYNC_SLOT_LENGTH": ("sync_slot_length", parse_duration),
+    "LOSS_PROBABILITY": ("loss_probability", float),
+    "DRIFT_PPM_RANGE": ("drift_ppm_range", _parse_drift),
+    "CONTENTION_POLICY": ("contention_policy", str.lower),
+    "RR_REDUCTION_TRIGGER": ("rr_reduction_trigger", str.lower),
+    "QUEUE_CAPACITY": ("queue_capacity", int),
+    "SEED": ("seed", int),
+    "DURATION": ("duration", parse_duration),
 }
 
 VALID_KEYS = sorted(CONFIG_KEYS)
@@ -234,7 +217,7 @@ def parse_config(text: str) -> SimConfig:
         if key in first_line:
             raise ConfigError(f"line {lineno}: {key} already set on line {first_line[key]}")
         first_line[key] = lineno
-        name, parse, _ = CONFIG_KEYS[key]
+        name, parse = CONFIG_KEYS[key]
         try:
             values[name] = parse(val_raw.strip())
         except (ConfigError, ValueError) as exc:

@@ -34,8 +34,9 @@ keeps sink distances as hop masks in world.distances; an announce flood
 writes its slot's forwarder mask into announced_slots and counts the slot in
 wake_counts for each node it wakes. Every source makes sequence s at s *
 IPI, so a source's queue is the window from queue_start[n] to next_sequence;
-gen_rounds holds the rounds of the last QUEUE_CAPACITY sequences. A round's
-new assignments and capacity events are read from its reply slots.
+gen_rounds holds the rounds of the last QUEUE_CAPACITY sequences. A round
+stores how many sequences it made, not a pair per packet; its new
+assignments and capacity events are read from its reply slots.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -151,29 +152,26 @@ class DataSlot(SlotTrace):
 
 class RoundTrace:
     """Everything that happened in one round. radio_totals[i] is the
-    radio-on time of node node_ids[i]."""
+    radio-on time of node node_ids[i]; each of sources made new_sequences packets."""
 
     __slots__ = (
         "index", "t_start", "phase", "mode", "round_period", "n_rr", "n_data", "slots",
-        "node_ids", "radio_totals", "joined", "desynced", "bootstrap", "generated", "dropped",
+        "node_ids", "radio_totals", "joined", "desynced", "bootstrap", "sources",
+        "new_sequences", "dropped",
     )
 
     def __init__(
         self, index: int, t_start: int, phase: str, mode: str, round_period: int,
         n_rr: int, n_data: int, slots: list[SlotTrace], node_ids: tuple[int, ...],
         radio_totals: tuple[int, ...], joined: list[int], desynced: list[int],
-        bootstrap: list[int], generated: list[tuple[int, int]], dropped: list[int],
+        bootstrap: list[int], sources: tuple[int, ...], new_sequences: int, dropped: list[int],
     ) -> None:
         self.index, self.t_start, self.phase = index, t_start, phase
         self.mode, self.round_period, self.n_rr = mode, round_period, n_rr
         self.n_data, self.slots, self.node_ids = n_data, slots, node_ids
         self.radio_totals, self.joined, self.desynced = radio_totals, joined, desynced
-        self.bootstrap, self.dropped = bootstrap, dropped
-        self.generated = generated  # (node, round generated)
-
-    @property
-    def radio_on(self) -> dict[int, int]:
-        return dict(zip(self.node_ids, self.radio_totals))
+        self.bootstrap, self.sources, self.new_sequences = bootstrap, sources, new_sequences
+        self.dropped = dropped
 
     @property
     def new_assignments(self) -> list[tuple[int, int]]:
@@ -279,8 +277,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if header.n_data > len(sched.slot_owner):
         raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
 
-    t, loss = world.now, cfg.loss_probability
-    generated, dropped = [], []  # (node, round) pairs; node ids
+    t, loss, dropped = world.now, cfg.loss_probability, []  # dropped: node ids
 
     # Before the sync flood, every node but the sink queues the packets due
     # by t, dropping its oldest on overflow, and a synced node whose
@@ -291,7 +288,6 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         limit, index, start = cfg.queue_capacity, world.round_index, world.queue_start
         world.next_sequence = due.stop
         world.gen_rounds = (world.gen_rounds + [index] * min(len(due), limit))[-limit:]
-        generated = [(node_id, index) for node_id in world.sources for _ in due]
         floor = due.stop - limit  # the oldest sequence a full queue keeps
         if min(start.values(), default=floor) < floor:
             dropped = [n for n, first in start.items() for _ in range(floor - first)]
@@ -414,7 +410,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
         joined=joined, desynced=ids_of(lost), bootstrap=ids_of(bootstrap),
-        generated=generated, dropped=dropped,
+        sources=world.sources, new_sequences=len(due), dropped=dropped,
     )
     world.now += header.round_period
     world.round_index += 1

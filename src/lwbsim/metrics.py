@@ -88,8 +88,8 @@ class RunMetrics:
                 self._fold_rows()
             entry = self._rows[key] = [trace.node_ids, trace.radio_totals, 0]
         entry[2] += 1
-        for node, _ in trace.generated:
-            sources[node].generated += 1
+        for node in trace.sources if trace.new_sequences else ():
+            sources[node].generated += trace.new_sequences
         for node in trace.dropped:
             sources[node].dropped += 1
         for slot in trace.slots:

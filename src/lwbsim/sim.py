@@ -106,13 +106,19 @@ def run_simulation(
     return RunResult(config, topology, traces, metrics, world)
 
 
+RENDER_MEMO_CAP = 4096  # entries each memo of one render keeps
+
+
 class _Memo(dict):
-    """key -> make(key), made on the first lookup of each key."""
+    """key -> make(key), made on the first lookup of each key; past
+    RENDER_MEMO_CAP entries the oldest is dropped first."""
 
     def __init__(self, make: Callable[[Hashable], str]) -> None:
         self.make = make
 
     def __missing__(self, key: Hashable) -> str:
+        if len(self) >= RENDER_MEMO_CAP:
+            del self[next(iter(self))]
         value = self[key] = self.make(key)
         return value
 
@@ -237,12 +243,15 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
             trace.n_rr, trace.n_data,
         )
         yield radio_text((trace.node_ids, trace.radio_totals))
+        made = trace.new_sequences  # generated: made [node,round] pairs per source in turn
+        nodes = trace.sources if made < 2 else [n for n in trace.sources for _ in range(made)]
         yield _ROUND_TAIL % (
             ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
             ",".join(map(name, trace.joined)),
             ",".join(map(name, trace.desynced)),
             ",".join(map(name, trace.bootstrap)),
-            ",".join(map("[%d,%d]".__mod__, trace.generated)),
+            "[%s,%d]" % ((",%d],[" % trace.index).join(map(name, nodes)), trace.index)
+            if made and nodes else "",
             ",".join(map(name, trace.dropped)), trace.capacity_events, seq,
         )
         seq += 1
@@ -260,8 +269,20 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     round record has the keys of _ROUND_HEAD and _ROUND_TAIL. traces may
     be any iterable of rounds. A slot other than sync that received on a
     node it was not awake on cannot be written: SimulationError.
+
+    The text grows by += in chunks of 64 KiB plus an eighth of its length:
+    CPython resizes it in place, so the peak is about one text, and where a
+    trace or profile function makes each += copy, the copies stay linear.
     """
-    return "".join(_trace_pieces(traces))
+    text, pending, size = "", [], 0
+    for piece in _trace_pieces(traces):
+        pending.append(piece)
+        size += len(piece)
+        if size > (1 << 16) + (len(text) >> 3):
+            text += "".join(pending)
+            pending, size = [], 0
+    text += "".join(pending)
+    return text
 
 
 def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite: canned graphs, random graph
-generation, and oracles that share no code with the simulator: a plain
-breadth-first search, the shortest-path forwarder set, the set-based
-flood wave loop the bitmask kernel replaced, the per-node forwarder
-selection walks the hop masks replaced, the dict-per-record schema-1
-JSONL renderer, a reader that turns a schema-2 trace back into schema-1
-records, and per-node views of the world's run state."""
+generation, a config writer that parse_config reads back, and oracles
+that share no code with the simulator: a plain breadth-first search, the
+shortest-path forwarder set, the set-based flood wave loop the bitmask
+kernel replaced, the per-node forwarder selection walks the hop masks
+replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
+a schema-2 trace back into schema-1 records, per-round views of a round's
+radio row and generated packets, and per-node views of the world's run
+state."""
 
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ import random
 from collections import deque
 from typing import Iterable, Iterator
 
+from lwbsim.config import CONFIG_KEYS, SimConfig
 from lwbsim.engine import RoundTrace, SlotTrace, World
 from lwbsim.glossy import FloodOutcome
 from lwbsim.topology import Topology
+from lwbsim.units import format_duration, parse_duration
 
 
 def adjacency(topo: Topology) -> dict[int, list[int]]:
@@ -93,6 +97,20 @@ def hops_of(outcome: FloodOutcome) -> dict[int, int]:
         for n in range(layer.bit_length())
         if layer >> n & 1
     }
+
+
+def to_text(config: SimConfig) -> str:
+    """A config document of every key, in CONFIG_KEYS order, that
+    parse_config reads back to an equal config."""
+    lines = []
+    for key, (name, parse) in CONFIG_KEYS.items():
+        value = getattr(config, name)
+        if parse is parse_duration:
+            value = format_duration(value)
+        elif isinstance(value, tuple):  # DRIFT_PPM_RANGE as low:high
+            value = "%r:%r" % value
+        lines.append(f"{key} = {int(value) if isinstance(value, bool) else value}")
+    return "\n".join(lines) + "\n"
 
 
 def line_topology(n: int) -> Topology:
@@ -224,15 +242,26 @@ def _round_record(trace: RoundTrace) -> dict:
         "period": trace.round_period,
         "n_rr": trace.n_rr,
         "n_data": trace.n_data,
-        "radio_on": {str(n): us for n, us in sorted(trace.radio_on.items())},
+        "radio_on": {str(n): us for n, us in sorted(radio_on_of(trace).items())},
         "new_assignments": [list(pair) for pair in trace.new_assignments],
         "joined": trace.joined,
         "desynced": trace.desynced,
         "bootstrap": trace.bootstrap,
-        "generated": [list(pair) for pair in trace.generated],
+        "generated": [list(pair) for pair in generated_of(trace)],
         "dropped": trace.dropped,
         "capacity_events": trace.capacity_events,
     }
+
+
+def radio_on_of(trace: RoundTrace) -> dict[int, int]:
+    """Node id -> radio-on microseconds of a round."""
+    return dict(zip(trace.node_ids, trace.radio_totals))
+
+
+def generated_of(trace: RoundTrace) -> list[tuple[int, int]]:
+    """The (node, round) pair of every packet a round made, node-major:
+    each of its sources made new_sequences packets in it."""
+    return [(n, trace.index) for n in trace.sources for _ in range(trace.new_sequences)]
 
 
 def trace_records(traces: list[RoundTrace]) -> Iterator[dict]:

@@ -17,7 +17,8 @@ from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
 
 from _support import (
-    last_sync_of, line_topology, queue_of, random_connected_topology, sync_node,
+    generated_of, last_sync_of, line_topology, queue_of, radio_on_of, random_connected_topology,
+    sync_node,
 )
 
 US_SLOT = 15_000
@@ -100,7 +101,7 @@ class TestBootstrapAndSync:
         trace = execute_round(world, _sync_only_header())
         assert trace.joined == [2]
         assert trace.bootstrap == []
-        assert trace.radio_on == {1: US_SLOT, 2: US_SLOT}
+        assert radio_on_of(trace) == {1: US_SLOT, 2: US_SLOT}
 
     def test_bootstrap_cascade_one_hop_per_round(self):
         # synced nodes relay the sync flood, bootstrap nodes only listen,
@@ -113,7 +114,7 @@ class TestBootstrapAndSync:
     def test_waiting_bootstrap_node_pays_full_round(self):
         cfg = SimConfig(duration=6 * US_SECOND)
         result = run_simulation(cfg, line_topology(6))
-        per_round = [trace.radio_on[6] for trace in result.traces[:5]]
+        per_round = [radio_on_of(trace)[6] for trace in result.traces[:5]]
         assert per_round == [US_SECOND] * 4 + [US_SLOT]
 
     def test_synced_node_missing_sync_sits_out(self):
@@ -127,7 +128,7 @@ class TestBootstrapAndSync:
         assert trace.joined == [2]
         sync_slot = trace.slots[0]
         assert sync_slot.received == [1, 2]
-        assert trace.radio_on[3] == US_SLOT
+        assert radio_on_of(trace)[3] == US_SLOT
         for slot in trace.slots[1:]:
             assert 3 not in slot.awake
             assert 3 not in slot.received
@@ -184,7 +185,7 @@ class TestClockGuardInRounds:
         assert trace.desynced == [2]
         assert trace.joined == [2]
         assert not world.bootstrap >> 2 & 1
-        assert trace.radio_on[2] == US_SLOT
+        assert radio_on_of(trace)[2] == US_SLOT
 
     def test_offset_at_exact_guard_keeps_node_synced(self):
         # 100 ppm over 20 s is exactly the 2 ms guard: not strictly over it
@@ -344,7 +345,7 @@ class TestGenerationAndQueue:
     def test_generation_follows_ipi(self):
         cfg = SimConfig(duration=21 * US_SECOND)
         result = run_simulation(cfg, line_topology(2))
-        generated = [g for trace in result.traces for g in trace.generated]
+        generated = [g for trace in result.traces for g in generated_of(trace)]
         # one packet at t=0, one at 10 s, one at 20 s
         assert [g[0] for g in generated] == [2, 2, 2]
         assert len(generated) == 3
@@ -357,7 +358,7 @@ class TestGenerationAndQueue:
         dropped = [d for trace in result.traces for d in trace.dropped]
         assert dropped == [2]
         # the queued packet is the newer one
-        assert [g for t in result.traces for g in t.generated] == [(2, 0), (2, 5)]
+        assert [g for t in result.traces for g in generated_of(t)] == [(2, 0), (2, 5)]
         assert queue_of(result.world, 2)[0][0] == 5
 
     @pytest.mark.parametrize("capacity", [1, 2])
@@ -392,7 +393,7 @@ class TestGenerationAndQueue:
                     queue = model[slot.owner]
                     sent = queue.pop(0) if queue else (None, 0)
                     assert (slot.gen_round, slot.payload_len) == sent
-            assert trace.generated == generated
+            assert generated_of(trace) == generated
             assert trace.dropped == dropped
             assert {n: queue_of(world, n) for n in sources} == model
             drops.extend(dropped)
@@ -424,7 +425,8 @@ class TestGenerationAndQueue:
         world = build_world(SimConfig(queue_capacity=3), line_topology(3))
         world.now = 100 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.generated == [(2, 0)] * 11 + [(3, 0)] * 11
+        assert trace.sources == world.sources and trace.new_sequences == 11
+        assert generated_of(trace) == [(2, 0)] * 11 + [(3, 0)] * 11
         assert trace.dropped == [2] * 8 + [3] * 8
         assert queue_of(world, 2) == [(0, len("2:8")), (0, len("2:9")), (0, len("2:10"))]
         assert world.gen_rounds == [0, 0, 0]
@@ -465,7 +467,7 @@ class TestRadioConservation:
         )
         result = run_simulation(cfg, topo)
         for trace in result.traces:
-            assert trace.radio_on == _awake_time(cfg, trace), f"round {trace.index}"
+            assert radio_on_of(trace) == _awake_time(cfg, trace), f"round {trace.index}"
 
     def test_new_assignments_bounded_by_request_slots(self):
         rng = random.Random(911)
@@ -514,10 +516,10 @@ class TestSharedRoundState:
     def test_radio_totals_share_one_int_per_value(self, fs):
         traces = self._lossy_run(fs).traces
         assert any(
-            len(set(t.radio_on.values())) < len(t.radio_on) - 1 for t in traces
+            len(set(radio_on_of(t).values())) < len(radio_on_of(t)) - 1 for t in traces
         )
         for trace in traces:
-            values = trace.radio_on.values()
+            values = radio_on_of(trace).values()
             assert len({id(v) for v in values}) == len(set(values)), trace.index
 
 
@@ -601,7 +603,7 @@ class TestRadioRowMemo:
         assert any(t.bootstrap for t in capped.traces)
         for trace, reference in zip(capped.traces, uncapped.traces, strict=True):
             assert trace.radio_totals == reference.radio_totals, trace.index
-            assert trace.radio_on == _awake_time(cfg, trace), trace.index
+            assert radio_on_of(trace) == _awake_time(cfg, trace), trace.index
 
 
 class TestRowsFromWakeCounts:
@@ -640,7 +642,7 @@ class TestRowsFromWakeCounts:
             if cap is not None:
                 assert len(result.world.radio_rows) == cap
             for trace in result.traces:
-                assert trace.radio_on == _awake_time(cfg, trace), trace.index
+                assert radio_on_of(trace) == _awake_time(cfg, trace), trace.index
                 for slot in trace.slots:
                     if slot.kind == "announce" and slot.source is not None and trace.n_data:
                         fresh += slot.slot_id >= trace.n_data

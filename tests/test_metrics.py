@@ -12,7 +12,9 @@ from lwbsim.metrics import PENDING_ROWS, RunMetrics, SourceStats, compare, rende
 from lwbsim.sim import run_simulation
 from lwbsim.topology import Topology
 
-from _support import diamond_pendant, line_topology, random_connected_topology
+from _support import (
+    diamond_pendant, generated_of, line_topology, radio_on_of, random_connected_topology,
+)
 
 US_SECOND = 1_000_000
 mask_of = Topology.mask_of
@@ -33,7 +35,8 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
         joined=[],
         desynced=[],
         bootstrap=[],
-        generated=[],
+        sources=(),
+        new_sequences=0,
         dropped=[],
     )
     defaults.update(kw)
@@ -128,11 +131,11 @@ class TestRunMetrics:
             gen_round=None,
             delivered=False,
         )
-        m.accumulate(
-            _round_trace(
-                0, {1: 0, 2: 0}, slots=[good, bad, keepalive], generated=[(2, 0), (2, 0)]
-            )
+        trace = _round_trace(
+            0, {1: 0, 2: 0}, slots=[good, bad, keepalive], sources=(2,), new_sequences=2
         )
+        assert generated_of(trace) == [(2, 0), (2, 0)]
+        m.accumulate(trace)
         stats = m.sources[2]
         assert stats.delivered == 1
         assert stats.lost == 1
@@ -141,7 +144,7 @@ class TestRunMetrics:
 
     def test_latency_counts_rounds_in_queue(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
-        m.accumulate(_round_trace(0, {1: 0, 2: 0}, generated=[(2, 0)]))
+        m.accumulate(_round_trace(0, {1: 0, 2: 0}, sources=(2,), new_sequences=1))
         data = DataSlot(
             t=0,
             awake_mask=mask_of([1, 2]),
@@ -174,7 +177,7 @@ class TestRowFold:
         running = dict.fromkeys(metrics.node_ids, 0)
         for trace in result.traces:
             metrics.accumulate(trace)
-            for node, us in trace.radio_on.items():
+            for node, us in radio_on_of(trace).items():
                 running[node] += us
             if trace.index < 10:
                 assert metrics.radio_on == running, trace.index

@@ -5,11 +5,14 @@ import hashlib
 import json
 import os
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from lwbsim import sim
 from lwbsim.config import SimConfig
 from lwbsim.core import last_round_start
 from lwbsim.engine import (
@@ -31,6 +34,7 @@ from _support import (
     SCHEMA_HEADER,
     desync_gap_of,
     diamond_pendant,
+    generated_of,
     line_topology,
     random_connected_topology,
     read_trace,
@@ -190,12 +194,12 @@ class TestTraceOutput:
 
 
 def _hand_built_round(index, slots, radio_on, **lists):
-    empty = dict.fromkeys(("joined", "desynced", "bootstrap", "generated", "dropped"), [])
+    empty = dict.fromkeys(("joined", "desynced", "bootstrap", "dropped"), [])
     return RoundTrace(
         index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
         round_period=US_SECOND, n_rr=0, n_data=0, slots=slots,
         node_ids=tuple(radio_on), radio_totals=tuple(radio_on.values()),
-        **{**empty, **lists},
+        **{**empty, "sources": (), "new_sequences": 0, **lists},
     )
 
 
@@ -231,8 +235,9 @@ class TestRenderOracle:
         assert {s.kind for s in slots} == kinds
         assert any(s.capacity_exceeded for s in slots)
         # the round record's lists are compared filled, not only empty
-        for field in ("joined", "new_assignments", "generated", "dropped"):
+        for field in ("joined", "new_assignments", "dropped"):
             assert any(getattr(t, field) for t in result.traces), field
+        assert any(generated_of(t) for t in result.traces)
         assert schema1_text(render_trace(result.traces)) == reference_render_trace(result.traces)
 
     @pytest.mark.parametrize("fs", [False, True])
@@ -262,7 +267,7 @@ class TestRenderOracle:
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
                 joined=[3, 250], desynced=[9],
-                bootstrap=[40, 1000], generated=[(3, 1), (77, 0)], dropped=[77],
+                bootstrap=[40, 1000], sources=(3, 77), new_sequences=2, dropped=[77],
             ),
         ]
         assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
@@ -962,3 +967,141 @@ class TestHeldOutScale:
         cfg = SimConfig(seed=7, **settings)
         text = schema1_text(render_trace(run_simulation(cfg, topo).traces))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _drifting_hour_run():
+    """The drifting 100-node case above for a simulated hour: the
+    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.8 MB text is
+    large enough that a render holding the text twice fails the bound of
+    test_peak_is_about_one_text."""
+    topo = random_connected_topology(random.Random(7), 100, extra_edge_prob=0.04, max_ecc=8)
+    cfg = SimConfig(
+        seed=7, loss_probability=0.1, drift_ppm_range=(-300.0, 300.0), ipi=60 * US_SECOND,
+        duration=3600 * US_SECOND,
+    )
+    return run_simulation(cfg, topo)
+
+
+def _render_peak(traces):
+    """(text, tracemalloc peak of render_trace above what was traced before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = render_trace(traces)
+        return text, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestRenderMemory:
+    """render_trace grows one text in place: about one text at its peak,
+    and under a profile function, where every += copies, still near two."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return _drifting_hour_run().traces
+
+    @pytest.mark.skipif(
+        sys.gettrace() is not None or sys.getprofile() is not None or tracemalloc.is_tracing(),
+        reason="a trace or profile function makes every += copy the text",
+    )
+    def test_peak_is_about_one_text(self, traces):
+        text, peak = _render_peak(traces)
+        assert len(text) > 2_000_000
+        assert peak <= 1.3 * len(text) + (1 << 20), (peak, len(text))
+
+    @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc already traces")
+    def test_profiled_render_stays_linear(self, traces):
+        plain = render_trace(traces)
+        outer = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            text, peak = _render_peak(traces)
+        finally:
+            sys.setprofile(outer)
+        assert text == plain
+        assert peak <= 2.3 * len(text), (peak, len(text))
+
+    def test_capped_memos_write_the_same_bytes(self, monkeypatch):
+        # a cap of 2 evicts on almost every lossy slot mask, so each id
+        # list and radio row is made again after it was dropped
+        monkeypatch.setattr(sim, "RENDER_MEMO_CAP", 2)
+        for name in GOLDENS:
+            golden = (DATA_DIR / name).read_text(encoding="utf-8")
+            assert render_trace(_golden_traces(name)) == golden, name
+        rng = random.Random(20)
+        topo = random_connected_topology(rng, 12, max_ecc=4)
+        cfg = SimConfig(
+            minimum_lwb_round=US_SECOND, ipi=US_SECOND, duration=20 * US_SECOND,
+            forwarder_selection=True, loss_probability=0.2, seed=20,
+        )
+        traces = run_simulation(cfg, topo).traces
+        assert len(traces) == 20
+        assert len({s.received_mask for t in traces for s in t.slots}) > 2
+        assert len({t.radio_totals for t in traces}) > 2
+        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+
+
+class TestGeneratedCounts:
+    """A round stores how many sequences each source made in it, not one
+    (node, round) pair per packet."""
+
+    @staticmethod
+    def _run():
+        # a 250 ms IPI makes four sequences in each 1 s round of cool-off
+        # and stabilization, more than the three a queue holds
+        topo = random_connected_topology(random.Random(11), 9, max_ecc=3)
+        cfg = SimConfig(
+            minimum_lwb_round=125_000, ipi=250_000, queue_capacity=3, loss_probability=0.1,
+            duration=30 * US_SECOND, seed=11,
+        )
+        return run_simulation(cfg, topo)
+
+    def test_render_matches_the_pair_list(self):
+        traces = self._run().traces
+        assert {t.new_sequences for t in traces} == {0, 1, 4}
+        assert any(t.dropped for t in traces)
+        text = render_trace(traces)
+        rendered = [rec for rec in read_trace(text) if rec["kind"] == "round"]
+        want = [json.loads(line) for line in reference_render_trace(traces).splitlines()]
+        want = [rec for rec in want if rec["kind"] == "round"]
+        assert [(r["generated"], r["dropped"]) for r in rendered] == [
+            (r["generated"], r["dropped"]) for r in want
+        ]
+        busy = next(t for t in traces if t.new_sequences > 1)
+        assert rendered[busy.index]["generated"] == [
+            [n, busy.index] for n in busy.sources for _ in range(busy.new_sequences)
+        ]
+        # rendered when every round still held one (node, round) pair per packet
+        digest = "4635f9b17a1d978f2f0d767f18f6fd63ff681c908191cbe5896190c29b77a1b0"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_sink_alone_generates_nothing(self):
+        # every round makes a sequence, but there is no source to make it
+        sink_only = Topology.from_edges([], isolated=[1])
+        traces = run_simulation(SimConfig(duration=12 * US_SECOND), sink_only).traces
+        assert traces[0].new_sequences == 1 and traces[0].sources == ()
+        text = render_trace(traces)
+        assert schema1_text(text) == reference_render_trace(traces)
+        assert '"generated":[]' in text.splitlines()[2]
+
+    def test_metrics_match_a_per_packet_fold(self):
+        result = self._run()
+        folded = {n: Counter() for n in result.metrics.sources}
+        for trace in result.traces:
+            for node, _ in generated_of(trace):
+                folded[node]["generated"] += 1
+            for node in trace.dropped:
+                folded[node]["dropped"] += 1
+            for slot in trace.slots:
+                if slot.kind == "data" and slot.gen_round is not None:
+                    folded[slot.owner]["delivered" if slot.delivered else "lost"] += 1
+        nodes = result.metrics.to_dict()["nodes"]
+        got = {n: (nodes[str(n)]["generated"], nodes[str(n)]["pending"]) for n in folded}
+        assert got == {
+            n: (c["generated"], c["generated"] - c["dropped"] - c["delivered"] - c["lost"])
+            for n, c in folded.items()
+        }
+        # folded when every round still held one (node, round) pair per packet
+        assert got == {2: (120, 3), 3: (120, 2), 4: (120, 3), 5: (120, 2), 6: (120, 3),
+                       7: (120, 2), 8: (120, 2), 9: (120, 2)}
