@@ -163,8 +163,9 @@ class RoundTrace:
     def __init__(
         self, index: int, t_start: int, phase: str, mode: str, round_period: int,
         n_rr: int, n_data: int, slots: list[SlotTrace], node_ids: tuple[int, ...],
-        radio_totals: tuple[int, ...], joined: list[int], desynced: list[int],
-        bootstrap: list[int], sources: tuple[int, ...], new_sequences: int, dropped: list[int],
+        radio_totals: tuple[int, ...], joined: tuple[int, ...], desynced: tuple[int, ...],
+        bootstrap: tuple[int, ...], sources: tuple[int, ...], new_sequences: int,
+        dropped: tuple[int, ...],
     ) -> None:
         self.index, self.t_start, self.phase = index, t_start, phase
         self.mode, self.round_period, self.n_rr = mode, round_period, n_rr
@@ -277,7 +278,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if header.n_data > len(sched.slot_owner):
         raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
 
-    t, loss, dropped = world.now, cfg.loss_probability, []  # dropped: node ids
+    t, loss, dropped = world.now, cfg.loss_probability, ()  # dropped: node ids
 
     # Before the sync flood, every node but the sink queues the packets due
     # by t, dropping its oldest on overflow, and a synced node whose
@@ -290,7 +291,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         world.gen_rounds = (world.gen_rounds + [index] * min(len(due), limit))[-limit:]
         floor = due.stop - limit  # the oldest sequence a full queue keeps
         if min(start.values(), default=floor) < floor:
-            dropped = [n for n, first in start.items() for _ in range(floor - first)]
+            dropped = tuple(n for n, first in start.items() for _ in range(floor - first))
             world.queue_start = {n: max(first, floor) for n, first in start.items()}
     groups, cuts, prefix = world.synced_at, world.drift_cuts, world.drift_prefix
     lost = sum(g & prefix[bisect_right(cuts, t - since)] for since, g in groups.items())
@@ -303,7 +304,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # bootstrap listens through the whole round; a synced node that missed
     # the sync sits the round out.
     awake_mask = flood(topo, sink, synced, loss, rng).reached  # the active nodes
-    joined = ids_of(awake_mask & bootstrap)
+    joined = tuple(ids_of(awake_mask & bootstrap))
     world.bootstrap = bootstrap = bootstrap & ~awake_mask
     keep, fresh = ~(awake_mask | lost), awake_mask & world.drift_prefix[-1]
     groups = world.synced_at = {s: rest for s, g in groups.items() if (rest := g & keep)}
@@ -387,11 +388,11 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             seq = start[owner]  # its oldest packet, popped when queued
             queued = seq < stop
             start[owner] = seq + queued
-            reached = flood(topo, owner, members, loss, rng).reached
+            received = flood(topo, owner, members, loss, rng).reached & members
             slots.append(DataSlot(
-                t, members, reached & members, owner, slot_id, owner,
+                t, members, members if received == members else received, owner, slot_id, owner,
                 len(str(owner)) + 1 + len(str(seq)) if queued else 0,
-                gen_rounds[seq - stop] if queued else None, reached >> sink & 1 == 1 and queued,
+                gen_rounds[seq - stop] if queued else None, received >> sink & 1 == 1 and queued,
             ))
         else:
             slots.append(DataSlot(t, members, 0, None, slot_id, owner))
@@ -409,7 +410,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
-        joined=joined, desynced=ids_of(lost), bootstrap=ids_of(bootstrap),
+        joined=joined, desynced=tuple(ids_of(lost)), bootstrap=tuple(ids_of(bootstrap)),
         sources=world.sources, new_sequences=len(due), dropped=dropped,
     )
     world.now += header.round_period

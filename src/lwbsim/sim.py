@@ -6,15 +6,16 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Traces are written in trace schema 2, in the key order render_trace
-lists, from %-templates and node id texts, not through json. A round's
-sync slot spells out its awake and received ids; every other slot of the
-round writes its awake ids only when they are not the round's active set
-(the sync slot's received ids) and, in place of its received ids, the
-awake ids that missed the flood, most often none. The id list of each
-distinct mask value is made once per call from per-byte texts (byte i of
-a mask holds nodes 8i to 8i+7), and so is the radio_on text of each
-distinct row, which sync-only rounds repeat many times.
+Traces are written in trace schema 3, in the key order render_trace
+lists, from %-templates and node id texts, not through json. Every slot
+writes, in place of its received ids, the awake ids that missed its flood,
+most often none, and writes its awake ids only when they are not the
+round's active set (the sync slot's received ids), so always in the sync
+slot that opens each round. A round writes its radio_on row only when the
+row's values differ from the previous round's; a reader carries the last
+row forward. The id list of each distinct mask value is made once per call
+from per-byte texts (byte i of a mask holds nodes 8i to 8i+7), and so is
+the radio_on text of each distinct row.
 """
 
 from __future__ import annotations
@@ -126,20 +127,16 @@ class _Memo(dict):
 # Slot kinds, phases and modes are the engine's fixed lowercase names,
 # written unescaped. _SLOT_HEAD's last two values are a slot's awake part,
 # "" on the round's active set, and its missed ids.
-_HEADER = '{"kind":"schema","version":2}\n'
-_SYNC = (
-    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"sync","initiator":%s,'
-    '"awake":[%s],"received":[%s],"seq":%d}\n'
-)
+_HEADER = '{"kind":"schema","version":3}\n'
 _SLOT_HEAD = (
     '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,%s"missed":[%s]'
 )
 _ROUND_HEAD = (
     '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
-    '"n_rr":%d,"n_data":%d,"radio_on":{'
+    '"n_rr":%d,"n_data":%d,'
 )
 _ROUND_TAIL = (
-    '},"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
+    '"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
     '"generated":[%s],"dropped":[%s],"capacity_events":%d,"seq":%d}\n'
 )
 _DATA = _SLOT_HEAD + (
@@ -158,7 +155,7 @@ def _json(value: int | None) -> int | str:
 
 
 def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
-    """The record of a slot other than sync, from _SLOT_HEAD's values.
+    """The record of a slot, from _SLOT_HEAD's values and its kind's fields.
     Int fields go through %d, int-or-None fields through _json and bool
     fields through a conditional, never a lookup: True == 1 as a key."""
     kind = slot.kind
@@ -179,21 +176,23 @@ def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
             "true" if slot.delivered else "false",
             ',"capacity_exceeded":true' if slot.capacity_exceeded else "", seq,
         )
-    return _ANNOUNCE % (
-        *head, _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
-    )
+    if kind == "announce":
+        return _ANNOUNCE % (
+            *head, _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
+        )
+    return _SLOT_HEAD % head + ',"seq":%d}\n' % seq  # sync: no fields of its own
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     """The JSONL text in pieces: the header line, one per slot record,
-    three per round record (head to radio_on's '{', the radio_on pairs,
-    tail from '}').
+    two or three per round record (head, the radio_on part when the row
+    changed, tail).
 
     Each distinct slot mask value's ids are joined once per call, from the
     texts of its nonzero bytes, each node id's text is made once, and each
     distinct (node_ids, radio_totals) row's pairs are written once. The
-    caches are keyed on values, not objects, so a generator may free its
-    rounds as they are rendered.
+    caches and the repeated-row test compare values, not objects, so a
+    generator may free its rounds as they are rendered.
     """
     name = _Memo(str).__getitem__
 
@@ -207,42 +206,40 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         return ",".join([chunk(i << 8 | byte) for i, byte in enumerate(data) if byte])
 
     def row_text(row: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
-        return ",".join(map('"%d":%d'.__mod__, zip(*row)))
+        return '"radio_on":{%s},' % ",".join(map('"%d":%d'.__mod__, zip(*row)))
 
     chunk = _Memo(byte_text).__getitem__
     text = _Memo(mask_text).__getitem__
-    radio_text = _Memo(row_text).__getitem__
+    radio_part = _Memo(row_text).__getitem__
     awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
 
     yield _HEADER
-    seq = 0
+    seq, last_row = 0, None
     for trace in traces:
         active = -1  # the sync slot's received mask; no mask equals -1
         for slot in trace.slots:
             awake, received = slot.awake_mask, slot.received_mask
+            missed = ""
+            if received != awake:
+                missed_mask = awake ^ received  # awake & ~received if no stray bit
+                if missed_mask & received:  # a stray receiver the schema cannot write
+                    raise SimulationError(f"slot at t={slot.t} received off its awake set")
+                missed = text(missed_mask)
+            yield _slot_line(slot, (
+                trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator),
+                "" if awake == active else awake_part(awake), missed,
+            ), seq)
             if slot.kind == "sync":
                 active = received
-                yield _SYNC % (
-                    trace.index, slot.t, trace.phase, _json(slot.initiator),
-                    text(awake), text(received), seq,
-                )
-            else:
-                missed = ""
-                if received != awake:
-                    missed_mask = awake ^ received  # awake & ~received if no stray bit
-                    if missed_mask & received:  # a stray receiver schema 2 cannot write
-                        raise SimulationError(f"slot at t={slot.t} received off its awake set")
-                    missed = text(missed_mask)
-                yield _slot_line(slot, (
-                    trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator),
-                    "" if awake == active else awake_part(awake), missed,
-                ), seq)
             seq += 1
         yield _ROUND_HEAD % (
             trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
             trace.n_rr, trace.n_data,
         )
-        yield radio_text((trace.node_ids, trace.radio_totals))
+        row = trace.node_ids, trace.radio_totals
+        if row != last_row:  # by value: equal rows are often distinct objects
+            yield radio_part(row)
+            last_row = row
         made = trace.new_sequences  # generated: made [node,round] pairs per source in turn
         nodes = trace.sources if made < 2 else [n for n in trace.sources for _ in range(made)]
         yield _ROUND_TAIL % (
@@ -258,17 +255,19 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
-    """Line-delimited JSON in trace schema 2, stable byte-for-byte for
-    identical runs: the header {"kind":"schema","version":2}, then per
+    """Line-delimited JSON in trace schema 3, stable byte-for-byte for
+    identical runs: the header {"kind":"schema","version":3}, then per
     round its slot records in time order and its round record; a global
     seq gives a total order. Key order is fixed. A slot record has kind,
-    round, t, phase, type, initiator; then awake and received for the sync
-    slot, and for any other slot awake (only when not the round's active
-    set, the sync slot's received ids) and missed (its awake ids that did
-    not receive); then its type's fields in _slot_line's order, and seq. A
-    round record has the keys of _ROUND_HEAD and _ROUND_TAIL. traces may
-    be any iterable of rounds. A slot other than sync that received on a
-    node it was not awake on cannot be written: SimulationError.
+    round, t, phase, type, initiator; then awake, only when not the round's
+    active set (the received ids of its sync slot, which is the round's
+    first slot and so always writes awake), and missed, the awake ids that
+    did not receive; then its type's fields in _slot_line's order, and seq.
+    A round record has the keys of _ROUND_HEAD, then radio_on only when its
+    (node_ids, radio_totals) row differs by value from the previous
+    round's, always in the first round, then the keys of _ROUND_TAIL.
+    traces may be any iterable of rounds. A slot that received on a node it
+    was not awake on cannot be written: SimulationError.
 
     The text grows by += in chunks of 64 KiB plus an eighth of its length:
     CPython resizes it in place, so the peak is about one text, and where a

@@ -4,7 +4,7 @@ that share no code with the simulator: a plain breadth-first search, the
 shortest-path forwarder set, the set-based flood wave loop the bitmask
 kernel replaced, the per-node forwarder selection walks the hop masks
 replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
-a schema-2 trace back into schema-1 records, per-round views of a round's
+a schema-3 trace back into schema-1 records, per-round views of a round's
 radio row and generated packets, and per-node views of the world's run
 state."""
 
@@ -193,7 +193,7 @@ def walk_announce(
 
 # The dict-per-record schema-1 renderer, built from the slot objects: every
 # slot record spells out its awake and received lists. sim.render_trace
-# writes schema 2, and read_trace below must rebuild these same records
+# writes schema 3, and read_trace below must rebuild these same records
 # from its text alone.
 
 
@@ -292,39 +292,46 @@ def reference_render_trace(traces: list[RoundTrace]) -> str:
     return dump_records(trace_records(traces))
 
 
-SCHEMA_HEADER = {"kind": "schema", "version": 2}
+SCHEMA_HEADER = {"kind": "schema", "version": 3}
 _SLOT_HEAD_KEYS = ("kind", "round", "t", "phase", "type", "initiator")
+_ROUND_HEAD_KEYS = ("kind", "round", "t", "phase", "mode", "period", "n_rr", "n_data")
 
 
 def read_trace(text: str) -> list[dict]:
-    """The schema-1 records of a schema-2 trace, read from its text alone.
+    """The schema-1 records of a schema-3 trace, read from its text alone.
 
-    The header line is checked and dropped. A sync slot's received list is
-    its round's active set; any other slot without an awake list is awake
-    on that set, and receives on its awake nodes less its missed ones."""
+    The header line is checked and dropped. A slot without an awake list
+    is awake on its round's active set, the received ids of the round's
+    sync slot; every slot receives on its awake nodes less its missed ones.
+    A round record without radio_on has the previous round record's."""
     lines = text.splitlines()
     assert lines and json.loads(lines[0]) == SCHEMA_HEADER, lines[:1]
     records = []
-    active = None
+    active = radio_on = None
     for line in lines[1:]:
         rec = json.loads(line)
         if rec["kind"] == "round":
             active = None
-        elif rec["type"] == "sync":
-            active = rec["received"]
+            radio_on = rec.pop("radio_on", radio_on)
+            assert radio_on is not None, f"round {rec['seq']} has no radio_on row"
+            head = {key: rec.pop(key) for key in _ROUND_HEAD_KEYS}
+            rec = {**head, "radio_on": radio_on, **rec}
         else:
             awake = rec.pop("awake", active)
             assert awake is not None, f"slot {rec['seq']} has no awake set"
             missed = set(rec.pop("missed"))
+            assert missed <= set(awake), f"slot {rec['seq']} missed a node not awake"
             head = {key: rec.pop(key) for key in _SLOT_HEAD_KEYS}
             received = [n for n in awake if n not in missed]
             rec = {**head, "awake": awake, "received": received, **rec}
+            if rec["type"] == "sync":
+                active = received
         records.append(rec)
     return records
 
 
 def schema1_text(text: str) -> str:
-    """A schema-2 trace rebuilt by read_trace and written the way
+    """A schema-3 trace rebuilt by read_trace and written the way
     reference_render_trace writes: equal to it for a lossless reader."""
     return dump_records(read_trace(text))
 

@@ -20,7 +20,7 @@ from lwbsim.topology import Topology
 LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
 # the schema header, then the first round's sync slot: a freshly written trace
-TRACE_START = '{"kind":"schema","version":2}\n{"kind":"slot","round":0,'
+TRACE_START = '{"kind":"schema","version":3}\n{"kind":"slot","round":0,'
 
 
 def cli_env() -> dict[str, str]:

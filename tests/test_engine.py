@@ -99,8 +99,8 @@ class TestBootstrapAndSync:
         cfg = SimConfig()
         world = build_world(cfg, line_topology(2))
         trace = execute_round(world, _sync_only_header())
-        assert trace.joined == [2]
-        assert trace.bootstrap == []
+        assert trace.joined == (2,)
+        assert trace.bootstrap == ()
         assert radio_on_of(trace) == {1: US_SLOT, 2: US_SLOT}
 
     def test_bootstrap_cascade_one_hop_per_round(self):
@@ -109,7 +109,7 @@ class TestBootstrapAndSync:
         cfg = SimConfig(duration=6 * US_SECOND)
         result = run_simulation(cfg, line_topology(6))
         joined = [trace.joined for trace in result.traces[:5]]
-        assert joined == [[2], [3], [4], [5], [6]]
+        assert joined == [(2,), (3,), (4,), (5,), (6,)]
 
     def test_waiting_bootstrap_node_pays_full_round(self):
         cfg = SimConfig(duration=6 * US_SECOND)
@@ -125,7 +125,7 @@ class TestBootstrapAndSync:
         world = build_world(cfg, line_topology(3))
         world.bootstrap &= ~(1 << 3)
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
-        assert trace.joined == [2]
+        assert trace.joined == (2,)
         sync_slot = trace.slots[0]
         assert sync_slot.received == [1, 2]
         assert radio_on_of(trace)[3] == US_SLOT
@@ -175,15 +175,15 @@ class TestClockGuardInRounds:
         world = _synced_pair(drift, guard)
         world.now = gap
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == ([2] if desyncs else [])
+        assert trace.desynced == ((2,) if desyncs else ())
 
     def test_drifted_node_desyncs_and_rejoins_same_round(self):
         # 100 ppm over 30 s piles up 3 ms, past the 2 ms guard
         world = _synced_pair(100.0)
         world.now = 30 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == [2]
-        assert trace.joined == [2]
+        assert trace.desynced == (2,)
+        assert trace.joined == (2,)
         assert not world.bootstrap >> 2 & 1
         assert radio_on_of(trace)[2] == US_SLOT
 
@@ -193,7 +193,7 @@ class TestClockGuardInRounds:
         world = _synced_pair(100.0)
         world.now = 20 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == []
+        assert trace.desynced == ()
 
     def test_sync_sets_last_sync_to_round_start(self):
         # last sync is kept for synced drifting nodes only; 1 ppm over 7 s
@@ -201,7 +201,7 @@ class TestClockGuardInRounds:
         world = build_world(SimConfig(drift_ppm_range=(1.0, 1.0)), line_topology(3))
         world.now = 7 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.joined == [2]
+        assert trace.joined == (2,)
         assert last_sync_of(world, 2) == trace.t_start == 7 * US_SECOND
         # node 3 heard no sync: the flood stopped at bootstrap node 2
         assert last_sync_of(world, 3) is None
@@ -211,11 +211,11 @@ class TestClockGuardInRounds:
         world = _synced_pair(100.0)
         world.now = 30 * US_SECOND
         first = execute_round(world, _sync_only_header())
-        assert first.desynced == first.joined == [2]
+        assert first.desynced == first.joined == (2,)
         # 10 s after the rejoin the offset is 1 ms, inside the guard
         world.now = 40 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == []
+        assert trace.desynced == ()
         assert not world.bootstrap >> 2 & 1
 
 
@@ -394,7 +394,7 @@ class TestGenerationAndQueue:
                     sent = queue.pop(0) if queue else (None, 0)
                     assert (slot.gen_round, slot.payload_len) == sent
             assert generated_of(trace) == generated
-            assert trace.dropped == dropped
+            assert trace.dropped == tuple(dropped)
             assert {n: queue_of(world, n) for n in sources} == model
             drops.extend(dropped)
 
@@ -427,7 +427,7 @@ class TestGenerationAndQueue:
         trace = execute_round(world, _sync_only_header())
         assert trace.sources == world.sources and trace.new_sequences == 11
         assert generated_of(trace) == [(2, 0)] * 11 + [(3, 0)] * 11
-        assert trace.dropped == [2] * 8 + [3] * 8
+        assert trace.dropped == (2,) * 8 + (3,) * 8
         assert queue_of(world, 2) == [(0, len("2:8")), (0, len("2:9")), (0, len("2:10"))]
         assert world.gen_rounds == [0, 0, 0]
 

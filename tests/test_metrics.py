@@ -32,12 +32,12 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
         slots=slots or [],
         node_ids=tuple(radio),
         radio_totals=tuple(radio.values()),
-        joined=[],
-        desynced=[],
-        bootstrap=[],
+        joined=(),
+        desynced=(),
+        bootstrap=(),
         sources=(),
         new_sequences=0,
-        dropped=[],
+        dropped=(),
     )
     defaults.update(kw)
     return RoundTrace(**defaults)

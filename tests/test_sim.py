@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import io
 import json
 import os
 import random
@@ -190,11 +191,11 @@ class TestTraceOutput:
         assert out.read_text(encoding="utf-8") == render_trace(result.traces)
 
     def test_empty_trace_renders_the_header_alone(self):
-        assert render_trace([]) == '{"kind":"schema","version":2}\n'
+        assert render_trace([]) == '{"kind":"schema","version":3}\n'
 
 
 def _hand_built_round(index, slots, radio_on, **lists):
-    empty = dict.fromkeys(("joined", "desynced", "bootstrap", "dropped"), [])
+    empty = dict.fromkeys(("joined", "desynced", "bootstrap", "dropped"), ())
     return RoundTrace(
         index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
         round_period=US_SECOND, n_rr=0, n_data=0, slots=slots,
@@ -266,8 +267,8 @@ class TestRenderOracle:
                              owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
-                joined=[3, 250], desynced=[9],
-                bootstrap=[40, 1000], sources=(3, 77), new_sequences=2, dropped=[77],
+                joined=(3, 250), desynced=(9,),
+                bootstrap=(40, 1000), sources=(3, 77), new_sequences=2, dropped=(77,),
             ),
         ]
         assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
@@ -297,11 +298,15 @@ class TestRenderOracle:
         assert traces[0].radio_totals == traces[2].radio_totals
         assert traces[0].node_ids != traces[2].node_ids
         want = reference_render_trace(traces)
-        assert schema1_text(render_trace(traces)) == want
+        text = render_trace(traces)
+        assert schema1_text(text) == want
+        # the second row repeats the first by value, in another object
+        written = [True, False, True, True, True, True]
+        assert ["radio_on" in rec for rec in _round_lines(text)] == written
         out = tmp_path / "trace.jsonl"
         with open(out, "w", encoding="utf-8") as f:
             write_trace(f, rounds())
-        assert schema1_text(out.read_text(encoding="utf-8")) == want
+        assert out.read_text(encoding="utf-8") == text
 
     def test_hand_built_slots_with_fields_zero_and_one(self):
         # True == 1 and False == 0: an int field must never print as a
@@ -330,14 +335,15 @@ class TestRenderOracle:
 
     @pytest.mark.parametrize("awake_ids", [[1, 2], [1]])
     def test_receiver_outside_the_awake_set_is_refused(self, awake_ids):
-        # schema 2 writes only the awake ids that missed, so a receiver
+        # the schema writes only the awake ids that missed, so a receiver
         # outside the awake set has no place in the text and must not be
-        # dropped without a word
+        # dropped without a word; a sync slot writes missed too
         both, awake = Topology.mask_of([1, 2]), Topology.mask_of(awake_ids)
         stray = Topology.mask_of([1, 3])
         for slot in (
             DataSlot(1, awake, stray, 1, slot_id=0, owner=1),
             RequestSlot(1, awake, stray, 1, contender_count=1, winner=1, delivered=True),
+            SyncSlot(1, awake, stray, 1),
         ):
             traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
             with pytest.raises(SimulationError, match="t=1 received off its awake set"):
@@ -347,6 +353,27 @@ class TestRenderOracle:
             slot = DataSlot(1, awake, received, 1, slot_id=0, owner=1)
             traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
             assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+
+    def test_write_trace_of_freed_rounds_matches_render_trace(self):
+        # each round is a copy with a radio row of its own, dropped once
+        # written: equal rows are distinct objects, and a freed row's id()
+        # can come back for a row of other values, so only a comparison by
+        # value writes radio_on in the right rounds
+        traces = _lossy_drifting_run().traces
+
+        def fresh_rounds():
+            for trace in traces:
+                fresh = copy.copy(trace)
+                fresh.node_ids = tuple(list(trace.node_ids))
+                fresh.radio_totals = tuple(list(trace.radio_totals))
+                yield fresh
+                del fresh
+
+        out = io.StringIO()
+        write_trace(out, fresh_rounds())
+        text = render_trace(traces)
+        assert out.getvalue() == text
+        assert 1 < text.count('"radio_on"') < len(traces)
 
     @pytest.mark.parametrize("fs", [False, True])
     @pytest.mark.parametrize("loss", [0.0, 0.3])
@@ -396,24 +423,31 @@ def _golden_traces(name):
 
 def _golden_slots(name):
     """(raw slot record, the round's active ids) for every slot of a
-    golden file, read straight from its JSON lines."""
+    golden file, read straight from its JSON lines: the active ids are the
+    sync slot's awake ids less its missed ones."""
     active = None
     for line in (DATA_DIR / name).read_text(encoding="utf-8").splitlines()[1:]:
         rec = json.loads(line)
         if rec["kind"] == "slot":
             if rec["type"] == "sync":
-                active = rec["received"]
+                active = [n for n in rec["awake"] if n not in rec["missed"]]
             yield rec, active
 
 
+def _round_lines(text):
+    """The raw round records of a rendered trace, in file order."""
+    return [rec for rec in map(json.loads, text.splitlines()[1:]) if rec["kind"] == "round"]
+
+
 class TestTraceSchema:
-    """Schema 2: the header line, the sync slot's two lists, awake only off
-    the active set, missed in place of received, and a lossless reader."""
+    """Schema 3: the header line, awake only off the active set (so always
+    in the sync slot), missed in place of received in every slot, radio_on
+    only when the row changes, and a lossless reader."""
 
     def test_first_line_is_the_header(self):
         result = run_simulation(SimConfig(duration=12 * US_SECOND), line_topology(3))
         first, *rest = render_trace(result.traces).splitlines()
-        assert first == '{"kind":"schema","version":2}'
+        assert first == '{"kind":"schema","version":3}'
         assert rest and {json.loads(line)["kind"] for line in rest} == {"slot", "round"}
 
     @pytest.mark.parametrize("name", GOLDENS)
@@ -465,21 +499,33 @@ class TestTraceSchema:
         assert trimmed > 0
 
     @pytest.mark.parametrize("name", GOLDENS)
-    def test_sync_slot_keeps_awake_and_received(self, name):
+    def test_sync_slot_keeps_awake_and_writes_missed(self, name):
         syncs = [rec for rec, _ in _golden_slots(name) if rec["type"] == "sync"]
         assert syncs
         for rec in syncs:
-            assert list(rec)[5:8] == ["initiator", "awake", "received"]
-            assert "missed" not in rec
+            assert list(rec)[5:8] == ["initiator", "awake", "missed"]
+            assert "received" not in rec
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_radio_on_is_written_exactly_when_the_row_changes(self, name):
+        # always in the first round, then whenever the row's values differ
+        # from the previous round's; a reader carries the last one forward
+        traces = _golden_traces(name)
+        rounds = _round_lines((DATA_DIR / name).read_text(encoding="utf-8"))
+        assert len(rounds) == len(traces)
+        rows = [(t.node_ids, t.radio_totals) for t in traces]
+        written = ["radio_on" in rec for rec in rounds]
+        assert written == [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+        assert 1 < sum(written) < len(written)
 
     @pytest.mark.parametrize("name", GOLDENS)
     def test_missed_within_awake(self, name):
         lost = 0  # flooded slots that missed someone: only under loss
         for rec, active in _golden_slots(name):
+            awake = rec.get("awake", active)
+            assert rec["missed"] == sorted(rec["missed"])
+            assert set(rec["missed"]) <= set(awake)
             if rec["type"] != "sync":
-                awake = rec.get("awake", active)
-                assert rec["missed"] == sorted(rec["missed"])
-                assert set(rec["missed"]) <= set(awake)
                 lost += rec["initiator"] is not None and rec["missed"] != []
         assert (lost > 0) == (name == "golden_fs_lossy.jsonl")
 
@@ -602,15 +648,15 @@ class TestDesyncCycle:
         )
         result = run_simulation(cfg, line_topology(2))
         short_rounds = result.traces[:20]
-        assert all(t.desynced == [] for t in short_rounds)
+        assert all(t.desynced == () for t in short_rounds)
         op = [t for t in result.traces if t.phase == "operational"]
         assert len(op) == 3
         # the first operational round starts one second after the last
         # stabilization sync; only the 30 s gaps after it break the guard
-        assert op[0].desynced == []
+        assert op[0].desynced == ()
         for trace in op[1:]:
-            assert trace.desynced == [2]
-            assert trace.joined == [2]
+            assert trace.desynced == (2,)
+            assert trace.joined == (2,)
         # the node keeps its slot across the hiccups, so data still flows
         assert result.metrics.sources[2].pdr == 1.0
         assert result.metrics.sources[2].delivered > 0
@@ -623,7 +669,7 @@ class TestDesyncCycle:
             duration=120 * US_SECOND,
         )
         result = run_simulation(cfg, line_topology(2))
-        assert all(t.desynced == [] for t in result.traces)
+        assert all(t.desynced == () for t in result.traces)
 
 
 class TestForwarderTable:
@@ -865,7 +911,7 @@ class TestRoundState:
             sink = world.config.sink_node_id
             sync = trace.slots[0]
             previous = ends[-1] if ends else Topology.mask_of(set(world.node_ids) - {sink})
-            outside = [n for n in world.node_ids if not sync.awake_mask >> n & 1]
+            outside = tuple(n for n in world.node_ids if not sync.awake_mask >> n & 1)
             assert trace.bootstrap == outside
             assert world.bootstrap == Topology.mask_of(trace.bootstrap)
             assert set(trace.joined) <= set(sync.received)
@@ -887,6 +933,39 @@ class TestRoundState:
         assert any(set(t.joined) & set(t.desynced) for t in traces)
         # some synced node missed a sync: awake in the sync slot, not active
         assert any(t.slots[0].awake_mask != t.slots[0].received_mask for t in traces)
+
+    @pytest.mark.parametrize("run", [_random_drifting_fs_run, _lossy_drifting_run])
+    def test_sync_missed_is_the_synced_nodes_that_missed_the_flood(self, run):
+        # a node is synced at the sync flood unless it ended the previous
+        # round in bootstrap or desynced at this round's start
+        want, ends = [], []
+
+        def check(world, trace):
+            sink = world.config.sink_node_id
+            previous = ends[-1] if ends else set(world.node_ids) - {sink}
+            synced = set(world.node_ids) - previous - set(trace.desynced)
+            want.append(sorted(synced - set(trace.slots[0].received)))
+            ends.append(set(trace.bootstrap))
+
+        result = run(check)
+        records = map(json.loads, render_trace(result.traces).splitlines()[1:])
+        syncs = [rec for rec in records if rec["kind"] == "slot" and rec["type"] == "sync"]
+        assert [rec["missed"] for rec in syncs] == want
+        assert any(want)
+
+    def test_round_id_lists_are_tuples_sharing_one_empty(self):
+        traces = _random_drifting_fs_run().traces
+        fields = ("joined", "desynced", "bootstrap", "dropped")
+        lists = [getattr(t, field) for t in traces for field in fields]
+        assert all(type(ids) is tuple for ids in lists)
+        assert any(lists) and len({id(ids) for ids in lists if not ids}) == 1
+
+    def test_data_slot_that_missed_no_one_shares_its_awake_mask(self):
+        result = TestRenderOracle._run(2, False)
+        slots = [s for t in result.traces for s in t.slots if s.kind == "data"]
+        full = [s for s in slots if s.received_mask == s.awake_mask]
+        assert full and len(full) < len(slots)
+        assert all(s.received_mask is s.awake_mask for s in full)
 
 
 class TestMetricsFold:
@@ -933,8 +1012,8 @@ class TestHeldOutScale:
     seed 1. The two 150-node digests were recorded before the slot kinds
     became classes, the drifting 100-node one before the drift guard,
     queues and contenders became masks. The digests are of schema-1 text,
-    which read_trace rebuilds from the schema-2 render, so they pin every
-    simulated value across the schema change."""
+    which read_trace rebuilds from the render, so they pin every
+    simulated value across the schema changes."""
 
     @pytest.mark.parametrize(
         "nodes, settings, digest",
@@ -971,9 +1050,10 @@ class TestHeldOutScale:
 
 def _drifting_hour_run():
     """The drifting 100-node case above for a simulated hour: the
-    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.8 MB text is
-    large enough that a render holding the text twice fails the bound of
-    test_peak_is_about_one_text."""
+    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.0 MB text
+    (2.8 MB before radio rows were written only on change) is large enough
+    that a render holding the text twice fails the bound of
+    test_peak_is_about_one_text, by about 0.35 MB."""
     topo = random_connected_topology(random.Random(7), 100, extra_edge_prob=0.04, max_ecc=8)
     cfg = SimConfig(
         seed=7, loss_probability=0.1, drift_ppm_range=(-300.0, 300.0), ipi=60 * US_SECOND,
@@ -1007,7 +1087,7 @@ class TestRenderMemory:
     )
     def test_peak_is_about_one_text(self, traces):
         text, peak = _render_peak(traces)
-        assert len(text) > 2_000_000
+        assert len(text) > 1_900_000
         assert peak <= 1.3 * len(text) + (1 << 20), (peak, len(text))
 
     @pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc already traces")
@@ -1072,9 +1152,10 @@ class TestGeneratedCounts:
         assert rendered[busy.index]["generated"] == [
             [n, busy.index] for n in busy.sources for _ in range(busy.new_sequences)
         ]
-        # rendered when every round still held one (node, round) pair per packet
-        digest = "4635f9b17a1d978f2f0d767f18f6fd63ff681c908191cbe5896190c29b77a1b0"
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        # the schema-1 rebuild of the schema-2 render, whose digest was
+        # recorded when every round still held one (node, round) pair per packet
+        digest = "281bb159d8c8ef50e72efe2346df3b1e360734cfac2971fe3aa79da0f4c27993"
+        assert hashlib.sha256(schema1_text(text).encode("utf-8")).hexdigest() == digest
 
     def test_sink_alone_generates_nothing(self):
         # every round makes a sequence, but there is no source to make it
