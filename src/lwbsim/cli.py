@@ -17,6 +17,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .config import SimConfig, parse_config
+from .core import phase_starts
 from .errors import ConfigError, LwbError, TopologyError
 from .metrics import compare, render_summary
 from .sim import check_topology, forwarder_table, run_simulation, write_trace
@@ -160,10 +161,10 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
     if getattr(args, "forwarder_selection", None) is not None:
         overrides["forwarder_selection"] = args.forwarder_selection == "1"
     if args.command == "forwarders":
-        # Forwarder sets only exist with forwarder selection on; run exactly
-        # through cool-off and stabilization so the dump shows the converged
-        # assignment state.
-        setup = config.cooloff_period + config.stabilization_period
+        # Forwarder sets only exist with forwarder selection on; run every
+        # cool-off and stabilization round, up to the operational start, so
+        # the dump shows the converged assignment state.
+        setup = phase_starts(config)[1]
         if setup <= 0:
             raise ConfigError("forwarders needs COOLOFF_PERIOD + STABILIZATION_PERIOD > 0")
         overrides.update(forwarder_selection=True, duration=setup)

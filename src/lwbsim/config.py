@@ -172,27 +172,27 @@ def _parse_drift(value: str) -> tuple[float, float]:
     return (-r, r)
 
 
-# KEY -> (SimConfig field, parse)
-CONFIG_KEYS = {
-    "IPI": ("ipi", parse_duration),
-    "MINIMUM_LWB_ROUND": ("minimum_lwb_round", parse_duration),
-    "COOLOFF_PERIOD": ("cooloff_period", parse_duration),
-    "STABILIZATION_PERIOD": ("stabilization_period", parse_duration),
-    "MAX_PAYLOAD_LEN": ("max_payload_len", int),
-    "SINK_NODE_ID": ("sink_node_id", int),
-    "MAX_NODE_NUMBER": ("max_node_number", int),
-    "FORWARDER_SELECTION": ("forwarder_selection", _parse_bool),
-    "GLOSSY_GUARD_TIME": ("glossy_guard_time", parse_duration),
-    "SLOT_LENGTH": ("slot_length", parse_duration),
-    "SYNC_SLOT_LENGTH": ("sync_slot_length", parse_duration),
-    "LOSS_PROBABILITY": ("loss_probability", float),
-    "DRIFT_PPM_RANGE": ("drift_ppm_range", _parse_drift),
-    "CONTENTION_POLICY": ("contention_policy", str.lower),
-    "RR_REDUCTION_TRIGGER": ("rr_reduction_trigger", str.lower),
-    "QUEUE_CAPACITY": ("queue_capacity", int),
-    "SEED": ("seed", int),
-    "DURATION": ("duration", parse_duration),
-}
+# KEY -> (SimConfig field, parse); each KEY is its field's name in capitals
+CONFIG_KEYS = {name.upper(): (name, parse) for name, parse in {
+    "ipi": parse_duration,
+    "minimum_lwb_round": parse_duration,
+    "cooloff_period": parse_duration,
+    "stabilization_period": parse_duration,
+    "max_payload_len": int,
+    "sink_node_id": int,
+    "max_node_number": int,
+    "forwarder_selection": _parse_bool,
+    "glossy_guard_time": parse_duration,
+    "slot_length": parse_duration,
+    "sync_slot_length": parse_duration,
+    "loss_probability": float,
+    "drift_ppm_range": _parse_drift,
+    "contention_policy": str.lower,
+    "rr_reduction_trigger": str.lower,
+    "queue_capacity": int,
+    "seed": int,
+    "duration": parse_duration,
+}.items()}
 
 VALID_KEYS = sorted(CONFIG_KEYS)
 

@@ -12,6 +12,9 @@ whatever the header says. The sink walks three phases:
   operational    rounds of MINIMUM_LWB_ROUND; data bearing rounds carry the
                  minimum request group plus every assigned data slot, the
                  rounds in between carry only the sync slot
+
+phase_starts fixes when each phase starts; a round's phase and header
+follow from the config and the round's start time alone.
 """
 
 from __future__ import annotations
@@ -43,18 +46,16 @@ class SyncHeader(NamedTuple):
 
 
 class SinkSchedule:
-    """Sink-side view of the whole bus: phase_clock is the time spent in the
-    current phase and slot_owner[i] the owner of slot index i."""
+    """Sink-side view of the whole bus: the phase of the current round and
+    slot_owner[i] the owner of slot index i."""
 
-    __slots__ = ("phase", "phase_clock", "slot_owner", "rr_current", "empty_streak")
+    __slots__ = ("phase", "slot_owner", "rr_current", "empty_streak")
 
     def __init__(
-        self, phase: str = PHASE_COOLOFF, phase_clock: int = 0,
-        slot_owner: list[int] | None = None, rr_current: int = 0, empty_streak: int = 0,
+        self, phase: str = PHASE_COOLOFF, slot_owner: list[int] | None = None, rr_current: int = 0
     ) -> None:
-        self.phase, self.phase_clock, self.rr_current = phase, phase_clock, rr_current
+        self.phase, self.rr_current, self.empty_streak = phase, rr_current, 0
         self.slot_owner = [] if slot_owner is None else slot_owner
-        self.empty_streak = empty_streak
 
     def assert_injective(self) -> None:
         """The table is dense by construction; no node may own two slots."""
@@ -62,63 +63,59 @@ class SinkSchedule:
             raise SimulationError("slot table lost injectivity")
 
 
-def advance_phase(schedule: SinkSchedule, config: SimConfig) -> None:
-    """Move the sink to the next phase when the current one has elapsed.
+def phase_starts(config: SimConfig) -> tuple[int, int]:
+    """(stabilization start, operational start): cool-off starts at 0, and it
+    and stabilization each last their period rounded up to whole 1 s rounds."""
+    short = SHORT_ROUND_US
+    stabilization = -(-config.cooloff_period // short) * short
+    return stabilization, stabilization - (-config.stabilization_period // short) * short
+
+
+def advance_phase(schedule: SinkSchedule, config: SimConfig, now: int) -> None:
+    """Move the sink into the phase of the round that starts at now.
 
     Called once per round before building the sync header. Zero length
-    periods fall straight through.
+    periods fall straight through; a phase never goes back.
     """
-    if (
-        schedule.phase == PHASE_COOLOFF
-        and schedule.phase_clock >= config.cooloff_period
-    ):
+    stabilization, operational = phase_starts(config)
+    if schedule.phase == PHASE_COOLOFF and now >= stabilization:
         schedule.phase = PHASE_STABILIZATION
-        schedule.phase_clock = 0
         schedule.rr_current = config.initial_rr_slots()
-    if (
-        schedule.phase == PHASE_STABILIZATION
-        and schedule.phase_clock >= config.stabilization_period
-    ):
+    if schedule.phase == PHASE_STABILIZATION and now >= operational:
         schedule.phase = PHASE_OPERATIONAL
-        schedule.phase_clock = 0
 
 
 def last_round_start(config: SimConfig) -> int:
-    """Start of the run's last round. advance_phase gives ceil(COOLOFF_PERIOD
-    / 1 s) + ceil(STABILIZATION_PERIOD / 1 s) one second rounds, then rounds
-    of MINIMUM_LWB_ROUND; the last round starts before DURATION."""
-    short, end = SHORT_ROUND_US, config.duration - 1
-    rounds = -(-config.cooloff_period // short) - (-config.stabilization_period // short)
-    period = short if end < rounds * short else config.minimum_lwb_round
-    return end - (end - rounds * short) % period
+    """Start of the run's last round: the last start before DURATION of one
+    second rounds up to the operational start, then of MINIMUM_LWB_ROUND."""
+    end, operational = config.duration - 1, phase_starts(config)[1]
+    period = SHORT_ROUND_US if end < operational else config.minimum_lwb_round
+    return end - (end - operational) % period
 
 
 def data_round_cadence(config: SimConfig, op_round_index: int) -> bool:
     """True when the given operational round carries data slots.
 
-    Rounds fire every MINIMUM_LWB_ROUND, so operational round k starts at
-    phase clock k * MINIMUM_LWB_ROUND; one in every floor(IPI / round)
-    rounds is data bearing, clamped so at least every round qualifies when
-    IPI equals the round length.
+    Rounds fire every MINIMUM_LWB_ROUND, so operational round k starts
+    k * MINIMUM_LWB_ROUND after the operational phase does; one in every
+    floor(IPI / round) rounds is data bearing, clamped so at least every
+    round qualifies when IPI equals the round length.
     """
     ratio = max(1, config.ipi // config.minimum_lwb_round)
     return op_round_index % ratio == 0
 
 
-def sink_build_sync(schedule: SinkSchedule, config: SimConfig) -> SyncHeader:
-    """Build the header for the round that starts now."""
+def sink_build_sync(schedule: SinkSchedule, config: SimConfig, now: int) -> SyncHeader:
+    """Build the header for the round that starts at now."""
     if schedule.phase == PHASE_COOLOFF:
         return SyncHeader(SHORT_ROUND_US, 0, 0)
     if schedule.phase == PHASE_STABILIZATION:
         return SyncHeader(SHORT_ROUND_US, schedule.rr_current, 0)
     if schedule.phase == PHASE_OPERATIONAL:
-        if data_round_cadence(config, schedule.phase_clock // config.minimum_lwb_round):
-            return SyncHeader(
-                config.minimum_lwb_round,
-                config.rr_group_size,
-                len(schedule.slot_owner),
-            )
-        return SyncHeader(config.minimum_lwb_round, 0, 0)
+        period = config.minimum_lwb_round
+        if data_round_cadence(config, (now - phase_starts(config)[1]) // period):
+            return SyncHeader(period, config.rr_group_size, len(schedule.slot_owner))
+        return SyncHeader(period, 0, 0)
     raise SimulationError(f"unknown phase {schedule.phase!r}")
 
 

@@ -265,8 +265,8 @@ def _radio_totals(
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     """Run one full round and return its trace.
 
-    The caller is responsible for phase bookkeeping (advancing the phase
-    clock, the operational round counter and the request block dynamics).
+    The caller is responsible for phase bookkeeping (the phase and the
+    request block dynamics); the round starts at world.now.
     """
     cfg, topo, sched = world.config, world.topology, world.schedule
     rng, sink = world.rng, cfg.sink_node_id
@@ -275,8 +275,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         raise SimulationError(
             f"header announces {header.n_rr} request slots, not a multiple of {group}"
         )
-    if header.n_data > len(sched.slot_owner):
-        raise SimulationError(f"data slot {len(sched.slot_owner)} has no owner")
+    if header.n_data > (owned := len(sched.slot_owner)):
+        raise SimulationError(f"data slot {owned} has no owner")
 
     t, loss, dropped = world.now, cfg.loss_probability, ()  # dropped: node ids
 
@@ -404,7 +404,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             f"{t - world.now} > {header.round_period}"
         )
 
-    sched.assert_injective()
+    if len(sched.slot_owner) > owned:  # sink_assign, the table's one writer, appended
+        sched.assert_injective()
     trace = RoundTrace(
         index=world.round_index, t_start=world.now, phase=sched.phase, mode=cfg.mode,
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,

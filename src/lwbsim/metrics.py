@@ -9,8 +9,6 @@ the ratio.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .config import FIELDS
 from .engine import RoundTrace
 from .errors import ComparabilityError, SimulationError
@@ -22,17 +20,17 @@ class SourceStats:
     """Delivery accounting for one non-sink node."""
 
     __slots__ = (
-        "generated", "delivered", "dropped", "lost", "latencies", "acquisition_round", "slot"
+        "generated", "delivered", "dropped", "lost", "latency_rounds", "acquisition_round", "slot"
     )
 
     def __init__(
         self, generated: int = 0, delivered: int = 0, dropped: int = 0, lost: int = 0,
-        latencies: Counter[int] | None = None,  # rounds -> packets
+        latency_rounds: int = 0,  # summed over the delivered packets
         acquisition_round: int | None = None, slot: int | None = None,
     ) -> None:
         self.generated, self.delivered, self.dropped = generated, delivered, dropped
-        self.lost, self.acquisition_round, self.slot = lost, acquisition_round, slot
-        self.latencies = Counter() if latencies is None else latencies
+        self.lost, self.latency_rounds = lost, latency_rounds
+        self.acquisition_round, self.slot = acquisition_round, slot
 
     @property
     def pending(self) -> int:
@@ -99,7 +97,7 @@ class RunMetrics:
                     stats = sources[slot.owner]
                     if slot.delivered:
                         stats.delivered += 1
-                        stats.latencies[index - slot.gen_round] += 1
+                        stats.latency_rounds += index - slot.gen_round
                     else:
                         stats.lost += 1
             elif kind == "reply" and slot.delivered and slot.requester is not None:
@@ -119,8 +117,7 @@ class RunMetrics:
                     generated=s.generated, delivered=s.delivered, dropped=s.dropped,
                     lost=s.lost, pending=s.pending, pdr=round(s.pdr, 9), slot=s.slot,
                     acquisition_round=s.acquisition_round, mean_latency_rounds=(
-                        round(sum(k * n for k, n in s.latencies.items()) / s.delivered, 6)
-                        if s.delivered else None
+                        round(s.latency_rounds / s.delivered, 6) if s.delivered else None
                     ),
                 )
             nodes[str(n)] = entry

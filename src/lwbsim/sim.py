@@ -94,12 +94,11 @@ def run_simulation(
     metrics = RunMetrics(node_ids=list(topology.nodes), sink=config.sink_node_id)
     traces: list[RoundTrace] = []
     while world.now < config.duration:
-        advance_phase(world.schedule, config)
-        header = sink_build_sync(world.schedule, config)
+        advance_phase(world.schedule, config, world.now)
+        header = sink_build_sync(world.schedule, config, world.now)
         trace = execute_round(world, header)
         if world.schedule.phase == PHASE_STABILIZATION:
             update_rr_dynamics(world.schedule, trace.slots, config)
-        world.schedule.phase_clock += header.round_period
         metrics.accumulate(trace)
         traces.append(trace)
         if on_round is not None:

@@ -430,9 +430,28 @@ class TestForwardersCommand:
         stdout = capsys.readouterr().out
         assert stdout.count("slot ") == 3
 
+    def test_runs_every_stabilization_round(self, tmp_path, capsys):
+        # 1.5 s phases round up to two one second rounds each, so the
+        # stabilization rounds start at 2 s and 3 s. The first one's block of
+        # 21 request groups grants 21 of the 30 leaves, the second the rest.
+        topo = tmp_path / "star.topo"
+        topo.write_text("".join(f"1 {n}\n" for n in range(2, 32)), encoding="utf-8")
+        cfg = tmp_path / "phases.cfg"
+        cfg.write_text(
+            "COOLOFF_PERIOD = 1500ms\nSTABILIZATION_PERIOD = 1500ms\n", encoding="utf-8"
+        )
+        out = tmp_path / "fwd.json"
+        code = main(
+            ["forwarders", "--topology", str(topo), "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == 0
+        table = json.loads(out.read_text(encoding="utf-8"))
+        assert sorted(row["owner"] for row in table) == list(range(2, 32))
+        assert capsys.readouterr().out.count("slot ") == 30
+
     def test_zero_length_phases_name_the_phase_keys(self, tmp_path, line_file, capsys):
-        # forwarders runs for cool-off plus stabilization; with both at zero
-        # there is nothing to run, and DURATION was never the user's choice
+        # forwarders runs up to the operational start; with both phases at
+        # zero there is nothing to run, and DURATION was never the user's choice
         cfg = tmp_path / "nophases.cfg"
         cfg.write_text("COOLOFF_PERIOD = 0\nSTABILIZATION_PERIOD = 0\n", encoding="utf-8")
         code = main(["forwarders", "--topology", line_file, "--config", str(cfg)])
@@ -444,8 +463,8 @@ class TestForwardersCommand:
 
     @pytest.mark.parametrize("value", ["0s", "3s"])
     def test_duration_flag_is_not_offered(self, line_file, capsys, value):
-        # the run length is cool-off plus stabilization, so --duration would
-        # either be ignored or fail validation for a run that never uses it
+        # the phase periods fix the run length, so --duration would either
+        # be ignored or fail validation for a run that never uses it
         code = main(["forwarders", "--topology", line_file, "--duration", value])
         assert code == 1
         err = capsys.readouterr().err

@@ -27,57 +27,59 @@ class TestAdvancePhase:
     def test_cooloff_runs_ten_one_second_rounds(self):
         cfg = SimConfig()
         sched = SinkSchedule()
-        seen = []
+        seen, now = [], 0
         for _ in range(25):
-            advance_phase(sched, cfg)
-            header = sink_build_sync(sched, cfg)
+            advance_phase(sched, cfg, now)
+            header = sink_build_sync(sched, cfg, now)
             seen.append(sched.phase)
-            sched.phase_clock += header.round_period
+            now += header.round_period
         assert seen[:10] == [PHASE_COOLOFF] * 10
         assert seen[10:20] == [PHASE_STABILIZATION] * 10
         assert seen[20:] == [PHASE_OPERATIONAL] * 5
 
     def test_entering_stabilization_sets_rr_block(self):
         cfg = SimConfig()
-        sched = SinkSchedule(phase_clock=10_000_000)
-        advance_phase(sched, cfg)
+        sched = SinkSchedule()
+        advance_phase(sched, cfg, 10_000_000)
         assert sched.phase == PHASE_STABILIZATION
         assert sched.rr_current == 64
 
     def test_zero_length_phases_chain(self):
         cfg = SimConfig(cooloff_period=0, stabilization_period=0)
         sched = SinkSchedule()
-        advance_phase(sched, cfg)
+        advance_phase(sched, cfg, 0)
         assert sched.phase == PHASE_OPERATIONAL
 
     def test_phase_does_not_regress(self):
+        # a round start inside cool-off leaves an operational sink in place
         cfg = SimConfig()
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL, phase_clock=0)
-        advance_phase(sched, cfg)
+        sched = SinkSchedule(phase=PHASE_OPERATIONAL)
+        advance_phase(sched, cfg, 0)
         assert sched.phase == PHASE_OPERATIONAL
 
 
 class TestSinkBuildSync:
     def test_cooloff_header(self):
-        assert sink_build_sync(SinkSchedule(), SimConfig()) == SyncHeader(
+        assert sink_build_sync(SinkSchedule(), SimConfig(), 0) == SyncHeader(
             1_000_000, 0, 0
         )
 
     def test_stabilization_header_uses_current_block(self):
         sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=64)
-        assert sink_build_sync(sched, SimConfig()) == SyncHeader(1_000_000, 64, 0)
+        assert sink_build_sync(sched, SimConfig(), 10_000_000) == SyncHeader(1_000_000, 64, 0)
 
     def test_operational_data_round_header(self):
+        # the default operational phase starts at 20 s
         sched = SinkSchedule(phase=PHASE_OPERATIONAL, slot_owner=[2, 3, 4, 5, 6, 7, 8])
-        assert sink_build_sync(sched, SimConfig()) == SyncHeader(5_000_000, 2, 7)
+        assert sink_build_sync(sched, SimConfig(), 20_000_000) == SyncHeader(5_000_000, 2, 7)
 
     def test_operational_sync_only_header(self):
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL, phase_clock=5_000_000)
-        assert sink_build_sync(sched, SimConfig()) == SyncHeader(5_000_000, 0, 0)
+        sched = SinkSchedule(phase=PHASE_OPERATIONAL)
+        assert sink_build_sync(sched, SimConfig(), 25_000_000) == SyncHeader(5_000_000, 0, 0)
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(SimulationError):
-            sink_build_sync(SinkSchedule(phase="limbo"), SimConfig())
+            sink_build_sync(SinkSchedule(phase="limbo"), SimConfig(), 0)
 
 
 class TestDataRoundCadence:

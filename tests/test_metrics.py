@@ -140,7 +140,7 @@ class TestRunMetrics:
         assert stats.delivered == 1
         assert stats.lost == 1
         assert stats.generated == 2
-        assert stats.latencies == {0: 1}
+        assert stats.latency_rounds == 0
 
     def test_latency_counts_rounds_in_queue(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
@@ -156,7 +156,7 @@ class TestRunMetrics:
             delivered=True,
         )
         m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[data]))
-        assert m.sources[2].latencies == {1: 1}
+        assert m.sources[2].latency_rounds == 1
 
 
 class TestRowFold:

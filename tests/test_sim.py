@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -102,6 +103,60 @@ class TestPhaseSchedule:
         result = run_simulation(cfg, line_topology(5))
         for trace in result.traces:
             assert len(trace.slots) == 1 + trace.n_rr + trace.n_data
+
+
+def _timeline_oracle(cfg, leaves):
+    """(t_start, phase, round_period, n_rr, n_data) of every round of a
+    loss-0 run on a star of `leaves` leaves around sink 1, from the config
+    alone. Cool-off and stabilization run whole one second rounds, as many as
+    their periods need; operational rounds follow every MINIMUM_LWB_ROUND,
+    and one in floor(IPI / round) carries the request group and the data
+    slots. Every leaf joins in round 0, so the first stabilization round's
+    full block grants every leaf and its empty groups shrink the block to one
+    group for good; with no stabilization round, each data round grants one
+    more leaf than the one before it had."""
+    second, period = US_SECOND, cfg.minimum_lwb_round
+    group = 3 if cfg.forwarder_selection else 2
+    full_block = {2: 64, 3: 63}[group]  # 65 slots of 15 ms after the sync slot
+    cooloff_rounds = math.ceil(cfg.cooloff_period / second)
+    stabilization_rounds = math.ceil(cfg.stabilization_period / second)
+    operational = (cooloff_rounds + stabilization_rounds) * second
+    ratio = max(1, cfg.ipi // period)
+    rounds = []
+    for k in range(cooloff_rounds + stabilization_rounds):
+        if k < cooloff_rounds:
+            rounds.append((k * second, "cool-off", second, 0, 0))
+        else:
+            n_rr = full_block if k == cooloff_rounds else group
+            rounds.append((k * second, "stabilization", second, n_rr, 0))
+    for j in range(-(-(cfg.duration - operational) // period)):
+        if j % ratio:
+            rounds.append((operational + j * period, "operational", period, 0, 0))
+        else:
+            granted = leaves if stabilization_rounds else min(j // ratio, leaves)
+            rounds.append((operational + j * period, "operational", period, group, granted))
+    return [r for r in rounds if r[0] < cfg.duration]
+
+
+class TestTimelineOracle:
+    @pytest.mark.parametrize("mode", ["lwb", "fs-lwb"])
+    @pytest.mark.parametrize("cooloff", [0, 1_500_000, 10 * US_SECOND])
+    @pytest.mark.parametrize("stabilization", [0, 1_500_000, 10 * US_SECOND])
+    def test_rounds_follow_the_closed_form(self, mode, cooloff, stabilization):
+        star = Topology.from_edges([(1, 2), (1, 3), (1, 4)])
+        for seconds in (2, 3, 4, 5):
+            period = seconds * US_SECOND
+            # multiples of the round, and not: floor(IPI / round) is 1 or 2
+            for ipi in (period, period + 300_000, 2 * period, 2 * period + 700_000):
+                cfg = SimConfig(
+                    forwarder_selection=mode == "fs-lwb", cooloff_period=cooloff,
+                    stabilization_period=stabilization, minimum_lwb_round=period,
+                    ipi=ipi, duration=41_500_000,
+                )
+                traces = run_simulation(cfg, star).traces
+                got = [(t.t_start, t.phase, t.round_period, t.n_rr, t.n_data) for t in traces]
+                assert got == _timeline_oracle(cfg, 3), (seconds, ipi)
+                assert last_round_start(cfg) == got[-1][0]
 
 
 class TestDeterminism:
@@ -559,7 +614,7 @@ class TestPayloadLimit:
     packet text "node:seq" the run will generate."""
 
     @pytest.mark.parametrize("cooloff", [0, 1_500_000, 10 * US_SECOND])
-    @pytest.mark.parametrize("stabilization", [0, 10 * US_SECOND])
+    @pytest.mark.parametrize("stabilization", [0, 1_500_000, 10 * US_SECOND])
     def test_rejected_up_front_exactly_when_a_packet_is_too_long(
         self, cooloff, stabilization
     ):
@@ -974,7 +1029,7 @@ class TestMetricsFold:
         # records read back from the rendered text of a lossy, drifting
         # forwarder-selection run
         result = _random_drifting_fs_run()
-        derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latencies=Counter(),
+        derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latency_rounds=0,
                            acquisition_round=None, slot=None)
                    for n in result.metrics.sources}
         for rec in read_trace(render_trace(result.traces)):
@@ -987,7 +1042,7 @@ class TestMetricsFold:
                 stats = derived[rec["owner"]]
                 if rec["delivered"]:
                     stats["delivered"] += 1
-                    stats["latencies"][rec["round"] - rec["gen_round"]] += 1
+                    stats["latency_rounds"] += rec["round"] - rec["gen_round"]
                 else:
                     stats["lost"] += 1
             elif rec["type"] == "reply" and rec["delivered"] and rec["requester"] is not None:
