@@ -16,7 +16,7 @@ import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-from .config import SimConfig, parse_config
+from .config import SimConfig, ipi_warning, parse_config
 from .core import phase_starts
 from .errors import ConfigError, LwbError, TopologyError
 from .metrics import compare, render_summary
@@ -134,17 +134,17 @@ def _output(path: str):
         raise
 
 
-def _create(stack: ExitStack, path: str | None):
-    """Open an output file, or give None for no path. Called before the run,
-    so an unwritable path fails at once instead of after the simulation."""
-    return stack.enter_context(_output(path)) if path else None
-
-
 def _write_json(f, doc) -> None:
     f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_inputs(args) -> tuple[SimConfig, Topology]:
+def _load_inputs(
+    args, stack: ExitStack, *paths: str | None
+) -> tuple[SimConfig, Topology, list]:
+    """The run's config and topology, and an open file per output path (None
+    for no path). Outputs are opened after every input check and before the
+    run, so an unwritable path fails at once and a failed set-up keeps old
+    files. The IPI warning is printed last, so a failure prints one line."""
     config = SimConfig()
     if args.config:
         config = parse_config(_read_file(args.config, ConfigError))
@@ -172,14 +172,16 @@ def _load_inputs(args) -> tuple[SimConfig, Topology]:
         config = config.replace(**overrides)
         config.validate()
     topology = load_topology(_read_file(args.topology, TopologyError), config.max_node_number)
-    # before any output file is created, so a failed set-up keeps old files
     check_topology(config, topology)
-    return config, topology
+    files = [stack.enter_context(_output(path)) if path else None for path in paths]
+    warning = ipi_warning(config)
+    if warning:
+        print(warning, file=sys.stderr)
+    return config, topology, files
 
 
 def _cmd_run(args, stack: ExitStack) -> int:
-    config, topology = _load_inputs(args)
-    trace_f, summary_f = _create(stack, args.trace), _create(stack, args.summary)
+    config, topology, (trace_f, summary_f) = _load_inputs(args, stack, args.trace, args.summary)
     result = run_simulation(config, topology)
     if trace_f:
         write_trace(trace_f, result.traces)
@@ -192,8 +194,7 @@ def _cmd_run(args, stack: ExitStack) -> int:
 
 
 def _cmd_compare(args, stack: ExitStack) -> int:
-    config, topology = _load_inputs(args)
-    out = _create(stack, args.out)
+    config, topology, (out,) = _load_inputs(args, stack, args.out)
     report = compare(*[
         run_simulation(config.replace(forwarder_selection=fs), topology)
         for fs in (False, True)
@@ -205,8 +206,7 @@ def _cmd_compare(args, stack: ExitStack) -> int:
 
 
 def _cmd_forwarders(args, stack: ExitStack) -> int:
-    config, topology = _load_inputs(args)
-    out = _create(stack, args.out)
+    config, topology, (out,) = _load_inputs(args, stack, args.out)
     result = run_simulation(config, topology)
     table = forwarder_table(result)
     for row in table:

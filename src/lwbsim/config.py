@@ -21,6 +21,12 @@ TRIGGER_ROUNDS = "rounds"
 # One stabilization or cool-off round always spans one second.
 SHORT_ROUND_US = US_PER_S
 
+# The shortest SLOT_LENGTH and SYNC_SLOT_LENGTH. At the Sky's 250 kbps a
+# millisecond carries 31 bytes, too few for one Glossy flood of a packet
+# and its relays, so no real slot is shorter; the bound also keeps a
+# one-second round at 1,000 slots or fewer, and with it the cost of a round.
+MIN_SLOT_LENGTH = US_PER_MS
+
 
 class SimConfig:
     """All tunables for one run. Durations are integer microseconds."""
@@ -99,10 +105,11 @@ class SimConfig:
             )
         if self.minimum_lwb_round <= 0:
             problems.append("MINIMUM_LWB_ROUND must be positive")
-        if self.slot_length <= 0:
-            problems.append("SLOT_LENGTH must be positive")
-        if self.sync_slot_length <= 0:
-            problems.append("SYNC_SLOT_LENGTH must be positive")
+        for name in ("slot_length", "sync_slot_length"):
+            if getattr(self, name) < MIN_SLOT_LENGTH:
+                problems.append(
+                    f"{name.upper()} must be at least {format_duration(MIN_SLOT_LENGTH)}"
+                )
         if self.cooloff_period < 0 or self.stabilization_period < 0:
             problems.append("phase periods must not be negative")
         if self.max_payload_len < 0:
@@ -225,12 +232,16 @@ def parse_config(text: str) -> SimConfig:
 
     config = SimConfig(**values)  # type: ignore[arg-type]
     config.validate()
-    ipi, period = config.ipi, config.minimum_lwb_round
-    if ipi % period:  # warned here, once per document, not in every validate()
-        import logging  # loaded only to warn
-        logging.getLogger(__name__).warning(
-            "IPI %s is not a multiple of MINIMUM_LWB_ROUND %s; "
-            "effective IPI for data rounds is %s",
-            *map(format_duration, (ipi, period, ipi - ipi % period)),
-        )
     return config
+
+
+def ipi_warning(config: SimConfig) -> str:
+    """The warning for an IPI that is not a multiple of MINIMUM_LWB_ROUND,
+    naming the effective data interval, or "" when it is a multiple."""
+    ipi, period = config.ipi, config.minimum_lwb_round
+    if not ipi % period:
+        return ""
+    return (
+        "IPI %s is not a multiple of MINIMUM_LWB_ROUND %s; effective IPI for data rounds is %s"
+        % tuple(map(format_duration, (ipi, period, ipi - ipi % period)))
+    )

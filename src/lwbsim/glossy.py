@@ -47,10 +47,10 @@ class FloodOutcome:
 
     __slots__ = ("initiator", "layers", "reached", "relays")
 
-    def __init__(self, initiator: int, layers: list[int], reached: int, relays: int) -> None:
+    def __init__(self, initiator: int, layers: list[int], relays: int) -> None:
         self.initiator = initiator
         self.layers = layers
-        self.reached = reached
+        self.reached = sum(layers)  # disjoint layers sum to their OR
         self.relays = relays
 
     def received(self, node: int) -> bool:
@@ -145,24 +145,14 @@ def flood(
         raise ValueError("an rng is required when loss_probability > 0")
 
     if loss_probability > 0.0:
-        return _outcome(topology, initiator, participants, loss_probability, rng)
+        layers = waves(topology.neighbor_masks, initiator, participants, loss_probability, rng)
+        return FloodOutcome(initiator, layers, participants)
     memo = topology.flood_memo
     key = (initiator, participants)
     outcome = memo.get(key)
     if outcome is None:
         if len(memo) >= MEMO_CAP:
             del memo[next(iter(memo))]
-        outcome = memo[key] = _outcome(topology, initiator, participants, 0.0, None)
+        layers = waves(topology.neighbor_masks, initiator, participants)
+        outcome = memo[key] = FloodOutcome(initiator, layers, participants)
     return outcome
-
-
-def _outcome(
-    topology: Topology,
-    initiator: int,
-    relays: int,
-    loss_probability: float,
-    rng: random.Random | None,
-) -> FloodOutcome:
-    layers = waves(topology.neighbor_masks, initiator, relays, loss_probability, rng)
-    # disjoint layers sum to their OR
-    return FloodOutcome(initiator, layers, sum(layers), relays)

@@ -19,22 +19,16 @@ PENDING_ROWS = 64  # distinct radio rows RunMetrics counts before adding them up
 class SourceStats:
     """Delivery accounting for one non-sink node."""
 
-    __slots__ = (
-        "generated", "delivered", "dropped", "lost", "latency_rounds", "acquisition_round", "slot"
-    )
+    __slots__ = ("delivered", "dropped", "lost", "latency_rounds", "acquisition_round", "slot")
 
     def __init__(
-        self, generated: int = 0, delivered: int = 0, dropped: int = 0, lost: int = 0,
+        self, delivered: int = 0, dropped: int = 0, lost: int = 0,
         latency_rounds: int = 0,  # summed over the delivered packets
         acquisition_round: int | None = None, slot: int | None = None,
     ) -> None:
-        self.generated, self.delivered, self.dropped = generated, delivered, dropped
-        self.lost, self.latency_rounds = lost, latency_rounds
+        self.delivered, self.dropped, self.lost = delivered, dropped, lost
+        self.latency_rounds = latency_rounds
         self.acquisition_round, self.slot = acquisition_round, slot
-
-    @property
-    def pending(self) -> int:
-        return self.generated - self.delivered - self.dropped - self.lost
 
     @property
     def pdr(self) -> float:
@@ -50,6 +44,7 @@ class RunMetrics:
     def __init__(self, node_ids: list[int], sink: int) -> None:
         self.node_ids, self.sink = sorted(node_ids), sink
         self.elapsed = self.rounds = 0
+        self.generated = 0  # packets made by each source: every source makes every sequence
         self._radio_on = {n: 0 for n in self.node_ids}
         # Rounds share radio rows: (id(node_ids), id(row)) -> [node_ids, row,
         # rounds not yet in _radio_on]; holding both objects keeps the ids valid.
@@ -86,8 +81,7 @@ class RunMetrics:
                 self._fold_rows()
             entry = self._rows[key] = [trace.node_ids, trace.radio_totals, 0]
         entry[2] += 1
-        for node in trace.sources if trace.new_sequences else ():
-            sources[node].generated += trace.new_sequences
+        self.generated += trace.new_sequences
         for node in trace.dropped:
             sources[node].dropped += 1
         for slot in trace.slots:
@@ -114,8 +108,9 @@ class RunMetrics:
             if n != self.sink:
                 s = self.sources[n]
                 entry.update(
-                    generated=s.generated, delivered=s.delivered, dropped=s.dropped,
-                    lost=s.lost, pending=s.pending, pdr=round(s.pdr, 9), slot=s.slot,
+                    generated=self.generated, delivered=s.delivered, dropped=s.dropped,
+                    lost=s.lost, pending=self.generated - s.delivered - s.dropped - s.lost,
+                    pdr=round(s.pdr, 9), slot=s.slot,
                     acquisition_round=s.acquisition_round, mean_latency_rounds=(
                         round(s.latency_rounds / s.delivered, 6) if s.delivered else None
                     ),
@@ -156,7 +151,7 @@ def render_summary(metrics: RunMetrics, mode: str, seed: int) -> str:
         acq = "-" if s.acquisition_round is None else str(s.acquisition_round)
         lines.append(
             f"{n:>4}  {duty:>9}  {s.pdr:>6.3f}  {slot:>4}  {acq:>9}  "
-            f"{f'{s.delivered}/{s.generated}':>9}  {s.dropped:>4}"
+            f"{f'{s.delivered}/{metrics.generated}':>9}  {s.dropped:>4}"
         )
     agg = metrics.to_dict()["aggregate"]
     lines.append(

@@ -13,9 +13,8 @@ most often none, and writes its awake ids only when they are not the
 round's active set (the sync slot's received ids), so always in the sync
 slot that opens each round. A round writes its radio_on row only when the
 row's values differ from the previous round's; a reader carries the last
-row forward. The id list of each distinct mask value is made once per call
-from per-byte texts (byte i of a mask holds nodes 8i to 8i+7), and so is
-the radio_on text of each distinct row.
+row forward. The id list of each distinct mask value is made once per call,
+and so is the radio_on text of each distinct row.
 """
 
 from __future__ import annotations
@@ -187,29 +186,17 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     two or three per round record (head, the radio_on part when the row
     changed, tail).
 
-    Each distinct slot mask value's ids are joined once per call, from the
-    texts of its nonzero bytes, each node id's text is made once, and each
-    distinct (node_ids, radio_totals) row's pairs are written once. The
-    caches and the repeated-row test compare values, not objects, so a
-    generator may free its rounds as they are rendered.
+    Each distinct slot mask value's ids are joined once per call, each
+    node id's text is made once, and each distinct (node_ids, radio_totals)
+    row's pairs are written once. The caches and the repeated-row test
+    compare values, not objects, so a generator may free its rounds as they
+    are rendered.
     """
     name = _Memo(str).__getitem__
-
-    def byte_text(key: int) -> str:
-        """key is byte index << 8 | byte value: bits 0-7 are the byte."""
-        base = key >> 8 << 3
-        return ",".join([name(base + bit) for bit in range(8) if key >> bit & 1])
-
-    def mask_text(mask: int) -> str:
-        data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-        return ",".join([chunk(i << 8 | byte) for i, byte in enumerate(data) if byte])
-
-    def row_text(row: tuple[tuple[int, ...], tuple[int, ...]]) -> str:
-        return '"radio_on":{%s},' % ",".join(map('"%d":%d'.__mod__, zip(*row)))
-
-    chunk = _Memo(byte_text).__getitem__
-    text = _Memo(mask_text).__getitem__
-    radio_part = _Memo(row_text).__getitem__
+    text = _Memo(lambda mask: ",".join(map(name, ids_of(mask)))).__getitem__
+    radio_part = _Memo(
+        lambda row: '"radio_on":{%s},' % ",".join(map('"%d":%d'.__mod__, zip(*row)))
+    ).__getitem__
     awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
 
     yield _HEADER

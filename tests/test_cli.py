@@ -384,6 +384,28 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("usage error:") and out in err
 
+    @pytest.mark.parametrize("problem", ["topology", "output"])
+    def test_failure_after_the_ipi_warning_prints_one_line(self, tmp_path, problem):
+        # MINIMUM_LWB_ROUND 6s leaves the default 10 s IPI a non-multiple, so
+        # the warning is due; a command that then fails prints its error alone
+        cfg = tmp_path / "ipi.cfg"
+        cfg.write_text("MINIMUM_LWB_ROUND = 6s\n", encoding="utf-8")
+        topo = tmp_path / "t.topo"
+        topo.write_text("1 2\n2 300\n" if problem == "topology" else "1 2\n", encoding="utf-8")
+        args = ["run", "--topology", str(topo), "--config", str(cfg)]
+        if problem == "output":
+            args += ["--trace", str(tmp_path)]  # a directory
+        proc = subprocess.run(
+            [sys.executable, "-m", "lwbsim.cli", *args],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert (proc.returncode, proc.stderr) == {
+            "topology": (2, "invalid input: line 2: node id 300 outside [1, 150]\n"),
+            "output": (1, f"usage error: cannot write {tmp_path}\n"),
+        }[problem]
+
 
 class TestCompareCommand:
     def test_pendant_node_saves_energy_with_forwarder_selection(

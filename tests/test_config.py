@@ -3,7 +3,7 @@
 import pytest
 
 from lwbsim import config
-from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, parse_config
+from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, ipi_warning, parse_config
 from lwbsim.errors import ConfigError
 from lwbsim.units import parse_duration
 
@@ -269,15 +269,27 @@ class TestValidate:
         msg = str(exc.value)
         assert "QUEUE_CAPACITY" in msg and "DURATION" in msg
 
-    def test_non_multiple_ipi_warns_but_passes(self, caplog):
-        with caplog.at_level("WARNING", logger="lwbsim.config"):
-            cfg = parse_config("IPI = 12s")
-            cfg.validate()
+    def test_non_multiple_ipi_warns_but_passes(self, capsys):
+        # parse_config stays silent: the command line prints ipi_warning
+        # once every input check has passed (test_cli)
+        cfg = parse_config("IPI = 12s")
+        cfg.validate()
         assert cfg.ipi == 12_000_000
-        assert [rec.message for rec in caplog.records] == [
+        assert capsys.readouterr().err == ""
+        assert ipi_warning(cfg) == (
             "IPI 12s is not a multiple of MINIMUM_LWB_ROUND 5s; "
             "effective IPI for data rounds is 10s"
-        ]
+        )
+        assert ipi_warning(parse_config("IPI = 15s")) == ""
+
+    @pytest.mark.parametrize("name", ["slot_length", "sync_slot_length"])
+    def test_slot_shorter_than_a_millisecond_rejected(self, name):
+        # a shorter slot would let a one second round hold over 1,000 slots
+        for short in (999, 0, -1):
+            cfg = SimConfig(**{"slot_length": 15_000, "sync_slot_length": 15_000, name: short})
+            with pytest.raises(ConfigError, match=f"^{name.upper()} must be at least 1ms$"):
+                cfg.validate()
+        SimConfig(**{"slot_length": 15_000, "sync_slot_length": 15_000, name: 1_000}).validate()
 
 
 class TestSpecTable:

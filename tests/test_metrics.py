@@ -45,12 +45,16 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
 
 class TestSourceStats:
     def test_pdr_ignores_pending_packets(self):
-        stats = SourceStats(generated=10, delivered=8, dropped=0, lost=0)
-        assert stats.pending == 2
-        assert stats.pdr == 1.0
+        m = RunMetrics(node_ids=[1, 2], sink=1)
+        m.accumulate(_round_trace(0, {1: 0, 2: 0}, sources=(2,), new_sequences=10))
+        m.sources[2].delivered = 8
+        node = m.to_dict()["nodes"]["2"]
+        assert (m.generated, node["generated"], node["pending"]) == (10, 10, 2)
+        assert node["pdr"] == m.sources[2].pdr == 1.0
 
     def test_pdr_counts_drops_and_losses(self):
-        stats = SourceStats(generated=10, delivered=6, dropped=2, lost=2)
+        # of 10 generated packets, all 10 have left the queue
+        stats = SourceStats(delivered=6, dropped=2, lost=2)
         assert stats.pdr == 0.6
 
     def test_pdr_with_nothing_accountable(self):
@@ -139,7 +143,7 @@ class TestRunMetrics:
         stats = m.sources[2]
         assert stats.delivered == 1
         assert stats.lost == 1
-        assert stats.generated == 2
+        assert m.generated == 2
         assert stats.latency_rounds == 0
 
     def test_latency_counts_rounds_in_queue(self):

@@ -1050,6 +1050,8 @@ class TestMetricsFold:
                 if stats["acquisition_round"] is None:
                     stats["acquisition_round"] = rec["round"]
                     stats["slot"] = rec["assigned_slot"]
+        # every source makes every sequence: one count for all of them
+        assert {s.pop("generated") for s in derived.values()} == {result.metrics.generated}
         folded = {
             n: {name: getattr(s, name) for name in derived[n]}
             for n, s in result.metrics.sources.items()
@@ -1102,6 +1104,29 @@ class TestHeldOutScale:
         text = schema1_text(render_trace(run_simulation(cfg, topo).traces))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+
+class TestWideIdRender:
+    """Render digest of a lossy fs-lwb run whose ids spread over 2..65535,
+    the MAX_NODE_NUMBER cap, so every mask is thousands of bits wide with
+    few of them set; no golden has an id above 15. The digest was recorded
+    when each mask's text was still built from a table of per-byte texts."""
+
+    def test_render_digest(self):
+        rng = random.Random(26)
+        base = random_connected_topology(rng, 20, max_ecc=4)
+        ids = [1, 2, *sorted(rng.sample(range(3, 65535), 17)), 65535]
+        label = dict(zip(range(1, 21), ids))
+        topo = Topology.from_edges((label[u], label[v]) for u, v in base.edges)
+        cfg = SimConfig(
+            forwarder_selection=True, loss_probability=0.1, max_node_number=65535,
+            duration=60 * US_SECOND, seed=26,
+        )
+        text = render_trace(run_simulation(cfg, topo).traces)
+        slots = [r for r in map(json.loads, text.splitlines()[1:]) if r["kind"] == "slot"]
+        assert any(65535 in r["missed"] for r in slots)
+        assert any("awake" in r for r in slots if r["type"] != "sync")
+        digest = "4146cbdb63aa297b2e1cc7d16a642889b597d47a841cdb7da6a7ebe1105dd1bd"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 def _drifting_hour_run():
     """The drifting 100-node case above for a simulated hour: the
