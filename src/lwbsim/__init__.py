@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     LwbError,
     SimulationError,
-    SlotCapacityError,
     TopologyError,
 )
 from .glossy import FloodOutcome, flood
@@ -33,7 +32,6 @@ __all__ = [
     "RunResult",
     "SimConfig",
     "SimulationError",
-    "SlotCapacityError",
     "SlotTrace",
     "Topology",
     "TopologyError",

@@ -41,7 +41,7 @@ class SimConfig:
     forwarder_selection: bool = False
     glossy_guard_time: int = 2 * US_PER_MS
     slot_length: int = 15 * US_PER_MS
-    sync_slot_length: int | None = None
+    sync_slot_length: int  # SLOT_LENGTH unless given, see __getattr__
     loss_probability: float = 0.0
     drift_ppm_range: tuple[float, float] = (0.0, 0.0)
     contention_policy: str = POLICY_CAPTURE
@@ -53,17 +53,23 @@ class SimConfig:
     def __init__(self, **values) -> None:
         for name in sorted(values.keys() - FIELDS):
             raise TypeError(f"SimConfig has no field {name!r}")
-        self.__dict__.update(values)
-        if self.sync_slot_length is None:
-            self.sync_slot_length = self.slot_length
+        if values.get("sync_slot_length", 0) is None:
+            del values["sync_slot_length"]  # None asks for the default
+        self.__dict__.update(values)  # the given fields; the others read defaults
+
+    def __getattr__(self, name: str) -> int:
+        """A SYNC_SLOT_LENGTH not given is SLOT_LENGTH, also after replace."""
+        if name != "sync_slot_length":
+            raise AttributeError(f"SimConfig has no attribute {name!r}")
+        return self.slot_length
 
     def __eq__(self, other: object) -> bool:
         same = type(other) is type(self)
         return same and all(getattr(self, f) == getattr(other, f) for f in FIELDS)
 
     def replace(self, **changes) -> SimConfig:
-        """A copy with the named fields changed."""
-        return type(self)(**{**{name: getattr(self, name) for name in FIELDS}, **changes})
+        """A copy with the named fields changed and the others as given."""
+        return type(self)(**{**vars(self), **changes})
 
     @property
     def mode(self) -> str:

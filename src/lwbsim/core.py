@@ -13,8 +13,9 @@ whatever the header says. The sink walks three phases:
                  minimum request group plus every assigned data slot, the
                  rounds in between carry only the sync slot
 
-phase_starts fixes when each phase starts; a round's phase and header
-follow from the config and the round's start time alone.
+phase_starts fixes when each phase starts, and phase_at reads a round's
+phase off that timeline; the sink stores only its slot table and the size
+of its request block.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .config import (
     TRIGGER_SLOTS,
     SimConfig,
 )
-from .errors import SimulationError, SlotCapacityError
+from .errors import SimulationError
 
 PHASE_COOLOFF = "cool-off"
 PHASE_STABILIZATION = "stabilization"
@@ -46,16 +47,13 @@ class SyncHeader(NamedTuple):
 
 
 class SinkSchedule:
-    """Sink-side view of the whole bus: the phase of the current round and
-    slot_owner[i] the owner of slot index i."""
+    """Sink-side view of the whole bus: slot_owner[i] the owner of slot index
+    i, and the request block size (0 before stabilization)."""
 
-    __slots__ = ("phase", "slot_owner", "rr_current", "empty_streak")
+    __slots__ = ("slot_owner", "rr_current", "empty_streak")
 
-    def __init__(
-        self, phase: str = PHASE_COOLOFF, slot_owner: list[int] | None = None, rr_current: int = 0
-    ) -> None:
-        self.phase, self.rr_current, self.empty_streak = phase, rr_current, 0
-        self.slot_owner = [] if slot_owner is None else slot_owner
+    def __init__(self) -> None:
+        self.slot_owner, self.rr_current, self.empty_streak = [], 0, 0
 
     def assert_injective(self) -> None:
         """The table is dense by construction; no node may own two slots."""
@@ -71,18 +69,21 @@ def phase_starts(config: SimConfig) -> tuple[int, int]:
     return stabilization, stabilization - (-config.stabilization_period // short) * short
 
 
-def advance_phase(schedule: SinkSchedule, config: SimConfig, now: int) -> None:
-    """Move the sink into the phase of the round that starts at now.
-
-    Called once per round before building the sync header. Zero length
-    periods fall straight through; a phase never goes back.
-    """
+def phase_at(config: SimConfig, now: int) -> str:
+    """The phase of the round that starts at now. Zero length periods fall
+    straight through; a phase never goes back."""
     stabilization, operational = phase_starts(config)
-    if schedule.phase == PHASE_COOLOFF and now >= stabilization:
-        schedule.phase = PHASE_STABILIZATION
+    if now >= operational:
+        return PHASE_OPERATIONAL
+    return PHASE_STABILIZATION if now >= stabilization else PHASE_COOLOFF
+
+
+def advance_phase(schedule: SinkSchedule, config: SimConfig, now: int) -> None:
+    """Open the full request block in the first stabilization round; called
+    once per round before building the sync header. rr_current is 0 only
+    until then."""
+    if not schedule.rr_current and phase_at(config, now) == PHASE_STABILIZATION:
         schedule.rr_current = config.initial_rr_slots()
-    if schedule.phase == PHASE_STABILIZATION and now >= operational:
-        schedule.phase = PHASE_OPERATIONAL
 
 
 def last_round_start(config: SimConfig) -> int:
@@ -107,16 +108,15 @@ def data_round_cadence(config: SimConfig, op_round_index: int) -> bool:
 
 def sink_build_sync(schedule: SinkSchedule, config: SimConfig, now: int) -> SyncHeader:
     """Build the header for the round that starts at now."""
-    if schedule.phase == PHASE_COOLOFF:
+    phase = phase_at(config, now)
+    if phase == PHASE_COOLOFF:
         return SyncHeader(SHORT_ROUND_US, 0, 0)
-    if schedule.phase == PHASE_STABILIZATION:
+    if phase == PHASE_STABILIZATION:
         return SyncHeader(SHORT_ROUND_US, schedule.rr_current, 0)
-    if schedule.phase == PHASE_OPERATIONAL:
-        period = config.minimum_lwb_round
-        if data_round_cadence(config, (now - phase_starts(config)[1]) // period):
-            return SyncHeader(period, config.rr_group_size, len(schedule.slot_owner))
-        return SyncHeader(period, 0, 0)
-    raise SimulationError(f"unknown phase {schedule.phase!r}")
+    period = config.minimum_lwb_round
+    if data_round_cadence(config, (now - phase_starts(config)[1]) // period):
+        return SyncHeader(period, config.rr_group_size, len(schedule.slot_owner))
+    return SyncHeader(period, 0, 0)
 
 
 def contend(contenders: int, policy: str, rng: random.Random) -> int | None:
@@ -139,24 +139,18 @@ def contend(contenders: int, policy: str, rng: random.Random) -> int | None:
     raise SimulationError(f"unknown contention policy {policy!r}")
 
 
-def sink_assign(
-    schedule: SinkSchedule, requester: int, capacity: int | None = None
-) -> int:
-    """Grant the requester a data slot, reusing an existing grant, and
-    return the slot index.
+def sink_assign(schedule: SinkSchedule, requester: int, capacity: int) -> int | None:
+    """Grant the requester a data slot, reusing an existing grant; return
+    the slot index, or None once capacity slots fill the round.
 
     Assignment is dense: the next free slot index. Asking again returns the
-    already assigned slot so lost replies are harmless. Raises
-    SlotCapacityError when the round cannot hold another data slot.
+    already assigned slot so lost replies are harmless.
     """
     owners = schedule.slot_owner
     if requester in owners:
         return owners.index(requester)
-    if capacity is not None and len(owners) >= capacity:
-        raise SlotCapacityError(
-            f"no data slot left for node {requester}: "
-            f"{len(owners)} slots already fill the round"
-        )
+    if len(owners) >= capacity:
+        return None
     owners.append(requester)
     return len(owners) - 1
 

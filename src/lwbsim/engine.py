@@ -1,8 +1,10 @@
 """Slot-stepped execution of one bus round.
 
-The engine owns all mutable run state (node masks, sink schedule, rng) and
-turns one sync header into a RoundTrace describing every slot: who was
-awake, who received, what was assigned and what was delivered.
+The engine owns all mutable run state (node masks, sink schedule, rng),
+which World(topology, config) builds, and turns one sync header into a
+RoundTrace describing every slot: who was awake, who received, what was
+assigned and what was delivered. A heard request that finds the data
+slots full gets a reply slot with capacity_exceeded set.
 
 Radio accounting is slot granular. A node awake for a slot pays the full
 slot length whether it initiates, relays or just listens; a node that skips
@@ -51,8 +53,8 @@ from bisect import bisect_right
 from collections import Counter
 
 from .config import SimConfig
-from .core import SinkSchedule, SyncHeader, contend, sink_assign
-from .errors import SimulationError, SlotCapacityError
+from .core import SinkSchedule, SyncHeader, contend, phase_at, sink_assign
+from .errors import SimulationError
 from .forwarding import apply_announce, data_participants, refresh_sink_distances
 from .glossy import MEMO_CAP, FloodOutcome, flood, ids_of
 from .topology import Topology
@@ -198,17 +200,19 @@ def least_gap(drift_ppm: float, guard: int) -> int:
 
 
 class World:
-    """All mutable state of a run; drifts maps nodes to their drift in ppm."""
+    """All mutable state of a run, at its start: the sink synced, every
+    other node in bootstrap. The seeded rng first draws each non-sink
+    node's drift in ppm, in id order, when the drift range is not empty."""
 
-    def __init__(
-        self, topology: Topology, config: SimConfig, schedule: SinkSchedule,
-        node_ids: tuple[int, ...], rng: random.Random, drifts: dict[int, float],
-    ) -> None:
-        self.topology, self.config, self.schedule = topology, config, schedule
-        self.node_ids, self.rng = node_ids, rng
+    def __init__(self, topology: Topology, config: SimConfig) -> None:
+        self.topology, self.config, self.schedule = topology, config, SinkSchedule()
+        self.node_ids = node_ids = tuple(sorted(topology.nodes))
+        self.rng = rng = random.Random(config.seed)
         sink, guard = config.sink_node_id, config.glossy_guard_time
         self.sources = tuple(n for n in node_ids if n != sink)
-        cuts = sorted((least_gap(d, guard), n) for n, d in drifts.items() if d)
+        lo, hi = config.drift_ppm_range
+        drifts = [rng.uniform(lo, hi) for _ in self.sources] if lo or hi else []
+        cuts = sorted((least_gap(d, guard), n) for n, d in zip(self.sources, drifts) if d)
         self.drift_cuts = [gap for gap, _ in cuts]  # ascending least desyncing gaps
         self.drift_prefix = [0]  # [i]: the drifting nodes of the first i cuts, [-1] all
         for _, n in cuts:
@@ -263,11 +267,8 @@ def _radio_totals(
 
 
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:
-    """Run one full round and return its trace.
-
-    The caller is responsible for phase bookkeeping (the phase and the
-    request block dynamics); the round starts at world.now.
-    """
+    """Run the round that starts at world.now and return its trace. Its
+    phase is read off the timeline; the caller sizes the request block."""
     cfg, topo, sched = world.config, world.topology, world.schedule
     rng, sink = world.rng, cfg.sink_node_id
     fs_mode, group = cfg.forwarder_selection, cfg.rr_group_size
@@ -339,9 +340,8 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         fo, fields, announce_source = None, (), None
         if heard is not None:
             slots_before = len(sched.slot_owner)
-            try:
-                assigned = sink_assign(sched, heard, cfg.data_slot_capacity())
-            except SlotCapacityError:
+            assigned = sink_assign(sched, heard, cfg.data_slot_capacity())
+            if assigned is None:  # the data slots fill the round
                 fields = (heard, None, False, False, True)
             else:
                 fo = flood(topo, sink, awake_mask, loss, rng)
@@ -407,7 +407,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if len(sched.slot_owner) > owned:  # sink_assign, the table's one writer, appended
         sched.assert_injective()
     trace = RoundTrace(
-        index=world.round_index, t_start=world.now, phase=sched.phase, mode=cfg.mode,
+        index=world.round_index, t_start=world.now, phase=phase_at(cfg, world.now), mode=cfg.mode,
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),

@@ -17,9 +17,5 @@ class SimulationError(LwbError):
     """Runtime protocol or engine failure."""
 
 
-class SlotCapacityError(SimulationError):
-    """The sink ran out of data slots that fit in one round."""
-
-
 class ComparabilityError(LwbError):
     """Two runs cannot be compared because their scenarios differ."""

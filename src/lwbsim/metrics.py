@@ -21,14 +21,10 @@ class SourceStats:
 
     __slots__ = ("delivered", "dropped", "lost", "latency_rounds", "acquisition_round", "slot")
 
-    def __init__(
-        self, delivered: int = 0, dropped: int = 0, lost: int = 0,
-        latency_rounds: int = 0,  # summed over the delivered packets
-        acquisition_round: int | None = None, slot: int | None = None,
-    ) -> None:
-        self.delivered, self.dropped, self.lost = delivered, dropped, lost
-        self.latency_rounds = latency_rounds
-        self.acquisition_round, self.slot = acquisition_round, slot
+    def __init__(self) -> None:
+        self.delivered = self.dropped = self.lost = 0
+        self.latency_rounds = 0  # summed over the delivered packets
+        self.acquisition_round = self.slot = None  # of the first grant the source heard
 
     @property
     def pdr(self) -> float:

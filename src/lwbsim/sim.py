@@ -19,13 +19,11 @@ and so is the radio_on text of each distinct row.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 from .config import SimConfig
 from .core import (
     PHASE_STABILIZATION,
-    SinkSchedule,
     advance_phase,
     last_round_start,
     sink_build_sync,
@@ -40,12 +38,9 @@ from .topology import Topology
 
 
 class RunResult:
-    def __init__(
-        self, config: SimConfig, topology: Topology, traces: list[RoundTrace],
-        metrics: RunMetrics, world: World,
-    ) -> None:
-        self.config, self.topology, self.traces = config, topology, traces
-        self.metrics, self.world = metrics, world
+    def __init__(self, traces: list[RoundTrace], metrics: RunMetrics, world: World) -> None:
+        self.traces, self.metrics, self.world = traces, metrics, world
+        self.config, self.topology = world.config, world.topology
 
 
 def check_topology(config: SimConfig, topology: Topology) -> None:
@@ -68,14 +63,9 @@ def check_topology(config: SimConfig, topology: Topology) -> None:
 
 
 def build_world(config: SimConfig, topology: Topology) -> World:
-    """Set up initial state: sink synced, everyone else in bootstrap."""
+    """The run's initial World, once the topology fits the config."""
     check_topology(config, topology)
-    sink = config.sink_node_id
-    rng = random.Random(config.seed)
-    lo, hi = config.drift_ppm_range
-    node_ids = tuple(sorted(topology.nodes))
-    drifts = {node: rng.uniform(lo, hi) for node in node_ids if (lo or hi) and node != sink}
-    return World(topology, config, SinkSchedule(), node_ids, rng, drifts)
+    return World(topology, config)
 
 
 def run_simulation(
@@ -96,13 +86,13 @@ def run_simulation(
         advance_phase(world.schedule, config, world.now)
         header = sink_build_sync(world.schedule, config, world.now)
         trace = execute_round(world, header)
-        if world.schedule.phase == PHASE_STABILIZATION:
+        if trace.phase == PHASE_STABILIZATION:
             update_rr_dynamics(world.schedule, trace.slots, config)
         metrics.accumulate(trace)
         traces.append(trace)
         if on_round is not None:
             on_round(world, trace)
-    return RunResult(config, topology, traces, metrics, world)
+    return RunResult(traces, metrics, world)
 
 
 RENDER_MEMO_CAP = 4096  # entries each memo of one render keeps
@@ -255,7 +245,7 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     traces may be any iterable of rounds. A slot that received on a node it
     was not awake on cannot be written: SimulationError.
 
-    The text grows by += in chunks of 64 KiB plus an eighth of its length:
+    The text grows by += in chunks of 64 KiB plus a sixteenth of its length:
     CPython resizes it in place, so the peak is about one text, and where a
     trace or profile function makes each += copy, the copies stay linear.
     """
@@ -263,7 +253,7 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     for piece in _trace_pieces(traces):
         pending.append(piece)
         size += len(piece)
-        if size > (1 << 16) + (len(text) >> 3):
+        if size > (1 << 16) + (len(text) >> 4):
             text += "".join(pending)
             pending, size = [], 0
     text += "".join(pending)

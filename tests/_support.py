@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from lwbsim.config import CONFIG_KEYS, SimConfig
 from lwbsim.engine import RoundTrace, SlotTrace, World
-from lwbsim.glossy import FloodOutcome
+from lwbsim.glossy import FloodOutcome, ids_of
 from lwbsim.topology import Topology
 from lwbsim.units import format_duration, parse_duration
 
@@ -205,8 +205,8 @@ def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
         "phase": trace.phase,
         "type": slot.kind,
         "initiator": slot.initiator,
-        "awake": slot.awake,
-        "received": slot.received,
+        "awake": awake_ids(slot),
+        "received": received_ids(slot),
     }
     if slot.kind == "request":
         rec["contenders"] = slot.contender_count
@@ -256,6 +256,17 @@ def _round_record(trace: RoundTrace) -> dict:
 def radio_on_of(trace: RoundTrace) -> dict[int, int]:
     """Node id -> radio-on microseconds of a round."""
     return dict(zip(trace.node_ids, trace.radio_totals))
+
+
+def awake_ids(slot: SlotTrace) -> list[int]:
+    """The ids a slot woke, ascending, read off its awake mask."""
+    return ids_of(slot.awake_mask)
+
+
+def received_ids(slot: SlotTrace) -> list[int]:
+    """The ids that received a slot's flood, ascending, read off its
+    received mask."""
+    return ids_of(slot.received_mask)
 
 
 def generated_of(trace: RoundTrace) -> list[tuple[int, int]]:

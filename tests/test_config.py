@@ -338,8 +338,26 @@ class TestSimConfigContract:
         assert type(changed) is SimConfig and changed is not original
         assert original == SimConfig()
         differ = [f for f in config.FIELDS if getattr(changed, f) != getattr(original, f)]
-        assert differ == [name]
+        # the default SYNC_SLOT_LENGTH is SLOT_LENGTH, so it follows a new one
+        assert differ == [name, "sync_slot_length"] if name == "slot_length" else [name]
         assert getattr(changed, name) == NON_DEFAULT[name]
+
+    def test_replace_keeps_a_default_sync_slot_length_following(self):
+        # README: SYNC_SLOT_LENGTH defaults to SLOT_LENGTH, through replace too
+        longer = SimConfig().replace(slot_length=20_000)
+        assert longer.sync_slot_length == 20_000
+        assert longer == SimConfig(slot_length=20_000)
+        assert SimConfig(sync_slot_length=None) == SimConfig()
+        parsed = parse_config("SLOT_LENGTH = 12ms\n").replace(slot_length=20_000)
+        assert parsed.sync_slot_length == 20_000
+
+    def test_replace_keeps_a_given_sync_slot_length(self):
+        given = SimConfig(sync_slot_length=15_000).replace(slot_length=20_000)
+        assert (given.slot_length, given.sync_slot_length) == (20_000, 15_000)
+        parsed = parse_config("SYNC_SLOT_LENGTH = 12ms\n").replace(slot_length=20_000)
+        assert parsed.sync_slot_length == 12_000
+        again = given.replace(sync_slot_length=None).replace(slot_length=30_000)
+        assert again.sync_slot_length == 30_000
 
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="speed"):

@@ -14,13 +14,23 @@ from lwbsim.core import (
     advance_phase,
     contend,
     data_round_cadence,
+    phase_at,
+    phase_starts,
     sink_assign,
     sink_build_sync,
     update_rr_dynamics,
 )
 from lwbsim.engine import AnnounceSlot, DataSlot, ReplySlot, RequestSlot, SyncSlot
-from lwbsim.errors import SimulationError, SlotCapacityError
+from lwbsim.errors import SimulationError
 from lwbsim.topology import Topology
+
+PHASES = [PHASE_COOLOFF, PHASE_STABILIZATION, PHASE_OPERATIONAL]
+
+
+def _schedule(rr_current=0, slot_owner=()):
+    sched = SinkSchedule()
+    sched.rr_current, sched.slot_owner = rr_current, list(slot_owner)
+    return sched
 
 
 class TestAdvancePhase:
@@ -31,7 +41,7 @@ class TestAdvancePhase:
         for _ in range(25):
             advance_phase(sched, cfg, now)
             header = sink_build_sync(sched, cfg, now)
-            seen.append(sched.phase)
+            seen.append(phase_at(cfg, now))
             now += header.round_period
         assert seen[:10] == [PHASE_COOLOFF] * 10
         assert seen[10:20] == [PHASE_STABILIZATION] * 10
@@ -40,22 +50,48 @@ class TestAdvancePhase:
     def test_entering_stabilization_sets_rr_block(self):
         cfg = SimConfig()
         sched = SinkSchedule()
+        advance_phase(sched, cfg, 9_000_000)
+        assert sched.rr_current == 0
         advance_phase(sched, cfg, 10_000_000)
-        assert sched.phase == PHASE_STABILIZATION
+        assert phase_at(cfg, 10_000_000) == PHASE_STABILIZATION
         assert sched.rr_current == 64
+
+    def test_reduced_block_is_not_reopened(self):
+        cfg = SimConfig()
+        sched = _schedule(rr_current=2)
+        advance_phase(sched, cfg, 11_000_000)
+        assert sched.rr_current == 2
 
     def test_zero_length_phases_chain(self):
         cfg = SimConfig(cooloff_period=0, stabilization_period=0)
-        sched = SinkSchedule()
-        advance_phase(sched, cfg, 0)
-        assert sched.phase == PHASE_OPERATIONAL
+        assert phase_at(cfg, 0) == PHASE_OPERATIONAL
+        assert sink_build_sync(SinkSchedule(), cfg, 0) == SyncHeader(5_000_000, 2, 0)
 
-    def test_phase_does_not_regress(self):
-        # a round start inside cool-off leaves an operational sink in place
-        cfg = SimConfig()
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL)
-        advance_phase(sched, cfg, 0)
-        assert sched.phase == PHASE_OPERATIONAL
+    @pytest.mark.parametrize(
+        "cooloff, stabilization, starts",
+        [
+            (10_000_000, 10_000_000, (10_000_000, 20_000_000)),
+            (0, 0, (0, 0)),
+            (0, 3_000_000, (0, 3_000_000)),
+            (2_000_000, 0, (2_000_000, 2_000_000)),
+            (1_500_001, 2_250_000, (2_000_000, 5_000_000)),
+            (1, 999_999, (1_000_000, 2_000_000)),
+        ],
+    )
+    def test_phase_changes_only_at_the_phase_starts(self, cooloff, stabilization, starts):
+        # on a 250 ms grid with each start and the microsecond before it, the
+        # phase moves forward, and only at the starts that end a phase
+        cfg = SimConfig(cooloff_period=cooloff, stabilization_period=stabilization)
+        assert phase_starts(cfg) == starts
+        grid = {*range(0, starts[1] + 3_000_000, 250_000), *starts, *(s - 1 for s in starts)}
+        grid = sorted(grid - {-1})
+        phases = [phase_at(cfg, now) for now in grid]
+        assert [PHASES.index(p) for p in phases] == sorted(PHASES.index(p) for p in phases)
+        steps = zip(grid[1:], phases, phases[1:])
+        changes = [now for now, before, after in steps if before != after]
+        assert changes == sorted({s for s in starts if s})
+        assert phases[0] == PHASES[sum(s == 0 for s in starts)]
+        assert phases[-1] == PHASE_OPERATIONAL
 
 
 class TestSinkBuildSync:
@@ -65,21 +101,17 @@ class TestSinkBuildSync:
         )
 
     def test_stabilization_header_uses_current_block(self):
-        sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=64)
+        sched = _schedule(rr_current=64)
         assert sink_build_sync(sched, SimConfig(), 10_000_000) == SyncHeader(1_000_000, 64, 0)
 
     def test_operational_data_round_header(self):
         # the default operational phase starts at 20 s
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL, slot_owner=[2, 3, 4, 5, 6, 7, 8])
+        sched = _schedule(slot_owner=[2, 3, 4, 5, 6, 7, 8])
         assert sink_build_sync(sched, SimConfig(), 20_000_000) == SyncHeader(5_000_000, 2, 7)
 
     def test_operational_sync_only_header(self):
-        sched = SinkSchedule(phase=PHASE_OPERATIONAL)
+        sched = SinkSchedule()
         assert sink_build_sync(sched, SimConfig(), 25_000_000) == SyncHeader(5_000_000, 0, 0)
-
-    def test_unknown_phase_rejected(self):
-        with pytest.raises(SimulationError):
-            sink_build_sync(SinkSchedule(phase="limbo"), SimConfig(), 0)
 
 
 class TestDataRoundCadence:
@@ -164,33 +196,36 @@ class TestContend:
 class TestSinkAssign:
     def test_dense_assignment(self):
         sched = SinkSchedule()
-        assert sink_assign(sched, 4) == 0
-        assert sink_assign(sched, 2) == 1
-        assert sink_assign(sched, 9) == 2
+        assert sink_assign(sched, 4, 3) == 0
+        assert sink_assign(sched, 2, 3) == 1
+        assert sink_assign(sched, 9, 3) == 2
         assert sched.slot_owner == [4, 2, 9]
         sched.assert_injective()
 
     def test_duplicate_request_returns_existing_slot(self):
         sched = SinkSchedule()
-        sink_assign(sched, 4)
-        sink_assign(sched, 2)
-        again = sink_assign(sched, 4)
+        sink_assign(sched, 4, 2)
+        sink_assign(sched, 2, 2)
+        again = sink_assign(sched, 4, 2)
         assert again == 0
         assert sched.slot_owner == [4, 2]
         sched.assert_injective()
 
     def test_capacity_exhaustion(self):
         sched = SinkSchedule()
+        assert sink_assign(sched, 5, capacity=0) is None
+        assert sched.slot_owner == []
         sink_assign(sched, 4, capacity=1)
-        with pytest.raises(SlotCapacityError):
-            sink_assign(sched, 5, capacity=1)
+        assert sink_assign(sched, 5, capacity=1) is None
+        assert sched.slot_owner == [4]
         # the holder can still re-request at capacity
         assert sink_assign(sched, 4, capacity=1) == 0
+        assert sched.slot_owner == [4]
 
     def test_injectivity_check_catches_corruption(self):
         sched = SinkSchedule()
-        sink_assign(sched, 4)
-        sink_assign(sched, 5)
+        sink_assign(sched, 4, 2)
+        sink_assign(sched, 5, 2)
         sched.slot_owner[0] = 5
         with pytest.raises(SimulationError):
             sched.assert_injective()
@@ -203,7 +238,7 @@ def _requests(outcomes):
 
 class TestUpdateRrDynamics:
     def _schedule(self):
-        return SinkSchedule(phase=PHASE_STABILIZATION, rr_current=64)
+        return _schedule(rr_current=64)
 
     def test_single_empty_slot_is_not_enough(self):
         cfg = SimConfig()
@@ -235,7 +270,7 @@ class TestUpdateRrDynamics:
 
     def test_fs_reduces_to_three(self):
         cfg = SimConfig(forwarder_selection=True)
-        sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=63)
+        sched = _schedule(rr_current=63)
         update_rr_dynamics(sched, _requests([None, None]), cfg)
         assert sched.rr_current == 3
 
@@ -268,7 +303,7 @@ class TestUpdateRrDynamics:
         # the other slots of a round deliver nothing to the sink's request
         # count, empty or not
         cfg = SimConfig(forwarder_selection=True)
-        sched = SinkSchedule(phase=PHASE_STABILIZATION, rr_current=63)
+        sched = _schedule(rr_current=63)
         others = [
             SyncSlot(0, 0, 0, None), ReplySlot(0, 0, 0, None), AnnounceSlot(0, 0, 0, None),
             DataSlot(0, 0, 0, None, None, None),

@@ -17,8 +17,8 @@ from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
 
 from _support import (
-    generated_of, last_sync_of, line_topology, queue_of, radio_on_of, random_connected_topology,
-    sync_node,
+    awake_ids, generated_of, last_sync_of, line_topology, queue_of, radio_on_of,
+    random_connected_topology, received_ids, sync_node,
 )
 
 US_SLOT = 15_000
@@ -76,7 +76,7 @@ class TestSlotKinds:
             slot.not_a_field = 1
         # every stored field reads what the constructor was given, in order
         assert tuple(getattr(slot, name) for name in BASE_FIELDS + own) == args
-        assert (slot.awake, slot.received) == ([0, 1], [1])
+        assert (awake_ids(slot), received_ids(slot)) == ([0, 1], [1])
         for name, default in OLD_DEFAULTS.items():
             if name not in own:
                 value = getattr(slot, name)
@@ -127,11 +127,11 @@ class TestBootstrapAndSync:
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
         assert trace.joined == (2,)
         sync_slot = trace.slots[0]
-        assert sync_slot.received == [1, 2]
+        assert received_ids(sync_slot) == [1, 2]
         assert radio_on_of(trace)[3] == US_SLOT
         for slot in trace.slots[1:]:
-            assert 3 not in slot.awake
-            assert 3 not in slot.received
+            assert 3 not in awake_ids(slot)
+            assert 3 not in received_ids(slot)
 
     def test_missed_sync_does_not_unsync(self):
         cfg = SimConfig()
@@ -327,7 +327,7 @@ class TestDataSlots:
         assert data.payload_len == 0
         assert data.gen_round is None
         assert not data.delivered
-        assert data.received == [1, 2]
+        assert received_ids(data) == [1, 2]
 
     def test_unowned_data_slot_is_a_bug(self):
         world = self._world_with_slot()
@@ -447,7 +447,7 @@ def _awake_time(cfg, trace):
     expect = dict.fromkeys(trace.node_ids, 0)
     for slot in trace.slots:
         length = cfg.sync_slot_length if slot.kind == "sync" else cfg.slot_length
-        for n in slot.awake:
+        for n in awake_ids(slot):
             expect[n] += length
     for n in trace.bootstrap:
         expect[n] += trace.round_period
@@ -502,15 +502,15 @@ class TestSharedRoundState:
             for slot in trace.slots
             if slot.initiator is not None
         ]
-        full = [s for s in flooded if len(s.received) == len(s.awake)]
-        partial = [s for s in flooded if len(s.received) != len(s.awake)]
+        full = [s for s in flooded if len(received_ids(s)) == len(awake_ids(s))]
+        partial = [s for s in flooded if len(received_ids(s)) != len(awake_ids(s))]
         assert {s.kind for s in full} >= {"sync", "request", "reply", "data"}
         assert partial
         for slot in full:
             assert slot.received_mask == slot.awake_mask, slot
         for slot in partial:
-            assert len(slot.received) < len(slot.awake)
-            assert slot.received == sorted(set(slot.received) & set(slot.awake))
+            assert len(received_ids(slot)) < len(awake_ids(slot))
+            assert received_ids(slot) == sorted(set(received_ids(slot)) & set(awake_ids(slot)))
 
     @pytest.mark.parametrize("fs", [False, True])
     def test_radio_totals_share_one_int_per_value(self, fs):

@@ -13,7 +13,8 @@ from lwbsim.sim import run_simulation
 from lwbsim.topology import Topology
 
 from _support import (
-    diamond_pendant, generated_of, line_topology, radio_on_of, random_connected_topology,
+    awake_ids, diamond_pendant, generated_of, line_topology, radio_on_of,
+    random_connected_topology,
 )
 
 US_SECOND = 1_000_000
@@ -54,7 +55,8 @@ class TestSourceStats:
 
     def test_pdr_counts_drops_and_losses(self):
         # of 10 generated packets, all 10 have left the queue
-        stats = SourceStats(delivered=6, dropped=2, lost=2)
+        stats = SourceStats()
+        stats.delivered, stats.dropped, stats.lost = 6, 2, 2
         assert stats.pdr == 0.6
 
     def test_pdr_with_nothing_accountable(self):
@@ -230,12 +232,12 @@ class TestEndToEndMetrics:
         assert data_rounds
         for trace in data_rounds:
             data_slots = [s for s in trace.slots if s.kind == "data"]
-            awake_for = sum(1 for s in data_slots if 5 in s.awake)
+            awake_for = sum(1 for s in data_slots if 5 in awake_ids(s))
             assert awake_for == 1
         plain_data = [t for t in plain.traces if t.n_data > 0]
         for trace in plain_data:
             data_slots = [s for s in trace.slots if s.kind == "data"]
-            assert all(5 in s.awake for s in data_slots)
+            assert all(5 in awake_ids(s) for s in data_slots)
 
     def test_summary_mentions_every_node(self):
         cfg = SimConfig(duration=30 * US_SECOND)

@@ -34,12 +34,14 @@ from lwbsim.topology import Topology
 
 from _support import (
     SCHEMA_HEADER,
+    awake_ids,
     desync_gap_of,
     diamond_pendant,
     generated_of,
     line_topology,
     random_connected_topology,
     read_trace,
+    received_ids,
     reference_render_trace,
     schema1_text,
     shortest_path_forwarders,
@@ -449,11 +451,11 @@ class TestRenderOracle:
         result = run_simulation(cfg, topo)
         slots = [s for t in result.traces for s in t.slots]
         assert {s.kind for s in slots} >= {"sync", "request", "reply", "data"}
-        assert set().union(*(s.received for s in slots)) == topo.nodes
+        assert set().union(*(received_ids(s) for s in slots)) == topo.nodes
         for slot in slots:
-            assert slot.awake == sorted(slot.awake)
-            assert slot.received == sorted(slot.received)
-            assert set(slot.received) <= set(slot.awake)
+            assert awake_ids(slot) == sorted(awake_ids(slot))
+            assert received_ids(slot) == sorted(received_ids(slot))
+            assert set(received_ids(slot)) <= set(awake_ids(slot))
         assert schema1_text(render_trace(result.traces)) == reference_render_trace(result.traces)
 
     def test_cache_survives_rounds_freed_by_a_generator(self):
@@ -547,7 +549,7 @@ class TestTraceSchema:
             if slot.kind == "sync":
                 active = slot.received_mask
             elif slot.awake_mask != active:
-                assert rec["awake"] == slot.awake
+                assert rec["awake"] == awake_ids(slot)
                 trimmed += slot.kind == "data"
             else:
                 assert "awake" not in rec
@@ -862,8 +864,8 @@ class TestSharedRoundLists:
                 assert sync.received_mask == trace.slots[1].awake_mask
             missed += sync.awake_mask != sync.received_mask
             for slot in trace.slots:
-                assert set(slot.received) <= set(slot.awake)
-                assert sink in slot.awake
+                assert set(received_ids(slot)) <= set(awake_ids(slot))
+                assert sink in awake_ids(slot)
             assert sink not in trace.desynced + trace.joined + trace.bootstrap
         # with no guard every synced node desyncs at each round start, so
         # only the sink relays the sync and no synced node can miss it
@@ -888,10 +890,10 @@ class TestDataSlotMembership:
 
             def check(world, trace):
                 nonlocal selected
-                active = set(trace.slots[0].received)
+                active = set(received_ids(trace.slots[0]))
                 requests = [s for s in trace.slots if s.kind == "request"]
                 for slot in requests:
-                    assert slot.awake == sorted(active)
+                    assert awake_ids(slot) == sorted(active)
                     assert slot.awake_mask == requests[0].awake_mask
                 for slot in trace.slots:
                     if slot.kind != "data":
@@ -901,7 +903,7 @@ class TestDataSlotMembership:
                         want = set(ids_of(forwarders)) & active
                         want |= {slot.owner} & active
                         want.add(sink)
-                        assert slot.awake == sorted(want)
+                        assert awake_ids(slot) == sorted(want)
                         selected += slot.awake_mask != requests[0].awake_mask
                     else:
                         assert slot.awake_mask == requests[0].awake_mask
@@ -969,7 +971,7 @@ class TestRoundState:
             outside = tuple(n for n in world.node_ids if not sync.awake_mask >> n & 1)
             assert trace.bootstrap == outside
             assert world.bootstrap == Topology.mask_of(trace.bootstrap)
-            assert set(trace.joined) <= set(sync.received)
+            assert set(trace.joined) <= set(received_ids(sync))
             for n in trace.joined:
                 assert previous >> n & 1 or n in trace.desynced
             for n in trace.desynced:  # synced drifting nodes only
@@ -999,7 +1001,7 @@ class TestRoundState:
             sink = world.config.sink_node_id
             previous = ends[-1] if ends else set(world.node_ids) - {sink}
             synced = set(world.node_ids) - previous - set(trace.desynced)
-            want.append(sorted(synced - set(trace.slots[0].received)))
+            want.append(sorted(synced - set(received_ids(trace.slots[0]))))
             ends.append(set(trace.bootstrap))
 
         result = run(check)
