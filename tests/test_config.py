@@ -339,7 +339,8 @@ class TestSimConfigContract:
         assert original == SimConfig()
         differ = [f for f in config.FIELDS if getattr(changed, f) != getattr(original, f)]
         # the default SYNC_SLOT_LENGTH is SLOT_LENGTH, so it follows a new one
-        assert differ == [name, "sync_slot_length"] if name == "slot_length" else [name]
+        expected = [name, "sync_slot_length"] if name == "slot_length" else [name]
+        assert differ == expected
         assert getattr(changed, name) == NON_DEFAULT[name]
 
     def test_replace_keeps_a_default_sync_slot_length_following(self):
