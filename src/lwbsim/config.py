@@ -1,8 +1,9 @@
 """Simulation configuration: protocol parameters plus simulator knobs.
 
-Config files are plain "KEY = value" text. Keys are case insensitive and
-match the protocol parameter names (IPI, MINIMUM_LWB_ROUND, ...). Durations
-accept the suffixes s, ms and us; a bare number means seconds.
+Config files are plain "KEY = value" text. A key, case insensitive, is its
+SimConfig field's name in capitals (IPI, MINIMUM_LWB_ROUND, ...), and the
+field's annotation picks its parser: a Duration accepts the suffixes s, ms
+and us, and a bare number means seconds.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
-from .units import US_PER_MS, US_PER_S, format_duration, parse_duration
+from .units import US_PER_MS, US_PER_S, Duration, format_duration, parse_duration
 
 POLICY_CAPTURE = "capture"
 POLICY_COLLISION = "collision"
@@ -31,24 +32,24 @@ MIN_SLOT_LENGTH = US_PER_MS
 class SimConfig:
     """All tunables for one run. Durations are integer microseconds."""
 
-    ipi: int = 10 * US_PER_S
-    minimum_lwb_round: int = 5 * US_PER_S
-    cooloff_period: int = 10 * US_PER_S
-    stabilization_period: int = 10 * US_PER_S
+    ipi: Duration = 10 * US_PER_S
+    minimum_lwb_round: Duration = 5 * US_PER_S
+    cooloff_period: Duration = 10 * US_PER_S
+    stabilization_period: Duration = 10 * US_PER_S
     max_payload_len: int = 40
     sink_node_id: int = 1
     max_node_number: int = 150
     forwarder_selection: bool = False
-    glossy_guard_time: int = 2 * US_PER_MS
-    slot_length: int = 15 * US_PER_MS
-    sync_slot_length: int  # SLOT_LENGTH unless given, see __getattr__
+    glossy_guard_time: Duration = 2 * US_PER_MS
+    slot_length: Duration = 15 * US_PER_MS
+    sync_slot_length: Duration  # SLOT_LENGTH unless given, see __getattr__
     loss_probability: float = 0.0
     drift_ppm_range: tuple[float, float] = (0.0, 0.0)
     contention_policy: str = POLICY_CAPTURE
     rr_reduction_trigger: str = TRIGGER_SLOTS
     queue_capacity: int = 8
     seed: int = 1
-    duration: int = 60 * US_PER_S
+    duration: Duration = 60 * US_PER_S
 
     def __init__(self, **values) -> None:
         for name in sorted(values.keys() - FIELDS):
@@ -185,27 +186,14 @@ def _parse_drift(value: str) -> tuple[float, float]:
     return (-r, r)
 
 
-# KEY -> (SimConfig field, parse); each KEY is its field's name in capitals
-CONFIG_KEYS = {name.upper(): (name, parse) for name, parse in {
-    "ipi": parse_duration,
-    "minimum_lwb_round": parse_duration,
-    "cooloff_period": parse_duration,
-    "stabilization_period": parse_duration,
-    "max_payload_len": int,
-    "sink_node_id": int,
-    "max_node_number": int,
-    "forwarder_selection": _parse_bool,
-    "glossy_guard_time": parse_duration,
-    "slot_length": parse_duration,
-    "sync_slot_length": parse_duration,
-    "loss_probability": float,
-    "drift_ppm_range": _parse_drift,
-    "contention_policy": str.lower,
-    "rr_reduction_trigger": str.lower,
-    "queue_capacity": int,
-    "seed": int,
-    "duration": parse_duration,
-}.items()}
+# KEY -> (SimConfig field, parse), the parse picked by the annotation as written
+CONFIG_KEYS = {
+    name.upper(): (name, {
+        "Duration": parse_duration, "int": int, "bool": _parse_bool, "float": float,
+        "str": str.lower, "tuple[float, float]": _parse_drift,
+    }[annotation])
+    for name, annotation in SimConfig.__annotations__.items()
+}
 
 VALID_KEYS = sorted(CONFIG_KEYS)
 

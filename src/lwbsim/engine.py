@@ -14,13 +14,15 @@ point on it is charged like any synced node. So a round's charge is a count
 of slots per node (_radio_totals): an active node pays the sync slot, the
 request block and every data slot that wakes it.
 
-Each slot kind is a SlotTrace subclass storing its own fields besides the
-base's four; a field a kind never sets reads its default from the base. A
-slot stores who was awake and who received as two node masks, bit n for node
-n, the ones the floods already compute. Run state is masks, windows and
-counters, so a round never loops over nodes: world.bootstrap holds the nodes
-in bootstrap, world.granted those that heard their slot grant. Before the
-sync flood, a synced drifting node whose clock offset since its last sync,
+Each slot kind is a SlotTrace subclass storing the base's four fields and
+its own, no other: a request's capture winner and an announce's source are
+its initiator, the node its flood starts from. A slot stores who was awake
+and who received as two node masks, bit n for node n, the ones the floods
+already compute, and a round its joined, desynced and bootstrap nodes as
+masks too (ids_of lists them). Run state is masks, windows and counters, so
+a round never loops over nodes: world.bootstrap holds the nodes in
+bootstrap, world.granted those that heard their slot grant. Before the sync
+flood, a synced drifting node whose clock offset since its last sync,
 gap * |drift_ppm| * 1e-6 us, is strictly over the guard time falls back to
 bootstrap. That test is monotone in the gap, so a node fails from its
 least_gap on: world.drift_cuts holds those ascending, drift_prefix[i] the
@@ -34,11 +36,11 @@ receives on the flood's reached mask within its awake mask. A capture winner
 is the k-th node of a request slot's contender mask. Forwarder selection
 keeps sink distances as hop masks in world.distances; an announce flood
 writes its slot's forwarder mask into announced_slots and counts the slot in
-wake_counts for each node it wakes. Every source makes sequence s at s *
-IPI, so a source's queue is the window from queue_start[n] to next_sequence;
-gen_rounds holds the rounds of the last QUEUE_CAPACITY sequences. A round
-stores how many sequences it made, not a pair per packet; its new
-assignments and capacity events are read from its reply slots.
+wake_counts for each node it wakes. Every source makes sequence s at
+s * IPI, so a source's queue is the window from queue_start[n] to
+next_sequence; gen_rounds holds the rounds of the last QUEUE_CAPACITY
+sequences. A round stores how many sequences it made, not a pair per packet;
+its new assignments and capacity events are read from its reply slots.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -65,10 +67,6 @@ class SlotTrace:
     no kind itself. Each kind takes these four fields, then its own."""
 
     __slots__ = ("t", "awake_mask", "received_mask", "initiator")
-    contender_count = 0
-    winner = requester = assigned_slot = source = announced_distance = None
-    slot_id = owner = payload_len = gen_round = None
-    delivered = new_assignment = capacity_exceeded = False
 
     @property
     def awake(self) -> list[int]:
@@ -89,22 +87,19 @@ class SyncSlot(SlotTrace):
 
 
 class RequestSlot(SlotTrace):
-    __slots__ = ("contender_count", "winner", "delivered")
+    __slots__ = ("contender_count", "delivered")
     kind = "request"
 
     def __init__(
         self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
-        contender_count: int, winner: int | None, delivered: bool,
+        contender_count: int, delivered: bool,
     ) -> None:
         self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
-        self.initiator = initiator
-        self.contender_count, self.winner, self.delivered = contender_count, winner, delivered
+        self.initiator, self.contender_count, self.delivered = initiator, contender_count, delivered
 
 
 class ReplySlot(SlotTrace):
-    __slots__ = (
-        "requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded"
-    )
+    __slots__ = ("requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded")
     kind = "reply"
 
     def __init__(
@@ -119,17 +114,16 @@ class ReplySlot(SlotTrace):
 
 
 class AnnounceSlot(SlotTrace):
-    __slots__ = ("source", "announced_distance", "slot_id")
+    __slots__ = ("announced_distance", "slot_id")
     kind = "announce"
 
     def __init__(
         self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
-        source: int | None = None, announced_distance: int | None = None,
-        slot_id: int | None = None,
+        announced_distance: int | None = None, slot_id: int | None = None,
     ) -> None:
         self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
         self.initiator = initiator
-        self.source, self.announced_distance, self.slot_id = source, announced_distance, slot_id
+        self.announced_distance, self.slot_id = announced_distance, slot_id
 
 
 class DataSlot(SlotTrace):
@@ -154,7 +148,8 @@ class DataSlot(SlotTrace):
 
 class RoundTrace:
     """Everything that happened in one round. radio_totals[i] is the
-    radio-on time of node node_ids[i]; each of sources made new_sequences packets."""
+    radio-on time of node node_ids[i]; each of sources made new_sequences
+    packets. joined, desynced and bootstrap are node masks."""
 
     __slots__ = (
         "index", "t_start", "phase", "mode", "round_period", "n_rr", "n_data", "slots",
@@ -165,9 +160,8 @@ class RoundTrace:
     def __init__(
         self, index: int, t_start: int, phase: str, mode: str, round_period: int,
         n_rr: int, n_data: int, slots: list[SlotTrace], node_ids: tuple[int, ...],
-        radio_totals: tuple[int, ...], joined: tuple[int, ...], desynced: tuple[int, ...],
-        bootstrap: tuple[int, ...], sources: tuple[int, ...], new_sequences: int,
-        dropped: tuple[int, ...],
+        radio_totals: tuple[int, ...], joined: int, desynced: int, bootstrap: int,
+        sources: tuple[int, ...], new_sequences: int, dropped: tuple[int, ...],
     ) -> None:
         self.index, self.t_start, self.phase = index, t_start, phase
         self.mode, self.round_period, self.n_rr = mode, round_period, n_rr
@@ -179,11 +173,12 @@ class RoundTrace:
     @property
     def new_assignments(self) -> list[tuple[int, int]]:
         """(slot, owner) of every slot the sink granted afresh."""
-        return [(s.assigned_slot, s.requester) for s in self.slots if s.new_assignment]
+        return [(s.assigned_slot, s.requester) for s in self.slots
+                if s.kind == "reply" and s.new_assignment]
 
     @property
     def capacity_events(self) -> int:
-        return sum(s.capacity_exceeded for s in self.slots)
+        return sum(s.capacity_exceeded for s in self.slots if s.kind == "reply")
 
 
 def least_gap(drift_ppm: float, guard: int) -> int:
@@ -305,7 +300,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     # bootstrap listens through the whole round; a synced node that missed
     # the sync sits the round out.
     awake_mask = flood(topo, sink, synced, loss, rng).reached  # the active nodes
-    joined = tuple(ids_of(awake_mask & bootstrap))
+    joined = awake_mask & bootstrap
     world.bootstrap = bootstrap = bootstrap & ~awake_mask
     keep, fresh = ~(awake_mask | lost), awake_mask & world.drift_prefix[-1]
     groups = world.synced_at = {s: rest for s, g in groups.items() if (rest := g & keep)}
@@ -334,7 +329,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         winner = contend(contenders, cfg.contention_policy, rng)
         fo = None if winner is None else flood(topo, winner, awake_mask, loss, rng)
         heard = winner if fo is not None and fo.received(sink) else None
-        slot(RequestSlot, fo, contenders.bit_count(), winner, heard is not None)
+        slot(RequestSlot, fo, contenders.bit_count(), heard is not None)
 
         # reply slot: the sink grants the heard requester a data slot
         fo, fields, announce_source = None, (), None
@@ -368,7 +363,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 forwarders = apply_announce(world.distances, fo, distance)
                 world.announced_slots[assigned] = (distance, forwarders)
                 world.wake_counts.update(ids_of(forwarders | 1 << announce_source | 1 << sink))
-                fields = (announce_source, distance, assigned)
+                fields = (distance, assigned)
             slot(AnnounceSlot, fo, *fields)
 
     # Data slots. Slot indices are dense and the header check above gave
@@ -411,7 +406,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),
-        joined=joined, desynced=tuple(ids_of(lost)), bootstrap=tuple(ids_of(bootstrap)),
+        joined=joined, desynced=lost, bootstrap=bootstrap,
         sources=world.sources, new_sequences=len(due), dropped=dropped,
     )
     world.now += header.round_period

@@ -13,8 +13,8 @@ most often none, and writes its awake ids only when they are not the
 round's active set (the sync slot's received ids), so always in the sync
 slot that opens each round. A round writes its radio_on row only when the
 row's values differ from the previous round's; a reader carries the last
-row forward. The id list of each distinct mask value is made once per call,
-and so is the radio_on text of each distinct row.
+row forward. The ids of each distinct slot or round mask are listed once
+per call, and so is the radio_on text of each distinct row.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
         )
     if kind == "request":
         return _REQUEST % (
-            *head, slot.contender_count, _json(slot.winner),
+            *head, slot.contender_count, _json(slot.initiator),  # winner = initiator
             "true" if slot.delivered else "false", seq,
         )
     if kind == "reply":
@@ -166,7 +166,8 @@ def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
         )
     if kind == "announce":
         return _ANNOUNCE % (
-            *head, _json(slot.source), _json(slot.announced_distance), _json(slot.slot_id), seq,
+            *head, _json(slot.initiator), _json(slot.announced_distance),  # source = initiator
+            _json(slot.slot_id), seq,
         )
     return _SLOT_HEAD % head + ',"seq":%d}\n' % seq  # sync: no fields of its own
 
@@ -176,11 +177,11 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     two or three per round record (head, the radio_on part when the row
     changed, tail).
 
-    Each distinct slot mask value's ids are joined once per call, each
-    node id's text is made once, and each distinct (node_ids, radio_totals)
-    row's pairs are written once. The caches and the repeated-row test
-    compare values, not objects, so a generator may free its rounds as they
-    are rendered.
+    Each distinct mask value's ids, a slot's or a round's, are joined once
+    per call, each node id's text is made once, and each distinct
+    (node_ids, radio_totals) row's pairs are written once. The caches and
+    the repeated-row test compare values, not objects, so a generator may
+    free its rounds as they are rendered.
     """
     name = _Memo(str).__getitem__
     text = _Memo(lambda mask: ",".join(map(name, ids_of(mask)))).__getitem__
@@ -220,9 +221,7 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         nodes = trace.sources if made < 2 else [n for n in trace.sources for _ in range(made)]
         yield _ROUND_TAIL % (
             ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
-            ",".join(map(name, trace.joined)),
-            ",".join(map(name, trace.desynced)),
-            ",".join(map(name, trace.bootstrap)),
+            text(trace.joined), text(trace.desynced), text(trace.bootstrap),
             "[%s,%d]" % ((",%d],[" % trace.index).join(map(name, nodes)), trace.index)
             if made and nodes else "",
             ",".join(map(name, trace.dropped)), trace.capacity_events, seq,

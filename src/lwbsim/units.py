@@ -8,6 +8,7 @@ from .errors import ConfigError
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+Duration = int  # integer microseconds; a config field so annotated parses with parse_duration
 
 _SUFFIXES = (("us", 1), ("ms", US_PER_MS), ("s", US_PER_S))
 

@@ -210,7 +210,7 @@ def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
     }
     if slot.kind == "request":
         rec["contenders"] = slot.contender_count
-        rec["winner"] = slot.winner
+        rec["winner"] = slot.initiator  # the node the request flooded from
         rec["delivered"] = slot.delivered
     elif slot.kind == "reply":
         rec["requester"] = slot.requester
@@ -220,7 +220,7 @@ def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
         if slot.capacity_exceeded:
             rec["capacity_exceeded"] = True
     elif slot.kind == "announce":
-        rec["source"] = slot.source
+        rec["source"] = slot.initiator  # the node the announce flooded from
         rec["distance"] = slot.announced_distance
         rec["slot_id"] = slot.slot_id
     elif slot.kind == "data":
@@ -244,9 +244,9 @@ def _round_record(trace: RoundTrace) -> dict:
         "n_data": trace.n_data,
         "radio_on": {str(n): us for n, us in sorted(radio_on_of(trace).items())},
         "new_assignments": [list(pair) for pair in trace.new_assignments],
-        "joined": trace.joined,
-        "desynced": trace.desynced,
-        "bootstrap": trace.bootstrap,
+        "joined": ids_of(trace.joined),
+        "desynced": ids_of(trace.desynced),
+        "bootstrap": ids_of(trace.bootstrap),
         "generated": [list(pair) for pair in generated_of(trace)],
         "dropped": trace.dropped,
         "capacity_events": trace.capacity_events,

@@ -220,7 +220,7 @@ def test_criterion_5_guard_window_boundary():
         world = build_world(cfg, line_topology(2))
         sync_node(world, 2)
         world.now = gap_s * US_SECOND
-        return execute_round(world, SyncHeader(US_SECOND, 0, 0)).desynced == (2,)
+        return execute_round(world, SyncHeader(US_SECOND, 0, 0)).desynced == 1 << 2
 
     if desyncs_after(10):
         problems.append("1 ms offset after 10 s broke the 2 ms guard")
@@ -244,9 +244,9 @@ def test_criterion_5_guard_window_boundary():
 
     broken = run_gap(30, 110)
     op = [t for t in broken.traces if t.phase == "operational"][1:]
-    if not op or not all(t.desynced == (2,) for t in op):
+    if not op or not all(t.desynced == 1 << 2 for t in op):
         problems.append("30 s sync gaps at 100 ppm did not desync the node")
-    if not all(t.joined == (2,) for t in op):
+    if not all(t.joined == 1 << 2 for t in op):
         problems.append("desynced node did not re-bootstrap and rejoin")
 
     boundary = run_gap(20, 120)

@@ -303,6 +303,19 @@ class TestSpecTable:
         # the per-field round trip below varies every field
         assert NON_DEFAULT.keys() == set(names)
 
+    def test_annotation_picks_the_parser(self):
+        # CONFIG_KEYS is built from SimConfig's annotations, in field order;
+        # a field annotated Duration takes suffixed durations, any other not
+        assert [name for name, _ in CONFIG_KEYS.values()] == list(config.FIELDS)
+        durations = {key for key, (_, parse) in CONFIG_KEYS.items() if parse is parse_duration}
+        assert durations == {
+            "IPI", "MINIMUM_LWB_ROUND", "COOLOFF_PERIOD", "STABILIZATION_PERIOD",
+            "GLOSSY_GUARD_TIME", "SLOT_LENGTH", "SYNC_SLOT_LENGTH", "DURATION",
+        }
+        assert parse_config("SLOT_LENGTH = 20ms\nSEED = 20\n").slot_length == 20_000
+        with pytest.raises(ConfigError, match="bad value for SEED"):
+            parse_config("SEED = 20ms\n")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", list(NON_DEFAULT))

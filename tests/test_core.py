@@ -233,7 +233,7 @@ class TestSinkAssign:
 
 def _requests(outcomes):
     """One request slot per outcome: the requester the sink heard, or None."""
-    return [RequestSlot(0, 0, 0, None, 0, o, o is not None) for o in outcomes]
+    return [RequestSlot(0, 0, 0, o, 0, o is not None) for o in outcomes]
 
 
 class TestUpdateRrDynamics:

@@ -13,6 +13,7 @@ from lwbsim.engine import (
     execute_round, least_gap,
 )
 from lwbsim.errors import SimulationError
+from lwbsim.glossy import ids_of
 from lwbsim.sim import build_world, run_simulation
 from lwbsim.topology import Topology
 
@@ -29,38 +30,32 @@ def _sync_only_header():
     return SyncHeader(US_SECOND, 0, 0)
 
 
-# Every kind-specific field and the value the single slot class of earlier
-# versions gave it when the engine left it unset.
-OLD_DEFAULTS = {
-    "contender_count": 0, "winner": None, "delivered": False, "requester": None,
-    "assigned_slot": None, "new_assignment": False, "capacity_exceeded": False,
-    "source": None, "announced_distance": None, "slot_id": None, "owner": None,
-    "payload_len": None, "gen_round": None,
-}
 BASE_FIELDS = ("t", "awake_mask", "received_mask", "initiator")
 # kind class -> (kind, its own fields, constructor arguments setting all fields)
 SLOT_KINDS = {
     SyncSlot: ("sync", (), (1, 3, 2, 1)),
-    RequestSlot: ("request", ("contender_count", "winner", "delivered"), (1, 3, 2, 2, 4, 2, True)),
+    RequestSlot: ("request", ("contender_count", "delivered"), (1, 3, 2, 2, 4, True)),
     ReplySlot: (
         "reply", ("requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded"),
         (1, 3, 2, 1, 2, 0, True, True, False),
     ),
-    AnnounceSlot: ("announce", ("source", "announced_distance", "slot_id"), (1, 3, 2, 2, 2, 1, 0)),
+    AnnounceSlot: ("announce", ("announced_distance", "slot_id"), (1, 3, 2, 2, 1, 0)),
     DataSlot: (
         "data", ("slot_id", "owner", "payload_len", "gen_round", "delivered"),
         (1, 3, 2, 2, 0, 2, 3, 0, True),
     ),
 }
-
+# a request's winner and an announce's source are its initiator
+KIND_FIELDS = {name for _, own, _ in SLOT_KINDS.values() for name in own} | {"winner", "source"}
 
 class TestSlotKinds:
     """One class per slot kind: each stores the base fields and its own,
-    and reads every other field as the old single class defaulted it."""
+    and no other kind's field reads on it."""
 
     def test_base_stores_the_shared_fields_and_is_no_kind(self):
         assert SlotTrace.__slots__ == BASE_FIELDS
         assert not hasattr(SlotTrace, "kind")
+        assert not KIND_FIELDS & vars(SlotTrace).keys()
         with pytest.raises(TypeError):  # the generic constructor is gone
             SlotTrace(0, "sync", 0, 0)
 
@@ -77,18 +72,22 @@ class TestSlotKinds:
         # every stored field reads what the constructor was given, in order
         assert tuple(getattr(slot, name) for name in BASE_FIELDS + own) == args
         assert (awake_ids(slot), received_ids(slot)) == ([0, 1], [1])
-        for name, default in OLD_DEFAULTS.items():
-            if name not in own:
-                value = getattr(slot, name)
-                assert (type(value), value) == (type(default), default), name
+        # the slot reads the base fields, its own, its kind and the two id
+        # lists, nothing else; another kind's field raises
+        public = {name for name in dir(slot) if not name.startswith("_")}
+        assert public == {*BASE_FIELDS, *own, "kind", "awake", "received"}
+        for name in sorted(KIND_FIELDS - set(own)):
+            with pytest.raises(AttributeError):
+                getattr(slot, name)
 
     def test_empty_slots_read_the_defaults(self):
         # the engine builds a silent reply, announce and data slot from the
-        # base fields and what it knows, the rest at the old defaults
-        for slot in (ReplySlot(0, 1, 0, None), AnnounceSlot(0, 1, 0, None)):
-            for name, default in OLD_DEFAULTS.items():
-                value = getattr(slot, name)
-                assert (type(value), value) == (type(default), default), name
+        # base fields and what it knows; the rest take the kind's defaults
+        reply = ReplySlot(0, 1, 0, None)
+        assert (reply.requester, reply.assigned_slot) == (None, None)
+        assert (reply.new_assignment, reply.delivered, reply.capacity_exceeded) == (False,) * 3
+        announce = AnnounceSlot(0, 1, 0, None)
+        assert (announce.announced_distance, announce.slot_id) == (None, None)
         silent = DataSlot(0, 1, 0, None, 3, 2)
         assert (silent.slot_id, silent.owner) == (3, 2)
         assert (silent.payload_len, silent.gen_round, silent.delivered) == (None, None, False)
@@ -99,8 +98,8 @@ class TestBootstrapAndSync:
         cfg = SimConfig()
         world = build_world(cfg, line_topology(2))
         trace = execute_round(world, _sync_only_header())
-        assert trace.joined == (2,)
-        assert trace.bootstrap == ()
+        assert trace.joined == 1 << 2
+        assert trace.bootstrap == 0
         assert radio_on_of(trace) == {1: US_SLOT, 2: US_SLOT}
 
     def test_bootstrap_cascade_one_hop_per_round(self):
@@ -109,7 +108,7 @@ class TestBootstrapAndSync:
         cfg = SimConfig(duration=6 * US_SECOND)
         result = run_simulation(cfg, line_topology(6))
         joined = [trace.joined for trace in result.traces[:5]]
-        assert joined == [(2,), (3,), (4,), (5,), (6,)]
+        assert joined == [1 << n for n in range(2, 7)]
 
     def test_waiting_bootstrap_node_pays_full_round(self):
         cfg = SimConfig(duration=6 * US_SECOND)
@@ -125,7 +124,7 @@ class TestBootstrapAndSync:
         world = build_world(cfg, line_topology(3))
         world.bootstrap &= ~(1 << 3)
         trace = execute_round(world, SyncHeader(US_SECOND, 2, 0))
-        assert trace.joined == (2,)
+        assert trace.joined == 1 << 2
         sync_slot = trace.slots[0]
         assert received_ids(sync_slot) == [1, 2]
         assert radio_on_of(trace)[3] == US_SLOT
@@ -175,15 +174,15 @@ class TestClockGuardInRounds:
         world = _synced_pair(drift, guard)
         world.now = gap
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == ((2,) if desyncs else ())
+        assert trace.desynced == (1 << 2 if desyncs else 0)
 
     def test_drifted_node_desyncs_and_rejoins_same_round(self):
         # 100 ppm over 30 s piles up 3 ms, past the 2 ms guard
         world = _synced_pair(100.0)
         world.now = 30 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == (2,)
-        assert trace.joined == (2,)
+        assert trace.desynced == 1 << 2
+        assert trace.joined == 1 << 2
         assert not world.bootstrap >> 2 & 1
         assert radio_on_of(trace)[2] == US_SLOT
 
@@ -193,7 +192,7 @@ class TestClockGuardInRounds:
         world = _synced_pair(100.0)
         world.now = 20 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == ()
+        assert trace.desynced == 0
 
     def test_sync_sets_last_sync_to_round_start(self):
         # last sync is kept for synced drifting nodes only; 1 ppm over 7 s
@@ -201,7 +200,7 @@ class TestClockGuardInRounds:
         world = build_world(SimConfig(drift_ppm_range=(1.0, 1.0)), line_topology(3))
         world.now = 7 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.joined == (2,)
+        assert trace.joined == 1 << 2
         assert last_sync_of(world, 2) == trace.t_start == 7 * US_SECOND
         # node 3 heard no sync: the flood stopped at bootstrap node 2
         assert last_sync_of(world, 3) is None
@@ -211,11 +210,11 @@ class TestClockGuardInRounds:
         world = _synced_pair(100.0)
         world.now = 30 * US_SECOND
         first = execute_round(world, _sync_only_header())
-        assert first.desynced == first.joined == (2,)
+        assert first.desynced == first.joined == 1 << 2
         # 10 s after the rejoin the offset is 1 ms, inside the guard
         world.now = 40 * US_SECOND
         trace = execute_round(world, _sync_only_header())
-        assert trace.desynced == ()
+        assert trace.desynced == 0
         assert not world.bootstrap >> 2 & 1
 
 
@@ -256,7 +255,7 @@ class TestRequestBlock:
         request, reply = trace.slots[1], trace.slots[2]
         assert request.kind == "request"
         assert request.contender_count == 1
-        assert request.winner == 2
+        assert request.initiator == 2
         assert reply.kind == "reply"
         assert reply.requester == 2
         assert reply.assigned_slot == 0
@@ -449,7 +448,7 @@ def _awake_time(cfg, trace):
         length = cfg.sync_slot_length if slot.kind == "sync" else cfg.slot_length
         for n in awake_ids(slot):
             expect[n] += length
-    for n in trace.bootstrap:
+    for n in ids_of(trace.bootstrap):
         expect[n] += trace.round_period
     return expect
 
@@ -644,7 +643,7 @@ class TestRowsFromWakeCounts:
             for trace in result.traces:
                 assert radio_on_of(trace) == _awake_time(cfg, trace), trace.index
                 for slot in trace.slots:
-                    if slot.kind == "announce" and slot.source is not None and trace.n_data:
+                    if slot.kind == "announce" and slot.initiator is not None and trace.n_data:
                         fresh += slot.slot_id >= trace.n_data
                         first_below += slot.slot_id < trace.n_data
         assert fresh and first_below

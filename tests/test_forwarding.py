@@ -197,14 +197,17 @@ class TestAnnouncedOnce:
             )
             result = run_simulation(cfg, topo)
             slots = [s for t in result.traces for s in t.slots]
-            announced = [s.slot_id for s in slots if s.kind == "announce" and s.source is not None]
+            announces = [s for s in slots if s.kind == "announce" and s.initiator is not None]
+            announced = [s.slot_id for s in announces]
             for i, slot in enumerate(slots):
                 if slot.kind == "reply" and slot.delivered:
                     delivered += 1
                     assert announced.count(slot.assigned_slot) == 1
                     follow = slots[i + 1]
                     assert follow.kind == "announce"
-                    assert (follow.source, follow.slot_id) == (slot.requester, slot.assigned_slot)
+                    # the announce floods from its source, the requester
+                    assert follow.initiator == slot.requester
+                    assert follow.slot_id == slot.assigned_slot
             assert len(set(announced)) == len(announced)
             assert sorted(result.world.announced_slots) == sorted(announced)
         assert delivered > 0

@@ -33,9 +33,9 @@ def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
         slots=slots or [],
         node_ids=tuple(radio),
         radio_totals=tuple(radio.values()),
-        joined=(),
-        desynced=(),
-        bootstrap=(),
+        joined=0,
+        desynced=0,
+        bootstrap=0,
         sources=(),
         new_sequences=0,
         dropped=(),
