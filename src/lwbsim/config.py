@@ -9,6 +9,7 @@ and us, and a bare number means seconds.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .errors import ConfigError
 from .units import US_PER_MS, US_PER_S, Duration, format_duration, parse_duration
@@ -196,6 +197,19 @@ CONFIG_KEYS = {
 }
 
 VALID_KEYS = sorted(CONFIG_KEYS)
+
+
+def config_texts(config: SimConfig) -> Iterator[tuple[str, str]]:
+    """(KEY, text) of every key, in CONFIG_KEYS order: "KEY = text" lines
+    that parse_config reads back to an equal config."""
+    for key, (name, parse) in CONFIG_KEYS.items():
+        value = getattr(config, name)
+        if parse is parse_duration:
+            yield key, format_duration(value)
+        elif parse is _parse_drift:
+            yield key, "%r:%r" % value
+        else:
+            yield key, str(int(value) if parse is _parse_bool else value)
 
 
 def parse_config(text: str) -> SimConfig:

@@ -40,7 +40,8 @@ wake_counts for each node it wakes. Every source makes sequence s at
 s * IPI, so a source's queue is the window from queue_start[n] to
 next_sequence; gen_rounds holds the rounds of the last QUEUE_CAPACITY
 sequences. A round stores how many sequences it made, not a pair per packet;
-its new assignments and capacity events are read from its reply slots.
+its reply slots, the second of each request group, and its data slots sit
+at fixed places in its slot list, so a reader slices them out.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -147,38 +148,45 @@ class DataSlot(SlotTrace):
 
 
 class RoundTrace:
-    """Everything that happened in one round. radio_totals[i] is the
-    radio-on time of node node_ids[i]; each of sources made new_sequences
-    packets. joined, desynced and bootstrap are node masks."""
+    """Everything that happened in one round of a run of config. Its slots
+    are the sync slot, the n_rr slots of the request block, then the n_data
+    data slots. radio_totals[i] is the radio-on time of node node_ids[i];
+    each of sources made new_sequences packets. joined, desynced and
+    bootstrap are node masks."""
 
     __slots__ = (
-        "index", "t_start", "phase", "mode", "round_period", "n_rr", "n_data", "slots",
+        "index", "t_start", "phase", "config", "round_period", "n_rr", "n_data", "slots",
         "node_ids", "radio_totals", "joined", "desynced", "bootstrap", "sources",
         "new_sequences", "dropped",
     )
 
     def __init__(
-        self, index: int, t_start: int, phase: str, mode: str, round_period: int,
+        self, index: int, t_start: int, phase: str, config: SimConfig, round_period: int,
         n_rr: int, n_data: int, slots: list[SlotTrace], node_ids: tuple[int, ...],
         radio_totals: tuple[int, ...], joined: int, desynced: int, bootstrap: int,
         sources: tuple[int, ...], new_sequences: int, dropped: tuple[int, ...],
     ) -> None:
         self.index, self.t_start, self.phase = index, t_start, phase
-        self.mode, self.round_period, self.n_rr = mode, round_period, n_rr
+        self.config, self.round_period, self.n_rr = config, round_period, n_rr
         self.n_data, self.slots, self.node_ids = n_data, slots, node_ids
         self.radio_totals, self.joined, self.desynced = radio_totals, joined, desynced
         self.bootstrap, self.sources, self.new_sequences = bootstrap, sources, new_sequences
         self.dropped = dropped
 
     @property
+    def replies(self) -> list[ReplySlot]:
+        """The reply slots: the second slot of each request group."""
+        n_rr = self.n_rr  # 0 in most rounds of a long run
+        return self.slots[2:1 + n_rr:self.config.rr_group_size] if n_rr else []
+
+    @property
     def new_assignments(self) -> list[tuple[int, int]]:
         """(slot, owner) of every slot the sink granted afresh."""
-        return [(s.assigned_slot, s.requester) for s in self.slots
-                if s.kind == "reply" and s.new_assignment]
+        return [(s.assigned_slot, s.requester) for s in self.replies if s.new_assignment]
 
     @property
     def capacity_events(self) -> int:
-        return sum(s.capacity_exceeded for s in self.slots if s.kind == "reply")
+        return sum(s.capacity_exceeded for s in self.replies)
 
 
 def least_gap(drift_ppm: float, guard: int) -> int:
@@ -402,7 +410,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if len(sched.slot_owner) > owned:  # sink_assign, the table's one writer, appended
         sched.assert_injective()
     trace = RoundTrace(
-        index=world.round_index, t_start=world.now, phase=phase_at(cfg, world.now), mode=cfg.mode,
+        index=world.round_index, t_start=world.now, phase=phase_at(cfg, world.now), config=cfg,
         round_period=header.round_period, n_rr=header.n_rr, n_data=header.n_data,
         slots=slots, node_ids=world.node_ids,
         radio_totals=_radio_totals(world, header, sync_awake, awake_mask),

@@ -80,21 +80,20 @@ class RunMetrics:
         self.generated += trace.new_sequences
         for node in trace.dropped:
             sources[node].dropped += 1
-        for slot in trace.slots:
-            kind = slot.kind
-            if kind == "data":
-                if slot.gen_round is not None:
-                    stats = sources[slot.owner]
-                    if slot.delivered:
-                        stats.delivered += 1
-                        stats.latency_rounds += index - slot.gen_round
-                    else:
-                        stats.lost += 1
-            elif kind == "reply" and slot.delivered and slot.requester is not None:
+        for slot in trace.replies:
+            if slot.delivered:
                 stats = sources[slot.requester]
                 if stats.acquisition_round is None:
                     stats.acquisition_round = index
                     stats.slot = slot.assigned_slot
+        for slot in trace.slots[1 + trace.n_rr:]:  # the data slots
+            if slot.gen_round is not None:
+                stats = sources[slot.owner]
+                if slot.delivered:
+                    stats.delivered += 1
+                    stats.latency_rounds += index - slot.gen_round
+                else:
+                    stats.lost += 1
 
     def to_dict(self) -> dict:
         nodes = {}

@@ -6,22 +6,28 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Traces are written in trace schema 3, in the key order render_trace
-lists, from %-templates and node id texts, not through json. Every slot
-writes, in place of its received ids, the awake ids that missed its flood,
-most often none, and writes its awake ids only when they are not the
-round's active set (the sync slot's received ids), so always in the sync
-slot that opens each round. A round writes its radio_on row only when the
-row's values differ from the previous round's; a reader carries the last
-row forward. The ids of each distinct slot or round mask are listed once
-per call, and so is the radio_on text of each distinct row.
+Traces are written in trace schema 4, in the key order render_trace
+lists, from %-templates and node id texts; only the header's config goes
+through json. A slot record writes no field its round record or its own
+fields already say: not its round or phase, not a request's winner or an
+announce's source (its initiator), and not a data slot's initiator when it
+is the owner. Every slot writes, in place of its received ids, the awake
+ids that missed its flood, most often none, and writes its awake ids only
+when they are not the round's active set (the sync slot's received ids),
+so always in the sync slot that opens each round. A round writes its
+radio_on row only when the row's values differ from the previous round's;
+a reader carries the last row forward. The ids of each distinct slot or
+round mask are listed once per call, and so is the radio_on text of each
+distinct row.
 """
 
 from __future__ import annotations
 
+import json
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
-from .config import SimConfig
+from .config import SimConfig, config_texts
 from .core import (
     PHASE_STABILIZATION,
     advance_phase,
@@ -113,12 +119,10 @@ class _Memo(dict):
 
 
 # Slot kinds, phases and modes are the engine's fixed lowercase names,
-# written unescaped. _SLOT_HEAD's last two values are a slot's awake part,
-# "" on the round's active set, and its missed ids.
-_HEADER = '{"kind":"schema","version":3}\n'
-_SLOT_HEAD = (
-    '{"kind":"slot","round":%d,"t":%d,"phase":"%s","type":"%s","initiator":%s,%s"missed":[%s]'
-)
+# written unescaped. _SLOT_HEAD's last three values are a slot's initiator
+# part (see _slot_line), its awake part, "" on the round's active set, and
+# its missed ids.
+_HEADER = '{"kind":"schema","version":4,"config":%s}\n'
 _ROUND_HEAD = (
     '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
     '"n_rr":%d,"n_data":%d,'
@@ -127,14 +131,16 @@ _ROUND_TAIL = (
     '"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
     '"generated":[%s],"dropped":[%s],"capacity_events":%d,"seq":%d}\n'
 )
-_DATA = _SLOT_HEAD + (
-    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s,"seq":%d}\n'
-)
-_REQUEST = _SLOT_HEAD + ',"contenders":%d,"winner":%s,"delivered":%s,"seq":%d}\n'
+_SLOT_HEAD = '{"kind":"slot","t":%d,"type":"%s",%s%s"missed":[%s]'
+_SYNC = _SLOT_HEAD + ',"seq":%d}\n'
+_REQUEST = _SLOT_HEAD + ',"contenders":%d,"delivered":%s,"seq":%d}\n'
 _REPLY = _SLOT_HEAD + (
     ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s,"seq":%d}\n'
 )
-_ANNOUNCE = _SLOT_HEAD + ',"source":%s,"distance":%s,"slot_id":%s,"seq":%d}\n'
+_ANNOUNCE = _SLOT_HEAD + ',"distance":%s,"slot_id":%s,"seq":%d}\n'
+_DATA = _SLOT_HEAD + (
+    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s,"seq":%d}\n'
+)
 
 
 def _json(value: int | None) -> int | str:
@@ -142,21 +148,22 @@ def _json(value: int | None) -> int | str:
     return "null" if value is None else value
 
 
-def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
+def _slot_line(slot: SlotTrace, awake: str, missed: str, seq: int) -> str:
     """The record of a slot, from _SLOT_HEAD's values and its kind's fields.
-    Int fields go through %d, int-or-None fields through _json and bool
-    fields through a conditional, never a lookup: True == 1 as a key."""
-    kind = slot.kind
+    A data slot writes its initiator only when it is not the owner, which
+    in a run means a silent slot's null. Int fields go through %d,
+    int-or-None fields through _json and bool fields through a conditional,
+    never a lookup: True == 1 as a key."""
+    kind, initiator = slot.kind, slot.initiator
     if kind == "data":
         return _DATA % (
-            *head, slot.slot_id, slot.owner, _json(slot.payload_len), _json(slot.gen_round),
-            "true" if slot.delivered else "false", seq,
+            slot.t, kind, "" if initiator == slot.owner else '"initiator":%s,' % _json(initiator),
+            awake, missed, slot.slot_id, slot.owner, _json(slot.payload_len),
+            _json(slot.gen_round), "true" if slot.delivered else "false", seq,
         )
+    head = slot.t, kind, '"initiator":%s,' % _json(initiator), awake, missed
     if kind == "request":
-        return _REQUEST % (
-            *head, slot.contender_count, _json(slot.initiator),  # winner = initiator
-            "true" if slot.delivered else "false", seq,
-        )
+        return _REQUEST % (*head, slot.contender_count, "true" if slot.delivered else "false", seq)
     if kind == "reply":
         return _REPLY % (
             *head, _json(slot.requester), _json(slot.assigned_slot),
@@ -165,17 +172,15 @@ def _slot_line(slot: SlotTrace, head: tuple, seq: int) -> str:
             ',"capacity_exceeded":true' if slot.capacity_exceeded else "", seq,
         )
     if kind == "announce":
-        return _ANNOUNCE % (
-            *head, _json(slot.initiator), _json(slot.announced_distance),  # source = initiator
-            _json(slot.slot_id), seq,
-        )
-    return _SLOT_HEAD % head + ',"seq":%d}\n' % seq  # sync: no fields of its own
+        return _ANNOUNCE % (*head, _json(slot.announced_distance), _json(slot.slot_id), seq)
+    return _SYNC % (*head, seq)
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     """The JSONL text in pieces: the header line, one per slot record,
     two or three per round record (head, the radio_on part when the row
-    changed, tail).
+    changed, tail). The header's config is the first round's, so the
+    first round is taken before the header is written.
 
     Each distinct mask value's ids, a slot's or a round's, are joined once
     per call, each node id's text is made once, and each distinct
@@ -190,9 +195,14 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     ).__getitem__
     awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
 
-    yield _HEADER
+    rounds = iter(traces)
+    first = next(rounds, None)
+    config = None if first is None else dict(config_texts(first.config))
+    yield _HEADER % json.dumps(config, separators=(",", ":"))
+    if first is None:
+        return
     seq, last_row = 0, None
-    for trace in traces:
+    for trace in chain((first,), rounds):
         active = -1  # the sync slot's received mask; no mask equals -1
         for slot in trace.slots:
             awake, received = slot.awake_mask, slot.received_mask
@@ -202,15 +212,12 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
                 if missed_mask & received:  # a stray receiver the schema cannot write
                     raise SimulationError(f"slot at t={slot.t} received off its awake set")
                 missed = text(missed_mask)
-            yield _slot_line(slot, (
-                trace.index, slot.t, trace.phase, slot.kind, _json(slot.initiator),
-                "" if awake == active else awake_part(awake), missed,
-            ), seq)
+            yield _slot_line(slot, "" if awake == active else awake_part(awake), missed, seq)
             if slot.kind == "sync":
                 active = received
             seq += 1
         yield _ROUND_HEAD % (
-            trace.index, trace.t_start, trace.phase, trace.mode, trace.round_period,
+            trace.index, trace.t_start, trace.phase, trace.config.mode, trace.round_period,
             trace.n_rr, trace.n_data,
         )
         row = trace.node_ids, trace.radio_totals
@@ -230,19 +237,19 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
-    """Line-delimited JSON in trace schema 3, stable byte-for-byte for
-    identical runs: the header {"kind":"schema","version":3}, then per
-    round its slot records in time order and its round record; a global
-    seq gives a total order. Key order is fixed. A slot record has kind,
-    round, t, phase, type, initiator; then awake, only when not the round's
-    active set (the received ids of its sync slot, which is the round's
-    first slot and so always writes awake), and missed, the awake ids that
-    did not receive; then its type's fields in _slot_line's order, and seq.
-    A round record has the keys of _ROUND_HEAD, then radio_on only when its
+    """Line-delimited JSON in trace schema 4, stable byte-for-byte for
+    identical runs: the header {"kind":"schema","version":4,"config":...},
+    the first round's config_texts (null for no rounds), then per round its
+    slot records in time order and its round record; a global seq gives a
+    total order. Key order is fixed. A slot record has kind, t, type,
+    initiator (see _slot_line), awake only when not the round's active set
+    (the received ids of its sync slot, its first slot), missed, its type's
+    fields and seq; its round and phase are the next round record's. A
+    round record has the keys of _ROUND_HEAD, radio_on only when its
     (node_ids, radio_totals) row differs by value from the previous
-    round's, always in the first round, then the keys of _ROUND_TAIL.
-    traces may be any iterable of rounds. A slot that received on a node it
-    was not awake on cannot be written: SimulationError.
+    round's, then the keys of _ROUND_TAIL. traces may be any iterable of
+    rounds. A slot that received on a node it was not awake on cannot be
+    written: SimulationError.
 
     The text grows by += in chunks of 64 KiB plus a sixteenth of its length:
     CPython resizes it in place, so the peak is about one text, and where a

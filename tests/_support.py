@@ -4,9 +4,9 @@ that share no code with the simulator: a plain breadth-first search, the
 shortest-path forwarder set, the set-based flood wave loop the bitmask
 kernel replaced, the per-node forwarder selection walks the hop masks
 replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
-a schema-3 trace back into schema-1 records, per-round views of a round's
-radio row and generated packets, and per-node views of the world's run
-state."""
+a schema-4 trace back into its config and schema-1 records, per-round
+views of a round's radio row and generated packets, and per-node views of
+the world's run state."""
 
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ import random
 from collections import deque
 from typing import Iterable, Iterator
 
-from lwbsim.config import CONFIG_KEYS, SimConfig
+from lwbsim.config import SimConfig, config_texts
 from lwbsim.engine import RoundTrace, SlotTrace, World
 from lwbsim.glossy import FloodOutcome, ids_of
 from lwbsim.topology import Topology
-from lwbsim.units import format_duration, parse_duration
 
 
 def adjacency(topo: Topology) -> dict[int, list[int]]:
@@ -99,18 +98,15 @@ def hops_of(outcome: FloodOutcome) -> dict[int, int]:
     }
 
 
+def config_document(pairs: Iterable[tuple[str, str]]) -> str:
+    """The "KEY = text" lines of (KEY, text) pairs."""
+    return "".join(f"{key} = {text}\n" for key, text in pairs)
+
+
 def to_text(config: SimConfig) -> str:
     """A config document of every key, in CONFIG_KEYS order, that
     parse_config reads back to an equal config."""
-    lines = []
-    for key, (name, parse) in CONFIG_KEYS.items():
-        value = getattr(config, name)
-        if parse is parse_duration:
-            value = format_duration(value)
-        elif isinstance(value, tuple):  # DRIFT_PPM_RANGE as low:high
-            value = "%r:%r" % value
-        lines.append(f"{key} = {int(value) if isinstance(value, bool) else value}")
-    return "\n".join(lines) + "\n"
+    return config_document(config_texts(config))
 
 
 def line_topology(n: int) -> Topology:
@@ -238,7 +234,7 @@ def _round_record(trace: RoundTrace) -> dict:
         "round": trace.index,
         "t": trace.t_start,
         "phase": trace.phase,
-        "mode": trace.mode,
+        "mode": trace.config.mode,
         "period": trace.round_period,
         "n_rr": trace.n_rr,
         "n_data": trace.n_data,
@@ -303,48 +299,66 @@ def reference_render_trace(traces: list[RoundTrace]) -> str:
     return dump_records(trace_records(traces))
 
 
-SCHEMA_HEADER = {"kind": "schema", "version": 3}
-_SLOT_HEAD_KEYS = ("kind", "round", "t", "phase", "type", "initiator")
+SCHEMA_HEADER = {"kind": "schema", "version": 4}  # and the run's config
 _ROUND_HEAD_KEYS = ("kind", "round", "t", "phase", "mode", "period", "n_rr", "n_data")
 
 
-def read_trace(text: str) -> list[dict]:
-    """The schema-1 records of a schema-3 trace, read from its text alone.
+def read_trace(text: str) -> tuple[dict[str, str] | None, list[dict]]:
+    """The header's config (KEY -> text, None for a trace of no rounds)
+    and the schema-1 records of a schema-4 trace, read from its text alone.
 
-    The header line is checked and dropped. A slot without an awake list
-    is awake on its round's active set, the received ids of the round's
-    sync slot; every slot receives on its awake nodes less its missed ones.
-    A round record without radio_on has the previous round record's."""
+    A slot record takes its round and phase from the round record that
+    closes its round. A data slot without an initiator has its owner's, and
+    a request's winner and an announce's source are its initiator. A slot
+    without an awake list is awake on its round's active set, the received
+    ids of the round's sync slot; every slot receives on its awake nodes
+    less its missed ones. A round record without radio_on has the previous
+    round record's."""
     lines = text.splitlines()
-    assert lines and json.loads(lines[0]) == SCHEMA_HEADER, lines[:1]
-    records = []
+    assert lines, "no header"
+    header = json.loads(lines[0])
+    assert list(header) == [*SCHEMA_HEADER, "config"], header
+    assert {key: header[key] for key in SCHEMA_HEADER} == SCHEMA_HEADER, header
+    records, slots = [], []  # slots: (t, rest of the record) of the open round
     active = radio_on = None
     for line in lines[1:]:
         rec = json.loads(line)
         if rec["kind"] == "round":
-            active = None
+            for t, rest in slots:
+                records.append({
+                    "kind": "slot", "round": rec["round"], "t": t, "phase": rec["phase"], **rest,
+                })
+            active, slots = None, []
             radio_on = rec.pop("radio_on", radio_on)
             assert radio_on is not None, f"round {rec['seq']} has no radio_on row"
             head = {key: rec.pop(key) for key in _ROUND_HEAD_KEYS}
-            rec = {**head, "radio_on": radio_on, **rec}
-        else:
-            awake = rec.pop("awake", active)
-            assert awake is not None, f"slot {rec['seq']} has no awake set"
-            missed = set(rec.pop("missed"))
-            assert missed <= set(awake), f"slot {rec['seq']} missed a node not awake"
-            head = {key: rec.pop(key) for key in _SLOT_HEAD_KEYS}
-            received = [n for n in awake if n not in missed]
-            rec = {**head, "awake": awake, "received": received, **rec}
-            if rec["type"] == "sync":
-                active = received
-        records.append(rec)
-    return records
+            records.append({**head, "radio_on": radio_on, **rec})
+            continue
+        assert rec.pop("kind") == "slot" and "round" not in rec and "phase" not in rec, rec
+        awake = rec.pop("awake", active)
+        assert awake is not None, f"slot {rec['seq']} has no awake set"
+        missed = set(rec.pop("missed"))
+        assert missed <= set(awake), f"slot {rec['seq']} missed a node not awake"
+        t, kind = rec.pop("t"), rec.pop("type")
+        initiator = rec.pop("initiator") if kind != "data" else rec.pop("initiator", rec["owner"])
+        received = [n for n in awake if n not in missed]
+        if kind == "request":
+            rec = {"contenders": rec.pop("contenders"), "winner": initiator, **rec}
+        elif kind == "announce":
+            rec = {"source": initiator, **rec}
+        slots.append((t, {
+            "type": kind, "initiator": initiator, "awake": awake, "received": received, **rec,
+        }))
+        if kind == "sync":
+            active = received
+    assert not slots, f"{len(slots)} slot records after the last round record"
+    return header["config"], records
 
 
 def schema1_text(text: str) -> str:
-    """A schema-3 trace rebuilt by read_trace and written the way
+    """A schema-4 trace rebuilt by read_trace and written the way
     reference_render_trace writes: equal to it for a lossless reader."""
-    return dump_records(read_trace(text))
+    return dump_records(read_trace(text)[1])
 
 
 # Per-node views of the run state the world keeps as masks and windows, in

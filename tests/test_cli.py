@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -19,8 +20,9 @@ from lwbsim.topology import Topology
 
 LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
-# the schema header, then the first round's sync slot: a freshly written trace
-TRACE_START = '{"kind":"schema","version":3}\n{"kind":"slot","round":0,'
+# the schema header with the run's config, then the first round's sync
+# slot: a freshly written trace
+TRACE_START = re.compile(r'\{"kind":"schema","version":4,"config":\{.*\}\}\n\{"kind":"slot","t":0,')
 
 
 def cli_env() -> dict[str, str]:
@@ -286,7 +288,7 @@ class TestExitCodes:
         trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
+        assert TRACE_START.match(trace.read_text(encoding="utf-8"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["line.topo", "old.jsonl"]
 
     def test_output_path_that_is_a_directory_is_usage_error(
@@ -309,7 +311,7 @@ class TestExitCodes:
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(link)]
         assert main(args) == 0
         assert link.is_symlink() and os.readlink(link) == target.name
-        assert target.read_text(encoding="utf-8").startswith(TRACE_START)
+        assert TRACE_START.match(target.read_text(encoding="utf-8"))
 
     def test_output_that_is_no_regular_file_is_written_in_place(self, tmp_path, line_file):
         link = tmp_path / "null.jsonl"
@@ -327,7 +329,7 @@ class TestExitCodes:
         trace = tmp_path / "old.jsonl"
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
+        assert TRACE_START.match(trace.read_text(encoding="utf-8"))
         assert stale.read_bytes() == b"partial"
 
     def test_replaced_output_keeps_its_mode(self, tmp_path, line_file):
@@ -353,7 +355,7 @@ class TestExitCodes:
         trace.write_bytes(b"{\"kind\": \"earlier run\"}\n")
         args = ["run", "--topology", line_file, "--duration", "12s", "--trace", str(trace)]
         assert main(args) == 0
-        assert trace.read_text(encoding="utf-8").startswith(TRACE_START)
+        assert TRACE_START.match(trace.read_text(encoding="utf-8"))
 
     def test_override_breaking_config_is_input_error(self, line_file, capsys):
         code = main(["run", "--topology", line_file, "--duration", "0s"])

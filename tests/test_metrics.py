@@ -6,7 +6,7 @@ import pytest
 
 from lwbsim import engine
 from lwbsim.config import SimConfig
-from lwbsim.engine import DataSlot, ReplySlot, RoundTrace
+from lwbsim.engine import DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot
 from lwbsim.errors import ComparabilityError, SimulationError
 from lwbsim.metrics import PENDING_ROWS, RunMetrics, SourceStats, compare, render_summary
 from lwbsim.sim import run_simulation
@@ -21,16 +21,23 @@ US_SECOND = 1_000_000
 mask_of = Topology.mask_of
 
 
-def _round_trace(index, radio, period=US_SECOND, slots=None, **kw):
+def _round_trace(index, radio, period=US_SECOND, replies=(), data=(), **kw):
+    """A round laid out as the engine lays one out: the sync slot, a
+    request and a reply slot per reply given, then the data slots."""
+    everyone = mask_of(radio)
+    block = [
+        slot for reply in replies
+        for slot in (RequestSlot(0, everyone, everyone, reply.requester, 1, True), reply)
+    ]
     defaults = dict(
         index=index,
         t_start=index * period,
         phase="operational",
-        mode="lwb",
+        config=SimConfig(),
         round_period=period,
-        n_rr=0,
-        n_data=0,
-        slots=slots or [],
+        n_rr=len(block),
+        n_data=len(data),
+        slots=[SyncSlot(0, everyone, everyone, 1), *block, *data],
         node_ids=tuple(radio),
         radio_totals=tuple(radio.values()),
         joined=0,
@@ -91,7 +98,7 @@ class TestRunMetrics:
             assigned_slot=0,
             delivered=True,
         )
-        m.accumulate(_round_trace(0, {1: 0, 2: 0}, slots=[reply]))
+        m.accumulate(_round_trace(0, {1: 0, 2: 0}, replies=[reply]))
         later = ReplySlot(
             t=0,
             awake_mask=mask_of([1, 2]),
@@ -101,7 +108,7 @@ class TestRunMetrics:
             assigned_slot=5,
             delivered=True,
         )
-        m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[later]))
+        m.accumulate(_round_trace(1, {1: 0, 2: 0}, replies=[later]))
         assert m.sources[2].acquisition_round == 0
         assert m.sources[2].slot == 0
 
@@ -138,7 +145,7 @@ class TestRunMetrics:
             delivered=False,
         )
         trace = _round_trace(
-            0, {1: 0, 2: 0}, slots=[good, bad, keepalive], sources=(2,), new_sequences=2
+            0, {1: 0, 2: 0}, data=[good, bad, keepalive], sources=(2,), new_sequences=2
         )
         assert generated_of(trace) == [(2, 0), (2, 0)]
         m.accumulate(trace)
@@ -161,7 +168,7 @@ class TestRunMetrics:
             gen_round=0,
             delivered=True,
         )
-        m.accumulate(_round_trace(1, {1: 0, 2: 0}, slots=[data]))
+        m.accumulate(_round_trace(1, {1: 0, 2: 0}, data=[data]))
         assert m.sources[2].latency_rounds == 1
 
 

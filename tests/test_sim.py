@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from lwbsim import sim
-from lwbsim.config import SimConfig
+from lwbsim import cli, sim
+from lwbsim.config import SimConfig, config_texts, parse_config
 from lwbsim.core import last_round_start
 from lwbsim.engine import (
     AnnounceSlot, DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot, least_gap,
@@ -44,6 +45,7 @@ from _support import (
     received_ids,
     reference_render_trace,
     schema1_text,
+    config_document,
     shortest_path_forwarders,
 )
 
@@ -105,6 +107,24 @@ class TestPhaseSchedule:
         result = run_simulation(cfg, line_topology(5))
         for trace in result.traces:
             assert len(trace.slots) == 1 + trace.n_rr + trace.n_data
+
+    @pytest.mark.parametrize("fs", [False, True])
+    def test_replies_and_data_slots_sit_where_the_header_puts_them(self, fs):
+        # the sync slot, request groups of request, reply (and announce),
+        # then the data slots: RoundTrace.replies and RunMetrics read them
+        # by position
+        cfg = SimConfig(
+            duration=40 * US_SECOND, minimum_lwb_round=125_000, ipi=US_SECOND,
+            forwarder_selection=fs, loss_probability=0.2, seed=3,
+        )
+        traces = run_simulation(cfg, random_connected_topology(random.Random(3), 12)).traces
+        group = ["request", "reply", "announce"][:cfg.rr_group_size]
+        for trace in traces:
+            kinds = [slot.kind for slot in trace.slots]
+            assert kinds == ["sync", *group * (trace.n_rr // len(group)), *["data"] * trace.n_data]
+            assert trace.replies == [slot for slot in trace.slots if slot.kind == "reply"]
+        assert any(trace.capacity_events for trace in traces)
+        assert any(len(trace.replies) > 1 for trace in traces)
 
 
 def _timeline_oracle(cfg, leaves):
@@ -212,7 +232,7 @@ class TestTraceOutput:
         cfg = SimConfig(duration=25 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
         header, *lines = render_trace(result.traces).splitlines()
-        assert json.loads(header) == SCHEMA_HEADER
+        assert json.loads(header) == {**SCHEMA_HEADER, "config": dict(config_texts(cfg))}
         records = [json.loads(line) for line in lines]
         assert [r["seq"] for r in records] == list(range(len(records)))
         kinds = {r["kind"] for r in records}
@@ -222,12 +242,15 @@ class TestTraceOutput:
         cfg = SimConfig(duration=25 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
         records = [json.loads(l) for l in render_trace(result.traces).splitlines()[1:]]
-        per_round: dict[int, list[str]] = {}
-        for rec in records:
-            per_round.setdefault(rec["round"], []).append(rec["kind"])
-        for kinds in per_round.values():
-            assert kinds[-1] == "round"
-            assert kinds.count("round") == 1
+        rounds = [rec["round"] for rec in records if rec["kind"] == "round"]
+        assert rounds == list(range(len(result.traces)))
+        # a slot record names no round: each round's slot records, the sync
+        # slot first, run up to the round record that closes them
+        kinds = "".join(
+            "r" if rec["kind"] == "round" else "s" if rec["type"] == "sync" else "o"
+            for rec in records
+        )
+        assert re.fullmatch("(so*r)+", kinds)
 
     def test_slot_times_increase_within_a_round(self):
         cfg = SimConfig(duration=25 * US_SECOND)
@@ -248,14 +271,17 @@ class TestTraceOutput:
         assert out.read_text(encoding="utf-8") == render_trace(result.traces)
 
     def test_empty_trace_renders_the_header_alone(self):
-        assert render_trace([]) == '{"kind":"schema","version":3}\n'
+        assert render_trace([]) == '{"kind":"schema","version":4,"config":null}\n'
 
 
-def _hand_built_round(index, slots, radio_on, **sets):
+def _hand_built_round(index, slots, radio_on, config=SimConfig(), **sets):
+    """A round of the given slots, laid out as the engine lays one out: the
+    sync slot, the request block, then the data slots."""
     empty = {"joined": 0, "desynced": 0, "bootstrap": 0, "dropped": ()}
+    n_data = sum(slot.kind == "data" for slot in slots)
     return RoundTrace(
-        index=index, t_start=index * US_SECOND, phase="cool-off", mode="lwb",
-        round_period=US_SECOND, n_rr=0, n_data=0, slots=slots,
+        index=index, t_start=index * US_SECOND, phase="cool-off", config=config,
+        round_period=US_SECOND, n_rr=len(slots) - 1 - n_data, n_data=n_data, slots=slots,
         node_ids=tuple(radio_on), radio_totals=tuple(radio_on.values()),
         **{**empty, "sources": (), "new_sequences": 0, **sets},
     )
@@ -372,11 +398,11 @@ class TestRenderOracle:
         slots = [
             SyncSlot(0, both, both, 1),
             RequestSlot(1, both, both, 1, contender_count=1, delivered=True),
-            RequestSlot(2, both, 0, None, contender_count=0, delivered=False),
-            ReplySlot(3, both, both, 1, requester=1, assigned_slot=0,
+            ReplySlot(2, both, both, 1, requester=1, assigned_slot=0,
                       new_assignment=True, delivered=False),
-            ReplySlot(4, both, 0, None, requester=1, capacity_exceeded=True),
-            AnnounceSlot(5, both, both, 1, announced_distance=0, slot_id=0),
+            AnnounceSlot(3, both, both, 1, announced_distance=0, slot_id=0),
+            RequestSlot(4, both, 0, None, contender_count=0, delivered=False),
+            ReplySlot(5, both, 0, None, requester=1, capacity_exceeded=True),
             AnnounceSlot(6, both, 0, None),
             DataSlot(7, both, both, 1, slot_id=0, owner=1, payload_len=0,
                      gen_round=1, delivered=True),
@@ -385,10 +411,12 @@ class TestRenderOracle:
             DataSlot(9, both, both, 1, slot_id=0, owner=1, payload_len=0),
             DataSlot(10, both, 0, None, slot_id=0, owner=1),
         ]
-        traces = [_hand_built_round(0, slots, {1: 0, 2: 1})]
+        fs = SimConfig(forwarder_selection=True)
+        traces = [_hand_built_round(0, slots, {1: 0, 2: 1}, config=fs)]
+        assert traces[0].new_assignments == [(0, 1)] and traces[0].capacity_events == 1
         text = render_trace(traces)
         assert schema1_text(text) == reference_render_trace(traces)
-        assert '"winner":1,' in text and '"payload_len":0,"gen_round":1,' in text
+        assert '"initiator":1,' in text and '"payload_len":0,"gen_round":1,' in text
 
     @pytest.mark.parametrize("awake_ids", [[1, 2], [1]])
     def test_receiver_outside_the_awake_set_is_refused(self, awake_ids):
@@ -469,13 +497,17 @@ class TestRenderOracle:
 GOLDENS = ["golden_lwb.jsonl", "golden_fs.jsonl", "golden_fs_lossy.jsonl"]
 
 
-def _golden_traces(name):
-    """The rounds of the run each golden file was rendered from."""
+def _golden_result(name):
+    """The run each golden file was rendered from."""
     from test_acceptance import _golden_run
 
     if name == "golden_fs_lossy.jsonl":
-        return _lossy_drifting_run().traces
-    return _golden_run(name == "golden_fs.jsonl").traces
+        return _lossy_drifting_run()
+    return _golden_run(name == "golden_fs.jsonl")
+
+
+def _golden_traces(name):
+    return _golden_result(name).traces
 
 
 def _golden_slots(name):
@@ -497,14 +529,23 @@ def _round_lines(text):
 
 
 class TestTraceSchema:
-    """Schema 3: the header line, awake only off the active set (so always
+    """Schema 4: the header line with the run's config, slot records
+    without their round's fields, awake only off the active set (so always
     in the sync slot), missed in place of received in every slot, radio_on
     only when the row changes, and a lossless reader."""
 
     def test_first_line_is_the_header(self):
-        result = run_simulation(SimConfig(duration=12 * US_SECOND), line_topology(3))
+        cfg = SimConfig(duration=12 * US_SECOND)
+        result = run_simulation(cfg, line_topology(3))
         first, *rest = render_trace(result.traces).splitlines()
-        assert first == '{"kind":"schema","version":3}'
+        assert first == (
+            '{"kind":"schema","version":4,"config":{"IPI":"10s","MINIMUM_LWB_ROUND":"5s",'
+            '"COOLOFF_PERIOD":"10s","STABILIZATION_PERIOD":"10s","MAX_PAYLOAD_LEN":"40",'
+            '"SINK_NODE_ID":"1","MAX_NODE_NUMBER":"150","FORWARDER_SELECTION":"0",'
+            '"GLOSSY_GUARD_TIME":"2ms","SLOT_LENGTH":"15ms","SYNC_SLOT_LENGTH":"15ms",'
+            '"LOSS_PROBABILITY":"0.0","DRIFT_PPM_RANGE":"0.0:0.0","CONTENTION_POLICY":"capture",'
+            '"RR_REDUCTION_TRIGGER":"slots","QUEUE_CAPACITY":"8","SEED":"1","DURATION":"12s"}}'
+        )
         assert rest and {json.loads(line)["kind"] for line in rest} == {"slot", "round"}
 
     @pytest.mark.parametrize("name", GOLDENS)
@@ -536,14 +577,14 @@ class TestTraceSchema:
 
     @pytest.mark.parametrize("run", [*GOLDENS, *range(20)])
     def test_winner_and_source_repeat_the_initiator(self, run):
-        # the slot objects keep neither: a request floods from its winner,
-        # and an announce from its source, the requester whose reply was
-        # delivered, for the slot that reply assigned
+        # neither the slot objects nor the text keep them: a request floods
+        # from its winner, and an announce from its source, the requester
+        # whose reply was delivered, for the slot that reply assigned
         if run in GOLDENS:
             text, fs = (DATA_DIR / run).read_text(encoding="utf-8"), "fs" in run
         else:
             text, fs = render_trace(self._random_run(run)), run % 2 == 1
-        records = [rec for rec in map(json.loads, text.splitlines()[1:]) if rec["kind"] == "slot"]
+        records = [rec for rec in read_trace(text)[1] if rec["kind"] == "slot"]
         flooded = Counter()
         for before, rec in zip(records, records[1:]):
             if rec["type"] == "request":
@@ -563,8 +604,9 @@ class TestTraceSchema:
         for rec, active in _golden_slots("golden_lwb.jsonl"):
             if rec["type"] != "sync":
                 assert "awake" not in rec and "received" not in rec
-                assert rec["missed"] == ([] if rec["initiator"] else active)
-                kinds[rec["type"], rec["initiator"] is None] += 1
+                silent = rec.get("initiator", rec.get("owner")) is None
+                assert rec["missed"] == (active if silent else [])
+                kinds[rec["type"], silent] += 1
         assert {kind for kind, _ in kinds} == {"request", "reply", "data"}
         assert {silent for _, silent in kinds} == {False, True}
 
@@ -588,7 +630,7 @@ class TestTraceSchema:
         syncs = [rec for rec, _ in _golden_slots(name) if rec["type"] == "sync"]
         assert syncs
         for rec in syncs:
-            assert list(rec)[5:8] == ["initiator", "awake", "missed"]
+            assert list(rec)[3:6] == ["initiator", "awake", "missed"]
             assert "received" not in rec
 
     @pytest.mark.parametrize("name", GOLDENS)
@@ -611,8 +653,114 @@ class TestTraceSchema:
             assert rec["missed"] == sorted(rec["missed"])
             assert set(rec["missed"]) <= set(awake)
             if rec["type"] != "sync":
-                lost += rec["initiator"] is not None and rec["missed"] != []
+                flooded = rec.get("initiator", rec.get("owner")) is not None
+                lost += flooded and rec["missed"] != []
         assert (lost > 0) == (name == "golden_fs_lossy.jsonl")
+
+    @pytest.mark.parametrize("run", [*GOLDENS, *range(20)])
+    def test_slot_records_leave_out_what_others_say(self, run):
+        # a slot's round and phase are its round record's, a request's
+        # winner and an announce's source its initiator, and a data slot's
+        # initiator its owner unless the slot was silent
+        traces = _golden_traces(run) if run in GOLDENS else self._random_run(run)
+        text = render_trace(traces)
+        if run in GOLDENS:
+            assert text == (DATA_DIR / run).read_text(encoding="utf-8")
+        slots = [rec for rec in map(json.loads, text.splitlines()[1:]) if rec["kind"] == "slot"]
+        assert len(slots) == sum(len(trace.slots) for trace in traces)
+        silent = 0
+        for rec in slots:
+            assert not {"round", "phase", "winner", "source"} & rec.keys(), rec
+            if rec["type"] == "data":
+                assert ("initiator" in rec) == (rec.get("initiator", 0) is None), rec
+                silent += "initiator" in rec
+            else:
+                assert "initiator" in rec, rec
+        assert silent == sum(
+            slot.kind == "data" and slot.initiator is None for trace in traces for slot in trace.slots
+        )
+        out = io.StringIO()
+        write_trace(out, (trace for trace in traces))
+        assert out.getvalue() == text
+
+
+def _topology_text(topology):
+    return "".join(f"{u} {v}\n" for u, v in sorted(topology.edges))
+
+
+def _rerun_config(case):
+    """A seeded random config of a short run on a 6-12 node graph: drift
+    ranges, durations and phase periods that are not whole seconds, an
+    unset SYNC_SLOT_LENGTH, both modes, both policies and both triggers."""
+    rng = random.Random(9000 + case)
+    slot_length = rng.choice([10_000, 12_500, 15_000])
+    sync = None if case % 3 == 0 else rng.choice([slot_length, 20_000, 7_250])
+    round_us = rng.choice([375_000, 500_000, 1_250_000])
+    return SimConfig(
+        ipi=round_us * rng.choice([1, 2, 3]) + rng.choice([0, 125_000]),
+        minimum_lwb_round=round_us,
+        cooloff_period=rng.choice([0, 1_500_000, 2 * US_SECOND]),
+        stabilization_period=rng.choice([1 * US_SECOND, 2_250_000, 3 * US_SECOND]),
+        slot_length=slot_length,
+        sync_slot_length=sync,
+        glossy_guard_time=rng.choice([500, 2_000]),
+        forwarder_selection=bool(case % 2),
+        loss_probability=rng.choice([0.0, 0.1, 0.123456789]),
+        drift_ppm_range=rng.choice(
+            [(0.0, 0.0), (-300.0, 300.0), (47.123456789, 2000.0), (-125.5, 0.0)]
+        ),
+        contention_policy=("capture", "collision")[case // 2 % 2],
+        rr_reduction_trigger=("slots", "rounds")[case // 4 % 2],
+        queue_capacity=rng.randint(1, 8),
+        seed=rng.randint(0, 10**6),
+        duration=rng.randint(8 * US_SECOND, 20 * US_SECOND),
+    )
+
+
+class TestTraceReruns:
+    """A trace describes its run: the header's config, written as a config
+    document, runs the same trace again through the command line."""
+
+    @staticmethod
+    def _rerun(tmp_path, text, topology, config):
+        header = json.loads(text.splitlines()[0])
+        document = config_document(header["config"].items())
+        assert parse_config(document) == config
+        (tmp_path / "net.topo").write_text(_topology_text(topology), encoding="utf-8")
+        (tmp_path / "run.cfg").write_text(document, encoding="utf-8")
+        args = [
+            "run", "--topology", str(tmp_path / "net.topo"), "--config", str(tmp_path / "run.cfg"),
+            "--trace", str(tmp_path / "again.jsonl"),
+        ]
+        assert cli.main(args) == 0
+        assert (tmp_path / "again.jsonl").read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("name", GOLDENS)
+    def test_golden_reruns_itself(self, name, tmp_path, capsys):
+        result = _golden_result(name)
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        self._rerun(tmp_path, text, result.topology, result.config)
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_random_run_reruns_itself(self, case, tmp_path, capsys):
+        rng = random.Random(case)
+        topology = random_connected_topology(rng, rng.randint(6, 12), max_ecc=4)
+        config = _rerun_config(case)
+        config.validate()
+        text = render_trace(run_simulation(config, topology).traces)
+        self._rerun(tmp_path, text, topology, config)
+
+    def test_random_configs_cover_the_cases(self):
+        configs = [_rerun_config(case) for case in range(20)]
+        assert {c.forwarder_selection for c in configs} == {False, True}
+        assert {c.contention_policy for c in configs} == {"capture", "collision"}
+        assert {c.rr_reduction_trigger for c in configs} == {"slots", "rounds"}
+        assert any("sync_slot_length" not in vars(c) for c in configs)
+        assert any(c.sync_slot_length != c.slot_length for c in configs)
+        assert any(c.duration % US_SECOND for c in configs)
+        assert any(c.stabilization_period % US_SECOND for c in configs)
+        assert len({c.drift_ppm_range for c in configs}) == 4
+        assert 0.123456789 in {c.loss_probability for c in configs}
 
 
 class TestWorldConstruction:
@@ -777,14 +925,17 @@ class TestForwarderTable:
             assert row["distance"] is None
 
 
-def _radio_rounds(text, slot_length, sync_slot_length):
-    """Per round, (radio_on as rendered, radio_on re-derived from the slot
-    and round records that read_trace rebuilds from the text alone): every
-    awake slot costs slot_length, a sync slot sync_slot_length, and
-    bootstrap costs the whole round period."""
+def _radio_rounds(text):
+    """Per round, (radio_on as rendered, radio_on re-derived from the
+    header's config and the slot and round records that read_trace rebuilds
+    from the text alone): every awake slot costs SLOT_LENGTH, a sync slot
+    SYNC_SLOT_LENGTH, and bootstrap costs the whole round period."""
     rounds = []
     expected = Counter()
-    for rec in read_trace(text):
+    config, records = read_trace(text)
+    cfg = parse_config(config_document(config.items()))
+    slot_length, sync_slot_length = cfg.slot_length, cfg.sync_slot_length
+    for rec in records:
         if rec["kind"] == "slot":
             cost = sync_slot_length if rec["type"] == "sync" else slot_length
             for n in rec["awake"]:
@@ -830,9 +981,8 @@ class TestLossyGolden:
 class TestRadioAccounting:
     @pytest.mark.parametrize("name", ["golden_lwb.jsonl", "golden_fs.jsonl"])
     def test_golden_radio_on_matches_awake_slots(self, name):
-        cfg = SimConfig()
         text = (DATA_DIR / name).read_text(encoding="utf-8")
-        rounds = _radio_rounds(text, cfg.slot_length, cfg.sync_slot_length)
+        rounds = _radio_rounds(text)
         assert rounds
         for index, (got, want) in enumerate(rounds):
             assert got == want, f"round {index}"
@@ -843,7 +993,8 @@ class TestRadioAccounting:
         assert any(t.desynced for t in result.traces)
         assert any(t.bootstrap for t in result.traces)
         text = render_trace(result.traces)
-        rounds = _radio_rounds(text, cfg.slot_length, cfg.sync_slot_length)
+        assert cfg.slot_length != cfg.sync_slot_length
+        rounds = _radio_rounds(text)
         assert len(rounds) == len(result.traces)
         for index, (got, want) in enumerate(rounds):
             assert got == want, f"round {index}"
@@ -1089,7 +1240,7 @@ class TestMetricsFold:
         derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latency_rounds=0,
                            acquisition_round=None, slot=None)
                    for n in result.metrics.sources}
-        for rec in read_trace(render_trace(result.traces)):
+        for rec in read_trace(render_trace(result.traces))[1]:
             if rec["kind"] == "round":
                 for node, _ in rec["generated"]:
                     derived[node]["generated"] += 1
@@ -1165,8 +1316,10 @@ class TestHeldOutScale:
 class TestWideIdRender:
     """Render digest of a lossy fs-lwb run whose ids spread over 2..65535,
     the MAX_NODE_NUMBER cap, so every mask is thousands of bits wide with
-    few of them set; no golden has an id above 15. The digest was recorded
-    when each mask's text was still built from a table of per-byte texts."""
+    few of them set; no golden has an id above 15. The digest is of the
+    schema-1 text read_trace rebuilds, recorded from the schema-3 render,
+    whose own digest was recorded when each mask's text was still built
+    from a table of per-byte texts."""
 
     def test_render_digest(self):
         rng = random.Random(26)
@@ -1182,19 +1335,19 @@ class TestWideIdRender:
         slots = [r for r in map(json.loads, text.splitlines()[1:]) if r["kind"] == "slot"]
         assert any(65535 in r["missed"] for r in slots)
         assert any("awake" in r for r in slots if r["type"] != "sync")
-        digest = "4146cbdb63aa297b2e1cc7d16a642889b597d47a841cdb7da6a7ebe1105dd1bd"
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        digest = "7bb7a24d772d80aedb332f641605fea211360de90b36c2ffe28422de8d025fc6"
+        assert hashlib.sha256(schema1_text(text).encode("utf-8")).hexdigest() == digest
 
-def _drifting_hour_run():
-    """The drifting 100-node case above for a simulated hour: the
-    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.0 MB text
-    (2.8 MB before radio rows were written only on change) is large enough
-    that a render holding the text twice fails the bound of
-    test_peak_is_about_one_text, by about 0.35 MB."""
+def _drifting_long_run():
+    """The drifting 100-node case above for 75 simulated minutes: the
+    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.07 MB text
+    (an hour wrote 2.0 MB in schema 3 and 2.8 MB before radio rows were
+    written only on change) is large enough that a render holding the text
+    twice fails the bound of test_peak_is_about_one_text, by about 0.4 MB."""
     topo = random_connected_topology(random.Random(7), 100, extra_edge_prob=0.04, max_ecc=8)
     cfg = SimConfig(
         seed=7, loss_probability=0.1, drift_ppm_range=(-300.0, 300.0), ipi=60 * US_SECOND,
-        duration=3600 * US_SECOND,
+        duration=4500 * US_SECOND,
     )
     return run_simulation(cfg, topo)
 
@@ -1216,7 +1369,7 @@ class TestRenderMemory:
 
     @pytest.fixture(scope="class")
     def traces(self):
-        return _drifting_hour_run().traces
+        return _drifting_long_run().traces
 
     @pytest.mark.skipif(
         sys.gettrace() is not None or sys.getprofile() is not None or tracemalloc.is_tracing(),
@@ -1279,7 +1432,7 @@ class TestGeneratedCounts:
         assert {t.new_sequences for t in traces} == {0, 1, 4}
         assert any(t.dropped for t in traces)
         text = render_trace(traces)
-        rendered = [rec for rec in read_trace(text) if rec["kind"] == "round"]
+        rendered = [rec for rec in read_trace(text)[1] if rec["kind"] == "round"]
         want = [json.loads(line) for line in reference_render_trace(traces).splitlines()]
         want = [rec for rec in want if rec["kind"] == "round"]
         assert [(r["generated"], r["dropped"]) for r in rendered] == [
