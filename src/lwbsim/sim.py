@@ -6,15 +6,18 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Traces are written in trace schema 4, in the key order render_trace
+Traces are written in trace schema 5, in the key order render_trace
 lists, from %-templates and node id texts; only the header's config goes
-through json. A slot record writes no field its round record or its own
-fields already say: not its round or phase, not a request's winner or an
-announce's source (its initiator), and not a data slot's initiator when it
-is the owner. Every slot writes, in place of its received ids, the awake
-ids that missed its flood, most often none, and writes its awake ids only
-when they are not the round's active set (the sync slot's received ids),
-so always in the sync slot that opens each round. A round writes its
+through json. A record writes no field its place in the file, its round
+record, the header or its own fields already say: not its sequence number,
+not a slot's start time (its place in its round and the header's slot
+lengths), round or phase, not a round's mode (the header's
+FORWARDER_SELECTION), not a request's winner or an announce's source (its
+initiator), and not a data slot's initiator when it is the owner. A slot's
+kind is its type. Every slot writes, in place of its received ids, the
+awake ids that missed its flood, most often none, and writes its awake ids
+only when they are not the round's active set (the sync slot's received
+ids), so always in the sync slot that opens each round. A round writes its
 radio_on row only when the row's values differ from the previous round's;
 a reader carries the last row forward. The ids of each distinct slot or
 round mask are listed once per call, and so is the radio_on text of each
@@ -118,28 +121,25 @@ class _Memo(dict):
         return value
 
 
-# Slot kinds, phases and modes are the engine's fixed lowercase names,
-# written unescaped. _SLOT_HEAD's last three values are a slot's initiator
-# part (see _slot_line), its awake part, "" on the round's active set, and
-# its missed ids.
-_HEADER = '{"kind":"schema","version":4,"config":%s}\n'
-_ROUND_HEAD = (
-    '{"kind":"round","round":%d,"t":%d,"phase":"%s","mode":"%s","period":%d,'
-    '"n_rr":%d,"n_data":%d,'
-)
+# Slot kinds and phases are the engine's fixed lowercase names, written
+# unescaped. _SLOT_HEAD's three values are a slot's initiator part (see
+# _slot_line), its awake part, "" on the round's active set, and its missed
+# ids.
+_HEADER = '{"kind":"schema","version":5,"config":%s}\n'
+_ROUND_HEAD = '{"kind":"round","round":%d,"t":%d,"phase":"%s","period":%d,"n_rr":%d,"n_data":%d,'
 _ROUND_TAIL = (
     '"new_assignments":[%s],"joined":[%s],"desynced":[%s],"bootstrap":[%s],'
-    '"generated":[%s],"dropped":[%s],"capacity_events":%d,"seq":%d}\n'
+    '"generated":[%s],"dropped":[%s],"capacity_events":%d}\n'
 )
-_SLOT_HEAD = '{"kind":"slot","t":%d,"type":"%s",%s%s"missed":[%s]'
-_SYNC = _SLOT_HEAD + ',"seq":%d}\n'
-_REQUEST = _SLOT_HEAD + ',"contenders":%d,"delivered":%s,"seq":%d}\n'
-_REPLY = _SLOT_HEAD + (
-    ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s,"seq":%d}\n'
+_SLOT_HEAD = '%s%s"missed":[%s]'
+_SYNC = '{"kind":"sync",' + _SLOT_HEAD + '}\n'
+_REQUEST = '{"kind":"request",' + _SLOT_HEAD + ',"contenders":%d,"delivered":%s}\n'
+_REPLY = '{"kind":"reply",' + _SLOT_HEAD + (
+    ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s}\n'
 )
-_ANNOUNCE = _SLOT_HEAD + ',"distance":%s,"slot_id":%s,"seq":%d}\n'
-_DATA = _SLOT_HEAD + (
-    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s,"seq":%d}\n'
+_ANNOUNCE = '{"kind":"announce",' + _SLOT_HEAD + ',"distance":%s,"slot_id":%s}\n'
+_DATA = '{"kind":"data",' + _SLOT_HEAD + (
+    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s}\n'
 )
 
 
@@ -148,7 +148,7 @@ def _json(value: int | None) -> int | str:
     return "null" if value is None else value
 
 
-def _slot_line(slot: SlotTrace, awake: str, missed: str, seq: int) -> str:
+def _slot_line(slot: SlotTrace, awake: str, missed: str) -> str:
     """The record of a slot, from _SLOT_HEAD's values and its kind's fields.
     A data slot writes its initiator only when it is not the owner, which
     in a run means a silent slot's null. Int fields go through %d,
@@ -157,23 +157,23 @@ def _slot_line(slot: SlotTrace, awake: str, missed: str, seq: int) -> str:
     kind, initiator = slot.kind, slot.initiator
     if kind == "data":
         return _DATA % (
-            slot.t, kind, "" if initiator == slot.owner else '"initiator":%s,' % _json(initiator),
+            "" if initiator == slot.owner else '"initiator":%s,' % _json(initiator),
             awake, missed, slot.slot_id, slot.owner, _json(slot.payload_len),
-            _json(slot.gen_round), "true" if slot.delivered else "false", seq,
+            _json(slot.gen_round), "true" if slot.delivered else "false",
         )
-    head = slot.t, kind, '"initiator":%s,' % _json(initiator), awake, missed
+    head = '"initiator":%s,' % _json(initiator), awake, missed
     if kind == "request":
-        return _REQUEST % (*head, slot.contender_count, "true" if slot.delivered else "false", seq)
+        return _REQUEST % (*head, slot.contender_count, "true" if slot.delivered else "false")
     if kind == "reply":
         return _REPLY % (
             *head, _json(slot.requester), _json(slot.assigned_slot),
             "true" if slot.new_assignment else "false",
             "true" if slot.delivered else "false",
-            ',"capacity_exceeded":true' if slot.capacity_exceeded else "", seq,
+            ',"capacity_exceeded":true' if slot.capacity_exceeded else "",
         )
     if kind == "announce":
-        return _ANNOUNCE % (*head, _json(slot.announced_distance), _json(slot.slot_id), seq)
-    return _SYNC % (*head, seq)
+        return _ANNOUNCE % (*head, _json(slot.announced_distance), _json(slot.slot_id))
+    return _SYNC % head
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
@@ -201,10 +201,18 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     yield _HEADER % json.dumps(config, separators=(",", ":"))
     if first is None:
         return
-    seq, last_row = 0, None
+    cfg = first.config  # the header's
+    mode, sync_length, slot_length = cfg.mode, cfg.sync_slot_length, cfg.slot_length
+    last_row = None
     for trace in chain((first,), rounds):
+        if trace.config.mode != mode:  # a round record does not say its mode
+            raise SimulationError(f"round {trace.index} runs {trace.config.mode}, not {mode}")
         active = -1  # the sync slot's received mask; no mask equals -1
+        t, step = trace.t_start, sync_length  # where the first slot starts, and its length
         for slot in trace.slots:
+            if slot.t != t:  # a slot record does not say its start
+                raise SimulationError(f"slot at t={slot.t} is off its round's layout (t={t})")
+            t, step = t + step, slot_length
             awake, received = slot.awake_mask, slot.received_mask
             missed = ""
             if received != awake:
@@ -212,13 +220,11 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
                 if missed_mask & received:  # a stray receiver the schema cannot write
                     raise SimulationError(f"slot at t={slot.t} received off its awake set")
                 missed = text(missed_mask)
-            yield _slot_line(slot, "" if awake == active else awake_part(awake), missed, seq)
+            yield _slot_line(slot, "" if awake == active else awake_part(awake), missed)
             if slot.kind == "sync":
                 active = received
-            seq += 1
         yield _ROUND_HEAD % (
-            trace.index, trace.t_start, trace.phase, trace.config.mode, trace.round_period,
-            trace.n_rr, trace.n_data,
+            trace.index, trace.t_start, trace.phase, trace.round_period, trace.n_rr, trace.n_data,
         )
         row = trace.node_ids, trace.radio_totals
         if row != last_row:  # by value: equal rows are often distinct objects
@@ -231,25 +237,28 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
             text(trace.joined), text(trace.desynced), text(trace.bootstrap),
             "[%s,%d]" % ((",%d],[" % trace.index).join(map(name, nodes)), trace.index)
             if made and nodes else "",
-            ",".join(map(name, trace.dropped)), trace.capacity_events, seq,
+            ",".join(map(name, trace.dropped)), trace.capacity_events,
         )
-        seq += 1
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
-    """Line-delimited JSON in trace schema 4, stable byte-for-byte for
-    identical runs: the header {"kind":"schema","version":4,"config":...},
+    """Line-delimited JSON in trace schema 5, stable byte-for-byte for
+    identical runs: the header {"kind":"schema","version":5,"config":...},
     the first round's config_texts (null for no rounds), then per round its
-    slot records in time order and its round record; a global seq gives a
-    total order. Key order is fixed. A slot record has kind, t, type,
-    initiator (see _slot_line), awake only when not the round's active set
-    (the received ids of its sync slot, its first slot), missed, its type's
-    fields and seq; its round and phase are the next round record's. A
+    slot records in time order and its round record; a record's place in
+    the file is its sequence number. Key order is fixed. A slot record has
+    kind (its type), initiator (see _slot_line), awake only when not the
+    round's active set (the received ids of its sync slot, its first
+    slot), missed and its type's fields; its round and phase are the next
+    round record's. Its start is its round's t for the round's first slot,
+    then each slot starts where the one before it ends: the first after
+    the header's SYNC_SLOT_LENGTH, every other after its SLOT_LENGTH. A
     round record has the keys of _ROUND_HEAD, radio_on only when its
     (node_ids, radio_totals) row differs by value from the previous
-    round's, then the keys of _ROUND_TAIL. traces may be any iterable of
-    rounds. A slot that received on a node it was not awake on cannot be
-    written: SimulationError.
+    round's, then the keys of _ROUND_TAIL; its mode is the header's.
+    traces may be any iterable of rounds. A slot that received on a node it
+    was not awake on, a slot off that layout and a round of another mode
+    than the first cannot be written: SimulationError.
 
     The text grows by += in chunks of 64 KiB plus a sixteenth of its length:
     CPython resizes it in place, so the peak is about one text, and where a

@@ -4,7 +4,7 @@ that share no code with the simulator: a plain breadth-first search, the
 shortest-path forwarder set, the set-based flood wave loop the bitmask
 kernel replaced, the per-node forwarder selection walks the hop masks
 replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
-a schema-4 trace back into its config and schema-1 records, per-round
+a schema-5 trace back into its config and schema-1 records, per-round
 views of a round's radio row and generated packets, and per-node views of
 the world's run state."""
 
@@ -15,7 +15,7 @@ import random
 from collections import deque
 from typing import Iterable, Iterator
 
-from lwbsim.config import SimConfig, config_texts
+from lwbsim.config import SimConfig, config_texts, parse_config
 from lwbsim.engine import RoundTrace, SlotTrace, World
 from lwbsim.glossy import FloodOutcome, ids_of
 from lwbsim.topology import Topology
@@ -188,9 +188,9 @@ def walk_announce(
 
 
 # The dict-per-record schema-1 renderer, built from the slot objects: every
-# slot record spells out its awake and received lists. sim.render_trace
-# writes schema 3, and read_trace below must rebuild these same records
-# from its text alone.
+# slot record spells out its start, its awake and received lists and its
+# seq. sim.render_trace writes schema 5, and read_trace below must rebuild
+# these same records from its text alone.
 
 
 def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
@@ -299,56 +299,73 @@ def reference_render_trace(traces: list[RoundTrace]) -> str:
     return dump_records(trace_records(traces))
 
 
-SCHEMA_HEADER = {"kind": "schema", "version": 4}  # and the run's config
-_ROUND_HEAD_KEYS = ("kind", "round", "t", "phase", "mode", "period", "n_rr", "n_data")
+SCHEMA_HEADER = {"kind": "schema", "version": 5}  # and the run's config
+_SLOT_KINDS = ("sync", "request", "reply", "announce", "data")
 
 
 def read_trace(text: str) -> tuple[dict[str, str] | None, list[dict]]:
     """The header's config (KEY -> text, None for a trace of no rounds)
-    and the schema-1 records of a schema-4 trace, read from its text alone.
+    and the schema-1 records of a schema-5 trace, read from its text alone.
 
-    A slot record takes its round and phase from the round record that
-    closes its round. A data slot without an initiator has its owner's, and
-    a request's winner and an announce's source are its initiator. A slot
-    without an awake list is awake on its round's active set, the received
-    ids of the round's sync slot; every slot receives on its awake nodes
-    less its missed ones. A round record without radio_on has the previous
-    round record's."""
+    A record's seq is its line's index less one, for the header. A slot
+    record's kind is its type. It takes its round and phase from the round
+    record that closes its round, and its start from its place in that
+    round: the first slot starts at the round's t and slot k >= 1 at
+    t + SYNC_SLOT_LENGTH + (k - 1) * SLOT_LENGTH, the header's lengths. A
+    round record's mode is the header's, from FORWARDER_SELECTION. A data
+    slot without an initiator has its owner's, and a request's winner and
+    an announce's source are its initiator. A slot without an awake list is
+    awake on its round's active set, the received ids of the round's sync
+    slot; every slot receives on its awake nodes less its missed ones. A
+    round record without radio_on has the previous round record's."""
     lines = text.splitlines()
     assert lines, "no header"
     header = json.loads(lines[0])
     assert list(header) == [*SCHEMA_HEADER, "config"], header
     assert {key: header[key] for key in SCHEMA_HEADER} == SCHEMA_HEADER, header
-    records, slots = [], []  # slots: (t, rest of the record) of the open round
+    if header["config"] is None:
+        assert len(lines) == 1, "records after a header without a config"
+        return None, []
+    config = parse_config(config_document(header["config"].items()))
+    sync_length, slot_length = config.sync_slot_length, config.slot_length
+    records, slots = [], []  # slots: the rest of each record of the open round
     active = radio_on = None
-    for line in lines[1:]:
+    for seq, line in enumerate(lines[1:]):
         rec = json.loads(line)
-        if rec["kind"] == "round":
-            for t, rest in slots:
+        kind = rec.pop("kind")
+        if kind == "round":
+            assert len(slots) == 1 + rec["n_rr"] + rec["n_data"], f"round {seq}: {len(slots)} slots"
+            start = rec["t"]
+            for k, rest in enumerate(slots):
+                t = start if k == 0 else start + sync_length + (k - 1) * slot_length
                 records.append({
                     "kind": "slot", "round": rec["round"], "t": t, "phase": rec["phase"], **rest,
                 })
             active, slots = None, []
             radio_on = rec.pop("radio_on", radio_on)
-            assert radio_on is not None, f"round {rec['seq']} has no radio_on row"
-            head = {key: rec.pop(key) for key in _ROUND_HEAD_KEYS}
-            records.append({**head, "radio_on": radio_on, **rec})
+            assert radio_on is not None, f"round {seq} has no radio_on row"
+            head = {key: rec.pop(key) for key in ("round", "t", "phase")}
+            layout = {key: rec.pop(key) for key in ("period", "n_rr", "n_data")}
+            records.append({
+                "kind": "round", **head, "mode": config.mode, **layout, "radio_on": radio_on,
+                **rec, "seq": seq,
+            })
             continue
-        assert rec.pop("kind") == "slot" and "round" not in rec and "phase" not in rec, rec
+        assert kind in _SLOT_KINDS and not {"round", "phase", "t", "type"} & rec.keys(), rec
         awake = rec.pop("awake", active)
-        assert awake is not None, f"slot {rec['seq']} has no awake set"
+        assert awake is not None, f"slot {seq} has no awake set"
         missed = set(rec.pop("missed"))
-        assert missed <= set(awake), f"slot {rec['seq']} missed a node not awake"
-        t, kind = rec.pop("t"), rec.pop("type")
+        assert missed <= set(awake), f"slot {seq} missed a node not awake"
         initiator = rec.pop("initiator") if kind != "data" else rec.pop("initiator", rec["owner"])
         received = [n for n in awake if n not in missed]
         if kind == "request":
             rec = {"contenders": rec.pop("contenders"), "winner": initiator, **rec}
         elif kind == "announce":
             rec = {"source": initiator, **rec}
-        slots.append((t, {
+        slots.append({
             "type": kind, "initiator": initiator, "awake": awake, "received": received, **rec,
-        }))
+            "seq": seq,
+        })
         if kind == "sync":
             active = received
     assert not slots, f"{len(slots)} slot records after the last round record"
@@ -356,7 +373,7 @@ def read_trace(text: str) -> tuple[dict[str, str] | None, list[dict]]:
 
 
 def schema1_text(text: str) -> str:
-    """A schema-4 trace rebuilt by read_trace and written the way
+    """A schema-5 trace rebuilt by read_trace and written the way
     reference_render_trace writes: equal to it for a lossless reader."""
     return dump_records(read_trace(text)[1])
 

@@ -22,7 +22,7 @@ LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
 # the schema header with the run's config, then the first round's sync
 # slot: a freshly written trace
-TRACE_START = re.compile(r'\{"kind":"schema","version":4,"config":\{.*\}\}\n\{"kind":"slot","t":0,')
+TRACE_START = re.compile(r'\{"kind":"schema","version":5,"config":\{.*\}\}\n\{"kind":"sync",')
 
 
 def cli_env() -> dict[str, str]:

@@ -51,6 +51,8 @@ from _support import (
 
 US_SECOND = 1_000_000
 DATA_DIR = Path(__file__).parent / "data"
+GOLDENS = ["golden_lwb.jsonl", "golden_fs.jsonl", "golden_fs_lossy.jsonl"]
+SLOT = SimConfig.slot_length  # by default also SYNC_SLOT_LENGTH: slot k starts k SLOTs in
 
 
 class TestPhaseSchedule:
@@ -234,9 +236,10 @@ class TestTraceOutput:
         header, *lines = render_trace(result.traces).splitlines()
         assert json.loads(header) == {**SCHEMA_HEADER, "config": dict(config_texts(cfg))}
         records = [json.loads(line) for line in lines]
-        assert [r["seq"] for r in records] == list(range(len(records)))
+        # a record's seq is its line's index less one: one line per record
+        assert len(records) == sum(1 + len(t.slots) for t in result.traces)
         kinds = {r["kind"] for r in records}
-        assert kinds == {"slot", "round"}
+        assert kinds == {"sync", "request", "reply", "data", "round"}
 
     def test_each_round_closes_with_a_summary_record(self):
         cfg = SimConfig(duration=25 * US_SECOND)
@@ -247,20 +250,34 @@ class TestTraceOutput:
         # a slot record names no round: each round's slot records, the sync
         # slot first, run up to the round record that closes them
         kinds = "".join(
-            "r" if rec["kind"] == "round" else "s" if rec["type"] == "sync" else "o"
+            "r" if rec["kind"] == "round" else "s" if rec["kind"] == "sync" else "o"
             for rec in records
         )
         assert re.fullmatch("(so*r)+", kinds)
 
-    def test_slot_times_increase_within_a_round(self):
-        cfg = SimConfig(duration=25 * US_SECOND)
-        result = run_simulation(cfg, line_topology(3))
-        for trace in result.traces:
-            times = [s.t for s in trace.slots]
-            assert times == sorted(times)
-            assert all(
-                trace.t_start <= t < trace.t_start + trace.round_period for t in times
-            )
+    @pytest.mark.parametrize("run", [*GOLDENS, *range(20)])
+    def test_slots_start_where_the_round_layout_puts_them(self, run):
+        # schema 5 writes no slot start: a reader takes it from the slot's
+        # place in its round, so the engine's own slot times must follow
+        # that layout. The random configs run both modes, loss and sync
+        # slots longer and shorter than the other slots.
+        if run in GOLDENS:
+            result = _golden_result(run)
+        else:
+            rng = random.Random(run)
+            topology = random_connected_topology(rng, rng.randint(6, 12), max_ecc=4)
+            result = run_simulation(_rerun_config(run), topology)
+        cfg, traces = result.config, result.traces
+        sync_length, slot_length = cfg.sync_slot_length, cfg.slot_length
+        for trace in traces:
+            n, t = 1 + trace.n_rr + trace.n_data, trace.t_start
+            assert len(trace.slots) == n
+            # slot k >= 1 starts at t + SYNC_SLOT_LENGTH + (k - 1) * SLOT_LENGTH
+            starts = [t] + [t + sync_length + (k - 1) * slot_length for k in range(1, n + 1)]
+            assert [slot.t for slot in trace.slots] == starts[:-1], trace.index
+            assert starts[-1] <= t + trace.round_period  # where the last slot ends
+        assert any(trace.n_rr for trace in traces)
+        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
     def test_write_trace_round_trips(self, tmp_path):
         cfg = SimConfig(duration=12 * US_SECOND)
@@ -271,7 +288,7 @@ class TestTraceOutput:
         assert out.read_text(encoding="utf-8") == render_trace(result.traces)
 
     def test_empty_trace_renders_the_header_alone(self):
-        assert render_trace([]) == '{"kind":"schema","version":4,"config":null}\n'
+        assert render_trace([]) == '{"kind":"schema","version":5,"config":null}\n'
 
 
 def _hand_built_round(index, slots, radio_on, config=SimConfig(), **sets):
@@ -343,10 +360,10 @@ class TestRenderOracle:
                 1,
                 [
                     SyncSlot(US_SECOND, mask([1, 9]), 0, 1),
-                    RequestSlot(US_SECOND + 10, shared, shared, None, 0, False),
-                    ReplySlot(US_SECOND + 15, shared, shared, 1, requester=3,
+                    RequestSlot(US_SECOND + SLOT, shared, shared, None, 0, False),
+                    ReplySlot(US_SECOND + 2 * SLOT, shared, shared, 1, requester=3,
                               assigned_slot=0, new_assignment=True, delivered=True),
-                    DataSlot(US_SECOND + 20, shared, 0, 3, slot_id=0,
+                    DataSlot(US_SECOND + 3 * SLOT, shared, 0, 3, slot_id=0,
                              owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
@@ -397,19 +414,19 @@ class TestRenderOracle:
         both = Topology.mask_of([1, 2])
         slots = [
             SyncSlot(0, both, both, 1),
-            RequestSlot(1, both, both, 1, contender_count=1, delivered=True),
-            ReplySlot(2, both, both, 1, requester=1, assigned_slot=0,
+            RequestSlot(SLOT, both, both, 1, contender_count=1, delivered=True),
+            ReplySlot(2 * SLOT, both, both, 1, requester=1, assigned_slot=0,
                       new_assignment=True, delivered=False),
-            AnnounceSlot(3, both, both, 1, announced_distance=0, slot_id=0),
-            RequestSlot(4, both, 0, None, contender_count=0, delivered=False),
-            ReplySlot(5, both, 0, None, requester=1, capacity_exceeded=True),
-            AnnounceSlot(6, both, 0, None),
-            DataSlot(7, both, both, 1, slot_id=0, owner=1, payload_len=0,
+            AnnounceSlot(3 * SLOT, both, both, 1, announced_distance=0, slot_id=0),
+            RequestSlot(4 * SLOT, both, 0, None, contender_count=0, delivered=False),
+            ReplySlot(5 * SLOT, both, 0, None, requester=1, capacity_exceeded=True),
+            AnnounceSlot(6 * SLOT, both, 0, None),
+            DataSlot(7 * SLOT, both, both, 1, slot_id=0, owner=1, payload_len=0,
                      gen_round=1, delivered=True),
-            DataSlot(8, both, both, 1, slot_id=1, owner=1, payload_len=1,
+            DataSlot(8 * SLOT, both, both, 1, slot_id=1, owner=1, payload_len=1,
                      gen_round=0, delivered=False),
-            DataSlot(9, both, both, 1, slot_id=0, owner=1, payload_len=0),
-            DataSlot(10, both, 0, None, slot_id=0, owner=1),
+            DataSlot(9 * SLOT, both, both, 1, slot_id=0, owner=1, payload_len=0),
+            DataSlot(10 * SLOT, both, 0, None, slot_id=0, owner=1),
         ]
         fs = SimConfig(forwarder_selection=True)
         traces = [_hand_built_round(0, slots, {1: 0, 2: 1}, config=fs)]
@@ -426,18 +443,46 @@ class TestRenderOracle:
         both, awake = Topology.mask_of([1, 2]), Topology.mask_of(awake_ids)
         stray = Topology.mask_of([1, 3])
         for slot in (
-            DataSlot(1, awake, stray, 1, slot_id=0, owner=1),
-            RequestSlot(1, awake, stray, 1, contender_count=1, delivered=True),
-            SyncSlot(1, awake, stray, 1),
+            DataSlot(SLOT, awake, stray, 1, slot_id=0, owner=1),
+            RequestSlot(SLOT, awake, stray, 1, contender_count=1, delivered=True),
+            SyncSlot(SLOT, awake, stray, 1),
         ):
             traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
-            with pytest.raises(SimulationError, match="t=1 received off its awake set"):
+            with pytest.raises(SimulationError, match="t=15000 received off its awake set"):
                 render_trace(traces)
         # receiving on all or part of the awake set is fine
         for received in (awake, 1 << 1):
-            slot = DataSlot(1, awake, received, 1, slot_id=0, owner=1)
+            slot = DataSlot(SLOT, awake, received, 1, slot_id=0, owner=1)
             traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
             assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+
+    def test_slot_off_the_round_layout_is_refused(self):
+        # a slot record does not say its start, so each slot must start
+        # where the header's slot lengths and its place in the round put
+        # it; a round record does not say its mode, so every round must run
+        # the header's
+        both = Topology.mask_of([1, 2])
+        longer_sync = SimConfig(sync_slot_length=20_000)
+
+        def rounds(config, *starts):
+            sync = SyncSlot(starts[0], both, both, 1)
+            data = [DataSlot(t, both, both, 1, slot_id=0, owner=1) for t in starts[1:]]
+            return [_hand_built_round(0, [sync, *data], {1: 0, 2: 1}, config=config)]
+
+        for config, starts, off in (
+            (SimConfig(), (1, SLOT), 1),
+            (SimConfig(), (0, SLOT + 1), SLOT + 1),
+            (SimConfig(), (0, SLOT, 2 * SLOT - 1), 2 * SLOT - 1),
+            (longer_sync, (0, SLOT), SLOT),
+        ):
+            with pytest.raises(SimulationError, match=f"t={off} is off its round's layout"):
+                render_trace(rounds(config, *starts))
+        traces = rounds(longer_sync, 0, 20_000, 20_000 + SLOT)
+        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+        fs_round = _hand_built_round(1, [SyncSlot(US_SECOND, both, both, 1)], {1: 0, 2: 1},
+                                     config=SimConfig(forwarder_selection=True))
+        with pytest.raises(SimulationError, match="round 1 runs fs-lwb, not lwb"):
+            render_trace([*rounds(SimConfig(), 0, SLOT), fs_round])
 
     def test_write_trace_of_freed_rounds_matches_render_trace(self):
         # each round is a copy with a radio row of its own, dropped once
@@ -494,9 +539,6 @@ class TestRenderOracle:
         assert render_trace(copies) == render_trace(result.traces)
 
 
-GOLDENS = ["golden_lwb.jsonl", "golden_fs.jsonl", "golden_fs_lossy.jsonl"]
-
-
 def _golden_result(name):
     """The run each golden file was rendered from."""
     from test_acceptance import _golden_run
@@ -517,8 +559,8 @@ def _golden_slots(name):
     active = None
     for line in (DATA_DIR / name).read_text(encoding="utf-8").splitlines()[1:]:
         rec = json.loads(line)
-        if rec["kind"] == "slot":
-            if rec["type"] == "sync":
+        if rec["kind"] != "round":
+            if rec["kind"] == "sync":
                 active = [n for n in rec["awake"] if n not in rec["missed"]]
             yield rec, active
 
@@ -529,24 +571,27 @@ def _round_lines(text):
 
 
 class TestTraceSchema:
-    """Schema 4: the header line with the run's config, slot records
-    without their round's fields, awake only off the active set (so always
-    in the sync slot), missed in place of received in every slot, radio_on
-    only when the row changes, and a lossless reader."""
+    """Schema 5: the header line with the run's config, records without a
+    seq, slot records named by their type and without their start or their
+    round's fields, round records without their mode, awake only off the
+    active set (so always in the sync slot), missed in place of received in
+    every slot, radio_on only when the row changes, and a lossless
+    reader."""
 
     def test_first_line_is_the_header(self):
         cfg = SimConfig(duration=12 * US_SECOND)
         result = run_simulation(cfg, line_topology(3))
         first, *rest = render_trace(result.traces).splitlines()
         assert first == (
-            '{"kind":"schema","version":4,"config":{"IPI":"10s","MINIMUM_LWB_ROUND":"5s",'
+            '{"kind":"schema","version":5,"config":{"IPI":"10s","MINIMUM_LWB_ROUND":"5s",'
             '"COOLOFF_PERIOD":"10s","STABILIZATION_PERIOD":"10s","MAX_PAYLOAD_LEN":"40",'
             '"SINK_NODE_ID":"1","MAX_NODE_NUMBER":"150","FORWARDER_SELECTION":"0",'
             '"GLOSSY_GUARD_TIME":"2ms","SLOT_LENGTH":"15ms","SYNC_SLOT_LENGTH":"15ms",'
             '"LOSS_PROBABILITY":"0.0","DRIFT_PPM_RANGE":"0.0:0.0","CONTENTION_POLICY":"capture",'
             '"RR_REDUCTION_TRIGGER":"slots","QUEUE_CAPACITY":"8","SEED":"1","DURATION":"12s"}}'
         )
-        assert rest and {json.loads(line)["kind"] for line in rest} == {"slot", "round"}
+        kinds = {json.loads(line)["kind"] for line in rest}
+        assert kinds == {"sync", "request", "reply", "round"}
 
     @pytest.mark.parametrize("name", GOLDENS)
     def test_golden_reads_back_to_the_schema1_oracle(self, name):
@@ -602,11 +647,11 @@ class TestTraceSchema:
         # at loss 0 a flooded slot misses no one, a silent one everyone
         kinds = Counter()
         for rec, active in _golden_slots("golden_lwb.jsonl"):
-            if rec["type"] != "sync":
+            if rec["kind"] != "sync":
                 assert "awake" not in rec and "received" not in rec
                 silent = rec.get("initiator", rec.get("owner")) is None
                 assert rec["missed"] == (active if silent else [])
-                kinds[rec["type"], silent] += 1
+                kinds[rec["kind"], silent] += 1
         assert {kind for kind, _ in kinds} == {"request", "reply", "data"}
         assert {silent for _, silent in kinds} == {False, True}
 
@@ -627,11 +672,10 @@ class TestTraceSchema:
 
     @pytest.mark.parametrize("name", GOLDENS)
     def test_sync_slot_keeps_awake_and_writes_missed(self, name):
-        syncs = [rec for rec, _ in _golden_slots(name) if rec["type"] == "sync"]
+        syncs = [rec for rec, _ in _golden_slots(name) if rec["kind"] == "sync"]
         assert syncs
         for rec in syncs:
-            assert list(rec)[3:6] == ["initiator", "awake", "missed"]
-            assert "received" not in rec
+            assert list(rec) == ["kind", "initiator", "awake", "missed"]
 
     @pytest.mark.parametrize("name", GOLDENS)
     def test_radio_on_is_written_exactly_when_the_row_changes(self, name):
@@ -652,26 +696,30 @@ class TestTraceSchema:
             awake = rec.get("awake", active)
             assert rec["missed"] == sorted(rec["missed"])
             assert set(rec["missed"]) <= set(awake)
-            if rec["type"] != "sync":
+            if rec["kind"] != "sync":
                 flooded = rec.get("initiator", rec.get("owner")) is not None
                 lost += flooded and rec["missed"] != []
         assert (lost > 0) == (name == "golden_fs_lossy.jsonl")
 
     @pytest.mark.parametrize("run", [*GOLDENS, *range(20)])
     def test_slot_records_leave_out_what_others_say(self, run):
-        # a slot's round and phase are its round record's, a request's
-        # winner and an announce's source its initiator, and a data slot's
-        # initiator its owner unless the slot was silent
+        # a record's seq is its place in the file, a slot's type its kind,
+        # its start its place in its round, its round and phase its round
+        # record's, a request's winner and an announce's source its
+        # initiator, a data slot's initiator its owner unless the slot was
+        # silent, and a round's mode the header's
         traces = _golden_traces(run) if run in GOLDENS else self._random_run(run)
         text = render_trace(traces)
         if run in GOLDENS:
             assert text == (DATA_DIR / run).read_text(encoding="utf-8")
-        slots = [rec for rec in map(json.loads, text.splitlines()[1:]) if rec["kind"] == "slot"]
+        records = [json.loads(line) for line in text.splitlines()[1:]]
+        assert not any({"seq", "mode"} & rec.keys() for rec in records)
+        slots = [rec for rec in records if rec["kind"] != "round"]
         assert len(slots) == sum(len(trace.slots) for trace in traces)
         silent = 0
         for rec in slots:
-            assert not {"round", "phase", "winner", "source"} & rec.keys(), rec
-            if rec["type"] == "data":
+            assert not {"t", "type", "round", "phase", "winner", "source"} & rec.keys(), rec
+            if rec["kind"] == "data":
                 assert ("initiator" in rec) == (rec.get("initiator", 0) is None), rec
                 silent += "initiator" in rec
             else:
@@ -1185,7 +1233,7 @@ class TestRoundState:
 
         result = run(check)
         records = map(json.loads, render_trace(result.traces).splitlines()[1:])
-        syncs = [rec for rec in records if rec["kind"] == "slot" and rec["type"] == "sync"]
+        syncs = [rec for rec in records if rec["kind"] == "sync"]
         assert [rec["missed"] for rec in syncs] == want
         assert any(want)
 
@@ -1332,22 +1380,23 @@ class TestWideIdRender:
             duration=60 * US_SECOND, seed=26,
         )
         text = render_trace(run_simulation(cfg, topo).traces)
-        slots = [r for r in map(json.loads, text.splitlines()[1:]) if r["kind"] == "slot"]
+        slots = [r for r in map(json.loads, text.splitlines()[1:]) if r["kind"] != "round"]
         assert any(65535 in r["missed"] for r in slots)
-        assert any("awake" in r for r in slots if r["type"] != "sync")
+        assert any("awake" in r for r in slots if r["kind"] != "sync")
         digest = "7bb7a24d772d80aedb332f641605fea211360de90b36c2ffe28422de8d025fc6"
         assert hashlib.sha256(schema1_text(text).encode("utf-8")).hexdigest() == digest
 
 def _drifting_long_run():
-    """The drifting 100-node case above for 75 simulated minutes: the
-    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.07 MB text
-    (an hour wrote 2.0 MB in schema 3 and 2.8 MB before radio rows were
-    written only on change) is large enough that a render holding the text
-    twice fails the bound of test_peak_is_about_one_text, by about 0.4 MB."""
+    """The drifting 100-node case above for 90 simulated minutes: the
+    benchmark's graph recipe, loss 0.1, drift 300 ppm. Its 2.00 MB text
+    (75 minutes wrote 2.07 MB in schema 4 and 1.68 MB in schema 5; an hour
+    wrote 2.0 MB in schema 3 and 2.8 MB before radio rows were written only
+    on change) is large enough that a render holding the text twice fails
+    the bound of test_peak_is_about_one_text."""
     topo = random_connected_topology(random.Random(7), 100, extra_edge_prob=0.04, max_ecc=8)
     cfg = SimConfig(
         seed=7, loss_probability=0.1, drift_ppm_range=(-300.0, 300.0), ipi=60 * US_SECOND,
-        duration=4500 * US_SECOND,
+        duration=5400 * US_SECOND,
     )
     return run_simulation(cfg, topo)
 
