@@ -14,34 +14,36 @@ point on it is charged like any synced node. So a round's charge is a count
 of slots per node (_radio_totals): an active node pays the sync slot, the
 request block and every data slot that wakes it.
 
-Each slot kind is a SlotTrace subclass storing the base's four fields and
-its own, no other: a request's capture winner and an announce's source are
-its initiator, the node its flood starts from. A slot stores who was awake
-and who received as two node masks, bit n for node n, the ones the floods
-already compute, and a round its joined, desynced and bootstrap nodes as
-masks too (ids_of lists them). Run state is masks, windows and counters, so
-a round never loops over nodes: world.bootstrap holds the nodes in
-bootstrap, world.granted those that heard their slot grant. Before the sync
-flood, a synced drifting node whose clock offset since its last sync,
-gap * |drift_ppm| * 1e-6 us, is strictly over the guard time falls back to
-bootstrap. That test is monotone in the gap, so a node fails from its
-least_gap on: world.drift_cuts holds those ascending, drift_prefix[i] the
-nodes of the first i, and synced_at maps a round start to the synced
-drifting nodes last synced then. The synced nodes relay the sync flood. Its
-reached mask leaves bootstrap, moves to the round start in synced_at, and is
-the sync slot's received mask and the round's active set: the awake mask of
-the request block and of every data slot that wakes all active nodes. The
-sync slot is awake on the active and the synced nodes. A flooded slot
-receives on the flood's reached mask within its awake mask. A capture winner
-is the k-th node of a request slot's contender mask. Forwarder selection
-keeps sink distances as hop masks in world.distances; an announce flood
-writes its slot's forwarder mask into announced_slots and counts the slot in
-wake_counts for each node it wakes. Every source makes sequence s at
-s * IPI, so a source's queue is the window from queue_start[n] to
+Each slot kind is a SlotTrace subclass storing the base's two fields and
+its own, no other, and nothing its place in its round says: not its start,
+not a data slot's index. A request's capture winner and an announce's
+source are its initiator, the node its flood starts from; a data slot's is
+its owner when it received. A slot stores who was awake and who received as
+two node masks, bit n for node n, the ones the floods already compute, and
+a round its joined, desynced and bootstrap nodes as masks too (ids_of lists
+them). Run state is masks, windows and counters, so a round never loops
+over nodes: world.bootstrap holds the nodes in bootstrap, world.granted
+those that heard their slot grant. Before the sync flood, a synced drifting
+node whose clock offset since its last sync, gap * |drift_ppm| * 1e-6 us,
+is strictly over the guard time falls back to bootstrap. That test is
+monotone in the gap, so a node fails from its least_gap on:
+world.drift_cuts holds those ascending, drift_prefix[i] the nodes of the
+first i, and synced_at maps a round start to the synced drifting nodes last
+synced then. The synced nodes relay the sync flood. Its reached mask leaves
+bootstrap, moves to the round start in synced_at, and is the sync slot's
+received mask and the round's active set: the awake mask of the request
+block and of every data slot that wakes all active nodes. The sync slot is
+awake on the active and the synced nodes. A flooded slot receives on the
+flood's reached mask within its awake mask. A capture winner is the k-th
+node of a request slot's contender mask. Forwarder selection keeps sink
+distances as hop masks in world.distances; an announce flood writes its
+slot's forwarder mask into announced_slots and counts the slot in
+wake_counts for each node it wakes. Every source makes sequence s at s *
+IPI, so a source's queue is the window from queue_start[n] to
 next_sequence; gen_rounds holds the rounds of the last QUEUE_CAPACITY
-sequences. A round stores how many sequences it made, not a pair per packet;
-its reply slots, the second of each request group, and its data slots sit
-at fixed places in its slot list, so a reader slices them out.
+sequences. A round stores how many sequences it made, not a pair per
+packet; its reply slots, the second of each request group, and its data
+slots sit at fixed places in its slot list, so a reader slices them out.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -65,9 +67,10 @@ from .topology import Topology
 
 class SlotTrace:
     """One slot event, its node sets as masks: the base of the slot kinds,
-    no kind itself. Each kind takes these four fields, then its own."""
+    no kind itself. Each kind takes these two fields, then its own; a slot's
+    start and a data slot's index follow from its place in its round."""
 
-    __slots__ = ("t", "awake_mask", "received_mask", "initiator")
+    __slots__ = ("awake_mask", "received_mask")
 
     @property
     def awake(self) -> list[int]:
@@ -79,72 +82,74 @@ class SlotTrace:
 
 
 class SyncSlot(SlotTrace):
-    __slots__ = ()
+    __slots__ = ("initiator",)
     kind = "sync"
 
-    def __init__(self, t: int, awake_mask: int, received_mask: int, initiator: int) -> None:
-        self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
-        self.initiator = initiator
+    def __init__(self, awake_mask: int, received_mask: int, initiator: int) -> None:
+        self.awake_mask, self.received_mask, self.initiator = awake_mask, received_mask, initiator
 
 
 class RequestSlot(SlotTrace):
-    __slots__ = ("contender_count", "delivered")
+    __slots__ = ("initiator", "contender_count", "delivered")
     kind = "request"
 
     def __init__(
-        self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
+        self, awake_mask: int, received_mask: int, initiator: int | None,
         contender_count: int, delivered: bool,
     ) -> None:
-        self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
-        self.initiator, self.contender_count, self.delivered = initiator, contender_count, delivered
+        self.awake_mask, self.received_mask, self.initiator = awake_mask, received_mask, initiator
+        self.contender_count, self.delivered = contender_count, delivered
 
 
 class ReplySlot(SlotTrace):
-    __slots__ = ("requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded")
+    __slots__ = ("initiator", "requester", "assigned_slot", "new_assignment", "delivered",
+                 "capacity_exceeded")
     kind = "reply"
 
     def __init__(
-        self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
+        self, awake_mask: int, received_mask: int, initiator: int | None,
         requester: int | None = None, assigned_slot: int | None = None,
         new_assignment: bool = False, delivered: bool = False, capacity_exceeded: bool = False,
     ) -> None:
-        self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
-        self.initiator, self.requester, self.assigned_slot = initiator, requester, assigned_slot
+        self.awake_mask, self.received_mask, self.initiator = awake_mask, received_mask, initiator
+        self.requester, self.assigned_slot = requester, assigned_slot
         self.new_assignment, self.delivered = new_assignment, delivered
         self.capacity_exceeded = capacity_exceeded
 
 
 class AnnounceSlot(SlotTrace):
-    __slots__ = ("announced_distance", "slot_id")
+    __slots__ = ("initiator", "announced_distance", "slot_id")
     kind = "announce"
 
     def __init__(
-        self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
+        self, awake_mask: int, received_mask: int, initiator: int | None,
         announced_distance: int | None = None, slot_id: int | None = None,
     ) -> None:
-        self.t, self.awake_mask, self.received_mask = t, awake_mask, received_mask
-        self.initiator = initiator
+        self.awake_mask, self.received_mask, self.initiator = awake_mask, received_mask, initiator
         self.announced_distance, self.slot_id = announced_distance, slot_id
 
 
 class DataSlot(SlotTrace):
-    __slots__ = ("slot_id", "owner", "payload_len", "gen_round", "delivered")
+    __slots__ = ("owner", "payload_len", "gen_round", "delivered")
     kind = "data"
 
     def __init__(
-        self, t: int, awake_mask: int, received_mask: int, initiator: int | None,
-        slot_id: int, owner: int, payload_len: int | None = None,
+        self, awake_mask: int, received_mask: int, owner: int, payload_len: int | None = None,
         gen_round: int | None = None, delivered: bool = False,
     ) -> None:
-        self.t = t  # built for every data slot: one field per statement is 4% faster
+        # built for every data slot: one field per statement is 4% faster
         self.awake_mask = awake_mask
         self.received_mask = received_mask
-        self.initiator = initiator
-        self.slot_id = slot_id
         self.owner = owner
         self.payload_len = payload_len
         self.gen_round = gen_round
         self.delivered = delivered
+
+    @property
+    def initiator(self) -> int | None:
+        """The owner when the slot received: in a run a flooded data slot
+        always receives on its owner, a silent one on nobody."""
+        return self.owner if self.received_mask else None
 
 
 class RoundTrace:
@@ -281,6 +286,11 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         )
     if header.n_data > (owned := len(sched.slot_owner)):
         raise SimulationError(f"data slot {owned} has no owner")
+    span = cfg.sync_slot_length + (header.n_rr + header.n_data) * cfg.slot_length
+    if span > header.round_period:
+        raise SimulationError(
+            f"round {world.round_index} overflows its period: {span} > {header.round_period}"
+        )
 
     t, loss, dropped = world.now, cfg.loss_probability, ()  # dropped: node ids
 
@@ -315,19 +325,15 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     if fresh:
         groups[t] = fresh
     sync_awake = awake_mask | synced
-    slots: list[SlotTrace] = [SyncSlot(t, sync_awake, awake_mask, sink)]
-    t += cfg.sync_slot_length
-    slot_length = cfg.slot_length
+    slots: list[SlotTrace] = [SyncSlot(sync_awake, awake_mask, sink)]
 
     def slot(kind: type[SlotTrace], fo: FloodOutcome | None, *fields) -> None:
-        """Append one request block slot at t and advance t. A flooded slot
-        receives on the flood's receivers among the active nodes."""
-        nonlocal t
+        """Append the next request block slot. A flooded slot receives on the
+        flood's receivers among the active nodes."""
         if fo is None:
-            slots.append(kind(t, awake_mask, 0, None, *fields))
+            slots.append(kind(awake_mask, 0, None, *fields))
         else:
-            slots.append(kind(t, awake_mask, fo.reached & awake_mask, fo.initiator, *fields))
-        t += slot_length
+            slots.append(kind(awake_mask, fo.reached & awake_mask, fo.initiator, *fields))
 
     # Request block. Every active node is awake for every slot of the
     # block: requests and replies are network wide floods and any node may
@@ -393,19 +399,12 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
             start[owner] = seq + queued
             received = flood(topo, owner, members, loss, rng).reached & members
             slots.append(DataSlot(
-                t, members, members if received == members else received, owner, slot_id, owner,
+                members, members if received == members else received, owner,
                 len(str(owner)) + 1 + len(str(seq)) if queued else 0,
                 gen_rounds[seq - stop] if queued else None, received >> sink & 1 == 1 and queued,
             ))
         else:
-            slots.append(DataSlot(t, members, 0, None, slot_id, owner))
-        t += slot_length
-
-    if t > world.now + header.round_period:
-        raise SimulationError(
-            f"round {world.round_index} overflows its period: "
-            f"{t - world.now} > {header.round_period}"
-        )
+            slots.append(DataSlot(members, 0, owner))
 
     if len(sched.slot_owner) > owned:  # sink_assign, the table's one writer, appended
         sched.assert_injective()

@@ -148,20 +148,21 @@ def _json(value: int | None) -> int | str:
     return "null" if value is None else value
 
 
-def _slot_line(slot: SlotTrace, awake: str, missed: str) -> str:
-    """The record of a slot, from _SLOT_HEAD's values and its kind's fields.
-    A data slot writes its initiator only when it is not the owner, which
-    in a run means a silent slot's null. Int fields go through %d,
-    int-or-None fields through _json and bool fields through a conditional,
-    never a lookup: True == 1 as a key."""
-    kind, initiator = slot.kind, slot.initiator
+def _slot_line(slot: SlotTrace, data_index: int, awake: str, missed: str) -> str:
+    """The record of a slot, from _SLOT_HEAD's values and its kind's fields;
+    data_index is a data slot's slot_id. A data slot writes its initiator
+    only when it is not the owner: a silent slot's null, exactly when it
+    received on nobody. Int fields go through %d, int-or-None fields
+    through _json and bool fields through a conditional, never a lookup:
+    True == 1 as a key."""
+    kind = slot.kind
     if kind == "data":
         return _DATA % (
-            "" if initiator == slot.owner else '"initiator":%s,' % _json(initiator),
-            awake, missed, slot.slot_id, slot.owner, _json(slot.payload_len),
-            _json(slot.gen_round), "true" if slot.delivered else "false",
+            "" if slot.received_mask else '"initiator":null,', awake, missed, data_index,
+            slot.owner, _json(slot.payload_len), _json(slot.gen_round),
+            "true" if slot.delivered else "false",
         )
-    head = '"initiator":%s,' % _json(initiator), awake, missed
+    head = '"initiator":%s,' % _json(slot.initiator), awake, missed
     if kind == "request":
         return _REQUEST % (*head, slot.contender_count, "true" if slot.delivered else "false")
     if kind == "reply":
@@ -201,26 +202,25 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
     yield _HEADER % json.dumps(config, separators=(",", ":"))
     if first is None:
         return
-    cfg = first.config  # the header's
-    mode, sync_length, slot_length = cfg.mode, cfg.sync_slot_length, cfg.slot_length
-    last_row = None
+    mode, last_row = first.config.mode, None  # the header's mode
     for trace in chain((first,), rounds):
         if trace.config.mode != mode:  # a round record does not say its mode
             raise SimulationError(f"round {trace.index} runs {trace.config.mode}, not {mode}")
         active = -1  # the sync slot's received mask; no mask equals -1
-        t, step = trace.t_start, sync_length  # where the first slot starts, and its length
-        for slot in trace.slots:
-            if slot.t != t:  # a slot record does not say its start
-                raise SimulationError(f"slot at t={slot.t} is off its round's layout (t={t})")
-            t, step = t + step, slot_length
+        first_data = 1 + trace.n_rr  # the place of data slot 0
+        for place, slot in enumerate(trace.slots):
             awake, received = slot.awake_mask, slot.received_mask
             missed = ""
             if received != awake:
                 missed_mask = awake ^ received  # awake & ~received if no stray bit
                 if missed_mask & received:  # a stray receiver the schema cannot write
-                    raise SimulationError(f"slot at t={slot.t} received off its awake set")
+                    raise SimulationError(
+                        f"round {trace.index} slot {place} received off its awake set"
+                    )
                 missed = text(missed_mask)
-            yield _slot_line(slot, "" if awake == active else awake_part(awake), missed)
+            yield _slot_line(
+                slot, place - first_data, "" if awake == active else awake_part(awake), missed
+            )
             if slot.kind == "sync":
                 active = received
         yield _ROUND_HEAD % (
@@ -257,8 +257,8 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     (node_ids, radio_totals) row differs by value from the previous
     round's, then the keys of _ROUND_TAIL; its mode is the header's.
     traces may be any iterable of rounds. A slot that received on a node it
-    was not awake on, a slot off that layout and a round of another mode
-    than the first cannot be written: SimulationError.
+    was not awake on and a round of another mode than the first cannot be
+    written: SimulationError.
 
     The text grows by += in chunks of 64 KiB plus a sixteenth of its length:
     CPython resizes it in place, so the peak is about one text, and where a

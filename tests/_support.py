@@ -193,11 +193,20 @@ def walk_announce(
 # these same records from its text alone.
 
 
-def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
+def slot_starts(trace: RoundTrace) -> list[int]:
+    """Where each slot of a round starts, by the LWB round layout: the sync
+    slot at the round's start, then each slot where the one before it ends,
+    the sync slot SYNC_SLOT_LENGTH long and every other SLOT_LENGTH."""
+    cfg, start = trace.config, trace.t_start
+    after_sync = start + cfg.sync_slot_length
+    return [start] + [after_sync + k * cfg.slot_length for k in range(len(trace.slots) - 1)]
+
+
+def _slot_record(trace: RoundTrace, place: int, t: int, slot: SlotTrace) -> dict:
     rec: dict = {
         "kind": "slot",
         "round": trace.index,
-        "t": slot.t,
+        "t": t,
         "phase": trace.phase,
         "type": slot.kind,
         "initiator": slot.initiator,
@@ -220,7 +229,7 @@ def _slot_record(trace: RoundTrace, slot: SlotTrace) -> dict:
         rec["distance"] = slot.announced_distance
         rec["slot_id"] = slot.slot_id
     elif slot.kind == "data":
-        rec["slot_id"] = slot.slot_id
+        rec["slot_id"] = place - 1 - trace.n_rr  # data slots follow the request block
         rec["owner"] = slot.owner
         rec["payload_len"] = slot.payload_len
         rec["gen_round"] = slot.gen_round
@@ -276,8 +285,8 @@ def trace_records(traces: list[RoundTrace]) -> Iterator[dict]:
     summary, for each round. A global seq field gives a total order."""
     seq = 0
     for trace in traces:
-        for slot in trace.slots:
-            rec = _slot_record(trace, slot)
+        for place, (t, slot) in enumerate(zip(slot_starts(trace), trace.slots)):
+            rec = _slot_record(trace, place, t, slot)
             rec["seq"] = seq
             seq += 1
             yield rec

@@ -233,7 +233,7 @@ class TestSinkAssign:
 
 def _requests(outcomes):
     """One request slot per outcome: the requester the sink heard, or None."""
-    return [RequestSlot(0, 0, 0, o, 0, o is not None) for o in outcomes]
+    return [RequestSlot(0, 0, o, 0, o is not None) for o in outcomes]
 
 
 class TestUpdateRrDynamics:
@@ -305,8 +305,8 @@ class TestUpdateRrDynamics:
         cfg = SimConfig(forwarder_selection=True)
         sched = _schedule(rr_current=63)
         others = [
-            SyncSlot(0, 0, 0, None), ReplySlot(0, 0, 0, None), AnnounceSlot(0, 0, 0, None),
-            DataSlot(0, 0, 0, None, None, None),
+            SyncSlot(0, 0, None), ReplySlot(0, 0, None), AnnounceSlot(0, 0, None),
+            DataSlot(0, 0, None),
         ]
         update_rr_dynamics(sched, others + _requests([None]) + others, cfg)
         assert sched.empty_streak == 1

@@ -30,23 +30,27 @@ def _sync_only_header():
     return SyncHeader(US_SECOND, 0, 0)
 
 
-BASE_FIELDS = ("t", "awake_mask", "received_mask", "initiator")
+BASE_FIELDS = ("awake_mask", "received_mask")
 # kind class -> (kind, its own fields, constructor arguments setting all fields)
 SLOT_KINDS = {
-    SyncSlot: ("sync", (), (1, 3, 2, 1)),
-    RequestSlot: ("request", ("contender_count", "delivered"), (1, 3, 2, 2, 4, True)),
+    SyncSlot: ("sync", ("initiator",), (3, 2, 1)),
+    RequestSlot: ("request", ("initiator", "contender_count", "delivered"), (3, 2, 2, 4, True)),
     ReplySlot: (
-        "reply", ("requester", "assigned_slot", "new_assignment", "delivered", "capacity_exceeded"),
-        (1, 3, 2, 1, 2, 0, True, True, False),
+        "reply",
+        (
+            "initiator", "requester", "assigned_slot", "new_assignment", "delivered",
+            "capacity_exceeded",
+        ),
+        (3, 2, 1, 2, 0, True, True, False),
     ),
-    AnnounceSlot: ("announce", ("announced_distance", "slot_id"), (1, 3, 2, 2, 1, 0)),
-    DataSlot: (
-        "data", ("slot_id", "owner", "payload_len", "gen_round", "delivered"),
-        (1, 3, 2, 2, 0, 2, 3, 0, True),
-    ),
+    AnnounceSlot: ("announce", ("initiator", "announced_distance", "slot_id"), (3, 2, 2, 1, 0)),
+    DataSlot: ("data", ("owner", "payload_len", "gen_round", "delivered"), (3, 2, 2, 3, 0, True)),
 }
-# a request's winner and an announce's source are its initiator
-KIND_FIELDS = {name for _, own, _ in SLOT_KINDS.values() for name in own} | {"winner", "source"}
+# every kind reads an initiator (a data slot's follows its owner); a
+# request's winner and an announce's source are its initiator
+KIND_FIELDS = {
+    name for _, own, _ in SLOT_KINDS.values() for name in own if name != "initiator"
+} | {"winner", "source"}
 
 class TestSlotKinds:
     """One class per slot kind: each stores the base fields and its own,
@@ -56,6 +60,9 @@ class TestSlotKinds:
         assert SlotTrace.__slots__ == BASE_FIELDS
         assert not hasattr(SlotTrace, "kind")
         assert not KIND_FIELDS & vars(SlotTrace).keys()
+        # no slot stores its start, and a data slot neither its index nor
+        # its initiator: its place and its received mask say them
+        assert not {"t", "slot_id", "initiator"} & {*BASE_FIELDS, *DataSlot.__slots__}
         with pytest.raises(TypeError):  # the generic constructor is gone
             SlotTrace(0, "sync", 0, 0)
 
@@ -71,11 +78,14 @@ class TestSlotKinds:
             slot.not_a_field = 1
         # every stored field reads what the constructor was given, in order
         assert tuple(getattr(slot, name) for name in BASE_FIELDS + own) == args
+        # the third argument is the initiator, or a data slot's owner, its
+        # initiator as it received
+        assert slot.initiator == args[2]
         assert (awake_ids(slot), received_ids(slot)) == ([0, 1], [1])
         # the slot reads the base fields, its own, its kind and the two id
         # lists, nothing else; another kind's field raises
         public = {name for name in dir(slot) if not name.startswith("_")}
-        assert public == {*BASE_FIELDS, *own, "kind", "awake", "received"}
+        assert public == {*BASE_FIELDS, *own, "kind", "awake", "received", "initiator"}
         for name in sorted(KIND_FIELDS - set(own)):
             with pytest.raises(AttributeError):
                 getattr(slot, name)
@@ -83,13 +93,13 @@ class TestSlotKinds:
     def test_empty_slots_read_the_defaults(self):
         # the engine builds a silent reply, announce and data slot from the
         # base fields and what it knows; the rest take the kind's defaults
-        reply = ReplySlot(0, 1, 0, None)
+        reply = ReplySlot(1, 0, None)
         assert (reply.requester, reply.assigned_slot) == (None, None)
         assert (reply.new_assignment, reply.delivered, reply.capacity_exceeded) == (False,) * 3
-        announce = AnnounceSlot(0, 1, 0, None)
+        announce = AnnounceSlot(1, 0, None)
         assert (announce.announced_distance, announce.slot_id) == (None, None)
-        silent = DataSlot(0, 1, 0, None, 3, 2)
-        assert (silent.slot_id, silent.owner) == (3, 2)
+        silent = DataSlot(1, 0, 2)  # received on nobody: no initiator
+        assert (silent.owner, silent.initiator) == (2, None)
         assert (silent.payload_len, silent.gen_round, silent.delivered) == (None, None, False)
 
 
@@ -338,6 +348,21 @@ class TestDataSlots:
         world = build_world(cfg, line_topology(2))
         with pytest.raises(SimulationError, match="overflows"):
             execute_round(world, SyncHeader(20_000, 2, 0))
+
+    def test_overflowing_header_leaves_the_world_untouched(self):
+        # the header's slots are checked against its period before the
+        # round floods, draws or queues anything
+        cfg = SimConfig(ipi=US_SECOND, loss_probability=0.5, seed=3)
+        world = build_world(cfg, line_topology(4))
+        execute_round(world, _sync_only_header())
+
+        def state():
+            return world.now, world.rng.getstate(), dict(world.queue_start), world.next_sequence
+
+        before = state()
+        with pytest.raises(SimulationError, match="round 1 overflows its period: 45000 > 20000"):
+            execute_round(world, SyncHeader(20_000, 2, 0))
+        assert state() == before
 
 
 class TestGenerationAndQueue:

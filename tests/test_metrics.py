@@ -27,7 +27,7 @@ def _round_trace(index, radio, period=US_SECOND, replies=(), data=(), **kw):
     everyone = mask_of(radio)
     block = [
         slot for reply in replies
-        for slot in (RequestSlot(0, everyone, everyone, reply.requester, 1, True), reply)
+        for slot in (RequestSlot(everyone, everyone, reply.requester, 1, True), reply)
     ]
     defaults = dict(
         index=index,
@@ -37,7 +37,7 @@ def _round_trace(index, radio, period=US_SECOND, replies=(), data=(), **kw):
         round_period=period,
         n_rr=len(block),
         n_data=len(data),
-        slots=[SyncSlot(0, everyone, everyone, 1), *block, *data],
+        slots=[SyncSlot(everyone, everyone, 1), *block, *data],
         node_ids=tuple(radio),
         radio_totals=tuple(radio.values()),
         joined=0,
@@ -90,7 +90,6 @@ class TestRunMetrics:
     def test_acquisition_records_first_delivered_reply(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
         reply = ReplySlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
             initiator=None,
@@ -100,7 +99,6 @@ class TestRunMetrics:
         )
         m.accumulate(_round_trace(0, {1: 0, 2: 0}, replies=[reply]))
         later = ReplySlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
             initiator=None,
@@ -115,31 +113,22 @@ class TestRunMetrics:
     def test_data_slots_split_into_delivered_and_lost(self):
         m = RunMetrics(node_ids=[1, 2], sink=1)
         good = DataSlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
-            initiator=None,
-            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=True,
         )
         bad = DataSlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([2]),
-            initiator=None,
-            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=False,
         )
         keepalive = DataSlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
-            initiator=None,
-            slot_id=None,
             owner=2,
             gen_round=None,
             delivered=False,
@@ -159,11 +148,8 @@ class TestRunMetrics:
         m = RunMetrics(node_ids=[1, 2], sink=1)
         m.accumulate(_round_trace(0, {1: 0, 2: 0}, sources=(2,), new_sequences=1))
         data = DataSlot(
-            t=0,
             awake_mask=mask_of([1, 2]),
             received_mask=mask_of([1, 2]),
-            initiator=None,
-            slot_id=None,
             owner=2,
             gen_round=0,
             delivered=True,

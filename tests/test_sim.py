@@ -47,12 +47,12 @@ from _support import (
     schema1_text,
     config_document,
     shortest_path_forwarders,
+    slot_starts,
 )
 
 US_SECOND = 1_000_000
 DATA_DIR = Path(__file__).parent / "data"
 GOLDENS = ["golden_lwb.jsonl", "golden_fs.jsonl", "golden_fs_lossy.jsonl"]
-SLOT = SimConfig.slot_length  # by default also SYNC_SLOT_LENGTH: slot k starts k SLOTs in
 
 
 class TestPhaseSchedule:
@@ -102,7 +102,6 @@ class TestPhaseSchedule:
             first = trace.slots[0]
             assert first.kind == "sync"
             assert first.initiator == 1
-            assert first.t == trace.t_start
 
     def test_slot_count_matches_header(self):
         cfg = SimConfig(duration=60 * US_SECOND, forwarder_selection=True)
@@ -257,9 +256,10 @@ class TestTraceOutput:
 
     @pytest.mark.parametrize("run", [*GOLDENS, *range(20)])
     def test_slots_start_where_the_round_layout_puts_them(self, run):
-        # schema 5 writes no slot start: a reader takes it from the slot's
-        # place in its round, so the engine's own slot times must follow
-        # that layout. The random configs run both modes, loss and sync
+        # neither the trace nor a slot object holds a slot's start: the
+        # oracle states the layout with its own closed form, read_trace
+        # takes a start from the slot's place in its round, and the two
+        # must agree. The random configs run both modes, loss and sync
         # slots longer and shorter than the other slots.
         if run in GOLDENS:
             result = _golden_result(run)
@@ -268,14 +268,15 @@ class TestTraceOutput:
             topology = random_connected_topology(rng, rng.randint(6, 12), max_ecc=4)
             result = run_simulation(_rerun_config(run), topology)
         cfg, traces = result.config, result.traces
-        sync_length, slot_length = cfg.sync_slot_length, cfg.slot_length
+        _, records = read_trace(render_trace(traces))
+        read_starts = iter(rec["t"] for rec in records if rec["kind"] == "slot")
         for trace in traces:
-            n, t = 1 + trace.n_rr + trace.n_data, trace.t_start
+            n = 1 + trace.n_rr + trace.n_data
             assert len(trace.slots) == n
-            # slot k >= 1 starts at t + SYNC_SLOT_LENGTH + (k - 1) * SLOT_LENGTH
-            starts = [t] + [t + sync_length + (k - 1) * slot_length for k in range(1, n + 1)]
-            assert [slot.t for slot in trace.slots] == starts[:-1], trace.index
-            assert starts[-1] <= t + trace.round_period  # where the last slot ends
+            starts = slot_starts(trace)
+            assert starts == [next(read_starts) for _ in range(n)], trace.index
+            end = starts[-1] + (cfg.slot_length if n > 1 else cfg.sync_slot_length)
+            assert end <= trace.t_start + trace.round_period  # where the last slot ends
         assert any(trace.n_rr for trace in traces)
         assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
@@ -354,17 +355,16 @@ class TestRenderOracle:
         shared = mask([3, 250])
         traces = [
             _hand_built_round(
-                0, [SyncSlot(0, mask([1, 2]), mask([2]), 1)], {1: 10, 2: 10}
+                0, [SyncSlot(mask([1, 2]), mask([2]), 1)], {1: 10, 2: 10}
             ),
             _hand_built_round(
                 1,
                 [
-                    SyncSlot(US_SECOND, mask([1, 9]), 0, 1),
-                    RequestSlot(US_SECOND + SLOT, shared, shared, None, 0, False),
-                    ReplySlot(US_SECOND + 2 * SLOT, shared, shared, 1, requester=3,
-                              assigned_slot=0, new_assignment=True, delivered=True),
-                    DataSlot(US_SECOND + 3 * SLOT, shared, 0, 3, slot_id=0,
-                             owner=3, payload_len=8, gen_round=1, delivered=True),
+                    SyncSlot(mask([1, 9]), 0, 1),
+                    RequestSlot(shared, shared, None, 0, False),
+                    ReplySlot(shared, shared, 1, requester=3, assigned_slot=0,
+                              new_assignment=True, delivered=True),
+                    DataSlot(shared, 0, owner=3, payload_len=8, gen_round=1, delivered=True),
                 ],
                 {1: 30, 3: 20, 9: 10, 250: 20},
                 joined=mask([3, 250]), desynced=mask([9]),
@@ -388,8 +388,7 @@ class TestRenderOracle:
 
         def rounds():
             for index, radio_on in enumerate(rows):
-                t = index * US_SECOND
-                sync = SyncSlot(t, Topology.mask_of(radio_on), 0, 1)
+                sync = SyncSlot(Topology.mask_of(radio_on), 0, 1)
                 yield _hand_built_round(index, [sync], dict(radio_on))
 
         traces = list(rounds())
@@ -413,20 +412,18 @@ class TestRenderOracle:
         # JSON bool, and a bool field never as a number
         both = Topology.mask_of([1, 2])
         slots = [
-            SyncSlot(0, both, both, 1),
-            RequestSlot(SLOT, both, both, 1, contender_count=1, delivered=True),
-            ReplySlot(2 * SLOT, both, both, 1, requester=1, assigned_slot=0,
-                      new_assignment=True, delivered=False),
-            AnnounceSlot(3 * SLOT, both, both, 1, announced_distance=0, slot_id=0),
-            RequestSlot(4 * SLOT, both, 0, None, contender_count=0, delivered=False),
-            ReplySlot(5 * SLOT, both, 0, None, requester=1, capacity_exceeded=True),
-            AnnounceSlot(6 * SLOT, both, 0, None),
-            DataSlot(7 * SLOT, both, both, 1, slot_id=0, owner=1, payload_len=0,
-                     gen_round=1, delivered=True),
-            DataSlot(8 * SLOT, both, both, 1, slot_id=1, owner=1, payload_len=1,
-                     gen_round=0, delivered=False),
-            DataSlot(9 * SLOT, both, both, 1, slot_id=0, owner=1, payload_len=0),
-            DataSlot(10 * SLOT, both, 0, None, slot_id=0, owner=1),
+            SyncSlot(both, both, 1),
+            RequestSlot(both, both, 1, contender_count=1, delivered=True),
+            ReplySlot(both, both, 1, requester=1, assigned_slot=0, new_assignment=True,
+                      delivered=False),
+            AnnounceSlot(both, both, 1, announced_distance=0, slot_id=0),
+            RequestSlot(both, 0, None, contender_count=0, delivered=False),
+            ReplySlot(both, 0, None, requester=1, capacity_exceeded=True),
+            AnnounceSlot(both, 0, None),
+            DataSlot(both, both, owner=1, payload_len=0, gen_round=1, delivered=True),
+            DataSlot(both, both, owner=1, payload_len=1, gen_round=0, delivered=False),
+            DataSlot(both, both, owner=1, payload_len=0),
+            DataSlot(both, 0, owner=1),
         ]
         fs = SimConfig(forwarder_selection=True)
         traces = [_hand_built_round(0, slots, {1: 0, 2: 1}, config=fs)]
@@ -443,46 +440,29 @@ class TestRenderOracle:
         both, awake = Topology.mask_of([1, 2]), Topology.mask_of(awake_ids)
         stray = Topology.mask_of([1, 3])
         for slot in (
-            DataSlot(SLOT, awake, stray, 1, slot_id=0, owner=1),
-            RequestSlot(SLOT, awake, stray, 1, contender_count=1, delivered=True),
-            SyncSlot(SLOT, awake, stray, 1),
+            DataSlot(awake, stray, owner=1),
+            RequestSlot(awake, stray, 1, contender_count=1, delivered=True),
+            SyncSlot(awake, stray, 1),
         ):
-            traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
-            with pytest.raises(SimulationError, match="t=15000 received off its awake set"):
+            traces = [_hand_built_round(0, [SyncSlot(both, both, 1), slot], {1: 0, 2: 1})]
+            with pytest.raises(SimulationError, match="round 0 slot 1 received off its awake set"):
                 render_trace(traces)
         # receiving on all or part of the awake set is fine
         for received in (awake, 1 << 1):
-            slot = DataSlot(SLOT, awake, received, 1, slot_id=0, owner=1)
-            traces = [_hand_built_round(0, [SyncSlot(0, both, both, 1), slot], {1: 0, 2: 1})]
+            slot = DataSlot(awake, received, owner=1)
+            traces = [_hand_built_round(0, [SyncSlot(both, both, 1), slot], {1: 0, 2: 1})]
             assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
-    def test_slot_off_the_round_layout_is_refused(self):
-        # a slot record does not say its start, so each slot must start
-        # where the header's slot lengths and its place in the round put
-        # it; a round record does not say its mode, so every round must run
-        # the header's
+    def test_round_of_another_mode_is_refused(self):
+        # a round record does not say its mode, so every round must run the
+        # header's
         both = Topology.mask_of([1, 2])
-        longer_sync = SimConfig(sync_slot_length=20_000)
-
-        def rounds(config, *starts):
-            sync = SyncSlot(starts[0], both, both, 1)
-            data = [DataSlot(t, both, both, 1, slot_id=0, owner=1) for t in starts[1:]]
-            return [_hand_built_round(0, [sync, *data], {1: 0, 2: 1}, config=config)]
-
-        for config, starts, off in (
-            (SimConfig(), (1, SLOT), 1),
-            (SimConfig(), (0, SLOT + 1), SLOT + 1),
-            (SimConfig(), (0, SLOT, 2 * SLOT - 1), 2 * SLOT - 1),
-            (longer_sync, (0, SLOT), SLOT),
-        ):
-            with pytest.raises(SimulationError, match=f"t={off} is off its round's layout"):
-                render_trace(rounds(config, *starts))
-        traces = rounds(longer_sync, 0, 20_000, 20_000 + SLOT)
-        assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
-        fs_round = _hand_built_round(1, [SyncSlot(US_SECOND, both, both, 1)], {1: 0, 2: 1},
+        lwb_round = _hand_built_round(0, [SyncSlot(both, both, 1), DataSlot(both, both, owner=1)],
+                                      {1: 0, 2: 1})
+        fs_round = _hand_built_round(1, [SyncSlot(both, both, 1)], {1: 0, 2: 1},
                                      config=SimConfig(forwarder_selection=True))
         with pytest.raises(SimulationError, match="round 1 runs fs-lwb, not lwb"):
-            render_trace([*rounds(SimConfig(), 0, SLOT), fs_round])
+            render_trace([lwb_round, fs_round])
 
     def test_write_trace_of_freed_rounds_matches_render_trace(self):
         # each round is a copy with a radio row of its own, dropped once
@@ -1122,11 +1102,9 @@ class TestDataSlotMembership:
                 for slot in requests:
                     assert awake_ids(slot) == sorted(active)
                     assert slot.awake_mask == requests[0].awake_mask
-                for slot in trace.slots:
-                    if slot.kind != "data":
-                        continue
-                    if fs and slot.slot_id in world.announced_slots:
-                        _, forwarders = world.announced_slots[slot.slot_id]
+                for slot_id, slot in enumerate(trace.slots[1 + trace.n_rr:]):  # the data slots
+                    if fs and slot_id in world.announced_slots:
+                        _, forwarders = world.announced_slots[slot_id]
                         want = set(ids_of(forwarders)) & active
                         want |= {slot.owner} & active
                         want.add(sink)
