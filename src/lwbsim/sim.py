@@ -6,28 +6,23 @@ seeded once; drifts are drawn first (non-sink nodes in id order, only when
 the configured range is not empty), then each round consumes draws in slot
 order as described in the engine.
 
-Traces are written in trace schema 5, in the key order render_trace
-lists, from %-templates and node id texts; only the header's config goes
-through json. A record writes no field its place in the file, its round
-record, the header or its own fields already say: not its sequence number,
-not a slot's start time (its place in its round and the header's slot
-lengths), round or phase, not a round's mode (the header's
-FORWARDER_SELECTION), not a request's winner or an announce's source (its
-initiator), and not a data slot's initiator when it is the owner. A slot's
-kind is its type. Every slot writes, in place of its received ids, the
-awake ids that missed its flood, most often none, and writes its awake ids
-only when they are not the round's active set (the sync slot's received
-ids), so always in the sync slot that opens each round. A round writes its
-radio_on row only when the row's values differ from the previous round's;
-a reader carries the last row forward. The ids of each distinct slot or
-round mask are listed once per call, and so is the radio_on text of each
-distinct row.
+Traces are written in trace schema 5, a round at a time in its layout's
+order (sync slot, request block, data slots) and in the key order
+render_trace lists; only the header's config goes through json. A record
+writes nothing its place, its round record, the header or its own fields
+say: no sequence number, slot start, round, phase or mode, no request
+winner or announce source (its initiator), no data slot initiator that is
+its owner. A slot's kind is its type. A slot writes the awake ids that
+missed its flood in place of its received ids, and its awake ids only when
+they are not the round's active set (the sync slot's received ids), so
+always in the sync slot. A round writes radio_on only when the row's values
+differ from the previous round's; a reader carries the last row forward.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 from .config import SimConfig, config_texts
@@ -38,7 +33,7 @@ from .core import (
     sink_build_sync,
     update_rr_dynamics,
 )
-from .engine import RoundTrace, SlotTrace, World, execute_round
+from .engine import DataSlot, RoundTrace, SlotTrace, SyncSlot, World, execute_round
 from .errors import ConfigError, SimulationError, TopologyError
 from .forwarding import data_participants
 from .glossy import ids_of
@@ -138,9 +133,6 @@ _REPLY = '{"kind":"reply",' + _SLOT_HEAD + (
     ',"requester":%s,"assigned_slot":%s,"new_assignment":%s,"delivered":%s%s}\n'
 )
 _ANNOUNCE = '{"kind":"announce",' + _SLOT_HEAD + ',"distance":%s,"slot_id":%s}\n'
-_DATA = '{"kind":"data",' + _SLOT_HEAD + (
-    ',"slot_id":%d,"owner":%d,"payload_len":%s,"gen_round":%s,"delivered":%s}\n'
-)
 
 
 def _json(value: int | None) -> int | str:
@@ -148,28 +140,19 @@ def _json(value: int | None) -> int | str:
     return "null" if value is None else value
 
 
-def _slot_line(slot: SlotTrace, data_index: int, awake: str, missed: str) -> str:
-    """The record of a slot, from _SLOT_HEAD's values and its kind's fields;
-    data_index is a data slot's slot_id. A data slot writes its initiator
-    only when it is not the owner: a silent slot's null, exactly when it
-    received on nobody. Int fields go through %d, int-or-None fields
-    through _json and bool fields through a conditional, never a lookup:
-    True == 1 as a key."""
+def _slot_line(slot: SlotTrace, awake: str, missed: str) -> str:
+    """The record of a request block slot, or of the sync slot, from
+    _SLOT_HEAD's values and its kind's fields. Int fields go through %d,
+    int-or-None fields through _json and bool fields through a conditional,
+    never a lookup: True == 1 as a key."""
     kind = slot.kind
-    if kind == "data":
-        return _DATA % (
-            "" if slot.received_mask else '"initiator":null,', awake, missed, data_index,
-            slot.owner, _json(slot.payload_len), _json(slot.gen_round),
-            "true" if slot.delivered else "false",
-        )
     head = '"initiator":%s,' % _json(slot.initiator), awake, missed
     if kind == "request":
         return _REQUEST % (*head, slot.contender_count, "true" if slot.delivered else "false")
     if kind == "reply":
         return _REPLY % (
             *head, _json(slot.requester), _json(slot.assigned_slot),
-            "true" if slot.new_assignment else "false",
-            "true" if slot.delivered else "false",
+            "true" if slot.new_assignment else "false", "true" if slot.delivered else "false",
             ',"capacity_exceeded":true' if slot.capacity_exceeded else "",
         )
     if kind == "announce":
@@ -178,16 +161,19 @@ def _slot_line(slot: SlotTrace, data_index: int, awake: str, missed: str) -> str
 
 
 def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
-    """The JSONL text in pieces: the header line, one per slot record,
-    two or three per round record (head, the radio_on part when the row
-    changed, tail). The header's config is the first round's, so the
-    first round is taken before the header is written.
+    """The JSONL text in pieces: the header line, then one per round, its
+    slot records and round record joined. The header's config is the first
+    round's, so the first round is taken before the header is written.
 
-    Each distinct mask value's ids, a slot's or a round's, are joined once
-    per call, each node id's text is made once, and each distinct
-    (node_ids, radio_totals) row's pairs are written once. The caches and
-    the repeated-row test compare values, not objects, so a generator may
-    free its rounds as they are rendered.
+    A round's records follow its layout: the sync slot, which writes awake
+    and whose received mask is the round's active set, n_rr request block
+    slots, none a data slot, through _slot_line, and n_data data slots, each
+    slot_id its place in the data block; else SimulationError.
+
+    Each distinct mask's ids, node id's text, (node_ids, radio_totals)
+    row's pairs and (sources, new_sequences)'s source texts are made once
+    per call. The caches and the repeated-row test compare values, not
+    objects, so a generator may free its rounds as they are rendered.
     """
     name = _Memo(str).__getitem__
     text = _Memo(lambda mask: ",".join(map(name, ids_of(mask)))).__getitem__
@@ -195,6 +181,15 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         lambda row: '"radio_on":{%s},' % ",".join(map('"%d":%d'.__mod__, zip(*row)))
     ).__getitem__
     awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
+    source_texts = _Memo(lambda key: [name(n) for n in key[0] for _ in range(key[1])]).__getitem__
+    silent = '"initiator":null,'  # a data slot that received on nobody
+
+    def missed(trace: RoundTrace, place: int, awake: int, received: int) -> str:
+        """The ids of a slot's awake mask that its received mask lacks."""
+        missed_mask = awake ^ received  # awake & ~received if no stray bit
+        if missed_mask & received:  # a stray receiver the schema cannot write
+            raise SimulationError(f"round {trace.index} slot {place} received off its awake set")
+        return text(missed_mask)
 
     rounds = iter(traces)
     first = next(rounds, None)
@@ -204,41 +199,49 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         return
     mode, last_row = first.config.mode, None  # the header's mode
     for trace in chain((first,), rounds):
+        slots, first_data = trace.slots, 1 + trace.n_rr  # the place of data slot 0
         if trace.config.mode != mode:  # a round record does not say its mode
             raise SimulationError(f"round {trace.index} runs {trace.config.mode}, not {mode}")
-        active = -1  # the sync slot's received mask; no mask equals -1
-        first_data = 1 + trace.n_rr  # the place of data slot 0
-        for place, slot in enumerate(trace.slots):
+        if (len(slots) != first_data + trace.n_data or not isinstance(slots[0], SyncSlot)
+                or any(map(isinstance, slots[1:first_data], repeat(DataSlot)))
+                or not all(map(isinstance, slots[first_data:], repeat(DataSlot)))):
+            raise SimulationError(f"round {trace.index}'s slots do not follow its header's layout")
+        active = slots[0].received_mask  # the sync slot's, which always writes awake
+        lines = []
+        append = lines.append
+        for place, slot in enumerate(slots[:first_data]):
+            awake = slot.awake_mask
+            append(_slot_line(slot, "" if place and awake == active else awake_part(awake),
+                              missed(trace, place, awake, slot.received_mask)))
+        for index, slot in enumerate(slots[first_data:]):
             awake, received = slot.awake_mask, slot.received_mask
-            missed = ""
-            if received != awake:
-                missed_mask = awake ^ received  # awake & ~received if no stray bit
-                if missed_mask & received:  # a stray receiver the schema cannot write
-                    raise SimulationError(
-                        f"round {trace.index} slot {place} received off its awake set"
-                    )
-                missed = text(missed_mask)
-            yield _slot_line(
-                slot, place - first_data, "" if awake == active else awake_part(awake), missed
+            payload_len, gen_round = slot.payload_len, slot.gen_round
+            append(
+                f'{{"kind":"data",{"" if received else silent}'
+                f'{"" if awake == active else awake_part(awake)}"missed":['
+                f'{"" if received == awake else missed(trace, first_data + index, awake, received)}'
+                f'],"slot_id":{index},"owner":{slot.owner},'
+                f'"payload_len":{"null" if payload_len is None else payload_len},'
+                f'"gen_round":{"null" if gen_round is None else gen_round},'
+                f'"delivered":{"true" if slot.delivered else "false"}}}\n'
             )
-            if slot.kind == "sync":
-                active = received
-        yield _ROUND_HEAD % (
-            trace.index, trace.t_start, trace.phase, trace.round_period, trace.n_rr, trace.n_data,
-        )
+        append(_ROUND_HEAD % (trace.index, trace.t_start, trace.phase, trace.round_period,
+                              trace.n_rr, trace.n_data))
         row = trace.node_ids, trace.radio_totals
         if row != last_row:  # by value: equal rows are often distinct objects
-            yield radio_part(row)
+            append(radio_part(row))
             last_row = row
+        replies = trace.replies
         made = trace.new_sequences  # generated: made [node,round] pairs per source in turn
-        nodes = trace.sources if made < 2 else [n for n in trace.sources for _ in range(made)]
-        yield _ROUND_TAIL % (
-            ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
+        append(_ROUND_TAIL % (
+            ",".join(["[%d,%d]" % (s.assigned_slot, s.requester) for s in replies
+                      if s.new_assignment]),
             text(trace.joined), text(trace.desynced), text(trace.bootstrap),
-            "[%s,%d]" % ((",%d],[" % trace.index).join(map(name, nodes)), trace.index)
-            if made and nodes else "",
-            ",".join(map(name, trace.dropped)), trace.capacity_events,
-        )
+            "[%s,%d]" % ((",%d],[" % trace.index).join(source_texts((trace.sources, made))),
+                         trace.index) if made and trace.sources else "",
+            ",".join(map(name, trace.dropped)), sum([s.capacity_exceeded for s in replies]),
+        ))
+        yield "".join(lines)
 
 
 def render_trace(traces: Iterable[RoundTrace]) -> str:
@@ -247,18 +250,19 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
     the first round's config_texts (null for no rounds), then per round its
     slot records in time order and its round record; a record's place in
     the file is its sequence number. Key order is fixed. A slot record has
-    kind (its type), initiator (see _slot_line), awake only when not the
-    round's active set (the received ids of its sync slot, its first
-    slot), missed and its type's fields; its round and phase are the next
-    round record's. Its start is its round's t for the round's first slot,
-    then each slot starts where the one before it ends: the first after
-    the header's SYNC_SLOT_LENGTH, every other after its SLOT_LENGTH. A
-    round record has the keys of _ROUND_HEAD, radio_on only when its
-    (node_ids, radio_totals) row differs by value from the previous
-    round's, then the keys of _ROUND_TAIL; its mode is the header's.
-    traces may be any iterable of rounds. A slot that received on a node it
-    was not awake on and a round of another mode than the first cannot be
-    written: SimulationError.
+    kind (its type), initiator (a data slot's only as null, when it received
+    on nobody), awake only when not the round's active set (the received
+    ids of its sync slot, its first slot), missed and its type's fields;
+    its round and phase are the next round record's. Its start is its
+    round's t for the first slot; each later slot starts where the one
+    before it ends, the first after the header's SYNC_SLOT_LENGTH, every
+    other after its SLOT_LENGTH. A round record has the keys of _ROUND_HEAD,
+    radio_on only when its (node_ids, radio_totals) row differs by value
+    from the previous round's, then the keys of _ROUND_TAIL; its mode is
+    the header's. traces may be any iterable of rounds. A slot that
+    received on a node it was not awake on, a round of another mode than
+    the first and a round whose slots are not laid out as its header says
+    cannot be written: SimulationError.
 
     The text grows by += in chunks of 64 KiB plus a sixteenth of its length:
     CPython resizes it in place, so the peak is about one text, and where a
@@ -276,7 +280,7 @@ def render_trace(traces: Iterable[RoundTrace]) -> str:
 
 
 def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:
-    """Stream render_trace's text into an open text file."""
+    """Stream render_trace's text into an open text file, one round per write."""
     file.writelines(_trace_pieces(traces))
 
 

@@ -291,6 +291,26 @@ class TestTraceOutput:
     def test_empty_trace_renders_the_header_alone(self):
         assert render_trace([]) == '{"kind":"schema","version":5,"config":null}\n'
 
+    def test_write_trace_streams_one_round_per_write(self):
+        # the header, then one piece per round ending in its round record:
+        # a streamed write never holds more than one round's text
+        traces = _lossy_drifting_run().traces
+
+        class Recorder:
+            def writelines(self, pieces):
+                self.pieces = list(pieces)
+
+        out = Recorder()
+        write_trace(out, traces)
+        assert len(out.pieces) == 1 + len(traces)
+        assert out.pieces[0].startswith('{"kind":"schema","version":5,')
+        for trace, piece in zip(traces, out.pieces[1:]):
+            *slot_lines, last = map(json.loads, piece.splitlines())
+            assert len(slot_lines) == len(trace.slots)
+            assert last["kind"] == "round" and last["round"] == trace.index
+            assert piece.endswith("}\n")
+        assert "".join(out.pieces) == render_trace(traces)
+
 
 def _hand_built_round(index, slots, radio_on, config=SimConfig(), **sets):
     """A round of the given slots, laid out as the engine lays one out: the
@@ -452,6 +472,28 @@ class TestRenderOracle:
             slot = DataSlot(awake, received, owner=1)
             traces = [_hand_built_round(0, [SyncSlot(both, both, 1), slot], {1: 0, 2: 1})]
             assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
+
+    @pytest.mark.parametrize("layout", ["too-few-data", "data-first", "request-in-data",
+                                        "data-in-request"])
+    def test_round_off_its_layout_is_refused(self, layout):
+        # a record's place says which slot it is, so a round whose slot list
+        # does not match its header would misplace every later record
+        both = Topology.mask_of([1, 2])
+        sync, data = SyncSlot(both, both, 1), DataSlot(both, both, owner=1, payload_len=3)
+        request = RequestSlot(both, both, 1, contender_count=1, delivered=True)
+        slots, n_rr, n_data = {
+            "too-few-data": ([sync, data], 0, 3),
+            "data-first": ([data, sync], 0, 1),
+            "request-in-data": ([sync, request], 0, 1),
+            "data-in-request": ([sync, data], 1, 0),
+        }[layout]
+        fine = _hand_built_round(0, [SyncSlot(both, both, 1)], {1: 0, 2: 1})
+        trace = _hand_built_round(1, slots, {1: 0, 2: 1})
+        trace.n_rr, trace.n_data = n_rr, n_data
+        with pytest.raises(SimulationError, match="round 1's slots do not follow"):
+            render_trace([fine, trace])
+        with pytest.raises(SimulationError, match="round 1's slots do not follow"):
+            write_trace(io.StringIO(), [fine, trace])
 
     def test_round_of_another_mode_is_refused(self):
         # a round record does not say its mode, so every round must run the
@@ -1302,16 +1344,19 @@ class TestHeldOutScale:
     hops of the sink) at seed 7: the benchmark's own fingerprints pin only
     seed 1. The two 150-node digests were recorded before the slot kinds
     became classes, the drifting 100-node one before the drift guard,
-    queues and contenders became masks. The digests are of schema-1 text,
-    which read_trace rebuilds from the render, so they pin every
-    simulated value across the schema changes."""
+    queues and contenders became masks. The first digests are of schema-1
+    text, which read_trace rebuilds from the render, so they pin every
+    simulated value across the schema changes. That rebuild parses JSON
+    and cannot see key order, spacing or number format, so the second
+    digests, of the raw schema-5 text, pin its bytes."""
 
     @pytest.mark.parametrize(
-        "nodes, settings, digest",
+        "nodes, settings, digest, raw_digest",
         [
             (
                 150, dict(ipi=10 * US_SECOND, duration=600 * US_SECOND),
                 "7db314489e68025d43aac3bb4d5b907ecff42041b5c0ef8b1237595abe8bfd64",
+                "9bd66029ff75d7b42af56c693da6c4ae89ee5cbae5056ac66bf762b192633ac1",
             ),
             (
                 150, dict(
@@ -1319,6 +1364,7 @@ class TestHeldOutScale:
                     duration=450 * US_SECOND,
                 ),
                 "602b6829cba6597b074a9d9c883af638d9fe69037e396489133d98d47c307873",
+                "2556d6e6ede08a2a6410d364e71a179834ce87f84610ccd96cd396b3130fc622",
             ),
             (
                 100, dict(
@@ -1326,17 +1372,19 @@ class TestHeldOutScale:
                     duration=1800 * US_SECOND,
                 ),
                 "4ed1fc2d486e6d98143ed098eea93f8888f0068719aa329eb97c6fc57fb7aadc",
+                "78fd8fb009dfd100c7261dd33d1985b6fea36bf1e4de2b3d668bbb8b6f4302a6",
             ),
         ],
         ids=["lwb-loss0", "fs-lwb-loss0.1", "lwb-drift"],
     )
-    def test_render_digest(self, nodes, settings, digest):
+    def test_render_digest(self, nodes, settings, digest, raw_digest):
         topo = random_connected_topology(
             random.Random(7), nodes, extra_edge_prob=4 / nodes, max_ecc=8
         )
         cfg = SimConfig(seed=7, **settings)
-        text = schema1_text(render_trace(run_simulation(cfg, topo).traces))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        text = render_trace(run_simulation(cfg, topo).traces)
+        assert hashlib.sha256(schema1_text(text).encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == raw_digest
 
 
 class TestWideIdRender:
@@ -1345,7 +1393,8 @@ class TestWideIdRender:
     few of them set; no golden has an id above 15. The digest is of the
     schema-1 text read_trace rebuilds, recorded from the schema-3 render,
     whose own digest was recorded when each mask's text was still built
-    from a table of per-byte texts."""
+    from a table of per-byte texts; the raw digest pins the schema-5
+    bytes."""
 
     def test_render_digest(self):
         rng = random.Random(26)
@@ -1363,6 +1412,8 @@ class TestWideIdRender:
         assert any("awake" in r for r in slots if r["kind"] != "sync")
         digest = "7bb7a24d772d80aedb332f641605fea211360de90b36c2ffe28422de8d025fc6"
         assert hashlib.sha256(schema1_text(text).encode("utf-8")).hexdigest() == digest
+        raw_digest = "055866c44455f6848e8dd972c0acc7dd271aba7eed3285c2a8df1a567dcc71f8"
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == raw_digest
 
 def _drifting_long_run():
     """The drifting 100-node case above for 90 simulated minutes: the
