@@ -18,10 +18,21 @@ and no receiver is visited twice. With a loss probability of zero the
 waves are a breadth-first search through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
-mask, so flood memoizes its outcome per topology under that key. The memo
-holds at most MEMO_CAP entries and drops its oldest entry first. A memo hit
-returns the shared outcome object: callers must treat every FloodOutcome
-as read-only. Argument checks run on every call, hit or miss.
+mask, so flood memoizes its outcome per topology under that key. A relay
+initiator's reach is also its relay component's, C, the relays joined to it
+through relays only: the flood's transmitters are exactly C, so it reaches
+C and every neighbour of C, and the relays of that reach are C itself (a
+relay next to C is in C). Every relay of C therefore floods to the same
+reach. The memo keeps, per participant mask, the outcome of one kernel run
+per component found; a relay of a known component gets an outcome with its
+reach and no kernel run, and the kernel builds that outcome's layers when
+they are first read. So a participant mask costs one kernel run per relay
+component, plus one per non-relay initiator. Lossy floods never touch the
+memo. It holds at most MEMO_CAP entries in total, an initiator's outcome
+and a participant mask's components counting as one each, and drops its
+oldest entry first. A memo hit returns the shared outcome object: callers
+must treat every FloodOutcome as read-only. Argument checks run on every
+call, hit or miss.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .topology import Topology
 
-# Zero-loss outcomes kept per topology.
+# Memo entries kept per topology: zero-loss outcomes and relay components.
 MEMO_CAP = 1024
 
 
@@ -41,17 +52,35 @@ class FloodOutcome:
 
     layers[k] masks the nodes at hop distance k (layers[0] is the
     initiator), reached is their OR and relays is the participant mask; a
-    relay at hop k is a bit of layers[k] & relays. Outcomes may be shared
-    between floods, so none of these may be mutated.
+    relay at hop k is a bit of layers[k] & relays. An outcome served from
+    its relay component (serve) has no layers until they are first read,
+    when the same kernel builds them. Outcomes may be shared between floods,
+    so none of these may be mutated.
     """
 
-    __slots__ = ("initiator", "layers", "reached", "relays")
+    __slots__ = ("initiator", "_layers", "reached", "relays", "_masks")
 
     def __init__(self, initiator: int, layers: list[int], relays: int) -> None:
         self.initiator = initiator
-        self.layers = layers
+        self._layers = layers
         self.reached = sum(layers)  # disjoint layers sum to their OR
         self.relays = relays
+
+    def serve(self, initiator: int, masks: dict[int, int]) -> FloodOutcome:
+        """The outcome of a zero-loss flood from initiator, another relay of
+        this outcome's relay component: the same reach, with its layers
+        left for the kernel to build when first read."""
+        outcome = object.__new__(FloodOutcome)
+        outcome.initiator, outcome.reached, outcome.relays = initiator, self.reached, self.relays
+        outcome._layers, outcome._masks = None, masks
+        return outcome
+
+    @property
+    def layers(self) -> list[int]:
+        """The receivers of every wave, the initiator's first."""
+        if self._layers is None:
+            self._layers = waves(self._masks, self.initiator, self.relays)
+        return self._layers
 
     def received(self, node: int) -> bool:
         return self.reached >> node & 1 == 1
@@ -135,7 +164,10 @@ def flood(
 
     Returns:
         FloodOutcome with the receivers of every wave. At loss zero the
-        outcome may be shared with earlier and later floods.
+        outcome may be shared with earlier and later floods, and a relay
+        initiator whose relay component an earlier flood over the same
+        participant mask reached gets that flood's reached mask, without a
+        kernel run; its layers are built when first read.
     """
     if initiator not in topology.neighbor_masks:
         raise ValueError(f"flood initiator {initiator} not in topology")
@@ -150,9 +182,25 @@ def flood(
     memo = topology.flood_memo
     key = (initiator, participants)
     outcome = memo.get(key)
-    if outcome is None:
-        if len(memo) >= MEMO_CAP:
-            del memo[next(iter(memo))]
-        layers = waves(topology.neighbor_masks, initiator, participants)
-        outcome = memo[key] = FloodOutcome(initiator, layers, participants)
-    return outcome
+    if outcome is not None:
+        return outcome
+    masks = topology.neighbor_masks
+    relay = participants >> initiator & 1
+    known = memo.get(participants, ()) if relay else ()
+    shared = next((o for o in known if o.reached >> initiator & 1), None)
+    if shared is not None:
+        outcome = shared.serve(initiator, masks)
+    else:
+        outcome = FloodOutcome(initiator, waves(masks, initiator, participants), participants)
+        if relay:
+            _remember(memo, participants, (*known, outcome))
+    return _remember(memo, key, outcome)
+
+
+def _remember(memo: dict, key: object, value: object):
+    """Store value under key, dropping the oldest entry when a new key
+    would take the memo past MEMO_CAP."""
+    if key not in memo and len(memo) >= MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value

@@ -167,7 +167,7 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
 
     A round's records follow its layout: the sync slot, which writes awake
     and whose received mask is the round's active set, n_rr request block
-    slots, none a data slot, through _slot_line, and n_data data slots, each
+    slots, none a sync or data slot, through _slot_line, and n_data data slots, each
     slot_id its place in the data block; else SimulationError.
 
     Each distinct mask's ids, node id's text, (node_ids, radio_totals)
@@ -203,7 +203,7 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         if trace.config.mode != mode:  # a round record does not say its mode
             raise SimulationError(f"round {trace.index} runs {trace.config.mode}, not {mode}")
         if (len(slots) != first_data + trace.n_data or not isinstance(slots[0], SyncSlot)
-                or any(map(isinstance, slots[1:first_data], repeat(DataSlot)))
+                or any(map(isinstance, slots[1:first_data], repeat((SyncSlot, DataSlot))))
                 or not all(map(isinstance, slots[first_data:], repeat(DataSlot)))):
             raise SimulationError(f"round {trace.index}'s slots do not follow its header's layout")
         active = slots[0].received_mask  # the sync slot's, which always writes awake

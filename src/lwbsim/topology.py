@@ -29,7 +29,7 @@ class Topology:
         if min(nodes) < 0:
             raise TopologyError(f"negative node id {min(nodes)}")
         self.nodes, self.edges = nodes, edges
-        self.flood_memo: dict = {}  # zero-loss outcomes, filled and bounded by glossy.flood
+        self.flood_memo: dict = {}  # zero-loss outcomes and relay components, kept by glossy.flood
         # Bit n of a node's mask is set when node n is its neighbour.
         masks = self.neighbor_masks = dict.fromkeys(nodes, 0)
         for u, v in edges:

@@ -1,11 +1,15 @@
 """Round execution: joining, radio accounting, slot mechanics."""
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from lwbsim.config import SimConfig
+from lwbsim import glossy
+from lwbsim.config import SimConfig, parse_config
 from lwbsim.core import SyncHeader
 from lwbsim import engine
 from lwbsim.engine import (
@@ -13,9 +17,9 @@ from lwbsim.engine import (
     execute_round, least_gap,
 )
 from lwbsim.errors import SimulationError
-from lwbsim.glossy import ids_of
+from lwbsim.glossy import flood, ids_of, waves
 from lwbsim.sim import build_world, run_simulation
-from lwbsim.topology import Topology
+from lwbsim.topology import Topology, load_topology
 
 from _support import (
     awake_ids, generated_of, last_sync_of, line_topology, queue_of, radio_on_of,
@@ -672,3 +676,34 @@ class TestRowsFromWakeCounts:
                         fresh += slot.slot_id >= trace.n_data
                         first_below += slot.slot_id < trace.n_data
         assert fresh and first_below
+
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_lossless_floods_share_one_kernel_run_per_relay_component(bench_run, monkeypatch):
+    # the benchmark's seed-1 lwb-clean network: every flood of a settled
+    # round reaches one relay component, so its 9,076 floods need about one
+    # kernel run per distinct participant set, not one per initiator. Each
+    # still goes through the engine's flood, which the traced pass hooks:
+    # one per sync slot and one per other slot that received on somebody.
+    topologies, config_text = bench_run.make_inputs(bench_run.WORKLOADS["lwb-clean"], 1)
+    kernel_runs, floods = [], []
+    monkeypatch.setattr(glossy, "waves", lambda *a: kernel_runs.append(a) or waves(*a))
+    monkeypatch.setattr(engine, "flood", lambda *a: floods.append(a) or flood(*a))
+    result = run_simulation(parse_config(config_text), load_topology(topologies[0]))
+    assert len(kernel_runs) <= 10
+    slots = [slot for trace in result.traces for slot in trace.slots]
+    assert len(floods) == sum(s.kind == "sync" or s.received_mask != 0 for s in slots) > 9000

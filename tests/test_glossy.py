@@ -247,13 +247,66 @@ def test_memo_hit_still_checks_arguments():
 
 
 def test_memo_size_is_bounded():
+    # more than MEMO_CAP relay sets, each flooded from node 1 (a kernel run
+    # that stores the set's component), from another relay of that component
+    # (served) and from a non-relay: all three kinds of entry share one cap
     topo = random_connected_topology(random.Random(8), 12)
     others = sorted(topo.nodes - {1})
+    served = 0
     for i in range(glossy.MEMO_CAP + 50):
-        participants = {1} | {n for bit, n in enumerate(others) if i >> bit & 1}
-        flood(topo, 1, Topology.mask_of(participants))
+        participants = Topology.mask_of({1} | {n for bit, n in enumerate(others) if i >> bit & 1})
+        component = flood(topo, 1, participants).reached & participants
+        initiators = ids_of(component)[-1:] + ids_of(~participants & sum(1 << n for n in others))[:1]
+        for initiator in initiators:
+            flood(topo, initiator, participants)
+        served += component != 1 << 1
         assert len(topo.flood_memo) <= glossy.MEMO_CAP
     assert len(topo.flood_memo) == glossy.MEMO_CAP
+    assert served > glossy.MEMO_CAP // 2  # most sets served a second relay
+    # one entry per component of a relay set and per initiator, no more
+    stored = [len(v) if isinstance(v, tuple) else 1 for v in topo.flood_memo.values()]
+    assert sum(stored) == glossy.MEMO_CAP
+    assert {type(key) for key in topo.flood_memo} == {int, tuple}
     # the oldest entries went first
     assert (1, Topology.mask_of({1})) not in topo.flood_memo
+    assert Topology.mask_of({1}) not in topo.flood_memo
+
+
+def _relay_components(topo, relays):
+    """The relay components of a relay set by the oracle's search: the
+    relays each relay reaches through relays only."""
+    return {
+        frozenset(n for n, d in bfs_oracle(topo, r, relays).items() if d is not None and n in relays)
+        for r in relays
+    }
+
+
+def test_served_outcomes_equal_fresh_kernel_runs(monkeypatch):
+    # relay sets that split into several components; every node, relay or
+    # not, floods twice in shuffled order. A set costs one kernel run per
+    # component plus one per non-relay initiator, and every outcome, its
+    # layers read only at the end, equals a fresh kernel run and the oracle.
+    runs = []
+    monkeypatch.setattr(glossy, "waves", lambda *a: runs.append(a) or waves(*a))
+    rng = random.Random(3131)
+    split = 0
+    for _ in range(40):
+        topo = random_connected_topology(rng, rng.randint(2, 40), extra_edge_prob=0.04)
+        nodes = sorted(topo.nodes)
+        relays = {n for n in nodes if rng.random() < 0.5}
+        participants = Topology.mask_of(relays)
+        components = _relay_components(topo, relays)
+        split += len(components) > 1
+        order = nodes * 2
+        rng.shuffle(order)
+        runs.clear()
+        outcomes = [flood(topo, initiator, participants) for initiator in order]
+        assert len(runs) == len(components) + len(nodes) - len(relays)
+        for out in outcomes:
+            initiator = out.initiator
+            fresh = waves(topo.neighbor_masks, initiator, participants)
+            assert out.relays == participants and out.reached == sum(fresh)
+            assert out.layers == fresh
+            assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, relays))
+    assert split >= 20
 

@@ -456,16 +456,18 @@ class TestRenderOracle:
     def test_receiver_outside_the_awake_set_is_refused(self, awake_ids):
         # the schema writes only the awake ids that missed, so a receiver
         # outside the awake set has no place in the text and must not be
-        # dropped without a word; a sync slot writes missed too
+        # dropped without a word; a sync slot, only ever at place 0, writes
+        # missed too
         both, awake = Topology.mask_of([1, 2]), Topology.mask_of(awake_ids)
         stray = Topology.mask_of([1, 3])
-        for slot in (
-            DataSlot(awake, stray, owner=1),
-            RequestSlot(awake, stray, 1, contender_count=1, delivered=True),
-            SyncSlot(awake, stray, 1),
+        for slots in (
+            [SyncSlot(both, both, 1), DataSlot(awake, stray, owner=1)],
+            [SyncSlot(both, both, 1), RequestSlot(awake, stray, 1, contender_count=1, delivered=True)],
+            [SyncSlot(awake, stray, 1)],
         ):
-            traces = [_hand_built_round(0, [SyncSlot(both, both, 1), slot], {1: 0, 2: 1})]
-            with pytest.raises(SimulationError, match="round 0 slot 1 received off its awake set"):
+            traces = [_hand_built_round(0, slots, {1: 0, 2: 1})]
+            place = len(slots) - 1
+            with pytest.raises(SimulationError, match=f"round 0 slot {place} received off its awake"):
                 render_trace(traces)
         # receiving on all or part of the awake set is fine
         for received in (awake, 1 << 1):
@@ -474,7 +476,7 @@ class TestRenderOracle:
             assert schema1_text(render_trace(traces)) == reference_render_trace(traces)
 
     @pytest.mark.parametrize("layout", ["too-few-data", "data-first", "request-in-data",
-                                        "data-in-request"])
+                                        "data-in-request", "sync-in-request", "sync-in-data"])
     def test_round_off_its_layout_is_refused(self, layout):
         # a record's place says which slot it is, so a round whose slot list
         # does not match its header would misplace every later record
@@ -486,6 +488,8 @@ class TestRenderOracle:
             "data-first": ([data, sync], 0, 1),
             "request-in-data": ([sync, request], 0, 1),
             "data-in-request": ([sync, data], 1, 0),
+            "sync-in-request": ([sync, sync], 1, 0),
+            "sync-in-data": ([sync, sync], 0, 1),
         }[layout]
         fine = _hand_built_round(0, [SyncSlot(both, both, 1)], {1: 0, 2: 1})
         trace = _hand_built_round(1, slots, {1: 0, 2: 1})

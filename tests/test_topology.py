@@ -91,10 +91,17 @@ class TestTopologyType:
             Topology.from_edges([(-1, 2)])
 
     def test_flood_memo_does_not_affect_equality(self):
-        a = Topology.from_edges([(1, 2), (2, 3)])
-        b = Topology.from_edges([(1, 2), (2, 3)])
-        flood(a, 1, Topology.mask_of({1, 2, 3}))
-        assert a.flood_memo and not b.flood_memo
+        # every kind of memo entry: a relay set's components (from 1 and,
+        # in another component, 4), a relay served from its component (3)
+        # and a non-relay initiator (2)
+        a = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
+        b = Topology.from_edges([(1, 2), (2, 3), (3, 4)])
+        relays = Topology.mask_of({1, 4})
+        for initiator, participants in ((1, relays), (4, relays), (2, relays),
+                                        (1, Topology.mask_of({1, 2, 3})), (3, Topology.mask_of({1, 2, 3}))):
+            flood(a, initiator, participants)
+        assert len(a.flood_memo[relays]) == 2 and not b.flood_memo
+        assert {type(key) for key in a.flood_memo} == {int, tuple}
         assert a == b and hash(a) == hash(b)
 
 
