@@ -13,14 +13,16 @@ import os
 import stat
 import sys
 import tempfile
+from collections import deque
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .config import SimConfig, ipi_warning, parse_config
 from .core import phase_starts
+from .engine import World
 from .errors import ConfigError, LwbError, TopologyError
-from .metrics import compare, render_summary
-from .sim import check_topology, forwarder_table, run_simulation, write_trace
+from .metrics import RunMetrics, compare, render_summary
+from .sim import RunResult, check_topology, forwarder_table, rounds, write_trace
 from .topology import Topology, load_topology
 from .units import parse_duration
 
@@ -141,9 +143,9 @@ def _write_json(f, doc) -> None:
 def _load_inputs(
     args, stack: ExitStack, *paths: str | None
 ) -> tuple[SimConfig, Topology, list]:
-    """The run's config and topology, and an open file per output path (None
-    for no path). Outputs are opened after every input check and before the
-    run, so an unwritable path fails at once and a failed set-up keeps old
+    """The run's config and topology, each checked once, and an open file per
+    output path (None for no path). Outputs are opened after the input checks,
+    so an unwritable path fails before the run and a failed set-up keeps old
     files. The IPI warning is printed last, so a failure prints one line."""
     config = SimConfig()
     if args.config:
@@ -174,30 +176,40 @@ def _load_inputs(
     topology = load_topology(_read_file(args.topology, TopologyError), config.max_node_number)
     check_topology(config, topology)
     files = [stack.enter_context(_output(path)) if path else None for path in paths]
+    if args.command == "compare" and not config.forwarder_selection:
+        # the stricter of the two runs: only fs-lwb's request group is longer
+        config.replace(forwarder_selection=True).validate()
     warning = ipi_warning(config)
     if warning:
         print(warning, file=sys.stderr)
     return config, topology, files
 
 
+def _run(config: SimConfig, topology: Topology, trace_f=None) -> RunResult:
+    """A run of inputs _load_inputs checked that keeps no round: each is
+    written to trace_f, when given, and dropped."""
+    world = World(topology, config)
+    metrics = RunMetrics(list(topology.nodes), config.sink_node_id)
+    laps = rounds(world, metrics)
+    if trace_f:
+        write_trace(trace_f, laps)
+    deque(laps, maxlen=0)  # drains the rounds: all without trace_f, none after write_trace
+    return RunResult([], metrics, world)
+
+
 def _cmd_run(args, stack: ExitStack) -> int:
     config, topology, (trace_f, summary_f) = _load_inputs(args, stack, args.trace, args.summary)
-    result = run_simulation(config, topology)
-    if trace_f:
-        write_trace(trace_f, result.traces)
-    summary = render_summary(result.metrics, config.mode, config.seed)
-    sys.stdout.write(summary)
+    metrics = _run(config, topology, trace_f).metrics
+    sys.stdout.write(render_summary(metrics, config.mode, config.seed))
     if summary_f:
-        doc = {**result.metrics.to_dict(), "mode": config.mode, "seed": config.seed}
-        _write_json(summary_f, doc)
+        _write_json(summary_f, {**metrics.to_dict(), "mode": config.mode, "seed": config.seed})
     return EXIT_OK
 
 
 def _cmd_compare(args, stack: ExitStack) -> int:
     config, topology, (out,) = _load_inputs(args, stack, args.out)
     report = compare(*[
-        run_simulation(config.replace(forwarder_selection=fs), topology)
-        for fs in (False, True)
+        _run(config.replace(forwarder_selection=fs), topology) for fs in (False, True)
     ])
     sys.stdout.write(report.render())
     if out:
@@ -207,8 +219,7 @@ def _cmd_compare(args, stack: ExitStack) -> int:
 
 def _cmd_forwarders(args, stack: ExitStack) -> int:
     config, topology, (out,) = _load_inputs(args, stack, args.out)
-    result = run_simulation(config, topology)
-    table = forwarder_table(result)
+    table = forwarder_table(_run(config, topology).world)
     for row in table:
         sys.stdout.write(
             f"slot {row['slot']}: owner={row['owner']} "

@@ -42,6 +42,8 @@ from .topology import Topology
 
 
 class RunResult:
+    """A run's kept round traces (none when streamed), metrics and final world."""
+
     def __init__(self, traces: list[RoundTrace], metrics: RunMetrics, world: World) -> None:
         self.traces, self.metrics, self.world = traces, metrics, world
         self.config, self.topology = world.config, world.topology
@@ -72,31 +74,27 @@ def build_world(config: SimConfig, topology: Topology) -> World:
     return World(topology, config)
 
 
-def run_simulation(
-    config: SimConfig,
-    topology: Topology,
-    on_round: Callable[[World, RoundTrace], None] | None = None,
-) -> RunResult:
-    """Execute rounds until the configured duration is reached.
+def rounds(world: World, metrics: RunMetrics) -> Iterator[RoundTrace]:
+    """Run the world's rounds until the configured duration is reached and
+    yield each once it is folded into metrics; between rounds the caller
+    may read the live world. Each step is looked up in this module at its
+    call, so a wrapper put here sees every round."""
+    config, schedule = world.config, world.schedule
+    while world.now < config.duration:
+        advance_phase(schedule, config, world.now)
+        trace = execute_round(world, sink_build_sync(schedule, config, world.now))
+        if trace.phase == PHASE_STABILIZATION:
+            update_rr_dynamics(schedule, trace.slots, config)
+        metrics.accumulate(trace)
+        yield trace
 
-    on_round, when given, is called after every round with the live world
-    and the fresh trace; tests use it to inspect internal state.
-    """
+
+def run_simulation(config: SimConfig, topology: Topology) -> RunResult:
+    """Run every round of config on topology, keeping each round's trace."""
     config.validate()
     world = build_world(config, topology)
     metrics = RunMetrics(node_ids=list(topology.nodes), sink=config.sink_node_id)
-    traces: list[RoundTrace] = []
-    while world.now < config.duration:
-        advance_phase(world.schedule, config, world.now)
-        header = sink_build_sync(world.schedule, config, world.now)
-        trace = execute_round(world, header)
-        if trace.phase == PHASE_STABILIZATION:
-            update_rr_dynamics(world.schedule, trace.slots, config)
-        metrics.accumulate(trace)
-        traces.append(trace)
-        if on_round is not None:
-            on_round(world, trace)
-    return RunResult(traces, metrics, world)
+    return RunResult(list(rounds(world, metrics)), metrics, world)
 
 
 RENDER_MEMO_CAP = 4096  # entries each memo of one render keeps
@@ -284,21 +282,12 @@ def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:
     file.writelines(_trace_pieces(traces))
 
 
-def forwarder_table(result: RunResult) -> list[dict]:
-    """Forwarder sets per assigned slot, among the nodes synced at the end."""
-    world = result.world
-    sink = result.config.sink_node_id
-    announced = world.announced_slots
+def forwarder_table(world: World) -> list[dict]:
+    """Forwarder sets per assigned slot, among the nodes synced now."""
+    sink, announced = world.config.sink_node_id, world.announced_slots
     awake = world.all_nodes & ~world.bootstrap
-    table = []
-    for slot_id, owner in enumerate(world.schedule.slot_owner):
-        entry = announced.get(slot_id)
-        table.append(
-            {
-                "slot": slot_id,
-                "owner": owner,
-                "distance": None if entry is None else entry[0],
-                "forwarders": ids_of(data_participants(awake, announced, slot_id, owner, sink)),
-            }
-        )
-    return table
+    return [
+        {"slot": slot_id, "owner": owner, "distance": announced.get(slot_id, (None,))[0],
+         "forwarders": ids_of(data_participants(awake, announced, slot_id, owner, sink))}
+        for slot_id, owner in enumerate(world.schedule.slot_owner)
+    ]

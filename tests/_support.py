@@ -5,19 +5,21 @@ shortest-path forwarder set, the set-based flood wave loop the bitmask
 kernel replaced, the per-node forwarder selection walks the hop masks
 replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
 a schema-5 trace back into its config and schema-1 records, per-round
-views of a round's radio row and generated packets, and per-node views of
-the world's run state."""
+views of a round's radio row and generated packets, per-node views of
+the world's run state, and a run stepped a round at a time."""
 
 from __future__ import annotations
 
 import json
 import random
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from lwbsim.config import SimConfig, config_texts, parse_config
 from lwbsim.engine import RoundTrace, SlotTrace, World
 from lwbsim.glossy import FloodOutcome, ids_of
+from lwbsim.metrics import RunMetrics
+from lwbsim.sim import build_world, rounds
 from lwbsim.topology import Topology
 
 
@@ -424,3 +426,23 @@ def queue_of(world: World, node: int) -> list[tuple[int, int]]:
         (world.gen_rounds[seq - stop], len(f"{node}:{seq}"))
         for seq in range(world.queue_start[node], stop)
     ]
+
+
+def stepped_run(
+    config: SimConfig, topology: Topology
+) -> tuple[World, RunMetrics, Iterator[RoundTrace]]:
+    """A run as run_simulation sets it up: its world, its metrics and its
+    round iterator. Between rounds the world is the live run state."""
+    config.validate()
+    world = build_world(config, topology)
+    metrics = RunMetrics(list(topology.nodes), config.sink_node_id)
+    return world, metrics, rounds(world, metrics)
+
+
+def checked_traces(
+    config: SimConfig, topology: Topology, check: Callable[[World, RoundTrace], None]
+) -> list[RoundTrace]:
+    """The traces of a stepped run, check(world, trace) called after each
+    round with the live world."""
+    world, _, run = stepped_run(config, topology)
+    return [check(world, trace) or trace for trace in run]

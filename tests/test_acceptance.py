@@ -30,6 +30,7 @@ from _support import (
     random_connected_topology,
     reachable_hops,
     shortest_path_forwarders,
+    stepped_run,
     sync_node,
 )
 
@@ -353,19 +354,13 @@ def test_criterion_7_delivery_ratio_one_at_zero_loss():
 def test_criterion_8_distinct_slots_for_all_sources_within_stabilization():
     topo = random_connected_topology(random.Random(808), 20, max_ecc=8)
     cfg = SimConfig(duration=20 * US_SECOND, seed=5)
-    rounds_checked = 0
-
-    def check_tables(world, trace):
-        nonlocal rounds_checked
-        slot_owner = world.schedule.slot_owner
-        assert len(set(slot_owner)) == len(slot_owner)
-        rounds_checked += 1
-
-    result = run_simulation(cfg, topo, on_round=check_tables)
+    world, metrics, run = stepped_run(cfg, topo)
     problems = []
-    if rounds_checked != len(result.traces):
-        problems.append("injectivity callback missed rounds")
-    stats = result.metrics.sources
+    for trace in run:  # the slot table stays injective in every round
+        slot_owner = world.schedule.slot_owner
+        if len(set(slot_owner)) != len(slot_owner):
+            problems.append(f"round {trace.index} repeats an owner in {slot_owner}")
+    stats = metrics.sources
     unacquired = [n for n, s in stats.items() if s.acquisition_round is None]
     if unacquired:
         problems.append(f"no slot for nodes {unacquired}")

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, file outputs, overrides."""
 
+import importlib.util
 import json
 import os
 import re
@@ -12,12 +13,17 @@ from pathlib import Path
 import pytest
 
 import lwbsim
+from lwbsim import cli, sim
 from lwbsim.cli import main
+from lwbsim.config import SimConfig
 from lwbsim.errors import SimulationError
+from lwbsim.sim import rounds
 
 from _support import shortest_path_forwarders
 from lwbsim.topology import Topology
 
+PEAK_RSS_SCRIPT = Path(__file__).resolve().parent.parent / ".github" / "scripts" / "peak_rss.py"
+US_SECOND = 1_000_000
 LINE4 = "1 2\n2 3\n3 4\n"
 DIAMOND_PENDANT = "1 2\n1 3\n2 4\n3 4\n2 5\n"
 # the schema header with the run's config, then the first round's sync
@@ -260,23 +266,35 @@ class TestExitCodes:
         ]
 
     def test_failed_run_keeps_existing_output(self, tmp_path, line_file, capsys, monkeypatch):
-        # the run fails inside the simulation, after every output was opened
-        def failing_run(config, topology):
-            # both outputs are open, each as a temporary file
-            assert sum(p.suffix == ".tmp" for p in tmp_path.iterdir()) == 2
-            raise SimulationError("round 3 overflows its period")
+        # the run fails inside the round loop, after rounds reached the
+        # trace's temporary file
+        written = []
 
-        monkeypatch.setattr("lwbsim.cli.run_simulation", failing_run)
+        def failing_rounds(world, metrics):
+            for trace in rounds(world, metrics):
+                # both outputs are open, each as a temporary file
+                temporary = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+                assert len(temporary) == 2
+                (partial,) = [p for p in temporary if p.name.startswith(".old.jsonl.")]
+                if partial.stat().st_size:
+                    written.append((trace.index, partial.read_bytes()))
+                    raise SimulationError(f"round {trace.index} overflows its period")
+                yield trace
+
+        monkeypatch.setattr("lwbsim.cli.rounds", failing_rounds)
         old = b"{\"kind\": \"earlier run\"}\n"
         trace, summary = tmp_path / "old.jsonl", tmp_path / "old.json"
         trace.write_bytes(old)
         summary.write_bytes(old)
-        code = main(
-            ["run", "--topology", line_file, "--trace", str(trace), "--summary", str(summary)]
-        )
+        code = main([
+            "run", "--topology", line_file, "--duration", "600s",
+            "--trace", str(trace), "--summary", str(summary),
+        ])
         assert code == 3
+        [(index, partial)] = written  # a whole round record, the first at least
+        assert TRACE_START.match(partial.decode()) and b'{"kind":"round","round":0,' in partial
         err = capsys.readouterr().err
-        assert err == "runtime error: round 3 overflows its period\n"
+        assert err == f"runtime error: round {index} overflows its period\n"
         assert trace.read_bytes() == old and summary.read_bytes() == old
         # no temporary file is left beside them
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -295,9 +313,9 @@ class TestExitCodes:
         self, tmp_path, line_file, capsys, monkeypatch
     ):
         def no_run(*args, **kwargs):
-            pytest.fail("run_simulation called before the output path was checked")
+            pytest.fail("a round ran before the output path was checked")
 
-        monkeypatch.setattr("lwbsim.cli.run_simulation", no_run)
+        monkeypatch.setattr("lwbsim.cli.rounds", no_run)
         code = main(["run", "--topology", line_file, "--trace", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
@@ -375,9 +393,9 @@ class TestExitCodes:
     ):
         # the path must be refused before any simulation starts
         def no_run(*args, **kwargs):
-            pytest.fail("run_simulation called before the output path was opened")
+            pytest.fail("a round ran before the output path was opened")
 
-        monkeypatch.setattr("lwbsim.cli.run_simulation", no_run)
+        monkeypatch.setattr("lwbsim.cli.rounds", no_run)
         out = str(tmp_path / "no" / "such" / "dir" / "out")
         duration = [] if command == "forwarders" else ["--duration", "12s"]
         code = main([command, "--topology", line_file, *duration, flag, out])
@@ -436,6 +454,42 @@ class TestCompareCommand:
         assert doc["nodes"]["5"]["duty_delta"] < 0
         assert doc["nodes"]["5"]["pdr_a"] == 1.0
         assert doc["nodes"]["5"]["pdr_b"] == 1.0
+
+    def test_each_input_is_checked_once(self, tmp_path, line_file, monkeypatch):
+        validated, checked = [], []
+        validate, check = SimConfig.validate, sim.check_topology
+        monkeypatch.setattr(SimConfig, "validate", lambda c: validated.append(c) or validate(c))
+        for module in (cli, sim):  # sim.build_world checks the topology too
+            monkeypatch.setattr(module, "check_topology", lambda *a: checked.append(a) or check(*a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("SEED = 3\n", encoding="utf-8")
+        args = ["compare", "--topology", line_file, "--config", str(cfg), "--duration", "12s"]
+        assert main(args) == 0
+        # the file's config, the same after --duration, and its fs-lwb twin
+        assert [(c.duration, c.forwarder_selection) for c in validated] == [
+            (60 * US_SECOND, False), (12 * US_SECOND, False), (12 * US_SECOND, True),
+        ]
+        assert len(checked) == 1
+
+    def test_config_only_plain_lwb_fits_fails_before_any_run(
+        self, tmp_path, line_file, capsys, monkeypatch
+    ):
+        # sync slot plus a request/reply pair fits a one-second round; one
+        # more announce slot does not
+        def no_run(*args, **kwargs):
+            pytest.fail("a round ran although fs-lwb's config is invalid")
+
+        monkeypatch.setattr("lwbsim.cli.rounds", no_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("SLOT_LENGTH = 300ms\nIPI = 7s\n", encoding="utf-8")
+        out = tmp_path / "cmp.json"
+        args = ["compare", "--topology", line_file, "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: SLOT_LENGTH too large: one sync slot plus one request group "
+            "must fit into a one second round\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["line.topo", "run.cfg"]
 
 
 class TestForwardersCommand:
@@ -523,7 +577,7 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_ipi_warning_is_printed_once(self, tmp_path, line_file, command):
-        # the config is validated again after --duration and once per run
+        # the config is validated after parsing and again after --duration
         cfg = tmp_path / "ipi.cfg"
         cfg.write_text("IPI = 7s\n", encoding="utf-8")
         proc = subprocess.run(
@@ -548,3 +602,27 @@ class TestEntryPoints:
             env=cli_env(),
         )
         assert proc.returncode == 0
+
+
+class TestBoundedMemory:
+    """A CLI run keeps no round, so its peak memory does not grow with the
+    simulated duration."""
+
+    @pytest.fixture(scope="class")
+    def peak_rss(self):
+        spec = importlib.util.spec_from_file_location("peak_rss", PEAK_RSS_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("command", [["run", "--trace", os.devnull], ["compare"]])
+    def test_peak_rss_of_an_eight_times_longer_run(self, peak_rss, tmp_path, command):
+        # lwb-clean's seed-1 network, 10 min against 80 min: with every round
+        # kept to the end, run --trace read 15.3 and 21.1 MiB, compare 16.5
+        # and 30.7 MiB
+        inputs = peak_rss.write_inputs("lwb-clean", tmp_path)
+        short, long = (
+            peak_rss.peak_rss_kib([*command, *inputs, "--duration", duration], cli_env())
+            for duration in ("600s", "4800s")
+        )
+        assert long <= 1.1 * short, (short, long)

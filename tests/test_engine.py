@@ -23,7 +23,7 @@ from lwbsim.topology import Topology, load_topology
 
 from _support import (
     awake_ids, generated_of, last_sync_of, line_topology, queue_of, radio_on_of,
-    random_connected_topology, received_ids, sync_node,
+    random_connected_topology, received_ids, checked_traces, stepped_run, sync_node,
 )
 
 US_SLOT = 15_000
@@ -426,10 +426,12 @@ class TestGenerationAndQueue:
             assert {n: queue_of(world, n) for n in sources} == model
             drops.extend(dropped)
 
-        result = run_simulation(cfg, topo, on_round=check)
+        world, metrics, run = stepped_run(cfg, topo)
+        for trace in run:
+            check(world, trace)
         assert len(sources) >= 3
         assert drops and len(set(drops)) == len(sources)
-        assert sum(s.delivered for s in result.metrics.sources.values()) > 0
+        assert sum(s.delivered for s in metrics.sources.values()) > 0
 
     @pytest.mark.parametrize("ipi_s", [5, 7])
     def test_round_memory_stays_within_capacity(self, ipi_s):
@@ -445,7 +447,7 @@ class TestGenerationAndQueue:
             assert all(len(queue_of(world, n)) <= cfg.queue_capacity for n in world.sources)
             sizes.append(len(world.gen_rounds))
 
-        run_simulation(cfg, line_topology(4), on_round=check)
+        checked_traces(cfg, line_topology(4), check)
         assert max(sizes) == cfg.queue_capacity
 
     def test_late_round_queues_only_the_newest_packets(self):

@@ -48,6 +48,7 @@ from _support import (
     config_document,
     shortest_path_forwarders,
     slot_starts,
+    checked_traces,
 )
 
 US_SECOND = 1_000_000
@@ -895,14 +896,15 @@ class TestPayloadLimit:
                             else:
                                 check_topology(limited, topo)
 
-    def test_run_fails_before_its_first_round(self):
+    def test_run_fails_before_its_first_round(self, monkeypatch):
         cfg = SimConfig(max_payload_len=4, ipi=5 * US_SECOND, duration=1000 * US_SECOND)
 
-        def no_round(world, trace):
+        def no_round(world, header):
             pytest.fail("a round ran although MAX_PAYLOAD_LEN was too small")
 
+        monkeypatch.setattr(sim, "execute_round", no_round)
         with pytest.raises(ConfigError, match="too small for '3:199', a 5-byte packet"):
-            run_simulation(cfg, line_topology(3), on_round=no_round)
+            run_simulation(cfg, line_topology(3))
 
     def test_queued_lengths_are_the_packet_texts(self):
         cfg = SimConfig(ipi=5 * US_SECOND, duration=120 * US_SECOND)
@@ -984,7 +986,7 @@ class TestForwarderTable:
         cfg = SimConfig(forwarder_selection=True, duration=20 * US_SECOND)
         topo = diamond_pendant()
         result = run_simulation(cfg, topo)
-        table = forwarder_table(result)
+        table = forwarder_table(result.world)
         assert len(table) == 4
         for row in table:
             assert row["distance"] is not None
@@ -994,7 +996,7 @@ class TestForwarderTable:
     def test_plain_mode_table_lists_everyone(self):
         cfg = SimConfig(duration=20 * US_SECOND)
         result = run_simulation(cfg, line_topology(4))
-        for row in forwarder_table(result):
+        for row in forwarder_table(result.world):
             assert row["forwarders"] == [1, 2, 3, 4]
             assert row["distance"] is None
 
@@ -1024,9 +1026,10 @@ def _radio_rounds(text):
     return rounds
 
 
-def _lossy_drifting_run(on_round=None):
-    """A forwarder-selection run with loss, drift, desyncs and rejoins;
-    distinct sync and data slot lengths keep the two radio terms apart."""
+def _lossy_drifting_inputs():
+    """A forwarder-selection run's config and topology, with loss, drift,
+    desyncs and rejoins; distinct sync and data slot lengths keep the two
+    radio terms apart."""
     cfg = SimConfig(
         duration=120 * US_SECOND,
         forwarder_selection=True,
@@ -1036,8 +1039,11 @@ def _lossy_drifting_run(on_round=None):
         sync_slot_length=20_000,
         seed=5,
     )
-    topo = random_connected_topology(random.Random(77), 15, max_ecc=4)
-    return run_simulation(cfg, topo, on_round)
+    return cfg, random_connected_topology(random.Random(77), 15, max_ecc=4)
+
+
+def _lossy_drifting_run():
+    return run_simulation(*_lossy_drifting_inputs())
 
 
 class TestLossyGolden:
@@ -1159,7 +1165,7 @@ class TestDataSlotMembership:
                     else:
                         assert slot.awake_mask == requests[0].awake_mask
 
-            run_simulation(cfg, topo, on_round=check)
+            checked_traces(cfg, topo, check)
         assert (selected > 0) == fs
 
 
@@ -1187,16 +1193,17 @@ class TestSlotTableAgreement:
                 assert n in owners
             held.append(len(holders))
 
-        result = run_simulation(cfg, topo, on_round=check)
-        assert len(held) == len(result.traces) and max(held) > 0
-        assert any(t.desynced for t in result.traces)
-        replies = [s for t in result.traces for s in t.slots if s.kind == "reply"]
+        traces = checked_traces(cfg, topo, check)
+        assert len(held) == len(traces) and max(held) > 0
+        assert any(t.desynced for t in traces)
+        replies = [s for t in traces for s in t.slots if s.kind == "reply"]
         assert any(s.assigned_slot is not None and not s.delivered for s in replies)
 
 
-def _random_drifting_fs_run(on_round=None):
-    """A 40-node forwarder-selection run at loss 0.3 with DRIFT_PPM_RANGE =
-    500, so nodes desync, miss syncs and rejoin in many rounds."""
+def _random_drifting_fs_inputs():
+    """A 40-node forwarder-selection run's config and topology, at loss 0.3
+    with DRIFT_PPM_RANGE = 500, so nodes desync, miss syncs and rejoin in
+    many rounds."""
     cfg = SimConfig(
         duration=150 * US_SECOND,
         forwarder_selection=True,
@@ -1204,13 +1211,19 @@ def _random_drifting_fs_run(on_round=None):
         drift_ppm_range=(-500.0, 500.0),
         seed=11,
     )
-    topo = random_connected_topology(random.Random(4040), 40, extra_edge_prob=0.1, max_ecc=6)
-    return run_simulation(cfg, topo, on_round)
+    return cfg, random_connected_topology(random.Random(4040), 40, extra_edge_prob=0.1, max_ecc=6)
+
+
+# each drifting run, with the ids of the run helpers it once took
+each_drifting_run = pytest.mark.parametrize(
+    "inputs", [_random_drifting_fs_inputs, _lossy_drifting_inputs],
+    ids=["_random_drifting_fs_run", "_lossy_drifting_run"],
+)
 
 
 class TestRoundState:
-    @pytest.mark.parametrize("run", [_random_drifting_fs_run, _lossy_drifting_run])
-    def test_bootstrap_joined_and_desynced_agree_with_world(self, run):
+    @each_drifting_run
+    def test_bootstrap_joined_and_desynced_agree_with_world(self, inputs):
         # world.bootstrap and the trace's bootstrap, joined and desynced
         # masks tell one story in every round
         ends = []  # world.bootstrap at the end of every round
@@ -1232,8 +1245,7 @@ class TestRoundState:
                 assert not mask >> sink & 1
             ends.append(world.bootstrap)
 
-        result = run(check)
-        traces = result.traces
+        traces = checked_traces(*inputs(), check)
         assert len(ends) == len(traces)
         assert any(t.desynced for t in traces)
         assert any(t.joined for t in traces[1:])
@@ -1242,8 +1254,8 @@ class TestRoundState:
         # some synced node missed a sync: awake in the sync slot, not active
         assert any(t.slots[0].awake_mask != t.slots[0].received_mask for t in traces)
 
-    @pytest.mark.parametrize("run", [_random_drifting_fs_run, _lossy_drifting_run])
-    def test_sync_missed_is_the_synced_nodes_that_missed_the_flood(self, run):
+    @each_drifting_run
+    def test_sync_missed_is_the_synced_nodes_that_missed_the_flood(self, inputs):
         # a node is synced at the sync flood unless it ended the previous
         # round in bootstrap or desynced at this round's start
         want, ends = [], []
@@ -1255,8 +1267,7 @@ class TestRoundState:
             want.append(sorted(synced - set(received_ids(trace.slots[0]))))
             ends.append(set(ids_of(trace.bootstrap)))
 
-        result = run(check)
-        records = map(json.loads, render_trace(result.traces).splitlines()[1:])
+        records = map(json.loads, render_trace(checked_traces(*inputs(), check)).splitlines()[1:])
         syncs = [rec for rec in records if rec["kind"] == "sync"]
         assert [rec["missed"] for rec in syncs] == want
         assert any(want)
@@ -1289,7 +1300,7 @@ class TestRoundState:
                 assert trace.dropped.count(n) == moved - sent[n], (trace.index, n)
             starts.append(dict(world.queue_start))
 
-        traces = run_simulation(cfg, topo, on_round=check).traces
+        traces = checked_traces(cfg, topo, check)
         assert len(starts) == len(traces)
         assert any(t.desynced & t.bootstrap for t in traces)
         assert any(t.joined & t.desynced for t in traces)
@@ -1308,7 +1319,7 @@ class TestMetricsFold:
         # every per-source total RunMetrics folds, re-derived from the
         # records read back from the rendered text of a lossy, drifting
         # forwarder-selection run
-        result = _random_drifting_fs_run()
+        result = run_simulation(*_random_drifting_fs_inputs())
         derived = {n: dict(generated=0, dropped=0, delivered=0, lost=0, latency_rounds=0,
                            acquisition_round=None, slot=None)
                    for n in result.metrics.sources}
