@@ -8,14 +8,23 @@ The initiator transmits with relay counter 1 in wave 0. The candidates of
 wave k are the OR of the neighbour masks of the wave k-1 transmitters, minus
 every node that has already received. Each candidate receives subject to
 one independent loss draw; a lost draw clears its bit, and the bits left
-are wave k's receivers, at hop distance k. Loss draws go low bit
-first, which is ascending node id, and only happen when the loss
-probability is nonzero; the engine and the run driver rely on this draw
-order for determinism. The receivers AND the participant mask transmit in
-wave k+1: the walk that draws a candidate's loss ORs a kept relay's
-neighbour mask into wave k+1's candidates at once, so no id list is built
-and no receiver is visited twice. With a loss probability of zero the
-waves are a breadth-first search through the participant set.
+are wave k's receivers, at hop distance k. Loss draws go low bit first,
+which is ascending node id, one per candidate, and only happen when the
+loss probability is nonzero; the engine and the run driver rely on this
+draw order for determinism. The receivers AND the participant mask
+transmit in wave k+1; participant bits that name no node (above the
+largest id, or those of a negative mask) relay nothing.
+
+A lossy wave turns its candidate mask into bytes once and walks only the
+bytes that can hold a node, ascending (Topology.byte_rows). In a nonzero
+byte it draws for each set bit, low bit first (BYTE_BITS): one draw per
+candidate in ascending id order. A byte that lost any candidate clears
+them with one OR into the wave's lost mask, and its kept relays add their
+neighbour masks to wave k+1's candidates with one lookup per nibble, in
+the topology's tables of the neighbour union of every subset of a
+nibble's four ids. A lossless wave walks its relays low bit first and ORs
+in each one's neighbour mask. With a loss probability of zero the waves
+are a breadth-first search through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. A relay
@@ -47,6 +56,18 @@ if TYPE_CHECKING:
 MEMO_CAP = 1024
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bits of every byte value, low bit first: entry v + 2**k
+    (v < 2**k) is entry v and then bit k."""
+    table: list[tuple[int, ...]] = [()]
+    for bit in (1, 2, 4, 8, 16, 32, 64, 128):
+        table += [bits + (bit,) for bits in table]
+    return tuple(table)
+
+
+BYTE_BITS = _byte_bits()
+
+
 class FloodOutcome:
     """Result of one flood: who received, and at which hop count.
 
@@ -58,7 +79,7 @@ class FloodOutcome:
     so none of these may be mutated.
     """
 
-    __slots__ = ("initiator", "_layers", "reached", "relays", "_masks")
+    __slots__ = ("initiator", "_layers", "reached", "relays", "_topology")
 
     def __init__(self, initiator: int, layers: list[int], relays: int) -> None:
         self.initiator = initiator
@@ -66,20 +87,20 @@ class FloodOutcome:
         self.reached = sum(layers)  # disjoint layers sum to their OR
         self.relays = relays
 
-    def serve(self, initiator: int, masks: dict[int, int]) -> FloodOutcome:
+    def serve(self, initiator: int, topology: Topology) -> FloodOutcome:
         """The outcome of a zero-loss flood from initiator, another relay of
         this outcome's relay component: the same reach, with its layers
         left for the kernel to build when first read."""
         outcome = object.__new__(FloodOutcome)
         outcome.initiator, outcome.reached, outcome.relays = initiator, self.reached, self.relays
-        outcome._layers, outcome._masks = None, masks
+        outcome._layers, outcome._topology = None, topology
         return outcome
 
     @property
     def layers(self) -> list[int]:
         """The receivers of every wave, the initiator's first."""
         if self._layers is None:
-            self._layers = waves(self._masks, self.initiator, self.relays)
+            self._layers = waves(self._topology, self.initiator, self.relays)
         return self._layers
 
     def received(self, node: int) -> bool:
@@ -97,45 +118,54 @@ def ids_of(mask: int) -> list[int]:
 
 
 def waves(
-    masks: dict[int, int],
+    topology: Topology,
     initiator: int,
     relays: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
 ) -> list[int]:
-    """The wave kernel.
-
-    masks maps every node to its neighbour mask and relays is the mask of
-    the nodes that retransmit after receiving; the initiator always
-    transmits. Returns the receiver mask of every wave, the initiator's
-    first. The walk over a wave's candidates that draws their losses also
-    ORs the neighbour mask of every kept relay into the next wave's pool;
-    a lossless wave walks only its relays.
+    """The wave kernel: the receiver mask of every wave, the initiator's
+    first. relays masks the nodes that retransmit after receiving; the
+    initiator always transmits. A lossy wave is walked a byte at a time,
+    a lossless one relay by relay (see the module docstring).
     """
+    masks = topology.neighbor_masks
     draw = rng.random if loss_probability else None
+    if draw:
+        width, nodes, rows = topology.byte_rows
+        relay_bytes = (relays & nodes).to_bytes(width, "little")
     reached = 1 << initiator
     layers = [reached]
     pool = masks[initiator]
     while True:
         layer = pool & ~reached
+        if not layer:
+            break
         pool = 0
         if draw:
-            candidates = layer
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                if draw() < loss_probability:
-                    layer ^= low
-                elif low & relays:
-                    pool |= masks[low.bit_length() - 1]
+            lost = 0
+            data = layer.to_bytes(width, "little")
+            for i, lo, hi in rows:
+                byte = data[i]
+                if byte:
+                    kept = byte
+                    for bit in BYTE_BITS[byte]:
+                        if draw() < loss_probability:
+                            kept ^= bit
+                    if kept != byte:
+                        lost |= (byte ^ kept) << 8 * i
+                    kept &= relay_bytes[i]
+                    if kept:
+                        pool |= lo[kept & 15] | hi[kept >> 4]
+            layer ^= lost
+            if not layer:
+                break
         else:
             candidates = layer & relays
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
                 pool |= masks[low.bit_length() - 1]
-        if not layer:
-            break
         reached |= layer
         layers.append(layer)
     return layers
@@ -177,21 +207,20 @@ def flood(
         raise ValueError("an rng is required when loss_probability > 0")
 
     if loss_probability > 0.0:
-        layers = waves(topology.neighbor_masks, initiator, participants, loss_probability, rng)
+        layers = waves(topology, initiator, participants, loss_probability, rng)
         return FloodOutcome(initiator, layers, participants)
     memo = topology.flood_memo
     key = (initiator, participants)
     outcome = memo.get(key)
     if outcome is not None:
         return outcome
-    masks = topology.neighbor_masks
     relay = participants >> initiator & 1
     known = memo.get(participants, ()) if relay else ()
     shared = next((o for o in known if o.reached >> initiator & 1), None)
     if shared is not None:
-        outcome = shared.serve(initiator, masks)
+        outcome = shared.serve(initiator, topology)
     else:
-        outcome = FloodOutcome(initiator, waves(masks, initiator, participants), participants)
+        outcome = FloodOutcome(initiator, waves(topology, initiator, participants), participants)
         if relay:
             _remember(memo, participants, (*known, outcome))
     return _remember(memo, key, outcome)

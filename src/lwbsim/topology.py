@@ -21,7 +21,7 @@ class Topology:
         edges: normalized (low, high) pairs, no self loops, no duplicates.
     """
 
-    __slots__ = ("nodes", "edges", "neighbor_masks", "flood_memo")
+    __slots__ = ("nodes", "edges", "neighbor_masks", "flood_memo", "_byte_rows")
 
     def __init__(self, nodes: frozenset[int], edges: frozenset[tuple[int, int]]) -> None:
         if not nodes:
@@ -30,6 +30,7 @@ class Topology:
             raise TopologyError(f"negative node id {min(nodes)}")
         self.nodes, self.edges = nodes, edges
         self.flood_memo: dict = {}  # zero-loss outcomes and relay components, kept by glossy.flood
+        self._byte_rows: tuple | None = None  # built by byte_rows on the first lossy flood
         # Bit n of a node's mask is set when node n is its neighbour.
         masks = self.neighbor_masks = dict.fromkeys(nodes, 0)
         for u, v in edges:
@@ -39,6 +40,25 @@ class Topology:
                 raise TopologyError(f"edge ({u}, {v}) references unknown node")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
+
+    @property
+    def byte_rows(self) -> tuple[int, int, tuple]:
+        """The lossy wave kernel's tables, built on first use: (width,
+        nodes, rows). width is the byte length of a mask up to the largest
+        id and nodes the mask of every node. rows holds (i, lo, hi) for each
+        byte i that holds a node, ascending: lo[k] is the OR of the
+        neighbour masks of the ids 8i + b, b a set bit of k, and hi[k] that
+        of the ids 8i + 4 + b. An entry equal to a neighbour mask or to
+        another entry is that same int, so a nibble adds at most 11 masks.
+        """
+        if self._byte_rows is None:
+            masks = self.neighbor_masks
+            rows = tuple(
+                (i, _nibble_table(masks, 8 * i), _nibble_table(masks, 8 * i + 4))
+                for i in sorted({node >> 3 for node in self.nodes})
+            )
+            self._byte_rows = (max(self.nodes) // 8 + 1, self.mask_of(self.nodes), rows)
+        return self._byte_rows
 
     def __eq__(self, other: object) -> bool:
         same = type(other) is type(self)
@@ -70,6 +90,16 @@ class Topology:
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
+
+
+def _nibble_table(masks: dict[int, int], base: int) -> tuple[int, ...]:
+    """Entry k, 0 to 15: the OR of the neighbour masks of the ids base + b
+    for every bit b set in k."""
+    table = [0]
+    for b in range(4):
+        mask = masks.get(base + b, 0)
+        table += [entry | mask if entry and mask else entry or mask for entry in table]
+    return tuple(table)
 
 
 def load_topology(text: str, max_node: int = SimConfig.max_node_number) -> Topology:

@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: canned graphs, random graph
-generation, a config writer that parse_config reads back, and oracles
-that share no code with the simulator: a plain breadth-first search, the
-shortest-path forwarder set, the set-based flood wave loop the bitmask
-kernel replaced, the per-node forwarder selection walks the hop masks
-replaced, the dict-per-record schema-1 JSONL renderer, a reader that turns
-a schema-5 trace back into its config and schema-1 records, per-round
-views of a round's radio row and generated packets, per-node views of
-the world's run state, and a run stepped a round at a time."""
+generation and monotone relabelling, a config writer that parse_config
+reads back, and oracles that share no code with the simulator: a plain
+breadth-first search, the shortest-path forwarder set, the set-based
+flood wave loop the bitmask kernels replaced, the per-node forwarder
+selection walks the hop masks replaced, the dict-per-record schema-1
+JSONL renderer, a reader that turns a schema-5 trace back into its
+config and schema-1 records, per-round views of a round's radio row and
+generated packets, per-node views of the world's run state, and a run
+stepped a round at a time."""
 
 from __future__ import annotations
 
@@ -92,12 +93,7 @@ def reference_flood_hops(
 def hops_of(outcome: FloodOutcome) -> dict[int, int]:
     """Node id -> hop count of every node a flood reached, read off its
     wave layers."""
-    return {
-        n: hop
-        for hop, layer in enumerate(outcome.layers)
-        for n in range(layer.bit_length())
-        if layer >> n & 1
-    }
+    return {n: hop for hop, layer in enumerate(outcome.layers) for n in ids_of(layer)}
 
 
 def config_document(pairs: Iterable[tuple[str, str]]) -> str:
@@ -118,6 +114,12 @@ def line_topology(n: int) -> Topology:
 def diamond_pendant() -> Topology:
     """Diamond 1-2-4-3-1 with pendant 5 hanging off node 2."""
     return Topology.from_edges([(1, 2), (1, 3), (2, 4), (3, 4), (2, 5)])
+
+
+def relabelled(topo: Topology, ids: Iterable[int]) -> Topology:
+    """topo with its nodes mapped, in ascending order, onto the sorted ids."""
+    new = dict(zip(sorted(topo.nodes), sorted(ids), strict=True))
+    return Topology(frozenset(new.values()), frozenset((new[u], new[v]) for u, v in topo.edges))
 
 
 def random_connected_topology(

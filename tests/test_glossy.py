@@ -16,6 +16,7 @@ from _support import (
     reachable_hops,
     random_connected_topology,
     reference_flood_hops,
+    relabelled,
 )
 
 
@@ -179,11 +180,37 @@ def _bench_scale_floods(seed, count):
         yield topo, initiator, participants
 
 
+def _wide_id_floods(seed):
+    """(topology, initiator, participants) triples on graphs whose ids sit
+    where a byte-at-a-time walk can slip: every id from 0 to 39, id 0 and
+    both sides of every nibble and byte edge (3/4, 7/8, 11/12, 15/16, ...),
+    150 ids spread over 2..65535, and 150 ids clustered at 65386..65535.
+    Relay shares run from a few relays to all nodes."""
+    rng = random.Random(seed)
+    id_sets = [
+        range(40),
+        [0] + [i for i in range(1, 72) if i % 4 in (0, 3)],
+        rng.sample(range(2, 65536), 150),
+        range(65386, 65536),
+    ]
+    for ids in id_sets:
+        for _ in range(3):
+            n = len(ids)
+            topo = relabelled(random_connected_topology(rng, n, extra_edge_prob=4 / n), ids)
+            nodes = sorted(topo.nodes)
+            initiator = rng.choice(nodes)
+            keep = rng.choice((0.2, 0.9, 1.0))
+            participants = {n for n in nodes if rng.random() < keep} | {initiator}
+            yield topo, initiator, participants
+
+
 @pytest.mark.parametrize("loss", [0.0, 0.1, 0.5])
 def test_kernel_matches_reference_at_bench_scale(loss):
     cases = list(_bench_scale_floods(2024, 12))
     assert max(max(topo.nodes) for topo, _, _ in cases) > 256
-    for topo, initiator, participants in cases:
+    wide = list(_wide_id_floods(4096))
+    assert {0, 7, 8, 15, 16, 65535} <= set().union(*(topo.nodes for topo, _, _ in wide))
+    for topo, initiator, participants in cases + wide:
         ours, theirs = random.Random(99), random.Random(99)
         out = flood(topo, initiator, Topology.mask_of(participants), loss, ours)
         want = reference_flood_hops(topo, initiator, participants, loss, theirs)
@@ -191,10 +218,76 @@ def test_kernel_matches_reference_at_bench_scale(loss):
         assert ours.getstate() == theirs.getstate()
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its random() calls."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _candidate_counts(topo, initiator, participants, hops):
+    """The number of candidates of every wave of a flood with these hop
+    counts: the neighbours of the wave's transmitters not yet reached."""
+    adj = adjacency(topo)
+    reached, counts = set(), []
+    for hop in range(max(hops.values()) + 1):
+        layer = {n for n, h in hops.items() if h == hop}
+        reached |= layer
+        transmitters = {initiator} if hop == 0 else layer & participants
+        counts.append(len({nb for tx in transmitters for nb in adj[tx]} - reached))
+    return counts
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.5])
+def test_flood_draws_once_per_candidate(loss):
+    # one loss draw per candidate of every wave, including a last wave
+    # whose candidates are all lost, and none at all at loss 0
+    cases = list(_random_floods(8080, 40)) + list(_wide_id_floods(4097))
+    drawn = 0
+    for topo, initiator, participants in cases:
+        rng = CountingRandom(13)
+        out = flood(topo, initiator, Topology.mask_of(participants), loss, rng)
+        candidates = _candidate_counts(topo, initiator, participants, hops_of(out))
+        assert rng.draws == (sum(candidates) if loss else 0)
+        drawn += rng.draws
+    assert drawn > 1000 if loss else drawn == 0
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+def test_stray_participant_bits_change_nothing(loss):
+    # bits above the largest id and negative masks name no node, so they
+    # relay nothing: the outcome and the draws are those of the mask
+    # without them
+    for topo, initiator, participants in _wide_id_floods(4098):
+        mask, top = Topology.mask_of(participants), max(topo.nodes)
+        want_rng = random.Random(21)
+        want = flood(topo, initiator, mask, loss, want_rng).layers
+        everyone_rng = random.Random(21)
+        everyone = flood(topo, initiator, Topology.mask_of(topo.nodes), loss, everyone_rng).layers
+        for stray, layers, state in (
+            (mask | 1 << top + 1 | 1 << top + 70, want, want_rng.getstate()),
+            (mask | -1 << top + 1, want, want_rng.getstate()),
+            (-1, everyone, everyone_rng.getstate()),
+        ):
+            rng = random.Random(21)
+            out = flood(topo, initiator, stray, loss, rng)
+            assert out.layers == layers and out.relays == stray
+            assert rng.getstate() == state
+
+
+def test_byte_bits_list_every_set_bit_low_first():
+    assert glossy.BYTE_BITS == tuple(
+        tuple(1 << b for b in range(8) if value >> b & 1) for value in range(256)
+    )
+
+
 def test_kernel_reports_relaying_receivers():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
     relays = Topology.mask_of({2, 5})
-    layers = waves(topo.neighbor_masks, 1, relays)
+    layers = waves(topo, 1, relays)
     hops = {n: hop for hop, layer in enumerate(layers) for n in topo.nodes if layer >> n & 1}
     assert hops == {1: 0, 2: 1, 5: 1, 3: 2}
     assert ids_of(sum(layers) & relays) == [2, 5]
@@ -304,7 +397,7 @@ def test_served_outcomes_equal_fresh_kernel_runs(monkeypatch):
         assert len(runs) == len(components) + len(nodes) - len(relays)
         for out in outcomes:
             initiator = out.initiator
-            fresh = waves(topo.neighbor_masks, initiator, participants)
+            fresh = waves(topo, initiator, participants)
             assert out.relays == participants and out.reached == sum(fresh)
             assert out.layers == fresh
             assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, relays))

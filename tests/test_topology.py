@@ -2,6 +2,8 @@
 cross-checked against breadth-first search."""
 
 import random
+import sys
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -16,6 +18,7 @@ from _support import (
     hops_of,
     random_connected_topology,
     reachable_hops,
+    relabelled,
 )
 
 
@@ -103,6 +106,42 @@ class TestTopologyType:
         assert len(a.flood_memo[relays]) == 2 and not b.flood_memo
         assert {type(key) for key in a.flood_memo} == {int, tuple}
         assert a == b and hash(a) == hash(b)
+
+
+class TestByteRows:
+    """The lossy kernel's per-byte tables: every byte that holds a node, and
+    the neighbour union of every subset of each of its two nibbles."""
+
+    @pytest.mark.parametrize("ids", [range(40), [0, 3, 4, 7, 8, 15, 16, 31, 32, 200], range(65386, 65536)])
+    def test_rows_hold_the_union_of_every_nibble_subset(self, ids):
+        topo = relabelled(random_connected_topology(random.Random(3), len(ids)), ids)
+        masks = topo.neighbor_masks
+        width, nodes, rows = topo.byte_rows
+        assert width == max(ids) // 8 + 1 and nodes == Topology.mask_of(ids)
+        assert [i for i, _, _ in rows] == sorted({n // 8 for n in ids})
+        for i, lo, hi in rows:
+            for base, table in ((8 * i, lo), (8 * i + 4, hi)):
+                for k in range(16):
+                    want = 0
+                    for b in range(4):
+                        if k >> b & 1:
+                            want |= masks.get(base + b, 0)
+                    assert table[k] == want
+        assert topo.byte_rows is topo.byte_rows  # built once
+
+    def test_rows_cost_at_most_four_times_the_neighbour_masks(self):
+        # 150 ids at the top of the id range make every mask 8 KiB wide; a
+        # 256-entry union row per byte would cost about 30 times the masks
+        tree = random_connected_topology(random.Random(5), 150, extra_edge_prob=4 / 150)
+        topo = relabelled(tree, range(65386, 65536))
+        masks = sum(sys.getsizeof(mask) for mask in topo.neighbor_masks.values())
+        tracemalloc.start()
+        try:
+            topo.byte_rows
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size <= 4 * masks
 
 
 class TestBfsDistances:
