@@ -6,12 +6,12 @@ networks and records every lossy flood the engine makes. Each is checked as
 it happens: from the rng state the flood started with,
 tests/_support.reference_flood_hops must give the same hop counts and leave
 the rng in the same state as glossy.flood. Then the recorded floods are
-replayed through glossy.flood --reps times from one seeded rng, and the
-median replay time is printed for information only: it is not checked.
+replayed once through glossy.flood from one seeded rng, and the replay
+time is printed for information only: it is not checked.
 
 Exits 1 when any flood differs from the reference.
 
-Usage: python .github/scripts/kernel_replay.py WORKLOAD [--reps N]
+Usage: python .github/scripts/kernel_replay.py WORKLOAD
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import random
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -77,23 +76,18 @@ def record(topologies: list[str], config_text: str) -> tuple[list[tuple], list[i
     return floods, differing
 
 
-def replay_s(floods: list[tuple], reps: int) -> float:
-    """Median wall time of flooding every recorded flood again, each pass
-    from a fresh Random(1)."""
-    times = []
-    for _ in range(reps):
-        rng = random.Random(1)
-        start = time.perf_counter()
-        for topology, initiator, participants, loss_probability in floods:
-            flood(topology, initiator, participants, loss_probability, rng)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def replay_s(floods: list[tuple]) -> float:
+    """Wall time of flooding every recorded flood again from Random(1)."""
+    rng = random.Random(1)
+    start = time.perf_counter()
+    for topology, initiator, participants, loss_probability in floods:
+        flood(topology, initiator, participants, loss_probability, rng)
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload")
-    parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args(argv)
     floods, differing = record(*bench_inputs(args.workload))
     print(f"{args.workload}: {len(floods)} lossy floods checked, {len(differing)} differ")
@@ -101,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
         _, initiator, _, loss = floods[differing[0]]
         print(f"first differing flood: #{differing[0]}, initiator {initiator}, loss {loss}")
         return 1
-    print(f"kernel replay (information only): median {replay_s(floods, args.reps):.3f} s of {args.reps}")
+    print(f"kernel replay (information only): {replay_s(floods):.3f} s")
     return 0
 
 

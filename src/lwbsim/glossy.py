@@ -15,16 +15,16 @@ draw order for determinism. The receivers AND the participant mask
 transmit in wave k+1; participant bits that name no node (above the
 largest id, or those of a negative mask) relay nothing.
 
-A lossy wave turns its candidate mask into bytes once and walks only the
-bytes that can hold a node, ascending (Topology.byte_rows). In a nonzero
-byte it draws for each set bit, low bit first (BYTE_BITS): one draw per
-candidate in ascending id order. A byte that lost any candidate clears
-them with one OR into the wave's lost mask, and its kept relays add their
-neighbour masks to wave k+1's candidates with one lookup per nibble, in
-the topology's tables of the neighbour union of every subset of a
-nibble's four ids. A lossless wave walks its relays low bit first and ORs
-in each one's neighbour mask. With a loss probability of zero the waves
-are a breadth-first search through the participant set.
+A wave turns its candidate mask into bytes once and walks only the bytes
+that can hold a node, ascending (Topology.byte_rows). In a nonzero byte a
+lossy wave draws for each set bit, low bit first (BYTE_BITS): one draw per
+candidate in ascending id order; a lossless wave draws for none
+(NO_DRAWS). A byte that lost any candidate clears them with one OR into
+the wave's lost mask, and its kept relays add their neighbour masks to
+wave k+1's candidates with one lookup per nibble, in the topology's
+tables of the neighbour union of every subset of a nibble's four ids.
+With a loss probability of zero the waves are a breadth-first search
+through the participant set.
 
 A zero-loss flood depends on nothing but its initiator and participant
 mask, so flood memoizes its outcome per topology under that key. A relay
@@ -56,16 +56,10 @@ if TYPE_CHECKING:
 MEMO_CAP = 1024
 
 
-def _byte_bits() -> tuple[tuple[int, ...], ...]:
-    """The set bits of every byte value, low bit first: entry v + 2**k
-    (v < 2**k) is entry v and then bit k."""
-    table: list[tuple[int, ...]] = [()]
-    for bit in (1, 2, 4, 8, 16, 32, 64, 128):
-        table += [bits + (bit,) for bits in table]
-    return tuple(table)
-
-
-BYTE_BITS = _byte_bits()
+# The set bits of every byte value, low bit first; a lossless wave draws
+# for none of them.
+BYTE_BITS = tuple(tuple(1 << b for b in range(8) if v >> b & 1) for v in range(256))
+NO_DRAWS = ((),) * 256
 
 
 class FloodOutcome:
@@ -79,7 +73,7 @@ class FloodOutcome:
     so none of these may be mutated.
     """
 
-    __slots__ = ("initiator", "_layers", "reached", "relays", "_topology")
+    __slots__ = ("initiator", "_layers", "reached", "relays", "_masks", "_tables")
 
     def __init__(self, initiator: int, layers: list[int], relays: int) -> None:
         self.initiator = initiator
@@ -93,14 +87,15 @@ class FloodOutcome:
         left for the kernel to build when first read."""
         outcome = object.__new__(FloodOutcome)
         outcome.initiator, outcome.reached, outcome.relays = initiator, self.reached, self.relays
-        outcome._layers, outcome._topology = None, topology
+        outcome._layers = None
+        outcome._masks, outcome._tables = topology.neighbor_masks, topology.byte_rows
         return outcome
 
     @property
     def layers(self) -> list[int]:
         """The receivers of every wave, the initiator's first."""
         if self._layers is None:
-            self._layers = waves(self._topology, self.initiator, self.relays)
+            self._layers = waves(self._masks, self._tables, self.initiator, self.relays)
         return self._layers
 
     def received(self, node: int) -> bool:
@@ -118,22 +113,23 @@ def ids_of(mask: int) -> list[int]:
 
 
 def waves(
-    topology: Topology,
+    masks: dict[int, int],
+    tables: tuple[int, int, tuple],
     initiator: int,
     relays: int,
     loss_probability: float = 0.0,
     rng: random.Random | None = None,
 ) -> list[int]:
     """The wave kernel: the receiver mask of every wave, the initiator's
-    first. relays masks the nodes that retransmit after receiving; the
-    initiator always transmits. A lossy wave is walked a byte at a time,
-    a lossless one relay by relay (see the module docstring).
+    first. masks and tables are the topology's neighbor_masks and
+    byte_rows; relays masks the nodes that retransmit after receiving, and
+    the initiator always transmits. Waves are walked a byte at a time (see
+    the module docstring).
     """
-    masks = topology.neighbor_masks
+    width, nodes, rows = tables
+    relay_bytes = (relays & nodes).to_bytes(width, "little")
     draw = rng.random if loss_probability else None
-    if draw:
-        width, nodes, rows = topology.byte_rows
-        relay_bytes = (relays & nodes).to_bytes(width, "little")
+    bits_of = BYTE_BITS if loss_probability else NO_DRAWS
     reached = 1 << initiator
     layers = [reached]
     pool = masks[initiator]
@@ -141,31 +137,23 @@ def waves(
         layer = pool & ~reached
         if not layer:
             break
-        pool = 0
-        if draw:
-            lost = 0
-            data = layer.to_bytes(width, "little")
-            for i, lo, hi in rows:
-                byte = data[i]
-                if byte:
-                    kept = byte
-                    for bit in BYTE_BITS[byte]:
-                        if draw() < loss_probability:
-                            kept ^= bit
-                    if kept != byte:
-                        lost |= (byte ^ kept) << 8 * i
-                    kept &= relay_bytes[i]
-                    if kept:
-                        pool |= lo[kept & 15] | hi[kept >> 4]
-            layer ^= lost
-            if not layer:
-                break
-        else:
-            candidates = layer & relays
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                pool |= masks[low.bit_length() - 1]
+        pool = lost = 0
+        data = layer.to_bytes(width, "little")
+        for i, lo, hi in rows:
+            byte = data[i]
+            if byte:
+                kept = byte
+                for bit in bits_of[byte]:
+                    if draw() < loss_probability:
+                        kept ^= bit
+                if kept != byte:
+                    lost |= (byte ^ kept) << 8 * i
+                kept &= relay_bytes[i]
+                if kept:
+                    pool |= lo[kept & 15] | hi[kept >> 4]
+        layer ^= lost
+        if not layer:
+            break
         reached |= layer
         layers.append(layer)
     return layers
@@ -207,7 +195,8 @@ def flood(
         raise ValueError("an rng is required when loss_probability > 0")
 
     if loss_probability > 0.0:
-        layers = waves(topology, initiator, participants, loss_probability, rng)
+        masks, tables = topology.neighbor_masks, topology.byte_rows
+        layers = waves(masks, tables, initiator, participants, loss_probability, rng)
         return FloodOutcome(initiator, layers, participants)
     memo = topology.flood_memo
     key = (initiator, participants)
@@ -220,7 +209,8 @@ def flood(
     if shared is not None:
         outcome = shared.serve(initiator, topology)
     else:
-        outcome = FloodOutcome(initiator, waves(topology, initiator, participants), participants)
+        layers = waves(topology.neighbor_masks, topology.byte_rows, initiator, participants)
+        outcome = FloodOutcome(initiator, layers, participants)
         if relay:
             _remember(memo, participants, (*known, outcome))
     return _remember(memo, key, outcome)

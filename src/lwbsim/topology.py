@@ -30,7 +30,7 @@ class Topology:
             raise TopologyError(f"negative node id {min(nodes)}")
         self.nodes, self.edges = nodes, edges
         self.flood_memo: dict = {}  # zero-loss outcomes and relay components, kept by glossy.flood
-        self._byte_rows: tuple | None = None  # built by byte_rows on the first lossy flood
+        self._byte_rows: tuple | None = None  # built by byte_rows on the first flood kernel run
         # Bit n of a node's mask is set when node n is its neighbour.
         masks = self.neighbor_masks = dict.fromkeys(nodes, 0)
         for u, v in edges:
@@ -43,13 +43,15 @@ class Topology:
 
     @property
     def byte_rows(self) -> tuple[int, int, tuple]:
-        """The lossy wave kernel's tables, built on first use: (width,
+        """The wave kernel's tables, built on first use: (width,
         nodes, rows). width is the byte length of a mask up to the largest
         id and nodes the mask of every node. rows holds (i, lo, hi) for each
         byte i that holds a node, ascending: lo[k] is the OR of the
         neighbour masks of the ids 8i + b, b a set bit of k, and hi[k] that
-        of the ids 8i + 4 + b. An entry equal to a neighbour mask or to
-        another entry is that same int, so a nibble adds at most 11 masks.
+        of the ids 8i + 4 + b. An entry whose last neighbour mask adds no
+        bit to the union of the others is that union's int, and one whose
+        other masks add no bit to its last is that mask's int; so a nibble
+        adds at most 11 masks, one per subset of two or more ids.
         """
         if self._byte_rows is None:
             masks = self.neighbor_masks
@@ -94,11 +96,15 @@ class Topology:
 
 def _nibble_table(masks: dict[int, int], base: int) -> tuple[int, ...]:
     """Entry k, 0 to 15: the OR of the neighbour masks of the ids base + b
-    for every bit b set in k."""
+    for every bit b set in k. A union one side of which holds the other is
+    that side's int."""
     table = [0]
     for b in range(4):
         mask = masks.get(base + b, 0)
-        table += [entry | mask if entry and mask else entry or mask for entry in table]
+        table += [
+            entry if not mask & ~entry else mask if not entry & ~mask else entry | mask
+            for entry in table
+        ]
     return tuple(table)
 
 

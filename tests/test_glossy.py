@@ -278,16 +278,10 @@ def test_stray_participant_bits_change_nothing(loss):
             assert rng.getstate() == state
 
 
-def test_byte_bits_list_every_set_bit_low_first():
-    assert glossy.BYTE_BITS == tuple(
-        tuple(1 << b for b in range(8) if value >> b & 1) for value in range(256)
-    )
-
-
 def test_kernel_reports_relaying_receivers():
     topo = Topology.from_edges([(1, 2), (2, 3), (3, 4), (1, 5)])
     relays = Topology.mask_of({2, 5})
-    layers = waves(topo, 1, relays)
+    layers = waves(topo.neighbor_masks, topo.byte_rows, 1, relays)
     hops = {n: hop for hop, layer in enumerate(layers) for n in topo.nodes if layer >> n & 1}
     assert hops == {1: 0, 2: 1, 5: 1, 3: 2}
     assert ids_of(sum(layers) & relays) == [2, 5]
@@ -397,7 +391,7 @@ def test_served_outcomes_equal_fresh_kernel_runs(monkeypatch):
         assert len(runs) == len(components) + len(nodes) - len(relays)
         for out in outcomes:
             initiator = out.initiator
-            fresh = waves(topo, initiator, participants)
+            fresh = waves(topo.neighbor_masks, topo.byte_rows, initiator, participants)
             assert out.relays == participants and out.reached == sum(fresh)
             assert out.layers == fresh
             assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, relays))

@@ -129,6 +129,18 @@ class TestByteRows:
                     assert table[k] == want
         assert topo.byte_rows is topo.byte_rows  # built once
 
+    def test_a_union_that_adds_nothing_to_one_side_is_that_sides_int(self):
+        # ids 1000..1007, so that no mask is a cached small int
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (4, 5), (5, 6), (6, 7)]
+        topo = Topology.from_edges([(1000 + u, 1000 + v) for u, v in edges])
+        masks = topo.neighbor_masks
+        [(byte, lo, hi)] = topo.byte_rows[2]
+        assert byte == 125
+        assert lo[0b0111] is lo[0b0011]  # N(1002) adds nothing to N(1000) | N(1001)
+        assert lo[0b1001] is masks[1000]  # N(1003) adds nothing to N(1000)
+        assert hi[0b0101] is masks[1006]  # N(1004) adds nothing to N(1006)
+        assert lo[0b0011] == masks[1000] | masks[1001] and lo[0b0011] is not masks[1001]
+
     def test_rows_cost_at_most_four_times_the_neighbour_masks(self):
         # 150 ids at the top of the id range make every mask 8 KiB wide; a
         # 256-entry union row per byte would cost about 30 times the masks
