@@ -61,7 +61,7 @@ from .config import SimConfig
 from .core import SinkSchedule, SyncHeader, contend, phase_at, sink_assign
 from .errors import SimulationError
 from .forwarding import apply_announce, data_participants, refresh_sink_distances
-from .glossy import MEMO_CAP, FloodOutcome, flood, ids_of
+from .glossy import FloodOutcome, Memo, flood, ids_of
 from .topology import Topology
 
 
@@ -187,11 +187,13 @@ class RoundTrace:
     @property
     def new_assignments(self) -> list[tuple[int, int]]:
         """(slot, owner) of every slot the sink granted afresh."""
+        if not self.n_rr:  # most rounds have none, and the renderer asks every round
+            return []
         return [(s.assigned_slot, s.requester) for s in self.replies if s.new_assignment]
 
     @property
     def capacity_events(self) -> int:
-        return sum(s.capacity_exceeded for s in self.replies)
+        return self.n_rr and sum(s.capacity_exceeded for s in self.replies)
 
 
 def least_gap(drift_ppm: float, guard: int) -> int:
@@ -236,7 +238,7 @@ class World:
         self.announced_slots: dict[int, tuple[int, int]] = {}  # slot -> (distance, forwarders)
         self.wake_counts: Counter = Counter()  # node -> announced slots waking it
         self.distances: list[int] = []  # hop h -> nodes at sink distance h
-        self.radio_rows: dict[tuple, tuple] = {}  # round key -> row
+        self.radio_rows = Memo()  # round key -> row
 
 
 def _radio_totals(
@@ -244,16 +246,15 @@ def _radio_totals(
 ) -> tuple[int, ...]:
     """Radio-on time per node for one round, in node_ids order, once its
     request block is done. Rounds of one key share one row of
-    world.radio_rows (at most MEMO_CAP rows, oldest dropped first). The row
-    reads active only with request or data slots, and wake_counts only with
-    data slots, so the key leaves them out otherwise."""
+    world.radio_rows, a glossy.Memo. The row reads active only with request
+    or data slots, and wake_counts only with data slots, so the key leaves
+    them out otherwise."""
     period, n_rr, n_data = header.round_period, header.n_rr, header.n_data
     announced, owners = world.announced_slots, world.schedule.slot_owner
     late = [s for s in range(n_data, len(owners)) if s in announced] if n_data else []
     below = len(announced) - len(late) if n_data else 0  # the others are unannounced
     key = (period, sync_awake, active if n_rr or n_data else 0, n_rr, n_data, below)
-    rows = world.radio_rows
-    row = rows.get(key)
+    row = world.radio_rows.get(key)
     if row is not None:
         return row
     cfg = world.config
@@ -268,10 +269,7 @@ def _radio_totals(
         for n in world.node_ids
     ]
     totals = {period: period}  # one int object per distinct total
-    if len(rows) >= MEMO_CAP:
-        del rows[next(iter(rows))]
-    row = rows[key] = tuple(totals.setdefault(on, on) for on in ons)
-    return row
+    return world.radio_rows.put(key, tuple(totals.setdefault(on, on) for on in ons))
 
 
 def execute_round(world: World, header: SyncHeader) -> RoundTrace:

@@ -37,23 +37,44 @@ per component found; a relay of a known component gets an outcome with its
 reach and no kernel run, and the kernel builds that outcome's layers when
 they are first read. So a participant mask costs one kernel run per relay
 component, plus one per non-relay initiator. Lossy floods never touch the
-memo. It holds at most MEMO_CAP entries in total, an initiator's outcome
-and a participant mask's components counting as one each, and drops its
-oldest entry first. A memo hit returns the shared outcome object: callers
-must treat every FloodOutcome as read-only. Argument checks run on every
-call, hit or miss.
+memo. It is a Memo, so it holds at most MEMO_CAP entries in total, an
+initiator's outcome and a participant mask's components counting as one
+each, and drops its oldest entry first. A memo hit returns the shared
+outcome object: callers must treat every FloodOutcome as read-only.
+Argument checks run on every call, hit or miss.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Hashable
 
 if TYPE_CHECKING:
     from .topology import Topology
 
-# Memo entries kept per topology: zero-loss outcomes and relay components.
 MEMO_CAP = 1024
+
+
+class Memo(dict):
+    """A dict of at most MEMO_CAP entries, the one cache type of a run: a
+    topology's flood memo, a world's radio rows and a render's text memos.
+    put stores a value, first dropping the oldest entry when a new key would
+    take the memo past the cap; a key put again keeps its place. A memo made
+    with make fills a missing key with make(key) on its first lookup."""
+
+    def __init__(self, make: Callable[[Hashable], object] | None = None) -> None:
+        self.make = make
+
+    def put(self, key: Hashable, value):
+        if len(self) >= MEMO_CAP and key not in self:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+    def __missing__(self, key: Hashable):
+        if self.make is None:
+            raise KeyError(key)
+        return self.put(key, self.make(key))
 
 
 # The set bits of every byte value, low bit first; a lossless wave draws
@@ -103,7 +124,9 @@ class FloodOutcome:
 
 
 def ids_of(mask: int) -> list[int]:
-    """The node ids of a mask, ascending."""
+    """The node ids of a mask, ascending; ValueError on a negative mask."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     ids: list[int] = []
     while mask:
         low = mask & -mask
@@ -212,14 +235,5 @@ def flood(
         layers = waves(topology.neighbor_masks, topology.byte_rows, initiator, participants)
         outcome = FloodOutcome(initiator, layers, participants)
         if relay:
-            _remember(memo, participants, (*known, outcome))
-    return _remember(memo, key, outcome)
-
-
-def _remember(memo: dict, key: object, value: object):
-    """Store value under key, dropping the oldest entry when a new key
-    would take the memo past MEMO_CAP."""
-    if key not in memo and len(memo) >= MEMO_CAP:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+            memo.put(participants, (*known, outcome))
+    return memo.put(key, outcome)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from typing import Callable, Hashable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .config import SimConfig, config_texts
 from .core import (
@@ -36,7 +36,7 @@ from .core import (
 from .engine import DataSlot, RoundTrace, SlotTrace, SyncSlot, World, execute_round
 from .errors import ConfigError, SimulationError, TopologyError
 from .forwarding import data_participants
-from .glossy import ids_of
+from .glossy import Memo, ids_of
 from .metrics import RunMetrics
 from .topology import Topology
 
@@ -97,23 +97,6 @@ def run_simulation(config: SimConfig, topology: Topology) -> RunResult:
     return RunResult(list(rounds(world, metrics)), metrics, world)
 
 
-RENDER_MEMO_CAP = 4096  # entries each memo of one render keeps
-
-
-class _Memo(dict):
-    """key -> make(key), made on the first lookup of each key; past
-    RENDER_MEMO_CAP entries the oldest is dropped first."""
-
-    def __init__(self, make: Callable[[Hashable], str]) -> None:
-        self.make = make
-
-    def __missing__(self, key: Hashable) -> str:
-        if len(self) >= RENDER_MEMO_CAP:
-            del self[next(iter(self))]
-        value = self[key] = self.make(key)
-        return value
-
-
 # Slot kinds and phases are the engine's fixed lowercase names, written
 # unescaped. _SLOT_HEAD's three values are a slot's initiator part (see
 # _slot_line), its awake part, "" on the round's active set, and its missed
@@ -170,16 +153,16 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
 
     Each distinct mask's ids, node id's text, (node_ids, radio_totals)
     row's pairs and (sources, new_sequences)'s source texts are made once
-    per call. The caches and the repeated-row test compare values, not
-    objects, so a generator may free its rounds as they are rendered.
+    per call, each in a glossy.Memo. These and the repeated-row test compare
+    values, not objects, so a generator may free its rounds as rendered.
     """
-    name = _Memo(str).__getitem__
-    text = _Memo(lambda mask: ",".join(map(name, ids_of(mask)))).__getitem__
-    radio_part = _Memo(
+    name = Memo(str).__getitem__
+    text = Memo(lambda mask: ",".join(map(name, ids_of(mask)))).__getitem__
+    radio_part = Memo(
         lambda row: '"radio_on":{%s},' % ",".join(map('"%d":%d'.__mod__, zip(*row)))
     ).__getitem__
-    awake_part = _Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
-    source_texts = _Memo(lambda key: [name(n) for n in key[0] for _ in range(key[1])]).__getitem__
+    awake_part = Memo(lambda mask: '"awake":[%s],' % text(mask)).__getitem__
+    source_texts = Memo(lambda key: [name(n) for n in key[0] for _ in range(key[1])]).__getitem__
     silent = '"initiator":null,'  # a data slot that received on nobody
 
     def missed(trace: RoundTrace, place: int, awake: int, received: int) -> str:
@@ -229,15 +212,13 @@ def _trace_pieces(traces: Iterable[RoundTrace]) -> Iterator[str]:
         if row != last_row:  # by value: equal rows are often distinct objects
             append(radio_part(row))
             last_row = row
-        replies = trace.replies
         made = trace.new_sequences  # generated: made [node,round] pairs per source in turn
         append(_ROUND_TAIL % (
-            ",".join(["[%d,%d]" % (s.assigned_slot, s.requester) for s in replies
-                      if s.new_assignment]),
+            ",".join(map("[%d,%d]".__mod__, trace.new_assignments)),
             text(trace.joined), text(trace.desynced), text(trace.bootstrap),
             "[%s,%d]" % ((",%d],[" % trace.index).join(source_texts((trace.sources, made))),
                          trace.index) if made and trace.sources else "",
-            ",".join(map(name, trace.dropped)), sum([s.capacity_exceeded for s in replies]),
+            ",".join(map(name, trace.dropped)), trace.capacity_events,
         ))
         yield "".join(lines)
 

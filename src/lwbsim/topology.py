@@ -7,18 +7,21 @@ positions in node masks.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .config import SimConfig
 from .errors import TopologyError
+from .glossy import Memo
 
 
 class Topology:
     """An undirected graph with a fixed node set, equal by nodes and edges.
 
     Attributes:
-        nodes: every node id in the network, including isolated ones.
+        nodes: every node id in the network, including isolated ones; ints, not bools.
         edges: normalized (low, high) pairs, no self loops, no duplicates.
+        flood_memo: glossy.flood's zero-loss outcomes and relay components, a Memo.
     """
 
     __slots__ = ("nodes", "edges", "neighbor_masks", "flood_memo", "_byte_rows")
@@ -26,10 +29,13 @@ class Topology:
     def __init__(self, nodes: frozenset[int], edges: frozenset[tuple[int, int]]) -> None:
         if not nodes:
             raise TopologyError("topology has no nodes")
+        for node in chain(nodes, *edges):
+            if not isinstance(node, int) or isinstance(node, bool):
+                raise TopologyError(f"node id {node!r} is not an int")
         if min(nodes) < 0:
             raise TopologyError(f"negative node id {min(nodes)}")
         self.nodes, self.edges = nodes, edges
-        self.flood_memo: dict = {}  # zero-loss outcomes and relay components, kept by glossy.flood
+        self.flood_memo = Memo()
         self._byte_rows: tuple | None = None  # built by byte_rows on the first flood kernel run
         # Bit n of a node's mask is set when node n is its neighbour.
         masks = self.neighbor_masks = dict.fromkeys(nodes, 0)

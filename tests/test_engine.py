@@ -626,7 +626,7 @@ class TestRadioRowMemo:
             seed=3,
         )
         uncapped = run_simulation(cfg, topo)
-        monkeypatch.setattr(engine, "MEMO_CAP", 2)
+        monkeypatch.setattr(glossy, "MEMO_CAP", 2)
         capped = run_simulation(cfg, topo)
         assert len(capped.world.radio_rows) == 2
         assert len(uncapped.world.radio_rows) > 2
@@ -665,7 +665,7 @@ class TestRowsFromWakeCounts:
     @pytest.mark.parametrize("cap", [None, 2])
     def test_rows_equal_the_awake_slot_time(self, cap, monkeypatch):
         if cap is not None:
-            monkeypatch.setattr(engine, "MEMO_CAP", cap)
+            monkeypatch.setattr(glossy, "MEMO_CAP", cap)
         fresh = first_below = 0
         for cfg, result in self._runs():
             assert any(t.bootstrap for t in result.traces)

@@ -1,10 +1,15 @@
 """Flood wave mechanics, the bitmask kernel against the set-based wave
 loop it replaced, and the zero-loss memo."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lwbsim
 from lwbsim import glossy
 from lwbsim.glossy import flood, ids_of, waves
 from lwbsim.topology import Topology
@@ -397,3 +402,50 @@ def test_served_outcomes_equal_fresh_kernel_runs(monkeypatch):
             assert hops_of(out) == reachable_hops(bfs_oracle(topo, initiator, relays))
     assert split >= 20
 
+
+class TestMemo:
+    def test_oldest_entry_goes_first_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(glossy, "MEMO_CAP", 3)
+        memo = glossy.Memo()
+        for key in "abc":
+            assert memo.put(key, key.upper()) == key.upper()
+        memo.put("a", "A2")  # a key put again keeps its place
+        assert list(memo) == ["a", "b", "c"] and memo["a"] == "A2"
+        memo.put("d", "D")
+        assert list(memo) == ["b", "c", "d"]
+        memo.put("e", "E")
+        assert list(memo) == ["c", "d", "e"]
+        with pytest.raises(KeyError):
+            memo["a"]
+
+    def test_a_missing_key_is_made_once(self, monkeypatch):
+        monkeypatch.setattr(glossy, "MEMO_CAP", 2)
+        made = []
+        memo = glossy.Memo(lambda key: made.append(key) or key * 2)
+        assert memo[3] == 6 and memo[3] == 6 and memo[4] == 8
+        assert made == [3, 4]
+        assert memo[5] == 10 and list(memo) == [4, 5]
+        assert memo[3] == 6 and made == [3, 4, 5, 3]
+        assert memo.get(9) is None and 9 not in memo  # get makes nothing
+
+
+def test_ids_of_refuses_a_negative_mask():
+    # A negative mask sets infinitely many bits, and a loop that clears
+    # them one at a time never ends while its list grows. The call runs in
+    # a child with its address space capped and under a timeout, so a
+    # loop there fails this test instead of hanging the suite.
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from lwbsim.glossy import flood, ids_of\n"
+        "from lwbsim.topology import Topology\n"
+        "ids_of(flood(Topology.from_edges([(1, 2), (2, 3)]), 1, -1).relays)\n"
+    )
+    src = str(Path(lwbsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=5,
+    )
+    assert child.returncode == 1
+    assert child.stderr.splitlines()[-1] == "ValueError: negative mask -1"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lwbsim import engine
+from lwbsim import glossy
 from lwbsim.config import SimConfig
 from lwbsim.engine import DataSlot, ReplySlot, RequestSlot, RoundTrace, SyncSlot
 from lwbsim.errors import ComparabilityError, SimulationError
@@ -190,7 +190,7 @@ class TestRowFold:
     def test_shared_rows_fold_to_the_running_sum(self, monkeypatch):
         rows, shared = self._fold_run()
         assert len({id(row) for row in rows}) < len(rows)  # rounds share rows
-        monkeypatch.setattr(engine, "MEMO_CAP", 1)
+        monkeypatch.setattr(glossy, "MEMO_CAP", 1)
         rows, distinct = self._fold_run()
         # equal rows now arrive as distinct objects, more of them between
         # two reads than the pending table holds

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lwbsim import cli, sim
+from lwbsim import cli, glossy, sim
 from lwbsim.config import SimConfig, config_texts, parse_config
 from lwbsim.core import last_round_start
 from lwbsim.engine import (
@@ -1488,7 +1488,7 @@ class TestRenderMemory:
     def test_capped_memos_write_the_same_bytes(self, monkeypatch):
         # a cap of 2 evicts on almost every lossy slot mask, so each id
         # list and radio row is made again after it was dropped
-        monkeypatch.setattr(sim, "RENDER_MEMO_CAP", 2)
+        monkeypatch.setattr(glossy, "MEMO_CAP", 2)
         for name in GOLDENS:
             golden = (DATA_DIR / name).read_text(encoding="utf-8")
             assert render_trace(_golden_traces(name)) == golden, name

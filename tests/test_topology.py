@@ -93,6 +93,18 @@ class TestTopologyType:
         with pytest.raises(TopologyError, match="negative"):
             Topology.from_edges([(-1, 2)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: Topology.from_edges([(True, 2)]),
+        lambda: Topology.from_edges([(1.0, 2)]),
+        lambda: Topology.from_edges([(1, 2)], isolated=["3"]),
+        lambda: Topology(frozenset({1, 2}), frozenset({(1.0, 2)})),
+        lambda: Topology(frozenset({1, 2}), frozenset({(1, False)})),
+    ], ids=["bool", "float", "str", "float-edge", "bool-edge"])
+    def test_node_id_that_is_not_an_int_rejected(self, build):
+        with pytest.raises(TopologyError, match="is not an int") as caught:
+            build()
+        assert "\n" not in str(caught.value)
+
     def test_flood_memo_does_not_affect_equality(self):
         # every kind of memo entry: a relay set's components (from 1 and,
         # in another component, 4), a relay served from its component (3)
