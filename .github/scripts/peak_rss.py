@@ -51,7 +51,12 @@ def write_inputs(workload: str, folder: Path) -> list[str]:
 
 
 def peak_rss_kib(argv: list[str], env: dict[str, str] | None = None) -> int:
-    """Peak RSS in KiB of `python -m lwbsim.cli *argv` in a fresh process."""
+    """Peak RSS in KiB of `python -m lwbsim.cli *argv` in a fresh process,
+    with this checkout's src/ first on its PYTHONPATH, so it runs the
+    checkout's lwbsim whether or not the package is installed. env
+    defaults to this process's environment."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     command = [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "lwbsim.cli", *argv]
     return int(subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout)
 

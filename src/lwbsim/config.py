@@ -101,11 +101,16 @@ class SimConfig:
 
     def validate(self) -> None:
         problems: list[str] = []
-        for name in FIELDS:
-            value = getattr(self, name)
-            parts = value if isinstance(value, tuple) else (value,)
+        for name, annotation in SimConfig.__annotations__.items():
+            value, (_, types, noun) = getattr(self, name), _ANNOTATIONS[annotation]
+            pair = annotation.startswith("tuple")
+            parts = value if pair and type(value) is tuple else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
                 problems.append(f"{name.upper()} must be finite")
+            elif len(parts) != 1 + pair or not {*map(type, parts)} <= types:
+                problems.append(f"{name.upper()} must be {noun}, not {value!r}")
+        if problems:  # each field is a number of its type from here on
+            raise ConfigError("; ".join(problems))
         if self.ipi < self.minimum_lwb_round:
             problems.append(
                 f"IPI ({format_duration(self.ipi)}) must be at least "
@@ -187,12 +192,17 @@ def _parse_drift(value: str) -> tuple[float, float]:
     return (-r, r)
 
 
-# KEY -> (SimConfig field, parse), the parse picked by the annotation as written
+# annotation as written -> (parse of a config text, the types a value may
+# have, their name in an error): a bool is no int here, nor an int subclass
+_ANNOTATIONS = {
+    "Duration": (parse_duration, {int}, "an int of microseconds"), "int": (int, {int}, "an int"),
+    "bool": (_parse_bool, {bool}, "a bool"), "float": (float, {int, float}, "a number"),
+    "str": (str.lower, {str}, "a str"),
+    "tuple[float, float]": (_parse_drift, {int, float}, "a (low, high) pair of numbers"),
+}
+# KEY -> (SimConfig field, parse)
 CONFIG_KEYS = {
-    name.upper(): (name, {
-        "Duration": parse_duration, "int": int, "bool": _parse_bool, "float": float,
-        "str": str.lower, "tuple[float, float]": _parse_drift,
-    }[annotation])
+    name.upper(): (name, _ANNOTATIONS[annotation][0])
     for name, annotation in SimConfig.__annotations__.items()
 }
 

@@ -36,14 +36,14 @@ block and of every data slot that wakes all active nodes. The sync slot is
 awake on the active and the synced nodes. A flooded slot receives on the
 flood's reached mask within its awake mask. A capture winner is the k-th
 node of a request slot's contender mask. Forwarder selection keeps sink
-distances as hop masks in world.distances; an announce flood writes its
-slot's forwarder mask into announced_slots and counts the slot in
-wake_counts for each node it wakes. Every source makes sequence s at s *
-IPI, so a source's queue is the window from queue_start[n] to
-next_sequence; gen_rounds holds the rounds of the last QUEUE_CAPACITY
-sequences. A round stores how many sequences it made, not a pair per
-packet; its reply slots, the second of each request group, and its data
-slots sit at fixed places in its slot list, so a reader slices them out.
+distances as hop masks in world.distances; announced_slots stores the
+(distance, wake mask) forwarding.apply_announce gives an announced slot,
+and wake_counts counts the slot for each node of its wake mask. Every
+source makes sequence s at s * IPI, so a source's queue is the window from
+queue_start[n] to next_sequence; gen_rounds holds the rounds of the last
+QUEUE_CAPACITY sequences. A round stores how many sequences it made, not a
+pair per packet; its reply slots, the second of each request group, and its
+data slots sit at fixed places in its slot list, so a reader slices them out.
 
 Determinism: every node list is in ascending node id order, and a single
 rng instance drives first the contention draw of a request slot (only when
@@ -235,7 +235,7 @@ class World:
         self.next_sequence = 0  # every source generates sequence s at s * IPI
         self.queue_start = dict.fromkeys(self.sources, 0)  # source -> oldest queued sequence
         self.gen_rounds: list[int] = []  # round of each of the last QUEUE_CAPACITY sequences
-        self.announced_slots: dict[int, tuple[int, int]] = {}  # slot -> (distance, forwarders)
+        self.announced_slots: dict[int, tuple[int, int]] = {}  # slot -> (distance, wake mask)
         self.wake_counts: Counter = Counter()  # node -> announced slots waking it
         self.distances: list[int] = []  # hop h -> nodes at sink distance h
         self.radio_rows = Memo()  # round key -> row
@@ -250,8 +250,8 @@ def _radio_totals(
     or data slots, and wake_counts only with data slots, so the key leaves
     them out otherwise."""
     period, n_rr, n_data = header.round_period, header.n_rr, header.n_data
-    announced, owners = world.announced_slots, world.schedule.slot_owner
-    late = [s for s in range(n_data, len(owners)) if s in announced] if n_data else []
+    announced, owned = world.announced_slots, len(world.schedule.slot_owner)
+    late = [s for s in range(n_data, owned) if s in announced] if n_data else []
     below = len(announced) - len(late) if n_data else 0  # the others are unannounced
     key = (period, sync_awake, active if n_rr or n_data else 0, n_rr, n_data, below)
     row = world.radio_rows.get(key)
@@ -260,8 +260,7 @@ def _radio_totals(
     cfg = world.config
     wakes = world.wake_counts if n_data else {}
     if late:  # announced after the header fixed n_data: no data slot this round
-        masks = (announced[s][1] | 1 << owners[s] | 1 << cfg.sink_node_id for s in late)
-        wakes = wakes - Counter(n for mask in masks for n in ids_of(mask))
+        wakes = wakes - Counter(n for s in late for n in ids_of(announced[s][1]))
     sync, slot, base = cfg.sync_slot_length, cfg.slot_length, n_rr + n_data - below
     ons = [
         sync + (base + wakes.get(n, 0)) * slot if active >> n & 1
@@ -344,7 +343,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         slot(RequestSlot, fo, contenders.bit_count(), heard is not None)
 
         # reply slot: the sink grants the heard requester a data slot
-        fo, fields, announce_source = None, (), None
+        fo, fields, announcing = None, (), False
         if heard is not None:
             slots_before = len(sched.slot_owner)
             assigned = sink_assign(sched, heard, cfg.data_slot_capacity())
@@ -354,11 +353,9 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
                 fo = flood(topo, sink, awake_mask, loss, rng)
                 if fs_mode:
                     refresh_sink_distances(world.distances, fo)
-                delivered = fo.received(heard)
+                delivered = announcing = fo.received(heard)
                 if delivered:
                     world.granted |= 1 << heard
-                    if fs_mode:
-                        announce_source = heard
                 fields = (heard, assigned, len(sched.slot_owner) > slots_before, delivered)
         slot(ReplySlot, fo, *fields)
 
@@ -366,15 +363,14 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
         # the source's sink distance, as the source relayed it. The source
         # now has a slot and never contends again, so each slot is
         # announced at most once, and counted once in wake_counts for the
-        # nodes data_participants wakes in it when they are active.
+        # nodes of its wake mask, which data_participants wakes when active.
         if fs_mode:
             fo, fields = None, ()
-            if announce_source is not None:
-                distance = next(h for h, m in enumerate(world.distances) if m >> heard & 1)
-                fo = flood(topo, announce_source, awake_mask, loss, rng)
-                forwarders = apply_announce(world.distances, fo, distance)
-                world.announced_slots[assigned] = (distance, forwarders)
-                world.wake_counts.update(ids_of(forwarders | 1 << announce_source | 1 << sink))
+            if announcing:
+                fo = flood(topo, heard, awake_mask, loss, rng)
+                distance, wake = apply_announce(world.distances, fo)
+                world.announced_slots[assigned] = distance, wake
+                world.wake_counts.update(ids_of(wake))
                 fields = (distance, assigned)
             slot(AnnounceSlot, fo, *fields)
 
@@ -390,7 +386,7 @@ def execute_round(world: World, header: SyncHeader) -> RoundTrace:
     for slot_id in range(header.n_data):
         owner = owners[slot_id]
         if announced:
-            members = data_participants(awake_mask, announced, slot_id, owner, sink)
+            members = data_participants(awake_mask, announced, slot_id)
         if knowing >> owner & 1:
             seq = start[owner]  # its oldest packet, popped when queued
             queued = seq < stop

@@ -9,6 +9,8 @@ the ratio.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .config import FIELDS
 from .engine import RoundTrace
 from .errors import ComparabilityError, SimulationError
@@ -161,23 +163,22 @@ def render_summary(metrics: RunMetrics, mode: str, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-class NodeComparison:
-    def __init__(
-        self, node: int, duty_a: float, duty_b: float, pdr_a: float | None,
-        pdr_b: float | None, acquisition_a: int | None, acquisition_b: int | None,
-    ) -> None:
-        self.node, self.duty_a, self.duty_b = node, duty_a, duty_b
-        self.pdr_a, self.pdr_b = pdr_a, pdr_b
-        self.acquisition_a, self.acquisition_b = acquisition_a, acquisition_b
-
-    @property
-    def duty_delta(self) -> float:
-        return self.duty_b - self.duty_a
-
-
 class ComparisonReport:
-    def __init__(self, label_a: str, label_b: str, per_node: list[NodeComparison]) -> None:
-        self.label_a, self.label_b, self.per_node = label_a, label_b, per_node
+    """Two finished runs side by side, a and b, labelled by their modes. It
+    holds both runs' RunMetrics and reads each node's row off them when
+    asked, never a copy."""
+
+    def __init__(self, label_a: str, label_b: str, a: RunMetrics, b: RunMetrics) -> None:
+        self.label_a, self.label_b, self.a, self.b = label_a, label_b, a, b
+
+    def rows(self) -> Iterator[tuple]:
+        """(node, duty_a, duty_b, pdr_a, pdr_b, acquisition_a, acquisition_b)
+        per node in id order; the sink's pdr and acquisition are None."""
+        a, b = self.a, self.b
+        for n in a.node_ids:
+            sa, sb = a.sources.get(n), b.sources.get(n)  # None for the sink
+            yield (n, a.duty_cycle(n), b.duty_cycle(n), sa and sa.pdr, sb and sb.pdr,
+                   sa and sa.acquisition_round, sb and sb.acquisition_round)
 
     def render(self) -> str:
         lines = [f"compare: {self.label_a} (a) vs {self.label_b} (b)"]
@@ -185,18 +186,17 @@ class ComparisonReport:
             f"{'node':>4}  {'duty_a':>9}  {'duty_b':>9}  {'delta_b-a':>10}  "
             f"{'pdr_a':>6}  {'pdr_b':>6}"
         )
-        for row in self.per_node:
-            pdr_a = "-" if row.pdr_a is None else f"{row.pdr_a:.3f}"
-            pdr_b = "-" if row.pdr_b is None else f"{row.pdr_b:.3f}"
+        deltas = []
+        for n, duty_a, duty_b, pdr_a, pdr_b, _, _ in self.rows():
+            deltas.append(delta := duty_b - duty_a)
+            pdr_a, pdr_b = ("-" if pdr is None else f"{pdr:.3f}" for pdr in (pdr_a, pdr_b))
             lines.append(
-                f"{row.node:>4}  {row.duty_a:>9.6f}  {row.duty_b:>9.6f}  "
-                f"{row.duty_delta:>+10.6f}  {pdr_a:>6}  {pdr_b:>6}"
+                f"{n:>4}  {duty_a:>9.6f}  {duty_b:>9.6f}  {delta:>+10.6f}  {pdr_a:>6}  {pdr_b:>6}"
             )
-        lower = sum(1 for r in self.per_node if r.duty_delta < 0)
-        equal = sum(1 for r in self.per_node if r.duty_delta == 0)
+        lower, equal = sum(d < 0 for d in deltas), deltas.count(0)
         lines.append(
             f"aggregate: nodes_lower_in_b={lower} nodes_equal={equal} "
-            f"nodes_higher_in_b={len(self.per_node) - lower - equal}"
+            f"nodes_higher_in_b={len(deltas) - lower - equal}"
         )
         return "\n".join(lines) + "\n"
 
@@ -205,12 +205,12 @@ class ComparisonReport:
             "a": self.label_a,
             "b": self.label_b,
             "nodes": {
-                str(r.node): {
-                    "duty_a": round(r.duty_a, 9), "duty_b": round(r.duty_b, 9),
-                    "duty_delta": round(r.duty_delta, 9), "pdr_a": r.pdr_a, "pdr_b": r.pdr_b,
-                    "acquisition_a": r.acquisition_a, "acquisition_b": r.acquisition_b,
+                str(n): {
+                    "duty_a": round(duty_a, 9), "duty_b": round(duty_b, 9),
+                    "duty_delta": round(duty_b - duty_a, 9), "pdr_a": pdr_a, "pdr_b": pdr_b,
+                    "acquisition_a": acq_a, "acquisition_b": acq_b,
                 }
-                for r in self.per_node
+                for n, duty_a, duty_b, pdr_a, pdr_b, acq_a, acq_b in self.rows()
             },
         }
 
@@ -229,14 +229,4 @@ def compare(run_a, run_b) -> ComparisonReport:
         a, b = getattr(run_a.config, name), getattr(run_b.config, name)
         if name != "forwarder_selection" and a != b:
             raise ComparabilityError(f"runs used different {name}: {a!r} vs {b!r}")
-    ma, mb = run_a.metrics, run_b.metrics
-    rows = []
-    for n in ma.node_ids:
-        is_sink = n == ma.sink
-        rows.append(NodeComparison(
-            n, ma.duty_cycle(n), mb.duty_cycle(n),
-            None if is_sink else ma.sources[n].pdr, None if is_sink else mb.sources[n].pdr,
-            None if is_sink else ma.sources[n].acquisition_round,
-            None if is_sink else mb.sources[n].acquisition_round,
-        ))
-    return ComparisonReport(run_a.config.mode, run_b.config.mode, rows)
+    return ComparisonReport(run_a.config.mode, run_b.config.mode, run_a.metrics, run_b.metrics)

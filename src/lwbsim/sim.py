@@ -265,10 +265,9 @@ def write_trace(file: TextIO, traces: Iterable[RoundTrace]) -> None:
 
 def forwarder_table(world: World) -> list[dict]:
     """Forwarder sets per assigned slot, among the nodes synced now."""
-    sink, announced = world.config.sink_node_id, world.announced_slots
-    awake = world.all_nodes & ~world.bootstrap
+    announced, awake = world.announced_slots, world.all_nodes & ~world.bootstrap
     return [
         {"slot": slot_id, "owner": owner, "distance": announced.get(slot_id, (None,))[0],
-         "forwarders": ids_of(data_participants(awake, announced, slot_id, owner, sink))}
+         "forwarders": ids_of(data_participants(awake, announced, slot_id))}
         for slot_id, owner in enumerate(world.schedule.slot_owner)
     ]

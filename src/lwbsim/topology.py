@@ -29,6 +29,9 @@ class Topology:
     def __init__(self, nodes: frozenset[int], edges: frozenset[tuple[int, int]]) -> None:
         if not nodes:
             raise TopologyError("topology has no nodes")
+        for edge in edges:
+            if not isinstance(edge, tuple) or len(edge) != 2:
+                raise TopologyError(f"edge {edge!r} is not a (u, v) pair")
         for node in chain(nodes, *edges):
             if not isinstance(node, int) or isinstance(node, bool):
                 raise TopologyError(f"node id {node!r} is not an int")
@@ -82,10 +85,9 @@ class Topology:
         """Build a topology from edge pairs, collapsing duplicates."""
         nodes: set[int] = set(isolated)
         norm: set[tuple[int, int]] = set()
-        for u, v in edges:
-            nodes.add(u)
-            nodes.add(v)
-            norm.add((min(u, v), max(u, v)))
+        for edge in edges:
+            nodes.update(edge)
+            norm.add(tuple(sorted(edge)))
         return cls(frozenset(nodes), frozenset(norm))
 
     @staticmethod

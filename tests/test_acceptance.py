@@ -95,8 +95,8 @@ def test_criterion_2_forwarder_sets_match_two_distance_oracle():
             mismatches.append((i, "not every source acquired a slot"))
             continue
         for slot, owner in enumerate(schedule.slot_owner):
-            _, forwarders = result.world.announced_slots.get(slot, (None, 0))
-            protocol = set(ids_of(forwarders))
+            _, wake = result.world.announced_slots.get(slot, (None, 0))
+            protocol = set(ids_of(wake))
             oracle = shortest_path_forwarders(topo, 1, owner)
             if protocol != oracle:
                 mismatches.append((i, slot, sorted(protocol), sorted(oracle)))

@@ -626,3 +626,10 @@ class TestBoundedMemory:
             for duration in ("600s", "4800s")
         )
         assert long <= 1.1 * short, (short, long)
+
+    def test_runs_without_pythonpath(self, peak_rss, tmp_path):
+        # the script puts the checkout's src/ on the child's path itself, so
+        # an uninstalled checkout runs too
+        inputs = peak_rss.write_inputs("lwb-clean", tmp_path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        assert peak_rss.peak_rss_kib(["run", *inputs, "--duration", "5s"], env) > 0

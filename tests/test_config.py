@@ -1,10 +1,14 @@
 """Config parsing, validation and derived slot counts."""
 
+import re
+
 import pytest
 
 from lwbsim import config
 from lwbsim.config import CONFIG_KEYS, VALID_KEYS, SimConfig, ipi_warning, parse_config
 from lwbsim.errors import ConfigError
+from lwbsim.sim import run_simulation
+from lwbsim.topology import Topology
 from lwbsim.units import parse_duration
 
 from _support import to_text
@@ -262,6 +266,35 @@ class TestValidate:
         with pytest.raises(ConfigError, match="SEED must not be negative"):
             parse_config("SEED = -5\n")
         SimConfig(seed=0).validate()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("forwarder_selection", "no", "FORWARDER_SELECTION must be a bool, not 'no'"),
+        ("forwarder_selection", 1, "FORWARDER_SELECTION must be a bool, not 1"),
+        ("queue_capacity", 2.5, "QUEUE_CAPACITY must be an int, not 2.5"),
+        ("seed", 1.5, "SEED must be an int, not 1.5"),
+        ("seed", True, "SEED must be an int, not True"),
+        ("ipi", 10_500_000.0, "IPI must be an int of microseconds, not 10500000.0"),
+        ("duration", "60s", "DURATION must be an int of microseconds, not '60s'"),
+        ("loss_probability", "0.1", "LOSS_PROBABILITY must be a number, not '0.1'"),
+        ("contention_policy", 3, "CONTENTION_POLICY must be a str, not 3"),
+        ("drift_ppm_range", 300, "DRIFT_PPM_RANGE must be a (low, high) pair of numbers, not 300"),
+        ("drift_ppm_range", (1, 2, 3), "DRIFT_PPM_RANGE must be a (low, high) pair of numbers"),
+        ("drift_ppm_range", (0, "1"), "DRIFT_PPM_RANGE must be a (low, high) pair of numbers"),
+    ])
+    def test_wrongly_typed_field_rejected(self, field, value, message):
+        # a truthy string would run fs-lwb, a float seed would write a trace
+        # header parse_config cannot read, the others would die in a bare
+        # TypeError: each is one ConfigError line through run_simulation
+        with pytest.raises(ConfigError, match="^" + re.escape(message)) as caught:
+            run_simulation(SimConfig(**{field: value}), Topology.from_edges([(1, 2)]))
+        assert "\n" not in str(caught.value) and ";" not in str(caught.value)
+
+    def test_each_wrongly_typed_field_is_named_once(self):
+        with pytest.raises(ConfigError) as caught:
+            SimConfig(seed=1.5, duration="x", loss_probability=0, drift_ppm_range=(0, 300)).validate()
+        assert str(caught.value) == (
+            "SEED must be an int, not 1.5; DURATION must be an int of microseconds, not 'x'"
+        )
 
     def test_problems_are_joined(self):
         with pytest.raises(ConfigError) as exc:

@@ -60,8 +60,11 @@ class TestApplyAnnounce:
     DISTANCES = {1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
 
     def _select(self, relays=(1, 2, 3, 4, 5), distances=DISTANCES):
+        """The wake mask of source 4's announce, once its distance reads 2."""
         topo = diamond_pendant()
-        return apply_announce(hop_masks(distances), flood(topo, 4, mask_of(relays)), 2)
+        distance, wake = apply_announce(hop_masks(distances), flood(topo, 4, mask_of(relays)))
+        assert distance == 2
+        return wake
 
     def test_on_path_node_keeps_slot(self):
         assert self._select() == mask_of([1, 2, 3, 4])
@@ -71,7 +74,8 @@ class TestApplyAnnounce:
         assert not self._select() >> 5 & 1
 
     def test_source_itself_qualifies_at_hop_zero(self):
-        assert self._select(relays=(4,)) == mask_of([4])
+        # the sink, 1, never relays this flood but wakes for every slot
+        assert self._select(relays=(4,)) == mask_of([1, 4])
 
     def test_unknown_own_distance_means_out(self):
         distances = {**self.DISTANCES, 3: None}
@@ -81,13 +85,30 @@ class TestApplyAnnounce:
         # 3 hears the flood at hop 1 but its radio is off for the slot
         assert self._select(relays=(1, 2, 4, 5)) == mask_of([1, 2, 4])
 
+    def test_lossy_flood_missing_the_sink_still_wakes_sink_and_owner(self):
+        # a lossy announce flood from 4 that does not reach the sink at hop
+        # 2 selects no sink, yet the slot's wake mask holds the sink and the
+        # owner, the source, as the data slot needs both
+        topo, distances = diamond_pendant(), hop_masks(self.DISTANCES)
+        rng, missed = random.Random(37), 0
+        for _ in range(200):
+            outcome = flood(topo, 4, mask_of(topo.nodes), 0.5, rng)
+            if outcome.layers[2:3] and outcome.layers[2] >> 1 & 1:
+                continue  # the sink heard at hop 2: a forwarder anyway
+            missed += 1
+            distance, wake = apply_announce(distances, outcome)
+            assert distance == 2 and wake & mask_of([1, 4]) == mask_of([1, 4])
+            assert not wake >> 5 & 1
+        assert missed > 20
+
 
 class TestMasksMatchPerNodeWalk:
     def test_random_lossy_reply_and_announce_sequences(self):
         # replies from the sink and announces from sources that know their
         # distance, each flood over a random awake set, as in the request
         # blocks of a lossy run: the hop masks hold what the per-node walk
-        # records, and both select the same forwarders
+        # records, both select the same forwarders, and the wake mask adds
+        # the source and the sink
         rng = random.Random(1707)
         announces = selected = 0
         for _ in range(40):
@@ -104,50 +125,54 @@ class TestMasksMatchPerNodeWalk:
                     continue
                 source = rng.choice(sorted(walked))
                 outcome = flood(topo, source, awake, loss, rng)
-                got = apply_announce(distances, outcome, walked[source])
-                assert got == mask_of(walk_announce(walked, outcome, walked[source]))
+                distance, wake = apply_announce(distances, outcome)
+                forwarders = mask_of(walk_announce(walked, outcome, walked[source]))
+                assert distance == walked[source]
+                assert wake == forwarders | 1 << source | 1 << 1
                 announces += 1
-                selected += got.bit_count() > 1
+                selected += forwarders.bit_count() > 1
         assert announces > 300 and selected > 100
 
 
 class TestDataParticipants:
     @staticmethod
-    def _announced(forwarders, slot_id):
-        return {slot_id: (2, mask_of(forwarders))}
+    def _announced(wake, slot_id):
+        return {slot_id: (2, mask_of(wake))}
 
     def test_plain_bus_wakes_everyone_active(self):
         # nothing is announced without forwarder selection
         awake = mask_of([1, 2, 4])
-        got = data_participants(awake, {}, 0, 4, 1)
+        got = data_participants(awake, {}, 0)
         assert got == mask_of([1, 2, 4])
 
     def test_fs_slot_wakes_forwarders_owner_sink(self):
-        awake = mask_of(diamond_pendant().nodes)
-        got = data_participants(awake, self._announced({2, 3}, 0), 0, 4, 1)
-        assert got == mask_of([1, 2, 3, 4])
+        topo = diamond_pendant()
+        awake = mask_of(topo.nodes)
+        distances = hop_masks(TestApplyAnnounce.DISTANCES)
+        announced = {0: apply_announce(distances, flood(topo, 4, awake))}
+        assert data_participants(awake, announced, 0) == mask_of([1, 2, 3, 4])
 
     def test_unannounced_fs_slot_falls_back_to_everyone(self):
         awake = mask_of(diamond_pendant().nodes)
-        got = data_participants(awake, self._announced(set(), 1), 0, 4, 1)
+        got = data_participants(awake, self._announced({1, 4}, 1), 0)
         assert got == mask_of([1, 2, 3, 4, 5])
 
     def test_inactive_owner_is_not_woken(self):
         awake = mask_of([1, 2, 3])
-        got = data_participants(awake, self._announced({2}, 0), 0, 4, 1)
+        got = data_participants(awake, self._announced({1, 2, 4}, 0), 0)
         assert got == mask_of([1, 2])
 
     def test_nothing_to_select_returns_the_awake_list_itself(self):
         topo = diamond_pendant()
         awake = mask_of(topo.nodes)
-        assert data_participants(awake, {}, 0, 4, 1) == awake
+        assert data_participants(awake, {}, 0) == awake
         # every awake node forwards: the selection is the whole awake mask
-        assert data_participants(awake, self._announced(topo.nodes, 0), 0, 4, 1) == awake
+        assert data_participants(awake, self._announced(topo.nodes, 0), 0) == awake
 
     def test_sleeping_forwarder_is_not_woken(self):
         # 4 forwards and owns the slot, 5 forwards, but neither is active
         awake = mask_of([1, 3])
-        got = data_participants(awake, self._announced({3, 4, 5}, 0), 0, 4, 1)
+        got = data_participants(awake, self._announced({1, 3, 4, 5}, 0), 0)
         assert got == mask_of([1, 3])
 
 
@@ -165,9 +190,10 @@ class TestAgainstGeometricOracle:
             refresh_sink_distances(distances, reply)
             source = max(topo.nodes)
             outcome = flood(topo, source, Topology.mask_of(everyone))
-            distance = hops_of_masks(distances)[source]
-            got = set(ids_of(apply_announce(distances, outcome, distance)))
-            assert got == shortest_path_forwarders(topo, sink, source)
+            distance, wake = apply_announce(distances, outcome)
+            assert distance == hops_of_masks(distances)[source]
+            # at loss 0 the source and the sink are forwarders themselves
+            assert set(ids_of(wake)) == shortest_path_forwarders(topo, sink, source)
 
     def test_forwarders_sit_on_shortest_paths(self):
         rng = random.Random(64)
@@ -182,7 +208,7 @@ class TestAgainstGeometricOracle:
 class TestAnnouncedOnce:
     def test_every_delivered_reply_announces_its_slot_once(self):
         # a node announces only after its reply is delivered, and then holds
-        # a slot and never contends again: the forwarder mask of a slot is
+        # a slot and never contends again: the wake mask of a slot is
         # written once, in the announce slot right after that reply
         rng = random.Random(1747)
         delivered = 0

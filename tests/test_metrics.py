@@ -263,7 +263,7 @@ class TestCompare:
         a = run_simulation(cfg, line_topology(4))
         b = run_simulation(SimConfig(duration=40 * US_SECOND), line_topology(4))
         report = compare(a, b)
-        assert all(row.duty_delta == 0.0 for row in report.per_node)
+        assert all(duty_a == duty_b for _, duty_a, duty_b, *_ in report.rows())
         assert "nodes_equal=4" in report.render()
 
     def test_mode_labels_in_report(self):

@@ -1156,10 +1156,9 @@ class TestDataSlotMembership:
                     assert slot.awake_mask == requests[0].awake_mask
                 for slot_id, slot in enumerate(trace.slots[1 + trace.n_rr:]):  # the data slots
                     if fs and slot_id in world.announced_slots:
-                        _, forwarders = world.announced_slots[slot_id]
-                        want = set(ids_of(forwarders)) & active
-                        want |= {slot.owner} & active
-                        want.add(sink)
+                        _, wake = world.announced_slots[slot_id]
+                        assert wake >> slot.owner & 1 and wake >> sink & 1
+                        want = set(ids_of(wake)) & active
                         assert awake_ids(slot) == sorted(want)
                         selected += slot.awake_mask != requests[0].awake_mask
                     else:

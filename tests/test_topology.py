@@ -105,6 +105,17 @@ class TestTopologyType:
             build()
         assert "\n" not in str(caught.value)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Topology(frozenset({1, 2, 3}), frozenset({(1, 2, 3)})),
+        lambda: Topology(frozenset({1, 2}), frozenset({5})),
+        lambda: Topology.from_edges([(1,)]),
+        lambda: Topology.from_edges([(1, 2), (3, 4, 5)]),
+    ], ids=["triple", "bare-int", "single", "triple-from-edges"])
+    def test_edge_that_is_not_a_pair_rejected(self, build):
+        with pytest.raises(TopologyError, match="is not a \\(u, v\\) pair") as caught:
+            build()
+        assert "\n" not in str(caught.value)
+
     def test_flood_memo_does_not_affect_equality(self):
         # every kind of memo entry: a relay set's components (from 1 and,
         # in another component, 4), a relay served from its component (3)
